@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -26,7 +27,12 @@ SYNTHETIC_YEAR_START = datetime(2021, 1, 1)
 #: this set but never extend it.
 KNOWN_REGIONS = ("QLD", "NSW", "VIC", "SA", "SH")
 
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
+_DATE_FORMAT = "%Y-%m-%d"
+TIMESTAMP_FORMAT = _DATE_FORMAT + "T%H:%M:%S"
+#: Time-of-day text of each whole hour in ``TIMESTAMP_FORMAT``.
+_HOUR_TEXT = tuple(f"T{h:02d}:00:00" for h in range(HOURS_PER_DAY))
+#: Rows the reader checks at a time; bounds the text it holds.
+_BLOCK_ROWS = 1024
 
 
 class TimeSeriesError(ValueError):
@@ -95,11 +101,51 @@ def concat_series(parts: Iterable[TimeSeries], label: str = "") -> TimeSeries:
     return TimeSeries(parts[0].start, values, label or parts[0].label)
 
 
+def hour_stamps(start: datetime, n_hours: int) -> list[str]:
+    """``TIMESTAMP_FORMAT`` text of ``start + k`` hours for ``k < n_hours``.
+
+    ``start`` must fall on a whole hour.  Only the date goes through
+    ``strftime``, once per day, so entry ``k`` is the text of
+    ``(start + timedelta(hours=k)).strftime(TIMESTAMP_FORMAT)``.
+    """
+    first = start.hour
+    n_days = -(-(first + n_hours) // HOURS_PER_DAY)
+    day = start.date()
+    dates = [(day + timedelta(days=d)).strftime(_DATE_FORMAT) for d in range(n_days)]
+    return [date + hour for date in dates for hour in _HOUR_TEXT][first:first + n_hours]
+
+
+def _checked_stamp(path, rownum: int, text: str, start, k: int) -> datetime:
+    """Parse row ``rownum``'s stamp and require it to be ``start + k`` hours.
+
+    ``start=None`` makes the stamp itself the start.
+    """
+    try:
+        stamp = datetime.fromisoformat(text.strip())
+    except ValueError:
+        raise TimeSeriesError(f"{path}: row {rownum}: bad timestamp {text!r}") from None
+    if start is None:
+        start = stamp
+    expected = start + timedelta(hours=k)
+    if stamp == expected - timedelta(hours=1):
+        raise TimeSeriesError(f"{path}: row {rownum}: duplicate timestamp {text}")
+    if stamp != expected:
+        raise TimeSeriesError(
+            f"{path}: row {rownum}: gap in series, missing "
+            f"{expected.strftime(TIMESTAMP_FORMAT)}"
+        )
+    return stamp
+
+
 def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
     """Read a ``timestamp,value`` CSV into a gap-free hourly series.
 
     Every structural defect is reported with its row number (1-based,
-    counting the header as row 1).
+    counting the header as row 1); of several defects the first row's is
+    reported.  Stamps in ``TIMESTAMP_FORMAT`` text are checked against
+    ``hour_stamps`` as text; a stamp in any other ISO-8601 form is parsed
+    and checked on its own.  Rows are taken in blocks, so only one block's
+    text is held at a time.
     """
     path = Path(path)
     if not path.exists():
@@ -115,29 +161,22 @@ def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
             raise TimeSeriesError(f"{path}: row 1: header must be 'timestamp,value', got {header}")
         start = None
         values: list[float] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise TimeSeriesError(f"{path}: row {rownum}: expected 2 columns")
+        first_rownum = 2
+        while True:
+            rows: list[list[str]] = []
+            read_error = None
             try:
-                stamp = datetime.fromisoformat(row[0].strip())
-            except ValueError:
-                raise TimeSeriesError(f"{path}: row {rownum}: bad timestamp {row[0]!r}") from None
-            if start is None:
-                start = stamp
-            expected = start + timedelta(hours=len(values))
-            if stamp == expected - timedelta(hours=1):
-                raise TimeSeriesError(f"{path}: row {rownum}: duplicate timestamp {row[0]}")
-            if stamp != expected:
-                raise TimeSeriesError(
-                    f"{path}: row {rownum}: gap in series, missing "
-                    f"{expected.strftime(TIMESTAMP_FORMAT)}"
-                )
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise TimeSeriesError(f"{path}: row {rownum}: non-numeric value {row[1]!r}") from None
+                rows.extend(islice(reader, _BLOCK_ROWS))
+            except (csv.Error, ValueError) as exc:  # ValueError: undecodable bytes
+                read_error = exc  # raised once the rows read before it pass
+            n_read = len(rows)
+            start = _read_block(path, rows, range(first_rownum, first_rownum + n_read),
+                                start, values)
+            if read_error is not None:
+                raise read_error
+            if n_read < _BLOCK_ROWS:
+                break
+            first_rownum += n_read
         if start is None:
             raise TimeSeriesError(f"{path}: no data rows")
         if len(values) != expected_hours:
@@ -147,13 +186,65 @@ def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
     return TimeSeries(start, np.array(values), label=path.stem)
 
 
+def _read_block(path, rows: list[list[str]], rownums, start, values: list[float]):
+    """Check one block of rows and append its values; return the series start.
+
+    ``values`` holds the values of the rows before the block, so the
+    block's first stamp must be ``start + len(values)`` hours.
+    """
+    if not all(rows):
+        rownums = [num for num, row in zip(rownums, rows) if row]
+        rows = [row for row in rows if row]
+    # Rows [0, n_ok) have both columns and a numeric value; row_error, if
+    # any, belongs to row n_ok and stands unless a stamp before it (or on
+    # it, for a bad value) fails first.
+    n_ok = n_stamped = len(rows)
+    row_error = None
+    if min(map(len, rows), default=2) < 2:
+        n_ok = n_stamped = next(k for k, row in enumerate(rows) if len(row) < 2)
+        row_error = "expected 2 columns"
+    texts = [row[1] for row in rows[:n_ok]]
+    try:
+        block = list(map(float, texts))
+    except ValueError:
+        block = []
+        for text in texts:
+            try:
+                block.append(float(text))
+            except ValueError:
+                break
+        n_ok = len(block)
+        n_stamped = n_ok + 1
+        row_error = f"non-numeric value {texts[n_ok]!r}"
+    if n_stamped:
+        stamps = [row[0] for row in rows[:n_stamped]]
+        if start is None:
+            start = _checked_stamp(path, rownums[0], stamps[0], None, 0)
+        k0 = len(values)
+        try:
+            first = start + timedelta(hours=k0)
+            canonical = hour_stamps(first, n_stamped)
+            if datetime.fromisoformat(canonical[0]) != first:
+                canonical = []  # start is not a naive whole hour
+        except (OverflowError, ValueError):  # past datetime.max; %Y of a year < 1000
+            canonical = []
+        if stamps != canonical:
+            for k, stamp in enumerate(stamps):
+                if k >= len(canonical) or stamp != canonical[k]:
+                    _checked_stamp(path, rownums[k], stamp, start, k0 + k)
+    if row_error is not None:
+        raise TimeSeriesError(f"{path}: row {rownums[n_ok]}: {row_error}")
+    values += block
+    return start
+
+
 def write_timeseries_csv(series: TimeSeries, path) -> None:
     """Write ``timestamp,value`` rows; floats via ``repr`` so re-reading is exact."""
     path = Path(path)
+    stamps = hour_stamps(series.start, len(series))
     with path.open("w", newline="") as fh:
         fh.write("timestamp,value\n")
-        for h, v in enumerate(series.values):
-            fh.write(f"{series.timestamp_at(h).strftime(TIMESTAMP_FORMAT)},{float(v)!r}\n")
+        fh.writelines(f"{stamp},{v!r}\n" for stamp, v in zip(stamps, series.values.tolist()))
 
 
 @dataclass(frozen=True)
