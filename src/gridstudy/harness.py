@@ -494,7 +494,7 @@ def _flush_partial(partial: dict, out_dir: Path) -> None:
 
 
 def _write_dispatch_csv(dispatch: DispatchResult, path: Path) -> None:
-    units = sorted(dispatch.hours[0].output_mw)
+    units = sorted(set().union(*(hd.output_mw for hd in dispatch.hours)))
     lines = sorted(dispatch.hours[0].flow_mw)
     regions = sorted(dispatch.hours[0].unserved_mw)
     header = (["hour"] + [f"gen_{u}" for u in units] + [f"flow_{l}" for l in lines]

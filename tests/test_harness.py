@@ -1,5 +1,6 @@
 """Pipeline wiring on short horizons: replacement, stages, emission, CLI."""
 
+import csv
 import filecmp
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from gridstudy.harness import (
 )
 from gridstudy.pricing import SystemSnapshot, extract_features
 from gridstudy.scenarioconfig import scenario_from_config
+from gridstudy.timeseries import load_timeseries_csv
 from tests.conftest import config_path
 
 DAYS = 4
@@ -163,6 +165,27 @@ class TestEmission:
         assert len(summary) == 2
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_emitted_dispatch_serves_emitted_nett_demand(self, short_reports, tmp_path):
+        """Each hour of dispatch_hourly.csv balances the nett_demand files.
+
+        Units committed only after hour 0 need their own gen_ columns.
+        """
+        for scenario, rep in short_reports.items():
+            out = tmp_path / f"s{scenario}"
+            emit_report(rep, out)
+            n_hours = len(rep.dispatch.hours)
+            nett = sum(load_timeseries_csv(path, n_hours).values
+                       for path in sorted(out.glob("nett_demand_*.csv")))
+            with (out / "dispatch_hourly.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == n_hours
+            for h, row in enumerate(rows):
+                mw = {k: float(v) for k, v in row.items()
+                      if k not in ("unserved_hour", "dumped_hour")}
+                supply = sum(v for k, v in mw.items() if k.startswith(("gen_", "unserved_")))
+                sink = nett[h] + sum(v for k, v in mw.items() if k.startswith("dumped_"))
+                assert supply == pytest.approx(sink, rel=1e-6), (scenario, h)
 
     def test_demand_csv_columns(self, short_reports, tmp_path):
         emit_report(short_reports[4], tmp_path / "r4")
