@@ -8,8 +8,10 @@ The loadability of the hour is the last factor at which the power flow
 still converges, one step before divergence.
 
 All hours advance through the factor grid in lockstep, so a year of
-operating points is swept by batched Newton solves; the per-hour numbers
-are identical to scanning each hour on its own.
+operating points is swept by batched Newton solves.  Scanning an hour on its
+own solves the same equations, and its voltages differ from the batched
+ones by about one ulp (see ``powerflow``); a convergence result near the
+tolerance could in principle flip on that difference.
 """
 
 from __future__ import annotations

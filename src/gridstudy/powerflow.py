@@ -8,7 +8,9 @@ or any voltage magnitude collapsing below 0.4 p.u.
 
 The Newton kernel is written over a batch axis so that loadability sweeps
 can solve thousands of operating points in lockstep; a single solve is a
-batch of one, so batched and scalar paths produce identical numbers.
+batch of one and runs the same code.  The numbers of a point solved alone
+and in a batch agree to about one ulp, not bit for bit: BLAS computes the
+one-row product ``V @ Ybus.T`` by another path than the many-row one.
 """
 
 from __future__ import annotations
@@ -182,11 +184,12 @@ class _Grid:
         kinds = np.array([b.kind for b in net.buses])
         self.n = len(net.buses)
         self.slack = int(np.flatnonzero(kinds == "slack")[0])
-        self.pv = np.flatnonzero(kinds == "pv")
         self.pq = np.flatnonzero(kinds == "pq")
         self.pvpq = np.flatnonzero(kinds != "slack")
         self.vset = np.array([b.v_set_pu for b in net.buses])
         self.ybus = net.ybus()
+        self.y_va = self.ybus[np.ix_(self.pvpq, self.pvpq)]
+        self.y_vm = self.ybus[np.ix_(self.pvpq, self.pq)]
 
     def scheduled(self, loads_mw, loads_mvar, inj_mw, inj_mvar):
         """Net scheduled injections in p.u., batched (B, n)."""
@@ -201,64 +204,68 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
     Cause codes: 0 ok, 1 max iterations, 2 voltage collapse, 3 singular.
     """
     nb = p_sched.shape[0]
-    n = grid.n
     y = grid.ybus
-    pv, pq, pvpq, slack = grid.pv, grid.pq, grid.pvpq, grid.slack
+    pq, pvpq = grid.pq, grid.pvpq
     npvpq, npq = pvpq.size, pq.size
     vm = np.tile(grid.vset, (nb, 1))
     vm[:, pq] = 1.0  # flat start: PQ magnitudes at 1.0, PV/slack at setpoints
-    va = np.zeros((nb, n))
+    va = np.zeros((nb, grid.n))
     converged = np.zeros(nb, dtype=bool)
     cause = np.zeros(nb, dtype=np.int8)
     iters = np.zeros(nb, dtype=np.int64)
     mismatch = np.full(nb, np.inf)
+    # Rows of the points still iterating; vm/va get a point's row when it leaves.
     active = np.arange(nb)
+    vm_a, va_a = vm.copy(), va.copy()
+    p_a, q_a = p_sched[:, pvpq], q_sched[:, pq]
+    # Only the Jacobian's entries are built: dS/dVa on pvpq x pvpq and
+    # dS/dVm on pvpq x pq, each by MATPOWER's dSbus_dV expression.
+    va_diag = np.arange(npvpq)
+    vm_diag_row = np.searchsorted(pvpq, pq)  # row of each pq bus within pvpq
+    vm_diag_col = np.arange(npq)
 
-    def residual(vm_a, va_a, idx):
-        v = vm_a * np.exp(1j * va_a)
-        s = v * np.conj(v @ y.T)
-        dp = s.real[:, pvpq] - p_sched[idx][:, pvpq]
-        dq = s.imag[:, pq] - q_sched[idx][:, pq]
-        return np.concatenate([dp, dq], axis=1)
+    def leave(mask):
+        rows = active[mask]
+        vm[rows], va[rows] = vm_a[mask], va_a[mask]
+        return rows
 
     for it in range(PF_MAX_ITERATIONS + 1):
         if active.size == 0:
             break
-        vm_a, va_a = vm[active], va[active]
-        f = residual(vm_a, va_a, active)
+        vnorm = np.exp(1j * va_a)
+        v = vm_a * vnorm
+        ibus = v @ y.T
+        s = v * np.conj(ibus)
+        f = np.concatenate([s.real[:, pvpq] - p_a, s.imag[:, pq] - q_a], axis=1)
         norm = np.max(np.abs(f), axis=1)
         mismatch[active] = norm
         ok = norm < PF_TOLERANCE
         if np.any(ok):
-            converged[active[ok]] = True
-            iters[active[ok]] = it
+            done = leave(ok)
+            converged[done] = True
+            iters[done] = it
             keep = ~ok
-            active = active[keep]
-            vm_a, va_a, f = vm_a[keep], va_a[keep], f[keep]
+            active, vm_a, va_a, f = active[keep], vm_a[keep], va_a[keep], f[keep]
+            p_a, q_a = p_a[keep], q_a[keep]
             if active.size == 0:
                 break
+            v, vnorm = v[keep], vnorm[keep]
+            ibus = v @ y.T  # not ibus[keep]: BLAS rounds by batch size
         if it == PF_MAX_ITERATIONS:
+            iters[leave(slice(None))] = it
             cause[active] = 1
-            iters[active] = it
             break
-        # Jacobian blocks from the complex power derivatives.
-        v = vm_a * np.exp(1j * va_a)
-        vnorm = np.exp(1j * va_a)
-        ibus = v @ y.T
-        m1 = -y[None, :, :] * v[:, None, :]
-        m1[:, np.arange(n), np.arange(n)] += ibus
-        ds_dva = 1j * v[:, :, None] * np.conj(m1)
-        m2 = y[None, :, :] * vnorm[:, None, :]
-        ds_dvm = v[:, :, None] * np.conj(m2)
-        ds_dvm[:, np.arange(n), np.arange(n)] += np.conj(ibus) * vnorm
-        j11 = ds_dva.real[:, pvpq[:, None], pvpq[None, :]]
-        j12 = ds_dvm.real[:, pvpq[:, None], pq[None, :]]
-        j21 = ds_dva.imag[:, pq[:, None], pvpq[None, :]]
-        j22 = ds_dvm.imag[:, pq[:, None], pq[None, :]]
-        jac = np.concatenate([
-            np.concatenate([j11, j12], axis=2),
-            np.concatenate([j21, j22], axis=2),
-        ], axis=1)
+        m1 = -grid.y_va[None, :, :] * v[:, None, pvpq]
+        m1[:, va_diag, va_diag] += ibus[:, pvpq]
+        ds_dva = 1j * v[:, pvpq, None] * np.conj(m1)
+        m2 = grid.y_vm[None, :, :] * vnorm[:, None, pq]
+        ds_dvm = v[:, pvpq, None] * np.conj(m2)
+        ds_dvm[:, vm_diag_row, vm_diag_col] += np.conj(ibus[:, pq]) * vnorm[:, pq]
+        jac = np.empty((active.size, npvpq + npq, npvpq + npq))
+        jac[:, :npvpq, :npvpq] = ds_dva.real
+        jac[:, :npvpq, npvpq:] = ds_dvm.real
+        jac[:, npvpq:, :npvpq] = ds_dva.imag[:, vm_diag_row]
+        jac[:, npvpq:, npvpq:] = ds_dvm.imag[:, vm_diag_row]
         try:
             dx = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -268,20 +275,18 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
                     dx[k] = np.linalg.solve(jac[k], -f[k])
                 except np.linalg.LinAlgError:
                     pass  # stays NaN, flagged below
-        va_a = va_a.copy()
-        vm_a = vm_a.copy()
         va_a[:, pvpq] += dx[:, :npvpq]
         vm_a[:, pq] += dx[:, npvpq:]
         bad = ~np.all(np.isfinite(dx), axis=1)
         collapsed = np.min(vm_a, axis=1) < VOLTAGE_COLLAPSE_PU
-        vm[active] = vm_a
-        va[active] = va_a
         fail = bad | collapsed
         if np.any(fail):
+            iters[leave(fail)] = it + 1
             cause[active[bad]] = 3
             cause[active[collapsed & ~bad]] = 2
-            iters[active[fail]] = it + 1
-            active = active[~fail]
+            keep = ~fail
+            active, vm_a, va_a = active[keep], vm_a[keep], va_a[keep]
+            p_a, q_a = p_a[keep], q_a[keep]
     return vm, va, converged, iters, mismatch, cause
 
 

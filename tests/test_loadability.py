@@ -67,6 +67,9 @@ class TestBatchedSweep:
                                          "LOAD", {"source": 1.0}, step=0.02)
             assert batch.lambda_star[i] == single.lambda_star[0]
             assert batch.served_load_mw[i] == single.served_load_mw[0]
+            # Voltages agree to rounding only: BLAS treats a one-row batch apart.
+            assert batch.min_voltage_pu[i] == pytest.approx(single.min_voltage_pu[0],
+                                                            rel=0, abs=1e-12)
 
     def test_monotone_stress_depresses_voltage(self):
         net = study_network()

@@ -138,3 +138,113 @@ class TestScaleLoads:
     def test_lambda_below_one_rejected(self):
         with pytest.raises(PowerFlowError, match=">= 1"):
             scale_loads(self.region_net(), "R", 0.9)
+
+
+def reference_nr_batch(grid, p_sched, q_sched):
+    """The kernel as it was with the full n x n MATPOWER dSbus_dV tensors.
+
+    The current kernel builds only the Jacobian entries and keeps the active
+    rows compact; every entry uses the same expression, so the results must
+    be equal bit for bit.
+    """
+    from gridstudy.powerflow import PF_MAX_ITERATIONS, PF_TOLERANCE, VOLTAGE_COLLAPSE_PU
+    nb = p_sched.shape[0]
+    n = grid.n
+    y = grid.ybus
+    pq, pvpq = grid.pq, grid.pvpq
+    npvpq, npq = pvpq.size, pq.size
+    vm = np.tile(grid.vset, (nb, 1))
+    vm[:, pq] = 1.0
+    va = np.zeros((nb, n))
+    converged = np.zeros(nb, dtype=bool)
+    cause = np.zeros(nb, dtype=np.int8)
+    iters = np.zeros(nb, dtype=np.int64)
+    mismatch = np.full(nb, np.inf)
+    active = np.arange(nb)
+
+    def residual(vm_a, va_a, idx):
+        v = vm_a * np.exp(1j * va_a)
+        s = v * np.conj(v @ y.T)
+        dp = s.real[:, pvpq] - p_sched[idx][:, pvpq]
+        dq = s.imag[:, pq] - q_sched[idx][:, pq]
+        return np.concatenate([dp, dq], axis=1)
+
+    for it in range(PF_MAX_ITERATIONS + 1):
+        if active.size == 0:
+            break
+        vm_a, va_a = vm[active], va[active]
+        f = residual(vm_a, va_a, active)
+        norm = np.max(np.abs(f), axis=1)
+        mismatch[active] = norm
+        ok = norm < PF_TOLERANCE
+        if np.any(ok):
+            converged[active[ok]] = True
+            iters[active[ok]] = it
+            keep = ~ok
+            active = active[keep]
+            vm_a, va_a, f = vm_a[keep], va_a[keep], f[keep]
+            if active.size == 0:
+                break
+        if it == PF_MAX_ITERATIONS:
+            cause[active] = 1
+            iters[active] = it
+            break
+        v = vm_a * np.exp(1j * va_a)
+        vnorm = np.exp(1j * va_a)
+        ibus = v @ y.T
+        m1 = -y[None, :, :] * v[:, None, :]
+        m1[:, np.arange(n), np.arange(n)] += ibus
+        ds_dva = 1j * v[:, :, None] * np.conj(m1)
+        m2 = y[None, :, :] * vnorm[:, None, :]
+        ds_dvm = v[:, :, None] * np.conj(m2)
+        ds_dvm[:, np.arange(n), np.arange(n)] += np.conj(ibus) * vnorm
+        j11 = ds_dva.real[:, pvpq[:, None], pvpq[None, :]]
+        j12 = ds_dvm.real[:, pvpq[:, None], pq[None, :]]
+        j21 = ds_dva.imag[:, pq[:, None], pvpq[None, :]]
+        j22 = ds_dvm.imag[:, pq[:, None], pq[None, :]]
+        jac = np.concatenate([
+            np.concatenate([j11, j12], axis=2),
+            np.concatenate([j21, j22], axis=2),
+        ], axis=1)
+        try:
+            dx = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            dx = np.full((active.size, npvpq + npq), np.nan)
+            for k in range(active.size):
+                try:
+                    dx[k] = np.linalg.solve(jac[k], -f[k])
+                except np.linalg.LinAlgError:
+                    pass
+        va_a = va_a.copy()
+        vm_a = vm_a.copy()
+        va_a[:, pvpq] += dx[:, :npvpq]
+        vm_a[:, pq] += dx[:, npvpq:]
+        bad = ~np.all(np.isfinite(dx), axis=1)
+        collapsed = np.min(vm_a, axis=1) < VOLTAGE_COLLAPSE_PU
+        vm[active] = vm_a
+        va[active] = va_a
+        fail = bad | collapsed
+        if np.any(fail):
+            cause[active[bad]] = 3
+            cause[active[collapsed & ~bad]] = 2
+            iters[active[fail]] = it + 1
+            active = active[~fail]
+    return vm, va, converged, iters, mismatch, cause
+
+
+class TestNewtonKernel:
+    def test_equals_full_jacobian_kernel_bit_for_bit(self):
+        from gridstudy.powerflow import _Grid, _nr_batch
+        net = study_network()
+        grid = _Grid(net)
+        rng = np.random.default_rng(5)
+        base_p = np.array([b.p_load_mw for b in net.buses])
+        base_q = np.array([b.q_load_mvar for b in net.buses])
+        scale = rng.uniform(0.2, 4.0, (300, 1))  # from light load to collapse
+        p_sched, q_sched = grid.scheduled(base_p * scale, base_q * scale, 0.0, 0.0)
+        got = _nr_batch(grid, p_sched, q_sched)
+        want = reference_nr_batch(grid, p_sched, q_sched)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # the batch mixes converged points with each failure cause
+        assert set(np.unique(got[5]).tolist()) == {0, 1, 2}
