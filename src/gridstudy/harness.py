@@ -17,6 +17,7 @@ inspection.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -479,18 +480,25 @@ def _cell(v) -> str:
 
 
 def _flush_partial(partial: dict, out_dir: Path) -> None:
+    """Write what a failed run produced so far, for inspection.
+
+    Flushing is best-effort, since the stage error matters more: a file that
+    cannot be written is named in a warning and the others are still written.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        if "prices" in partial:
-            for region, ts in partial["prices"].items():
-                write_timeseries_csv(ts, out_dir / f"partial_prices_{region}.csv")
-        if "nett" in partial:
-            for region, ts in partial["nett"].items():
-                write_timeseries_csv(ts, out_dir / f"partial_nett_demand_{region}.csv")
-        if "dispatch" in partial:
-            _write_dispatch_csv(partial["dispatch"], out_dir / "partial_dispatch_hourly.csv")
-    except Exception:
-        pass  # flushing is best-effort; the stage error matters more
+    writes = []
+    for key, prefix in (("prices", "partial_prices"), ("nett", "partial_nett_demand")):
+        for region, ts in partial.get(key, {}).items():
+            writes.append((write_timeseries_csv, ts, out_dir / f"{prefix}_{region}.csv"))
+    if "dispatch" in partial:
+        writes.append((_write_dispatch_csv, partial["dispatch"],
+                       out_dir / "partial_dispatch_hourly.csv"))
+    for write, data, path in writes:
+        try:
+            write(data, path)
+        except Exception as exc:  # reported here; the stage error follows
+            warnings.warn(f"could not write partial output {path}: {exc!r}",
+                          RuntimeWarning, stacklevel=2)
 
 
 def _write_dispatch_csv(dispatch: DispatchResult, path: Path) -> None:

@@ -146,6 +146,16 @@ class TestPipeline:
             assert fv.names == names
             assert np.allclose(fv.values, matrix[hour], atol=1e-12)
 
+    def test_unwritable_partial_output_is_warned_about(self, short_reports, tmp_path):
+        from gridstudy.harness import _flush_partial
+        rep = short_reports[2]
+        blocked = tmp_path / "partial_prices_NSW.csv"
+        blocked.mkdir()  # a directory where the file should go
+        with pytest.warns(RuntimeWarning, match="partial_prices_NSW.csv"):
+            _flush_partial({"prices": rep.prices, "dispatch": rep.dispatch}, tmp_path)
+        assert (tmp_path / "partial_prices_QLD.csv").is_file()
+        assert (tmp_path / "partial_dispatch_hourly.csv").is_file()
+
     def test_stage_error_carries_tag(self, data_dir, tmp_path):
         cfg = scenario_from_config(config_path(1))
         broken = tmp_path / "missing"
