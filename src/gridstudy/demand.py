@@ -213,10 +213,21 @@ def solve_day(params: DemandParams, day: DayInputs,
 
     Feasibility is guaranteed whenever doing nothing is admissible, i.e.
     the no-battery grid power ``load - pv`` stays inside the grid window
-    every hour.
+    every hour.  A ``basis_hint`` that does not lead to an optimum is
+    dropped and the day is solved again from scratch.
     """
+    return _solve_day(params, day, basis_hint)[0]
+
+
+def _solve_day(params: DemandParams, day: DayInputs,
+               basis_hint: BasisHint | None) -> tuple[DemandSchedule, BasisHint | None]:
+    """``solve_day`` plus the hint for the next day (None after a cold retry)."""
     lp, base_cost = build_lp(params, day)
     sol = solve_lp(lp, basis_hint=basis_hint)
+    next_hint = sol.basis_hint
+    if basis_hint is not None and not sol.is_optimal:
+        sol = solve_lp(lp)
+        next_hint = None
     if sol.status == "infeasible":
         hour = _first_no_action_violation(params, day)
         detail = f"; no-action grid power first leaves the window at hour {hour}" if hour is not None else ""
@@ -233,7 +244,7 @@ def solve_day(params: DemandParams, day: DayInputs,
     problems = schedule_violations(schedule, params, day, tol=1e-6)
     if problems:
         raise DemandModelError("solver returned an invalid schedule: " + "; ".join(problems))
-    return schedule
+    return schedule, next_hint
 
 
 def solve_days(params: DemandParams, days: Sequence[DayInputs]) -> list[DemandSchedule]:
@@ -241,17 +252,8 @@ def solve_days(params: DemandParams, days: Sequence[DayInputs]) -> list[DemandSc
     out = []
     hint: BasisHint | None = None
     for day in days:
-        lp, base_cost = build_lp(params, day)
-        sol = solve_lp(lp, basis_hint=hint)
-        if sol.is_optimal:
-            hint = sol.basis_hint
-            battery = sol.x
-            soc = params.soc_min_mwh + np.concatenate([[0.0], np.cumsum(battery)])
-            grid = day.load_mw + params.efficiency * battery - day.pv_mw
-            out.append(DemandSchedule(grid, battery, soc, cost=base_cost + sol.objective))
-        else:
-            out.append(solve_day(params, day))  # surfaces the error detail
-            hint = None
+        schedule, hint = _solve_day(params, day, hint)
+        out.append(schedule)
     return out
 
 

@@ -17,6 +17,7 @@ augmenting or enumerating commitments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -105,6 +106,16 @@ class CommittedUnit:
 Commitment = tuple[CommittedUnit, ...]
 
 
+def _read_only(record, keys) -> None:
+    """Replace the named mapping fields of a frozen dataclass by read-only views.
+
+    A dispatch result may be served again to a later run in the same
+    process, so no holder may change it in place.
+    """
+    for key in keys:
+        object.__setattr__(record, key, MappingProxyType(getattr(record, key)))
+
+
 @dataclass(frozen=True)
 class HourDispatch:
     hour: int
@@ -118,6 +129,9 @@ class HourDispatch:
     objective: float = 0.0
     basis_hint: Optional[BasisHint] = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        _read_only(self, ("output_mw", "flow_mw", "unserved_mw", "dumped_mw", "price"))
+
 
 @dataclass(frozen=True)
 class DispatchResult:
@@ -128,6 +142,9 @@ class DispatchResult:
     unserved_energy_twh: float
     unserved_hours: int
     generator_energy_mwh: Mapping[str, float]
+
+    def __post_init__(self):
+        _read_only(self, ("generator_energy_mwh",))
 
 
 def csp_profile_shift(csp_availability: TimeSeries, delay_hours: int = 12) -> TimeSeries:

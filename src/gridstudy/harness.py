@@ -12,13 +12,21 @@ Prices are predicted once and demand responds once: the loop is open,
 users are price takers.  Every stage is deterministic for a fixed seed,
 and failures carry a stage tag with partial outputs flushed for
 inspection.
+
+Scenarios run one after another in one process share their inputs: the
+series reads of stage (0) and the pass-0 dispatch of stage (1) are looked
+up by content (file bytes, exact dispatch inputs) among the results of the
+previous ``run_scenario`` call, and only those a run used are kept for the
+next one.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -124,6 +132,104 @@ class _StudyData:
     n_hours: int
 
 
+class _LastRunStore:
+    """Content-keyed results that the most recent ``run_scenario`` call used.
+
+    A run looks results up with ``take`` and adds the ones it computes with
+    ``keep``, inside ``run()``.  When ``run()`` ends, whether or not the run
+    failed, the store keeps exactly the entries that run took or kept and
+    drops the rest, so between runs it holds one scenario's working set.
+    """
+
+    def __init__(self):
+        self._kept: dict = {}
+        self._used: dict = {}
+
+    def take(self, key):
+        """The value stored under ``key``, or None."""
+        value = self._used.get(key, self._kept.get(key))
+        if value is not None:
+            self._used[key] = value
+        return value
+
+    def keep(self, key, value) -> None:
+        self._used[key] = value
+
+    @contextmanager
+    def run(self):
+        self._used = {}
+        try:
+            yield
+        finally:
+            self._kept, self._used = self._used, {}
+
+    def clear(self) -> None:
+        self._kept, self._used = {}, {}
+
+
+_REUSE = _LastRunStore()
+
+
+def _file_sha256(path: Path) -> Optional[str]:
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None  # the reader reports the missing or unreadable file
+
+
+def _read_series(path: Path, n_hours: int) -> TimeSeries:
+    """The checked series in ``path`` cut to ``n_hours``, reused for the same bytes.
+
+    The digest is taken just before the parse; a file rewritten during its
+    own parse is not detected.
+    """
+    digest = _file_sha256(path)
+    key = ("series", str(path.resolve()), digest, n_hours)
+    series = _REUSE.take(key)
+    if series is None:
+        series = _truncate(load_timeseries_csv(path, HOURS_PER_YEAR), n_hours)
+        if digest is not None:
+            _REUSE.keep(key, series)
+    return series
+
+
+def _horizon_sha256(fleet: Sequence[Generator], nett: Mapping[str, TimeSeries],
+                    lines, availabilities: Mapping[str, TimeSeries]) -> str:
+    """SHA-256 over exactly the inputs of one ``simulate_horizon`` call, in order."""
+    h = hashlib.sha256()
+
+    def add(value):
+        if isinstance(value, TimeSeries):
+            h.update(f"{value.start!r}|{value.label!r}|{value.values.size}|".encode())
+            h.update(value.values.tobytes())
+        else:
+            h.update(repr(value).encode())
+        h.update(b"\0")
+
+    for section in (fleet, lines):
+        add(len(section))
+        for item in section:
+            add(type(item).__name__)
+            for f in fields(item):
+                add(getattr(item, f.name))
+    for series in (nett, availabilities):
+        add(len(series))
+        for name, ts in series.items():
+            add(name)
+            add(ts)
+    return h.hexdigest()
+
+
+def _pass0_dispatch(fleet, nett, lines, availabilities) -> DispatchResult:
+    """Dispatch of the conventional demand, reused for identical inputs."""
+    key = ("pass0", _horizon_sha256(fleet, nett, lines, availabilities))
+    result = _REUSE.take(key)
+    if result is None:
+        result = simulate_horizon(fleet, nett, lines, availabilities)
+        _REUSE.keep(key, result)
+    return result
+
+
 def _truncate(ts: TimeSeries, n_hours: int) -> TimeSeries:
     if len(ts) == n_hours:
         return ts
@@ -137,7 +243,7 @@ def _load_data(config: ScenarioConfig, data_dir, days: Optional[int]) -> _StudyD
         raise ValueError(f"days must be in 1..365, got {days}")
 
     def read(key: str) -> TimeSeries:
-        return _truncate(load_timeseries_csv(data_dir / config.data_files[key], HOURS_PER_YEAR), n_hours)
+        return _read_series(data_dir / config.data_files[key], n_hours)
 
     demand = {r: read(f"demand.{r}") for r in config.demand_regions}
     hist_demand = {r: read(f"historical_demand.{r}") for r in config.demand_regions}
@@ -305,18 +411,19 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
                 raise StageError(name, exc) from exc
         return runner
 
-    data = stage("load-data")(_load_data, config, data_dir, days)
-    fleet = stage("fleet-replacement")(apply_renewable_replacement, config.fleet, config)
-    availabilities = stage("fleet-replacement")(_availabilities, config, data)
+    with _REUSE.run():  # the stages whose results the next run may reuse
+        data = stage("load-data")(_load_data, config, data_dir, days)
+        fleet = stage("fleet-replacement")(apply_renewable_replacement, config.fleet, config)
+        availabilities = stage("fleet-replacement")(_availabilities, config, data)
 
-    # (1) pass-0 dispatch of the conventional demand simulates market prices
-    conventional = dict(data.demand)
-    zero = np.zeros(data.n_hours)
-    nett_conventional = {r: conventional[r] for r in config.demand_regions}
-    for r in config.transit_regions:
-        nett_conventional[r] = TimeSeries(next(iter(conventional.values())).start, zero, r)
-    pass0 = stage("pass0-dispatch")(simulate_horizon, fleet, nett_conventional,
-                                    config.interconnectors, availabilities)
+        # (1) pass-0 dispatch of the conventional demand simulates market prices
+        conventional = dict(data.demand)
+        zero = np.zeros(data.n_hours)
+        nett_conventional = {r: conventional[r] for r in config.demand_regions}
+        for r in config.transit_regions:
+            nett_conventional[r] = TimeSeries(next(iter(conventional.values())).start, zero, r)
+        pass0 = stage("pass0-dispatch")(_pass0_dispatch, fleet, nett_conventional,
+                                        config.interconnectors, availabilities)
     partial["pass0"] = (pass0, fleet)
 
     # (2) train one predictor per region on historical + simulated pairs
@@ -398,13 +505,20 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
     nett = stage("nett-demand")(build_nett)
     partial["nett"] = nett
 
+    def emit_stage(dispatch=None):
+        """Artifacts of a run stopped after the demand or dispatch stage."""
+        if out_dir is None:
+            return
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _emit_series(prices, "prices", out)
+        _emit_series(nett, "nett_demand", out)
+        _emit_schedule_files(schedules, prices, conventional, pv_power, out)
+        if dispatch is not None:
+            _write_dispatch_csv(dispatch, out / "dispatch_hourly.csv")
+
     if stop_after == "demand":
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            _emit_series(prices, "prices", out)
-            _emit_series(nett, "nett_demand", out)
-            _emit_schedule_files(schedules, prices, conventional, pv_power, out)
+        emit_stage()
         return None
 
     # (5) dispatch of the nett demand; scenarios without demand response
@@ -417,13 +531,7 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
     partial["dispatch"] = dispatch
 
     if stop_after == "dispatch":
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            _emit_series(prices, "prices", out)
-            _emit_series(nett, "nett_demand", out)
-            _emit_schedule_files(schedules, prices, conventional, pv_power, out)
-            _write_dispatch_csv(dispatch, out / "dispatch_hourly.csv")
+        emit_stage(dispatch)
         return None
 
     # (6) hourly loadability on the dispatch-consistent operating points

@@ -11,6 +11,7 @@ The study calendar is a fixed non-leap synthetic year (8760 hours) starting
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import islice
@@ -118,13 +119,15 @@ def hour_stamps(start: datetime, n_hours: int) -> list[str]:
 def _checked_stamp(path, rownum: int, text: str, start, k: int) -> datetime:
     """Parse row ``rownum``'s stamp and require it to be ``start + k`` hours.
 
-    ``start=None`` makes the stamp itself the start.
+    ``start=None`` makes the stamp itself the start, which must be a whole hour.
     """
     try:
         stamp = datetime.fromisoformat(text.strip())
     except ValueError:
         raise TimeSeriesError(f"{path}: row {rownum}: bad timestamp {text!r}") from None
     if start is None:
+        if stamp.minute or stamp.second or stamp.microsecond:
+            raise TimeSeriesError(f"{path}: row {rownum}: first timestamp {text!r} is not on a whole hour")
         start = stamp
     expected = start + timedelta(hours=k)
     if stamp == expected - timedelta(hours=1):
@@ -140,12 +143,13 @@ def _checked_stamp(path, rownum: int, text: str, start, k: int) -> datetime:
 def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
     """Read a ``timestamp,value`` CSV into a gap-free hourly series.
 
-    Every structural defect is reported with its row number (1-based,
-    counting the header as row 1); of several defects the first row's is
-    reported.  Stamps in ``TIMESTAMP_FORMAT`` text are checked against
-    ``hour_stamps`` as text; a stamp in any other ISO-8601 form is parsed
-    and checked on its own.  Rows are taken in blocks, so only one block's
-    text is held at a time.
+    Every structural defect, a non-finite value and a first stamp off the
+    whole hour included, is reported with its row number (1-based, counting
+    the header as row 1); of several defects the first row's is reported.
+    Stamps in ``TIMESTAMP_FORMAT`` text are checked against ``hour_stamps``
+    as text; a stamp in any other ISO-8601 form is parsed and checked on its
+    own.  Rows are taken in blocks, so only one block's text is held at a
+    time.
     """
     path = Path(path)
     if not path.exists():
@@ -216,6 +220,10 @@ def _read_block(path, rows: list[list[str]], rownums, start, values: list[float]
         n_ok = len(block)
         n_stamped = n_ok + 1
         row_error = f"non-numeric value {texts[n_ok]!r}"
+    if not all(map(math.isfinite, block)):
+        n_ok = next(k for k, v in enumerate(block) if not math.isfinite(v))
+        n_stamped = n_ok + 1
+        row_error = f"non-finite value {texts[n_ok]!r}"
     if n_stamped:
         stamps = [row[0] for row in rows[:n_stamped]]
         if start is None:

@@ -366,13 +366,18 @@ class TestYearProperties:
 
 
 def test_criterion_9_determinism(data_dir, tmp_path):
+    """Two runs that compute everything, and a third that reuses the second's
+    series reads and pass-0 dispatch, write the same bytes."""
+    from gridstudy import harness
     cfg = scenario_from_config(config_path(4))
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_scenario(cfg, data_dir, out_dir=out_a, days=10)
-    run_scenario(cfg, data_dir, out_dir=out_b, days=10)
-    names_a = sorted(p.name for p in out_a.iterdir())
-    names_b = sorted(p.name for p in out_b.iterdir())
-    assert names_a == names_b
-    diffs = [name for name in names_a
-             if (out_a / name).read_bytes() != (out_b / name).read_bytes()]
-    report(9, not diffs, f"{len(names_a)} files compared" + (f", diffs: {diffs}" if diffs else ""))
+    outs = [tmp_path / name for name in ("a", "b", "c")]
+    for out in outs[:2]:
+        harness._REUSE.clear()
+        run_scenario(cfg, data_dir, out_dir=out, days=10)
+    run_scenario(cfg, data_dir, out_dir=outs[2], days=10)
+    names = sorted(p.name for p in outs[0].iterdir())
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+    diffs = [f"{out.name}/{name}" for out in outs[1:] for name in names
+             if (outs[0] / name).read_bytes() != (out / name).read_bytes()]
+    report(9, not diffs, f"{len(names)} files compared, 3 runs" + (f", diffs: {diffs}" if diffs else ""))

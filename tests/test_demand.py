@@ -317,6 +317,47 @@ class TestAggregate:
             fresh = solve_day(params, days[d])
             assert chained[d].cost == pytest.approx(fresh.cost, abs=1e-7)
 
+    def test_warm_started_invalid_schedule_is_rejected(self, monkeypatch):
+        """A warm-started day goes through the same schedule checks as a cold one."""
+        from dataclasses import replace
+
+        from gridstudy import demand
+        rng = np.random.default_rng(44)
+        params, price, load, pv = random_instance(rng, H)
+        days = [DayInputs(rng.permutation(price), load, pv) for _ in range(3)]
+
+        def overcharging(lp, basis_hint=None):
+            sol = solve_lp(lp, basis_hint=basis_hint)
+            if basis_hint is None or not sol.is_optimal:
+                return sol
+            return replace(sol, x=np.full_like(sol.x, 2.0 * params.charge_rate_mw + 1.0))
+
+        monkeypatch.setattr(demand, "solve_lp", overcharging)
+        with pytest.raises(DemandModelError, match="invalid schedule"):
+            solve_days(params, days)
+
+    def test_non_optimal_warm_start_retries_cold(self, monkeypatch):
+        from dataclasses import replace
+
+        from gridstudy import demand
+        rng = np.random.default_rng(45)
+        params, price, load, pv = random_instance(rng, H)
+        days = [DayInputs(rng.permutation(price), load, pv) for _ in range(4)]
+        hints = []
+
+        def warm_fails(lp, basis_hint=None):
+            hints.append(basis_hint is not None)
+            if basis_hint is not None:
+                return replace(solve_lp(lp), status="numerical", x=None, basis_hint=None)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(demand, "solve_lp", warm_fails)
+        chained = solve_days(params, days)
+        # day 0 cold; then each day: warm (fails), cold retry, and no hint for the next
+        assert hints == [False, True, False, False, True, False]
+        for d, day in enumerate(days):
+            assert chained[d].cost == pytest.approx(solve_day(params, day).cost, abs=1e-7)
+
 
 class TestDefaults:
     def test_default_params_policy(self):

@@ -2,11 +2,16 @@
 
 import csv
 import filecmp
+import os
+import shutil
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridstudy import harness
 from gridstudy.dispatch import Generator
 from gridstudy.harness import (
     ScenarioReport,
@@ -241,3 +246,141 @@ class TestCli:
         rc = main(["run", "--scenario", str(tmp_path / "nope.ini"),
                    "--data-dir", str(tmp_path), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Series files parsed and dispatch horizons run, by the harness, from now on."""
+    seen = {"parsed": [], "horizons": 0}
+    load, simulate = harness.load_timeseries_csv, harness.simulate_horizon
+
+    def counting_load(path, expected_hours):
+        seen["parsed"].append(Path(path).name)
+        return load(path, expected_hours)
+
+    def counting_simulate(*args, **kwargs):
+        seen["horizons"] += 1
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_timeseries_csv", counting_load)
+    monkeypatch.setattr(harness, "simulate_horizon", counting_simulate)
+    return seen
+
+
+def same_files(a: Path, b: Path) -> bool:
+    names = sorted(p.name for p in a.iterdir())
+    return (names == sorted(p.name for p in b.iterdir())
+            and all((a / n).read_bytes() == (b / n).read_bytes() for n in names))
+
+
+class TestReuseAcrossScenarios:
+    """Series reads and the pass-0 dispatch are reused from the previous run by content."""
+
+    def test_reused_run_writes_the_files_of_a_fresh_run(self, data_dir, tmp_path, counted):
+        cfg2, cfg3 = (scenario_from_config(config_path(k)) for k in (2, 3))
+        harness._REUSE.clear()
+        run_scenario(cfg3, data_dir, out_dir=tmp_path / "fresh", days=2)
+        harness._REUSE.clear()
+        run_scenario(cfg2, data_dir, days=2)
+        counted["parsed"].clear()
+        counted["horizons"] = 0
+        run_scenario(cfg3, data_dir, out_dir=tmp_path / "reused", days=2)
+        # only the PV files are new to scenario 3; its pass 0 is scenario 2's
+        assert sorted(counted["parsed"]) == [f"pv_{r}.csv" for r in sorted(cfg3.demand_regions)]
+        assert counted["horizons"] == 1  # the nett dispatch
+        assert same_files(tmp_path / "fresh", tmp_path / "reused")
+
+    def test_rewritten_file_is_parsed_again(self, data_dir, tmp_path, counted):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        cfg = scenario_from_config(config_path(1))
+        harness._REUSE.clear()
+        first = run_scenario(cfg, data, days=2, stop_after="demand")
+        assert first is None
+        path = data / "demand_NSW.csv"
+        stat = path.stat()
+        lines = path.read_text().splitlines(keepends=True)
+        stamp, value = lines[1].split(",")
+        lines[1] = f"{stamp},{'2' if value[0] == '1' else '1'}{value[1:]}"
+        path.write_text("".join(lines))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+        counted["parsed"].clear()
+        report = run_scenario(cfg, data, days=2)
+        assert counted["parsed"] == ["demand_NSW.csv"]
+        assert report.conventional_demand["NSW"].values[0] == float(lines[1].split(",")[1])
+
+    def test_bad_file_fails_the_same_way_every_run(self, data_dir, tmp_path, counted):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "demand_QLD.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].split(",")[0] + ",oops\n"
+        path.write_text("".join(lines))
+        cfg = scenario_from_config(config_path(1))
+        messages = []
+        for _ in range(2):
+            counted["parsed"].clear()
+            with pytest.raises(StageError) as err:
+                run_scenario(cfg, data, days=2)
+            assert err.value.stage == "load-data"
+            assert counted["parsed"][-1] == "demand_QLD.csv"
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"{path}: row 6: non-numeric value 'oops'" in messages[0]
+
+    def test_store_holds_only_the_last_runs_entries(self, data_dir, counted):
+        cfg1, cfg3 = (scenario_from_config(config_path(k)) for k in (1, 3))
+        harness._REUSE.clear()
+        run_scenario(cfg3, data_dir, days=2, stop_after="demand")
+        run_scenario(cfg1, data_dir, days=2, stop_after="demand")
+        kinds = [key[0] for key in harness._REUSE._kept]
+        assert kinds.count("series") == 12  # scenario 1's data files
+        assert kinds.count("pass0") == 1
+        counted["parsed"].clear()
+        counted["horizons"] = 0
+        run_scenario(cfg3, data_dir, days=2, stop_after="demand")
+        # what scenario 1 did not use is gone: the PV and trace files, and scenario 3's pass 0
+        assert sorted(counted["parsed"]) == sorted(
+            ["pv_NSW.csv", "pv_QLD.csv", "pv_SA.csv", "pv_VIC.csv",
+             "solar_CQ.csv", "solar_NQ.csv", "wind_NSA.csv"])
+        assert counted["horizons"] == 1
+
+    def test_pass0_key_covers_every_input(self, data_dir):
+        from gridstudy.timeseries import TimeSeries
+        cfg = scenario_from_config(config_path(2))
+        data = harness._load_data(cfg, data_dir, 2)
+        fleet = apply_renewable_replacement(cfg.fleet, cfg)
+        lines = cfg.interconnectors
+        avail = harness._availabilities(cfg, data)
+        nett = dict(data.demand)
+        key = harness._horizon_sha256
+        base = key(fleet, nett, lines, avail)
+        assert key(list(fleet), dict(nett), list(lines), dict(avail)) == base
+        qld = nett["QLD"]
+        nudged = qld.values.copy()
+        nudged[5] = np.nextafter(nudged[5], np.inf)
+        changed = [
+            key(fleet[:-1], nett, lines, avail),
+            key((replace(fleet[0], srmc=fleet[0].srmc + 1.0),) + fleet[1:], nett, lines, avail),
+            key(fleet, nett, lines[:-1], avail),
+            key(fleet, nett, (replace(lines[0], forward_limit_mw=1.0),) + lines[1:], avail),
+            key(fleet, {**nett, "QLD": TimeSeries(qld.start, nudged, qld.label)}, lines, avail),
+            key(fleet, {**nett, "QLD": qld.relabel("other")}, lines, avail),
+            key(fleet, {**nett, "QLD": TimeSeries(qld.start + timedelta(hours=1), qld.values,
+                                                  qld.label)}, lines, avail),
+            key(fleet, dict(reversed(nett.items())), lines, avail),
+            key(fleet, nett, lines, {**avail, "WF_5": avail["WF_5"].relabel("other")}),
+            key(fleet, nett, lines, {}),
+        ]
+        assert len({base, *changed}) == 1 + len(changed)
+
+    def test_served_dispatch_cannot_be_changed_in_place(self, data_dir):
+        """Scenario 2's report carries its pass-0 result, which scenario 3 reuses."""
+        harness._REUSE.clear()
+        report = run_scenario(scenario_from_config(config_path(2)), data_dir, days=2)
+        hd = report.dispatch.hours[0]
+        for mapping in (hd.output_mw, hd.flow_mw, hd.unserved_mw, hd.dumped_mw, hd.price,
+                        report.dispatch.generator_energy_mwh):
+            with pytest.raises(TypeError):
+                mapping[next(iter(mapping))] = 0.0

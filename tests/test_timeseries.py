@@ -60,6 +60,25 @@ class TestLoadCsv:
         with pytest.raises(TimeSeriesError, match="row 4.*non-numeric"):
             load_timeseries_csv(p, expected_hours=4)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_path_and_row(self, tmp_path, value):
+        p = tmp_path / "nonfinite.csv"
+        rows = hourly_rows(datetime(2021, 1, 1), range(6))
+        rows[3] = rows[3].rsplit(",", 1)[0] + f",{value}"
+        rows[5] = "2021-01-01T09:00:00,5"  # a later gap does not win
+        write_rows(p, rows)
+        with pytest.raises(TimeSeriesError) as err:
+            load_timeseries_csv(p, expected_hours=7)
+        assert str(err.value) == f"{p}: row 5: non-finite value {value!r}"
+
+    def test_first_stamp_off_the_hour_names_path_and_row(self, tmp_path):
+        p = tmp_path / "halfhour.csv"
+        write_rows(p, ["", "2021-01-01T00:30:00,1", "2021-01-01T01:30:00,nope"])
+        with pytest.raises(TimeSeriesError) as err:
+            load_timeseries_csv(p, expected_hours=3)
+        assert str(err.value) == (f"{p}: row 3: first timestamp '2021-01-01T00:30:00' "
+                                  "is not on a whole hour")
+
     def test_length_mismatch(self, tmp_path):
         p = tmp_path / "short.csv"
         write_rows(p, hourly_rows(datetime(2021, 1, 1), range(10)))
@@ -108,6 +127,8 @@ class TestInvariants:
             TimeSeries(datetime(2021, 1, 1), [])
         with pytest.raises(TimeSeriesError, match="non-finite"):
             TimeSeries(datetime(2021, 1, 1), [1.0, np.nan])
+        with pytest.raises(TimeSeriesError, match="whole hour"):
+            TimeSeries(datetime(2021, 1, 1, 0, 30), [1.0])
 
     def test_values_are_immutable(self):
         ts = TimeSeries(datetime(2021, 1, 1), [1.0, 2.0])

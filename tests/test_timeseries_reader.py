@@ -2,14 +2,17 @@
 
 ``reference_load`` is the reader as it was before the timestamp column was
 checked as text: it parses and compares every row's stamp with ``datetime``
-arithmetic.  The current reader must accept exactly the files it accepts,
-with bit-identical values, and reject every other file with the same error
-type and text.
+arithmetic.  It has since gained two row checks, a non-finite value and a
+first stamp off the whole hour, which it used to leave to ``TimeSeries``.
+The current reader must accept exactly the files it accepts, with
+bit-identical values, and reject every other file with the same error type
+and text.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -31,7 +34,7 @@ from gridstudy.timeseries import (
 
 
 def reference_load(path, expected_hours: int) -> TimeSeries:
-    """The row-by-row reader, kept verbatim as the behaviour to match."""
+    """The row-by-row reader, kept verbatim but for the two row checks marked below."""
     path = Path(path)
     if not path.exists():
         raise TimeSeriesError(f"missing series file: {path}")
@@ -56,6 +59,9 @@ def reference_load(path, expected_hours: int) -> TimeSeries:
             except ValueError:
                 raise TimeSeriesError(f"{path}: row {rownum}: bad timestamp {row[0]!r}") from None
             if start is None:
+                if stamp.minute or stamp.second or stamp.microsecond:  # added row check
+                    raise TimeSeriesError(
+                        f"{path}: row {rownum}: first timestamp {row[0]!r} is not on a whole hour")
                 start = stamp
             expected = start + timedelta(hours=len(values))
             if stamp == expected - timedelta(hours=1):
@@ -69,6 +75,8 @@ def reference_load(path, expected_hours: int) -> TimeSeries:
                 values.append(float(row[1]))
             except ValueError:
                 raise TimeSeriesError(f"{path}: row {rownum}: non-numeric value {row[1]!r}") from None
+            if not math.isfinite(values[-1]):  # added row check
+                raise TimeSeriesError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
         if start is None:
             raise TimeSeriesError(f"{path}: no data rows")
         if len(values) != expected_hours:
