@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Subcommands: ``make-data`` writes the bundled synthetic dataset; ``run``
-executes the full pipeline for one scenario; ``demand``, ``dispatch`` and
-``loadability`` stop after the corresponding stage and emit what exists up
-to it; ``report --merge`` combines per-scenario summaries into one table.
+executes the full pipeline for one scenario; ``demand`` and ``dispatch``
+stop after the corresponding stage and emit what exists up to it;
+``report --merge`` combines per-scenario summaries into one table.
 
 Exit code 0 on success; failures print the stage tag to stderr and exit 1.
 """
@@ -41,7 +41,6 @@ def main(argv=None) -> int:
         ("run", "full pipeline: prices, demand, dispatch, loadability, report"),
         ("demand", "run through the demand-scheduling stage"),
         ("dispatch", "run through the nett-demand dispatch stage"),
-        ("loadability", "run through the loadability stage (same as run)"),
     ):
         _add_run_args(commands.add_parser(name, help=help_text))
 

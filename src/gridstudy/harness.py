@@ -54,7 +54,7 @@ from gridstudy.loadability import (
     compute_loadability,
 )
 from gridstudy.powerflow import BusNetwork, load_network
-from gridstudy.pricing import predict_rows, save_predictor, train_matrix
+from gridstudy.pricing import feature_matrix, predict_rows, save_predictor, train_matrix
 from gridstudy.scenarioconfig import ScenarioConfig, config_sha256
 from gridstudy.synthdata import LOAD_TAN_PHI
 from gridstudy.timeseries import (
@@ -273,37 +273,6 @@ def _availabilities(config: ScenarioConfig, data: _StudyData) -> dict[str, TimeS
     return out
 
 
-def _feature_matrix(config: ScenarioConfig, fleet: Sequence[Generator],
-                    availabilities: Mapping[str, TimeSeries],
-                    demand: TimeSeries) -> tuple[tuple[str, ...], np.ndarray]:
-    """Vectorised twin of ``extract_features`` over a whole series."""
-    n = len(demand)
-    hours = np.arange(n)
-    start = demand.start
-    hour_of_day = (hours + start.hour) % 24
-    day_of_week = ((hours + start.hour) // 24 + start.weekday()) % 7
-    names = ["demand_mw", "hour_of_day", "day_of_week"]
-    cols = [demand.values, hour_of_day.astype(float), day_of_week.astype(float)]
-    limits = {line.name: (line.forward_limit_mw, line.reverse_limit_mw)
-              for line in config.interconnectors}
-    for line_name in sorted(limits):
-        fwd, rev = limits[line_name]
-        names += [f"line:{line_name}:forward", f"line:{line_name}:reverse"]
-        cols += [np.full(n, fwd), np.full(n, rev)]
-    groups: dict[tuple[str, str], np.ndarray] = {}
-    for gen in fleet:
-        if gen.is_renewable:
-            contribution = gen.capacity_mw * availabilities[gen.name].values
-        else:
-            contribution = np.full(n, gen.capacity_mw)
-        key = (gen.gtype, gen.zone)
-        groups[key] = groups.get(key, 0.0) + contribution
-    for gtype, zone in sorted(groups):
-        names.append(f"capacity:{gtype}:{zone}")
-        cols.append(groups[(gtype, zone)])
-    return tuple(names), np.column_stack(cols)
-
-
 def _zone_weights(config: ScenarioConfig, network: BusNetwork, region: str) -> ZoneWeights:
     if region in config.zone_weights:
         return ZoneWeights(config.zone_weights[region])
@@ -426,23 +395,22 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
                                         config.interconnectors, availabilities)
     partial["pass0"] = (pass0, fleet)
 
-    # (2) train one predictor per region on historical + simulated pairs
+    # (2) train one predictor per region on historical + simulated pairs;
+    # the study-year feature rows are kept for the prediction in (3)
     def build_predictors():
-        predictors = {}
-        sim_prices = {r: np.array([hd.price[r] for hd in pass0.hours])
-                      for r in config.demand_regions}
+        predictors, study_rows = {}, {}
         for region in config.demand_regions:
-            names_h, x_h = _feature_matrix(config, fleet, availabilities,
-                                           data.historical_demand[region])
-            names_s, x_s = _feature_matrix(config, fleet, availabilities,
-                                           data.demand[region])
-            assert names_h == names_s
-            x = np.vstack([x_h, x_s])
-            y = np.concatenate([data.historical_price[region].values, sim_prices[region]])
-            predictors[region] = train_matrix(names_s, x, y, config.predictor_kind, config.seed)
-        return predictors
+            names, x_h = feature_matrix(fleet, config.interconnectors, availabilities,
+                                        data.historical_demand[region])
+            _, study_rows[region] = feature_matrix(fleet, config.interconnectors,
+                                                   availabilities, data.demand[region])
+            x = np.vstack([x_h, study_rows[region]])
+            y = np.concatenate([data.historical_price[region].values,
+                                [hd.price[region] for hd in pass0.hours]])
+            predictors[region] = train_matrix(names, x, y, config.predictor_kind, config.seed)
+        return predictors, study_rows
 
-    predictors = stage("train-predictor")(build_predictors)
+    predictors, study_rows = stage("train-predictor")(build_predictors)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -453,8 +421,8 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
     def predict_prices():
         prices = {}
         for region in config.demand_regions:
-            names, x = _feature_matrix(config, fleet, availabilities, data.demand[region])
-            values = predict_rows(predictors[region], names, x)
+            predictor = predictors[region]
+            values = predict_rows(predictor, predictor.feature_names, study_rows[region])
             prices[region] = TimeSeries(data.demand[region].start, values,
                                         label=f"price_{region}")
         return prices

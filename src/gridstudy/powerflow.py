@@ -102,12 +102,6 @@ class BusNetwork:
         if len(seen) != len(ids):
             raise PowerFlowError(f"network is not connected; unreachable: {sorted(set(ids) - seen)}")
 
-    def index_of(self, bus_id: str) -> int:
-        for i, b in enumerate(self.buses):
-            if b.bus_id == bus_id:
-                return i
-        raise PowerFlowError(f"unknown bus {bus_id!r}")
-
     def ybus(self) -> np.ndarray:
         n = len(self.buses)
         index = {b.bus_id: i for i, b in enumerate(self.buses)}

@@ -1,9 +1,9 @@
 """Day-ahead price signal baselines trained on historical plus simulated prices.
 
-Features per hour: the regional demand forecast, hour-of-day, day-of-week,
-the limits of every interconnector, and the available capacity of each
-(generator type, zone) group.  Two interchangeable model kinds sit behind
-the same interface:
+Features per hour (``feature_matrix``): the regional demand forecast,
+hour-of-day, day-of-week, the limits of every interconnector, and the
+available capacity of each (generator type, zone) group.  Two
+interchangeable model kinds sit behind the same interface:
 
 * ``ridge-linear``   -- regularised least squares on z-scored features,
   normal equations with an unpenalised intercept, weight 1e-3;
@@ -17,14 +17,14 @@ training set and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from gridstudy.dispatch import Generator
+from gridstudy.dispatch import Generator, Interconnector
+from gridstudy.timeseries import TimeSeries
 
 RIDGE_WEIGHT = 1e-3
 MODEL_KINDS = ("ridge-linear", "nearest-neighbor")
@@ -36,100 +36,40 @@ class PricingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SystemSnapshot:
-    """Everything the feature extractor needs about one hour of the system."""
+def feature_matrix(fleet: Sequence[Generator], lines: Sequence[Interconnector],
+                   availabilities: Mapping[str, TimeSeries],
+                   demand: TimeSeries) -> tuple[tuple[str, ...], np.ndarray]:
+    """Feature names and one row per hour of ``demand``.
 
-    timestamp: datetime
-    region: str
-    demand_forecast_mw: float
-    fleet: tuple[Generator, ...]
-    line_limits: Mapping[str, tuple[float, float]]  # name -> (forward, reverse)
-    availability: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.timestamp is None or self.region is None:
-            raise PricingError("snapshot is missing its timestamp or region")
-        if not np.isfinite(self.demand_forecast_mw):
-            raise PricingError("snapshot demand forecast is not finite")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(self.names),):
-            raise PricingError(f"{len(self.names)} names for {arr.shape} values")
-        if not np.all(np.isfinite(arr)):
-            raise PricingError("feature vector contains non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def extract_features(snapshot: SystemSnapshot) -> FeatureVector:
-    """Deterministic feature row for one hour.
-
-    Capacity features are available MW summed per (type, zone); line
-    features carry both limits of every interconnector.
+    Calendar features follow the series' own start.  Line features carry
+    both limits of every interconnector; capacity features are available MW
+    summed per (type, zone), renewables derated by their availability
+    series in ``availabilities``.
     """
+    n = len(demand)
+    hours = np.arange(n)
+    start = demand.start
+    hour_of_day = (hours + start.hour) % 24
+    day_of_week = ((hours + start.hour) // 24 + start.weekday()) % 7
     names = ["demand_mw", "hour_of_day", "day_of_week"]
-    values = [snapshot.demand_forecast_mw,
-              float(snapshot.timestamp.hour),
-              float(snapshot.timestamp.weekday())]
-    for line_name in sorted(snapshot.line_limits):
-        fwd, rev = snapshot.line_limits[line_name]
-        names.append(f"line:{line_name}:forward")
-        values.append(float(fwd))
-        names.append(f"line:{line_name}:reverse")
-        values.append(float(rev))
-    groups: dict[tuple[str, str], float] = {}
-    for gen in snapshot.fleet:
-        avail = snapshot.availability.get(gen.name, 1.0) if gen.is_renewable else 1.0
+    cols = [demand.values, hour_of_day.astype(float), day_of_week.astype(float)]
+    limits = {line.name: (line.forward_limit_mw, line.reverse_limit_mw) for line in lines}
+    for line_name in sorted(limits):
+        fwd, rev = limits[line_name]
+        names += [f"line:{line_name}:forward", f"line:{line_name}:reverse"]
+        cols += [np.full(n, fwd), np.full(n, rev)]
+    groups: dict[tuple[str, str], np.ndarray] = {}
+    for gen in fleet:
+        if gen.is_renewable:
+            contribution = gen.capacity_mw * availabilities[gen.name].values
+        else:
+            contribution = np.full(n, gen.capacity_mw)
         key = (gen.gtype, gen.zone)
-        groups[key] = groups.get(key, 0.0) + gen.capacity_mw * avail
+        groups[key] = groups.get(key, 0.0) + contribution
     for gtype, zone in sorted(groups):
         names.append(f"capacity:{gtype}:{zone}")
-        values.append(groups[(gtype, zone)])
-    return FeatureVector(tuple(names), np.array(values))
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    features: FeatureVector
-    price: float
-    provenance: str  # historical | simulated
-
-    def __post_init__(self):
-        if self.provenance not in ("historical", "simulated"):
-            raise PricingError(f"unknown provenance {self.provenance!r}")
-        if not np.isfinite(self.price):
-            raise PricingError("sample price is not finite")
-
-
-@dataclass(frozen=True)
-class TrainingSet:
-    samples: tuple[TrainingSample, ...]
-
-    def __post_init__(self):
-        if not self.samples:
-            raise PricingError("training set is empty")
-        names = self.samples[0].features.names
-        for s in self.samples:
-            if s.features.names != names:
-                raise PricingError("inconsistent feature names across samples")
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.samples[0].features.names
-
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.vstack([s.features.values for s in self.samples])
-        y = np.array([s.price for s in self.samples])
-        return x, y
+        cols.append(groups[(gtype, zone)])
+    return tuple(names), np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -146,24 +86,23 @@ class TrainedPredictor:
     prices: Optional[np.ndarray] = None      # nn: target per exemplar
 
 
-def train(data: TrainingSet, kind: str = "ridge-linear", seed: int = 0) -> TrainedPredictor:
-    """Fit a predictor of the requested kind on z-scored features."""
-    x, y = data.matrix()
-    return train_matrix(data.feature_names, x, y, kind, seed)
-
-
 def train_matrix(feature_names: tuple[str, ...], x: np.ndarray, y: np.ndarray,
                  kind: str = "ridge-linear", seed: int = 0) -> TrainedPredictor:
-    """Bulk twin of ``train`` taking the stacked feature matrix directly."""
+    """Fit a predictor of the requested kind on the rows of ``x`` and prices ``y``."""
     if kind not in MODEL_KINDS:
         raise PricingError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise PricingError(f"features of shape {x.shape} need one price per row, "
+                           f"got prices of shape {y.shape}")
     n = x.shape[0]
     if n == 0:
         raise PricingError("training set is empty")
     if x.shape[1] != len(feature_names):
         raise PricingError(f"{len(feature_names)} names for {x.shape[1]} feature columns")
+    _require_finite(x, "training features")
+    _require_finite(y, "training prices")
     if kind == "ridge-linear" and n < 24:
         raise PricingError(f"ridge needs at least 24 samples, got {n}")
     mean = x.mean(axis=0)
@@ -188,6 +127,14 @@ def train_matrix(feature_names: tuple[str, ...], x: np.ndarray, y: np.ndarray,
                             dropped, exemplars=z, prices=y)
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN or infinite entries, naming the first row that has one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows = finite.all(axis=1) if finite.ndim == 2 else finite
+        raise PricingError(f"{what} are not finite at row {int(np.argmin(rows))}")
+
+
 def _normalise(predictor: TrainedPredictor, rows: np.ndarray) -> np.ndarray:
     kept = predictor.kept
     return (rows[:, kept] - predictor.mean[kept]) / predictor.std[kept]
@@ -195,8 +142,13 @@ def _normalise(predictor: TrainedPredictor, rows: np.ndarray) -> np.ndarray:
 
 def predict_rows(predictor: TrainedPredictor, names: tuple[str, ...],
                  rows: np.ndarray) -> np.ndarray:
+    """Predicted price for each row of ``rows``, whose columns are ``names``."""
     if names != predictor.feature_names:
         raise PricingError("feature names do not match the training features")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(names):
+        raise PricingError(f"{len(names)} names for query rows of shape {rows.shape}")
+    _require_finite(rows, "query rows")
     z = _normalise(predictor, rows)
     if predictor.kind == "ridge-linear":
         return z @ predictor.coef[:-1] + predictor.coef[-1]
@@ -207,22 +159,6 @@ def predict_rows(predictor: TrainedPredictor, names: tuple[str, ...],
         d2 = ((block[:, None, :] - predictor.exemplars[None, :, :]) ** 2).sum(axis=2)
         out[i:i + chunk] = predictor.prices[np.argmin(d2, axis=1)]
     return out
-
-
-def predict(predictor: TrainedPredictor, features: FeatureVector) -> float:
-    return float(predict_rows(predictor, features.names, features.values[None, :])[0])
-
-
-def predict_day(predictor: TrainedPredictor, features: Sequence[FeatureVector]) -> np.ndarray:
-    """Prices for a 24-hour block of feature vectors."""
-    if len(features) != 24:
-        raise PricingError(f"expected 24 feature vectors, got {len(features)}")
-    names = features[0].names
-    for fv in features:
-        if fv.names != names:
-            raise PricingError("inconsistent feature names within the day")
-    rows = np.vstack([fv.values for fv in features])
-    return predict_rows(predictor, names, rows)
 
 
 # -- plain-text persistence -------------------------------------------------

@@ -11,8 +11,7 @@ Schema (version 1) by section:
   not none; ``wind.<zone>`` / ``solar.<zone>`` traces named by the
   replacement section; ``bus`` and ``branch`` for the network.
 * ``[battery <R>]`` / ``[pv <R>]`` -- per-region storage window (MWh) and
-  PV capacity (MW) for uptake scenarios; ``<R>`` may also be ``NEM`` for
-  the whole-market aggregate.
+  PV capacity (MW) for uptake scenarios, one pair per demand region.
 * ``[generator <name>]``          -- fleet entries (type, zone, region,
   capacity_mw, min_stable_mw, srmc).
 * ``[interconnector <name>]``     -- from, to, forward_mw, reverse_mw.
@@ -116,8 +115,6 @@ class ScenarioConfig:
     data_files: Mapping[str, str]
     batteries: Mapping[str, BatterySpec]
     pv_capacity_mw: Mapping[str, float]
-    nem_battery: Optional[BatterySpec]
-    nem_pv_mw: Optional[float]
     fleet: tuple[Generator, ...]
     interconnectors: tuple[Interconnector, ...]
     replacement: Optional[ReplacementSpec]
@@ -391,7 +388,7 @@ def scenario_from_config(path) -> ScenarioConfig:
             if region not in pv_capacity:
                 errors.append(f"uptake {uptake}: missing [pv {region}]")
         for region in set(batteries) | set(pv_capacity):
-            if region != "NEM" and region not in demand_regions:
+            if region not in demand_regions:
                 errors.append(f"battery/pv section names unknown region {region!r}")
     fleet_names = {g.name for g in fleet}
     if replacement is not None:
@@ -426,8 +423,6 @@ def scenario_from_config(path) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(errors))
-    nem_battery = batteries.pop("NEM", None)
-    nem_pv = pv_capacity.pop("NEM", None)
     return ScenarioConfig(
         scenario_id=scenario_id,
         uptake=uptake,
@@ -437,8 +432,6 @@ def scenario_from_config(path) -> ScenarioConfig:
         data_files=data_files,
         batteries=batteries,
         pv_capacity_mw=pv_capacity,
-        nem_battery=nem_battery,
-        nem_pv_mw=nem_pv,
         fleet=tuple(fleet),
         interconnectors=tuple(lines),
         replacement=replacement,

@@ -87,21 +87,6 @@ class TimeSeries:
         return TimeSeries(self.start, self.values, label)
 
 
-def concat_series(parts: Iterable[TimeSeries], label: str = "") -> TimeSeries:
-    """Concatenate contiguous series (each part must start where the previous ended)."""
-    parts = list(parts)
-    if not parts:
-        raise TimeSeriesError("nothing to concatenate")
-    for prev, nxt in zip(parts, parts[1:]):
-        expected = prev.timestamp_at(len(prev))
-        if nxt.start != expected:
-            raise TimeSeriesError(
-                f"series {nxt.label!r} starts at {nxt.start}, expected {expected}"
-            )
-    values = np.concatenate([p.values for p in parts])
-    return TimeSeries(parts[0].start, values, label or parts[0].label)
-
-
 def hour_stamps(start: datetime, n_hours: int) -> list[str]:
     """``TIMESTAMP_FORMAT`` text of ``start + k`` hours for ``k < n_hours``.
 

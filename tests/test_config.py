@@ -18,9 +18,6 @@ class TestBundledConfigs:
     def test_scenario4_table_values(self):
         cfg = scenario_from_config(config_path(4))
         assert cfg.uptake == "medium"
-        assert cfg.nem_battery.soc_min_mwh == 2500.0   # 2.5 GWh
-        assert cfg.nem_battery.soc_max_mwh == 25000.0  # 25.0 GWh
-        assert cfg.nem_pv_mw == 7500.0                 # 7.5 GW
 
     @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
     def test_all_bundled_parse(self, scenario):
@@ -91,9 +88,12 @@ class TestViolations:
         def fn(p):
             p.add_section("mystery")
             p.set("mystery", "a", "1")
+            p.add_section("pv NEM")  # whole-market sections are not part of the schema
+            p.set("pv NEM", "capacity_mw", "7500")
         path = mutate(scenario4_text, tmp_path, fn)
-        with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):
+        with pytest.raises(ConfigError, match=r"unknown section \[mystery\]") as err:
             scenario_from_config(path)
+        assert "battery/pv section names unknown region 'NEM'" in str(err.value)
 
     def test_scenario1_with_replacement_rejected(self, tmp_path):
         text = config_path(1).read_text() + (

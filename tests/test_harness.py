@@ -21,7 +21,6 @@ from gridstudy.harness import (
     merge_summaries,
     run_scenario,
 )
-from gridstudy.pricing import SystemSnapshot, extract_features
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.timeseries import load_timeseries_csv
 from tests.conftest import config_path
@@ -127,29 +126,6 @@ class TestPipeline:
             day = DayInputs(rep.prices[region].day(d), rep.conventional_demand[region].day(d),
                             rep.pv_power[region].day(d))
             assert schedule_violations(sched, params, day, tol=1e-6) == []
-
-    def test_feature_matrix_matches_scalar_extractor(self, short_reports, data_dir):
-        """The harness's vectorised features equal extract_features rows."""
-        from gridstudy.harness import _feature_matrix, _availabilities, _load_data
-        cfg = scenario_from_config(config_path(2))
-        data = _load_data(cfg, data_dir, DAYS)
-        fleet = apply_renewable_replacement(cfg.fleet, cfg)
-        avail = _availabilities(cfg, data)
-        names, matrix = _feature_matrix(cfg, fleet, avail, data.demand["NSW"])
-        limits = {l.name: (l.forward_limit_mw, l.reverse_limit_mw)
-                  for l in cfg.interconnectors}
-        for hour in (0, 17, 40, 95):
-            snap = SystemSnapshot(
-                timestamp=data.demand["NSW"].timestamp_at(hour),
-                region="NSW",
-                demand_forecast_mw=float(data.demand["NSW"].values[hour]),
-                fleet=fleet,
-                line_limits=limits,
-                availability={name: float(ts.values[hour]) for name, ts in avail.items()},
-            )
-            fv = extract_features(snap)
-            assert fv.names == names
-            assert np.allclose(fv.values, matrix[hour], atol=1e-12)
 
     def test_unwritable_partial_output_is_warned_about(self, short_reports, tmp_path):
         from gridstudy.harness import _flush_partial

@@ -1,137 +1,225 @@
-"""Feature extraction and the two baseline price models."""
+"""Feature matrix and the two baseline price models."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridstudy.dispatch import Generator
+from gridstudy.dispatch import GENERATOR_TYPES, Generator, Interconnector
 from gridstudy.pricing import (
-    FeatureVector,
     PricingError,
-    SystemSnapshot,
-    TrainingSample,
-    TrainingSet,
-    extract_features,
+    feature_matrix,
     load_predictor,
-    predict,
-    predict_day,
     predict_rows,
     save_predictor,
-    train,
+    train_matrix,
 )
+from gridstudy.timeseries import TimeSeries
 
 
-def fv(demand, hour, names=("demand", "hour")):
-    return FeatureVector(tuple(names), np.array([demand, hour], dtype=float))
+def hour_features(timestamp, demand_mw, fleet, line_limits, availability):
+    """Reference feature row for one hour, built entry by entry.
+
+    ``line_limits`` maps a line name to its (forward, reverse) limits;
+    ``availability`` maps a renewable unit to its availability this hour.
+    """
+    names = ["demand_mw", "hour_of_day", "day_of_week"]
+    values = [demand_mw, float(timestamp.hour), float(timestamp.weekday())]
+    for line_name in sorted(line_limits):
+        fwd, rev = line_limits[line_name]
+        names.append(f"line:{line_name}:forward")
+        values.append(float(fwd))
+        names.append(f"line:{line_name}:reverse")
+        values.append(float(rev))
+    groups = {}
+    for gen in fleet:
+        avail = availability[gen.name] if gen.is_renewable else 1.0
+        key = (gen.gtype, gen.zone)
+        groups[key] = groups.get(key, 0.0) + gen.capacity_mw * avail
+    for gtype, zone in sorted(groups):
+        names.append(f"capacity:{gtype}:{zone}")
+        values.append(groups[(gtype, zone)])
+    return tuple(names), np.array(values)
+
+
+NAMES = ("demand", "hour")
+
+
+def rows(demand, hour):
+    """Two-column (demand, hour) feature rows."""
+    return np.column_stack([np.atleast_1d(demand), np.atleast_1d(hour)]).astype(float)
 
 
 def linear_set(rng, n=60, slope=2.0):
-    samples = []
-    for h in range(n):
-        d = float(rng.uniform(100, 200))
-        samples.append(TrainingSample(fv(d, h % 24), slope * d, "simulated"))
-    return TrainingSet(tuple(samples))
+    d = rng.uniform(100, 200, n)
+    return rows(d, np.arange(n) % 24), slope * d
 
 
-class TestExtractFeatures:
+def predict_one(predictor, demand, hour):
+    return float(predict_rows(predictor, NAMES, rows(demand, hour))[0])
+
+
+class TestFeatureMatrix:
     fleet = (Generator("U1", "black_coal", "CQ", "QLD", 500.0, 200.0, 26.14),
              Generator("W1", "wind", "NSA", "SA", 300.0, 0.0, 0.0))
+    lines = (Interconnector("NSW-QLD", "NSW", "QLD", 600.0, -1000.0),)
 
-    def snapshot(self, ts=datetime(2021, 1, 4, 0)):
-        return SystemSnapshot(ts, "QLD", 5000.0, self.fleet,
-                              {"NSW-QLD": (600.0, -1000.0)}, {"W1": 0.5})
+    def row(self, start=datetime(2021, 1, 4, 0)):
+        demand = TimeSeries(start, np.full(3, 5000.0), "demand_QLD")
+        avail = {"W1": TimeSeries(start, np.full(3, 0.5), "wind_NSA")}
+        names, x = feature_matrix(self.fleet, self.lines, avail, demand)
+        return dict(zip(names, x[0]))
 
     def test_monday_midnight_calendar(self):
-        out = extract_features(self.snapshot())
-        row = dict(zip(out.names, out.values))
+        row = self.row()
         assert row["hour_of_day"] == 0.0
         assert row["day_of_week"] == 0.0  # 2021-01-04 is a Monday
 
     def test_capacity_feature_direct_copy(self):
-        out = extract_features(self.snapshot())
-        row = dict(zip(out.names, out.values))
+        row = self.row()
         assert row["capacity:black_coal:CQ"] == 500.0
         assert row["capacity:wind:NSA"] == 150.0  # derated by availability
 
     def test_hand_computed_row(self):
-        out = extract_features(self.snapshot(datetime(2021, 1, 6, 15)))
         expected = {
             "demand_mw": 5000.0, "hour_of_day": 15.0, "day_of_week": 2.0,
             "line:NSW-QLD:forward": 600.0, "line:NSW-QLD:reverse": -1000.0,
             "capacity:black_coal:CQ": 500.0, "capacity:wind:NSA": 150.0,
         }
-        assert dict(zip(out.names, out.values)) == expected
+        assert self.row(datetime(2021, 1, 6, 15)) == expected
 
     def test_deterministic(self):
-        a, b = extract_features(self.snapshot()), extract_features(self.snapshot())
-        assert a.names == b.names and np.array_equal(a.values, b.values)
+        start = datetime(2021, 1, 4, 0)
+        demand = TimeSeries(start, np.linspace(4000.0, 6000.0, 50))
+        avail = {"W1": TimeSeries(start, np.linspace(0.0, 1.0, 50))}
+        (na, a), (nb, b) = (feature_matrix(self.fleet, self.lines, avail, demand)
+                            for _ in range(2))
+        assert na == nb and np.array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_hour_oracle(self, data):
+        """Every row equals the entry-by-entry reference for that hour."""
+        start = datetime(2021, 1, 1) + timedelta(hours=data.draw(st.integers(0, 24 * 7 * 53)))
+        n = data.draw(st.integers(1, 100))
+        finite = st.floats(-1e5, 1e5, allow_nan=False)
+        demand = TimeSeries(start, np.array(data.draw(st.lists(finite, min_size=n, max_size=n))))
+        zones = ("NQ", "CQ", "NSA")
+        fleet = tuple(
+            Generator(f"G{i}", gtype, data.draw(st.sampled_from(zones)), "QLD",
+                      data.draw(st.floats(0.0, 5000.0)), 0.0, 0.0)
+            for i, gtype in enumerate(data.draw(st.lists(st.sampled_from(GENERATOR_TYPES),
+                                                         max_size=8))))
+        line_names = data.draw(st.lists(st.sampled_from(("NSW-QLD", "VIC-NSW", "VIC-SA")),
+                                        unique=True))
+        lines = tuple(Interconnector(name, "A", "B", data.draw(st.floats(0.0, 2000.0)),
+                                     -data.draw(st.floats(0.0, 2000.0)))
+                      for name in line_names)
+        avail = {g.name: TimeSeries(start, np.array(data.draw(
+                     st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))))
+                 for g in fleet if g.is_renewable}
+
+        names, x = feature_matrix(fleet, lines, avail, demand)
+        limits = {l.name: (l.forward_limit_mw, l.reverse_limit_mw) for l in lines}
+        assert x.shape == (n, len(names))
+        for hour in range(n):
+            ref_names, ref = hour_features(
+                demand.timestamp_at(hour), float(demand.values[hour]), fleet, limits,
+                {name: float(ts.values[hour]) for name, ts in avail.items()})
+            assert ref_names == names
+            assert np.array_equal(x[hour], ref)  # same operations in the same order
 
 
 class TestTrain:
     def test_constant_target_ridge(self):
         rng = np.random.default_rng(0)
-        samples = tuple(TrainingSample(fv(rng.uniform(100, 200), h % 24), 42.0, "historical")
-                        for h in range(48))
-        p = train(TrainingSet(samples), "ridge-linear", 1)
-        assert predict(p, fv(150.0, 5)) == pytest.approx(42.0, abs=1e-6)
+        x = rows(rng.uniform(100, 200, 48), np.arange(48) % 24)
+        p = train_matrix(NAMES, x, np.full(48, 42.0), "ridge-linear", 1)
+        assert predict_one(p, 150.0, 5) == pytest.approx(42.0, abs=1e-6)
 
     def test_ridge_recovers_slope(self):
         rng = np.random.default_rng(1)
-        data = linear_set(rng)
-        p = train(data, "ridge-linear", 1)
-        got = predict(p, fv(170.0, 5))
-        assert got == pytest.approx(340.0, rel=1e-3)
+        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear", 1)
+        assert predict_one(p, 170.0, 5) == pytest.approx(340.0, rel=1e-3)
 
     def test_single_exemplar_neighbour(self):
-        p = train(TrainingSet((TrainingSample(fv(100, 1), 77.0, "historical"),)),
-                  "nearest-neighbor", 0)
-        assert predict(p, fv(999, 23)) == 77.0
+        p = train_matrix(NAMES, rows(100, 1), [77.0], "nearest-neighbor", 0)
+        assert predict_one(p, 999, 23) == 77.0
 
     def test_ridge_requires_24_samples(self):
-        small = TrainingSet(tuple(TrainingSample(fv(float(i), i), float(i), "historical")
-                                  for i in range(10)))
+        x = rows(np.arange(10.0), np.arange(10))
         with pytest.raises(PricingError, match="at least 24"):
-            train(small, "ridge-linear", 0)
+            train_matrix(NAMES, x, np.arange(10.0), "ridge-linear", 0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(PricingError, match="empty"):
-            TrainingSet(())
+            train_matrix(NAMES, np.empty((0, 2)), np.empty(0))
 
     def test_degenerate_features_reported(self):
-        flat = TrainingSet(tuple(TrainingSample(fv(5.0, 5.0), float(i), "historical")
-                                 for i in range(30)))
+        x, y = rows(np.full(30, 5.0), np.full(30, 5.0)), np.arange(30.0)
         with pytest.raises(PricingError, match="constant"):
-            train(flat, "ridge-linear", 0)
-        nn = train(flat, "nearest-neighbor", 0)
+            train_matrix(NAMES, x, y, "ridge-linear", 0)
+        nn = train_matrix(NAMES, x, y, "nearest-neighbor", 0)
         assert nn.dropped == ("demand", "hour")
 
     def test_constant_feature_dropped_and_recorded(self):
         rng = np.random.default_rng(5)
-        samples = tuple(TrainingSample(
-            FeatureVector(("demand", "fixed"), np.array([rng.uniform(0, 1), 7.0])),
-            float(i), "simulated") for i in range(40))
-        p = train(TrainingSet(samples), "ridge-linear", 0)
+        x = np.column_stack([rng.uniform(0, 1, 40), np.full(40, 7.0)])
+        p = train_matrix(("demand", "fixed"), x, np.arange(40.0), "ridge-linear", 0)
         assert p.dropped == ("fixed",)
+
+
+class TestRejectsBadInput:
+    """Input that would otherwise pass through training or prediction silently."""
+
+    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
+    def test_nan_feature(self, kind):
+        x, y = linear_set(np.random.default_rng(13))
+        x[5, 1] = np.nan  # its NaN std would mark "hour" as constant and drop it
+        with pytest.raises(PricingError, match="features are not finite at row 5"):
+            train_matrix(NAMES, x, y, kind, 0)
+
+    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
+    def test_infinite_price(self, kind):
+        x, y = linear_set(np.random.default_rng(14))
+        y[3] = np.inf  # it would turn every ridge prediction into NaN
+        with pytest.raises(PricingError, match="prices are not finite at row 3"):
+            train_matrix(NAMES, x, y, kind, 0)
+
+    def test_prices_must_match_feature_rows(self):
+        x, y = linear_set(np.random.default_rng(15))
+        with pytest.raises(PricingError, match="one price per row"):
+            train_matrix(NAMES, x, y[:-1], "nearest-neighbor", 0)
+
+    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
+    def test_nan_query_row(self, kind):
+        p = train_matrix(NAMES, *linear_set(np.random.default_rng(16)), kind, 0)
+        query = rows([150.0, np.nan, 120.0], [1, 2, 3])
+        with pytest.raises(PricingError, match="query rows are not finite at row 1"):
+            predict_rows(p, NAMES, query)
+
+    def test_query_width_must_match_names(self):
+        p = train_matrix(NAMES, *linear_set(np.random.default_rng(17)), "ridge-linear", 0)
+        with pytest.raises(PricingError, match="2 names for query rows of shape"):
+            predict_rows(p, NAMES, np.ones((4, 3)))
 
 
 class TestPredict:
     def test_flat_day_from_constant_model(self):
         rng = np.random.default_rng(2)
-        samples = tuple(TrainingSample(fv(rng.uniform(10, 20), h % 24), 9.5, "historical")
-                        for h in range(48))
-        p = train(TrainingSet(samples), "ridge-linear", 0)
-        day = [fv(15.0, h) for h in range(24)]
-        out = predict_day(p, day)
+        x = rows(rng.uniform(10, 20, 48), np.arange(48) % 24)
+        p = train_matrix(NAMES, x, np.full(48, 9.5), "ridge-linear", 0)
+        out = predict_rows(p, NAMES, rows(np.full(24, 15.0), np.arange(24)))
         assert out.shape == (24,)
         assert np.allclose(out, 9.5, atol=1e-6)
 
     def test_neighbour_exact_training_point(self):
         rng = np.random.default_rng(3)
-        samples = tuple(TrainingSample(fv(float(rng.uniform(0, 10)), h % 24), float(h), "historical")
-                        for h in range(40))
-        p = train(TrainingSet(samples), "nearest-neighbor", 0)
-        assert predict(p, samples[7].features) == 7.0
+        x = rows(rng.uniform(0, 10, 40), np.arange(40) % 24)
+        p = train_matrix(NAMES, x, np.arange(40.0), "nearest-neighbor", 0)
+        assert predict_rows(p, NAMES, x[7:8])[0] == 7.0
 
     def test_golden_series_against_independent_formulas(self):
         """Ridge predictions match a from-scratch normal-equation solve."""
@@ -139,9 +227,7 @@ class TestPredict:
         x = rng.uniform(0, 50, size=(200, 3))
         y = 3.0 * x[:, 0] - 2.0 * x[:, 1] + rng.normal(0, 0.5, 200) + 10
         names = ("a", "b", "c")
-        samples = tuple(TrainingSample(FeatureVector(names, x[i]), float(y[i]), "historical")
-                        for i in range(200))
-        p = train(TrainingSet(samples), "ridge-linear", 0)
+        p = train_matrix(names, x, y, "ridge-linear", 0)
         # independent implementation of the documented formulas
         mean, std = x.mean(axis=0), x.std(axis=0)
         z = (x - mean) / std
@@ -151,43 +237,34 @@ class TestPredict:
         coef = np.linalg.solve(a.T @ a + reg, a.T @ y)
         queries = x[:24]
         golden = ((queries - mean) / std) @ coef[:3] + coef[3]
-        got = predict_day(p, [FeatureVector(names, q) for q in queries])
+        got = predict_rows(p, names, queries)
         assert np.max(np.abs(got - golden)) < 1e-9
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
-        p = train(linear_set(rng), "ridge-linear", 0)
+        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear", 0)
         with pytest.raises(PricingError, match="names do not match"):
-            predict(p, FeatureVector(("other", "hour"), np.array([1.0, 2.0])))
-
-    def test_predict_day_needs_24(self):
-        rng = np.random.default_rng(6)
-        p = train(linear_set(rng), "ridge-linear", 0)
-        with pytest.raises(PricingError, match="24"):
-            predict_day(p, [fv(1.0, 0)] * 23)
+            predict_rows(p, ("other", "hour"), rows(1.0, 2.0))
 
 
 class TestProperties:
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(8)
-        data = linear_set(rng)
+        x, y = linear_set(rng)
         for kind in ("ridge-linear", "nearest-neighbor"):
-            p1, p2 = train(data, kind, 7), train(data, kind, 7)
+            p1, p2 = train_matrix(NAMES, x, y, kind, 7), train_matrix(NAMES, x, y, kind, 7)
             assert np.array_equal(p1.mean, p2.mean) and np.array_equal(p1.std, p2.std)
             if kind == "ridge-linear":
                 assert np.array_equal(p1.coef, p2.coef)
             else:
                 assert np.array_equal(p1.exemplars, p2.exemplars)
-            q = fv(137.0, 11)
-            assert predict(p1, q) == predict(p2, q)
+            assert predict_one(p1, 137.0, 11) == predict_one(p2, 137.0, 11)
 
     def test_neighbour_zero_in_sample_error(self):
         rng = np.random.default_rng(9)
-        data = linear_set(rng, n=50)
-        p = train(data, "nearest-neighbor", 0)
-        x, y = data.matrix()
-        got = predict_rows(p, data.feature_names, x)
-        assert np.array_equal(got, y)
+        x, y = linear_set(rng, n=50)
+        p = train_matrix(NAMES, x, y, "nearest-neighbor", 0)
+        assert np.array_equal(predict_rows(p, NAMES, x), y)
 
     def test_ridge_beats_constant_in_sample(self):
         rng = np.random.default_rng(10)
@@ -195,41 +272,32 @@ class TestProperties:
             n = int(rng.integers(30, 120))
             x = rng.uniform(0, 10, (n, 2))
             y = rng.normal(0, 1, n) + x[:, 0] * rng.uniform(-3, 3)
-            samples = tuple(TrainingSample(FeatureVector(("a", "b"), x[i]), float(y[i]), "simulated")
-                            for i in range(n))
-            data = TrainingSet(samples)
-            p = train(data, "ridge-linear", 0)
-            pred = predict_rows(p, data.feature_names, x)
+            p = train_matrix(("a", "b"), x, y, "ridge-linear", 0)
+            pred = predict_rows(p, ("a", "b"), x)
             rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
             rmse_const = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
             assert rmse <= rmse_const + 1e-12
 
     def test_scale_invariance_of_neighbour(self):
         rng = np.random.default_rng(11)
-        base = linear_set(rng, n=50)
-        scaled = TrainingSet(tuple(
-            TrainingSample(FeatureVector(s.features.names,
-                                         s.features.values * np.array([1000.0, 1.0])),
-                           s.price, s.provenance)
-            for s in base.samples))
-        pa = train(base, "nearest-neighbor", 0)
-        pb = train(scaled, "nearest-neighbor", 0)
-        q = base.samples[13].features
-        qs = FeatureVector(q.names, q.values * np.array([1000.0, 1.0]))
-        assert predict(pa, q) == predict(pb, qs)
+        x, y = linear_set(rng, n=50)
+        scale = np.array([1000.0, 1.0])
+        pa = train_matrix(NAMES, x, y, "nearest-neighbor", 0)
+        pb = train_matrix(NAMES, x * scale, y, "nearest-neighbor", 0)
+        q = x[13:14]
+        assert predict_rows(pa, NAMES, q)[0] == predict_rows(pb, NAMES, q * scale)[0]
 
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
     def test_round_trip(self, tmp_path, kind):
         rng = np.random.default_rng(12)
-        p = train(linear_set(rng), kind, 3)
+        p = train_matrix(NAMES, *linear_set(rng), kind, 3)
         path = tmp_path / "model.txt"
         save_predictor(p, path)
         back = load_predictor(path)
         assert back.kind == p.kind and back.seed == p.seed
-        q = fv(123.4, 9)
-        assert predict(back, q) == predict(p, q)
+        assert predict_one(back, 123.4, 9) == predict_one(p, 123.4, 9)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -11,7 +11,6 @@ from gridstudy.timeseries import (
     TimeSeries,
     TimeSeriesError,
     ZoneWeights,
-    concat_series,
     load_timeseries_csv,
     split_regional_demand,
     write_timeseries_csv,
@@ -111,14 +110,6 @@ class TestRoundTrip:
         assert np.array_equal(back.values, ts.values)  # bit-for-bit
         write_timeseries_csv(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_concat_requires_contiguity(self):
-        a = TimeSeries(datetime(2021, 1, 1), np.arange(24.0))
-        b = TimeSeries(datetime(2021, 1, 2), np.arange(24.0))
-        c = concat_series([a, b])
-        assert len(c) == 48
-        with pytest.raises(TimeSeriesError, match="starts at"):
-            concat_series([b, a])
 
 
 class TestInvariants:
