@@ -10,8 +10,7 @@ Commitment is a priority list: renewables always on, dispatchables added
 in ascending SRMC until capacity covers total demand, then units whose
 minimum stable levels force oversupply are dropped from the expensive
 end.  ``simulate_horizon`` repairs the rare hours where the priority list
-strands demand (or where a cheaper commitment exists in tiny fleets) by
-augmenting or enumerating commitments.
+strands demand by committing further dispatchables one at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ VALUE_OF_LOST_LOAD = 10_000.0
 DUMP_PENALTY = 0.01
 
 _BALANCE_TOL = 1e-6
-#: Dispatchable-unit count up to which commitment repair enumerates all subsets.
-_ENUMERATION_LIMIT = 8
 
 GENERATOR_TYPES = ("black_coal", "brown_coal", "gt", "biomass", "hydro", "wind", "csp", "utility_pv")
 RENEWABLE_TYPES = ("wind", "csp", "utility_pv")
@@ -281,10 +278,6 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     )
 
 
-def _is_clean(hd: HourDispatch) -> bool:
-    return not hd.unserved_hour and not hd.dumped_hour
-
-
 def _regional_topup(generators: Sequence[Generator], demand: Mapping[str, float],
                     lines: Sequence[Interconnector], base: Commitment) -> Commitment:
     """Commit extra in-region units where local capacity plus the import
@@ -325,10 +318,9 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
     The priority list is topped up for regional adequacy against the line
     limits; if the dispatch still leaves unserved demand, dispatchables
     are committed one by one (cheapest first, regions in shortfall
-    preferred).  For fleets of at most 8 dispatchables with a flawed
-    heuristic outcome, all commitments are enumerated and the cheapest
-    dispatch wins, so the simulation is never infeasible when some
-    commitment is feasible.
+    preferred); a unit stays committed only if it lowers the objective.
+    The outcome is not guaranteed least-cost, and an hour may still dump
+    energy that another commitment would absorb.
 
     ``hints`` is an optional cross-call cache of optimal bases keyed by
     commitment signature; it only accelerates re-solves.
@@ -344,34 +336,18 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
     base = _regional_topup(generators, demand, lines,
                            commit_merit_order(generators, demand, availability))
     dispatch = solve(base)
-    if _is_clean(dispatch):
+    if not dispatch.unserved_hour:
         return base, dispatch
-    dispatchables = _merit_order(generators)
-    if dispatch.unserved_hour:
-        committed_names = {u.name for u in base}
-        commitment, best = base, dispatch
-        spare = [g for g in dispatchables if g.name not in committed_names]
-        while best.unserved_hour and spare:
-            short = {r for r, v in best.unserved_mw.items() if v > _BALANCE_TOL}
-            pick = next((g for g in spare if g.region in short), spare[0])
-            spare.remove(pick)
-            trial_commitment = commitment + (_window(pick, 1.0),)
-            trial = solve(trial_commitment)
-            if trial.objective < best.objective:
-                commitment, best = trial_commitment, trial
-        dispatch = best
-        base = commitment
-    if not _is_clean(dispatch) and len(dispatchables) <= _ENUMERATION_LIMIT:
-        renewables = tuple(_window(g, availability.get(g.name, 0.0))
-                           for g in generators if g.is_renewable)
-        best_pair = (base, dispatch)
-        for mask in range(1 << len(dispatchables)):
-            subset = renewables + tuple(
-                _window(g, 1.0) for i, g in enumerate(dispatchables) if mask >> i & 1)
-            trial = solve(subset)
-            if trial.objective < best_pair[1].objective - 1e-9:
-                best_pair = (subset, trial)
-        base, dispatch = best_pair
+    committed_names = {u.name for u in base}
+    spare = [g for g in _merit_order(generators) if g.name not in committed_names]
+    while dispatch.unserved_hour and spare:
+        short = {r for r, v in dispatch.unserved_mw.items() if v > _BALANCE_TOL}
+        pick = next((g for g in spare if g.region in short), spare[0])
+        spare.remove(pick)
+        trial_commitment = base + (_window(pick, 1.0),)
+        trial = solve(trial_commitment)
+        if trial.objective < dispatch.objective:
+            base, dispatch = trial_commitment, trial
     return base, dispatch
 
 

@@ -9,9 +9,11 @@ conventional load); (5) dispatch the resulting nett demand; (6) seed the
 power flow from the dispatch and sweep hourly loadability; (7) report.
 
 Prices are predicted once and demand responds once: the loop is open,
-users are price takers.  Every stage is deterministic for a fixed seed,
-and failures carry a stage tag with partial outputs flushed for
-inspection.
+users are price takers.  Every stage is deterministic for a fixed seed.
+``_output_files`` names the files of the finished stages; a full or
+stopped run writes them in its ``emit`` stage, and a failed run writes
+them with a ``partial_`` prefix before raising ``StageError`` tagged with
+the stage that failed.
 
 Scenarios run one after another in one process share their inputs: the
 series reads of stage (0) and the pass-0 dispatch of stage (1) are looked
@@ -27,8 +29,9 @@ import hashlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -282,25 +285,31 @@ def _zone_weights(config: ScenarioConfig, network: BusNetwork, region: str) -> Z
     return ZoneWeights.equal(load_buses)
 
 
-def _operating_points(config: ScenarioConfig, network: BusNetwork,
+def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], network: BusNetwork,
                       nett: Mapping[str, TimeSeries],
                       dispatch: DispatchResult) -> list[OperatingPoint]:
     """Dispatch-consistent hourly power-flow inputs.
 
     Regional nett demand splits across the region's load buses by the
-    configured zone weights; unit outputs land on the bus that lists them
-    (first generator bus of the region otherwise).  Units on the slack bus
-    are left to the slack balance.
+    configured zone weights; the output of each unit of ``fleet`` (the
+    replaced fleet that was dispatched) lands on the bus that lists it, or
+    else on the first non-slack generator bus of its region.  Units on the
+    slack bus, or with no such bus, are left to the slack balance.
     """
     n_hours = len(next(iter(nett.values())))
-    bus_of_unit: dict[str, str] = {}
-    gen_buses: dict[str, list[str]] = {}
+    listed: dict[str, str] = {}
+    first_pv_bus: dict[str, str] = {}
     slack_id = next(b.bus_id for b in network.buses if b.kind == "slack")
     for b in network.buses:
-        if b.kind in ("pv", "slack"):
-            gen_buses.setdefault(b.region, []).append(b.bus_id)
+        if b.kind == "pv":
+            first_pv_bus.setdefault(b.region, b.bus_id)
         for unit in b.gen_names:
-            bus_of_unit[unit] = b.bus_id
+            listed[unit] = b.bus_id
+    bus_of_unit = {}
+    for g in fleet:
+        bus = listed.get(g.name) or first_pv_bus.get(g.region)
+        if bus not in (None, slack_id):
+            bus_of_unit[g.name] = bus
     splits: dict[str, dict[str, np.ndarray]] = {}
     for region in config.demand_regions:
         weights = _zone_weights(config, network, region)
@@ -317,15 +326,8 @@ def _operating_points(config: ScenarioConfig, network: BusNetwork,
         injections: dict[str, list[float]] = {}
         for unit, mw in hd.output_mw.items():
             bus = bus_of_unit.get(unit)
-            if bus is None:
-                region = _region_of_unit(config, unit)
-                candidates = [x for x in gen_buses.get(region, []) if x != slack_id]
-                if not candidates:
-                    continue
-                bus = candidates[0]
-            if bus == slack_id:
-                continue
-            injections.setdefault(bus, [0.0, 0.0])[0] += mw
+            if bus is not None:
+                injections.setdefault(bus, [0.0, 0.0])[0] += mw
         points.append(OperatingPoint(
             loads=loads,
             injections={k: (v[0], v[1]) for k, v in injections.items()},
@@ -333,17 +335,16 @@ def _operating_points(config: ScenarioConfig, network: BusNetwork,
     return points
 
 
-def _region_of_unit(config: ScenarioConfig, unit: str) -> str:
-    for g in config.fleet:
-        if g.name == unit:
-            return g.region
-    if config.replacement:
-        spec = config.replacement
-        if unit == spec.wind_name:
-            return spec.wind_region
-        if unit in spec.csp_names:
-            return spec.csp_region
-    raise ValueError(f"unknown unit {unit!r}")
+@contextmanager
+def _stage(name: str, done: Mapping[str, object], out_dir):
+    """Raise a failure in the block as ``StageError(name)``, after writing the
+    outputs of the finished stages in ``done`` as ``partial_*`` files."""
+    try:
+        yield
+    except Exception as exc:
+        if out_dir is not None:
+            _write_partial(done, out_dir)
+        raise StageError(name, exc) from exc
 
 
 def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
@@ -354,50 +355,33 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
     ``days`` truncates the horizon from the front of the year (useful for
     quick runs); totals are then over the truncated horizon.  ``stop_after``
     may name ``"demand"`` or ``"dispatch"`` to halt the pipeline at that
-    stage (the stage's artifacts are still emitted, and ``None`` is
+    stage (the finished stages' artifacts are still emitted, and ``None`` is
     returned because no full report exists).
     """
     if stop_after not in (None, "demand", "dispatch"):
         raise ValueError(f"stop_after must be demand or dispatch, got {stop_after!r}")
-    partial: dict[str, object] = {}
-    try:
-        return _run_scenario_inner(config, data_dir, out_dir, days, partial, stop_after)
-    except StageError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive wrap
-        raise StageError("unknown", exc) from exc
-
-
-def _run_scenario_inner(config, data_dir, out_dir, days, partial,
-                        stop_after=None) -> Optional[ScenarioReport]:
-    def stage(name):
-        def runner(fn, *args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except Exception as exc:
-                if out_dir is not None:
-                    _flush_partial(partial, Path(out_dir))
-                raise StageError(name, exc) from exc
-        return runner
+    done: dict[str, object] = {}  # finished stages' results, keyed as _output_files reads them
+    stage = partial(_stage, done=done, out_dir=out_dir)
 
     with _REUSE.run():  # the stages whose results the next run may reuse
-        data = stage("load-data")(_load_data, config, data_dir, days)
-        fleet = stage("fleet-replacement")(apply_renewable_replacement, config.fleet, config)
-        availabilities = stage("fleet-replacement")(_availabilities, config, data)
+        with stage("load-data"):
+            data = _load_data(config, data_dir, days)
+        with stage("fleet-replacement"):
+            fleet = apply_renewable_replacement(config.fleet, config)
+            availabilities = _availabilities(config, data)
 
         # (1) pass-0 dispatch of the conventional demand simulates market prices
-        conventional = dict(data.demand)
-        zero = np.zeros(data.n_hours)
-        nett_conventional = {r: conventional[r] for r in config.demand_regions}
-        for r in config.transit_regions:
-            nett_conventional[r] = TimeSeries(next(iter(conventional.values())).start, zero, r)
-        pass0 = stage("pass0-dispatch")(_pass0_dispatch, fleet, nett_conventional,
-                                        config.interconnectors, availabilities)
-    partial["pass0"] = (pass0, fleet)
+        with stage("pass0-dispatch"):
+            conventional = dict(data.demand)
+            start = next(iter(conventional.values())).start
+            zero = np.zeros(data.n_hours)
+            transit = {r: TimeSeries(start, zero, r) for r in config.transit_regions}
+            pass0 = _pass0_dispatch(fleet, {**conventional, **transit},
+                                    config.interconnectors, availabilities)
 
     # (2) train one predictor per region on historical + simulated pairs;
     # the study-year feature rows are kept for the prediction in (3)
-    def build_predictors():
+    with stage("train-predictor"):
         predictors, study_rows = {}, {}
         for region in config.demand_regions:
             names, x_h = feature_matrix(fleet, config.interconnectors, availabilities,
@@ -408,32 +392,21 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
             y = np.concatenate([data.historical_price[region].values,
                                 [hd.price[region] for hd in pass0.hours]])
             predictors[region] = train_matrix(names, x, y, config.predictor_kind, config.seed)
-        return predictors, study_rows
-
-    predictors, study_rows = stage("train-predictor")(build_predictors)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for region in sorted(predictors):
-            save_predictor(predictors[region], out / f"predictor_{region}.txt")
+    done["predictors"] = predictors
 
     # (3) predicted study-year price signal per region
-    def predict_prices():
+    with stage("predict-prices"):
         prices = {}
         for region in config.demand_regions:
             predictor = predictors[region]
             values = predict_rows(predictor, predictor.feature_names, study_rows[region])
             prices[region] = TimeSeries(data.demand[region].start, values,
                                         label=f"price_{region}")
-        return prices
-
-    prices = stage("predict-prices")(predict_prices)
-    partial["prices"] = prices
+    done["prices"] = prices
 
     # (4) daily demand schedules: responsive for uptake scenarios
-    def schedule_demand():
-        schedules = {}
-        pv_power = {}
+    with stage("demand-model"):
+        schedules, pv_power = {}, {}
         n_days = data.n_hours // HOURS_PER_DAY
         for region in config.demand_regions:
             load = data.demand[region]
@@ -460,86 +433,132 @@ def _run_scenario_inner(config, data_dir, out_dir, days, partial,
                 schedules[region] = tuple(solve_days(params, day_inputs))
             else:
                 schedules[region] = tuple(conventional_baseline(day) for day in day_inputs)
-        return schedules, pv_power
+    done.update(demand_schedules=schedules, conventional_demand=conventional, pv_power=pv_power)
 
-    schedules, pv_power = stage("demand-model")(schedule_demand)
-
-    def build_nett():
-        nett = aggregate_nett_demand(schedules, next(iter(conventional.values())).start)
-        for r in config.transit_regions:
-            nett[r] = TimeSeries(next(iter(conventional.values())).start, zero, r)
-        return nett
-
-    nett = stage("nett-demand")(build_nett)
-    partial["nett"] = nett
-
-    def emit_stage(dispatch=None):
-        """Artifacts of a run stopped after the demand or dispatch stage."""
-        if out_dir is None:
-            return
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _emit_series(prices, "prices", out)
-        _emit_series(nett, "nett_demand", out)
-        _emit_schedule_files(schedules, prices, conventional, pv_power, out)
-        if dispatch is not None:
-            _write_dispatch_csv(dispatch, out / "dispatch_hourly.csv")
+    with stage("nett-demand"):
+        nett = {**aggregate_nett_demand(schedules, start), **transit}
+    done["nett_demand"] = nett
 
     if stop_after == "demand":
-        emit_stage()
+        with stage("emit"):
+            _emit(done, out_dir)
         return None
 
     # (5) dispatch of the nett demand; scenarios without demand response
     # re-use the conventional dispatch (identical inputs)
-    if config.has_demand_response:
-        dispatch = stage("nett-dispatch")(simulate_horizon, fleet, nett,
-                                          config.interconnectors, availabilities)
-    else:
-        dispatch = pass0
-    partial["dispatch"] = dispatch
+    with stage("nett-dispatch"):
+        if config.has_demand_response:
+            dispatch = simulate_horizon(fleet, nett, config.interconnectors, availabilities)
+        else:
+            dispatch = pass0
+    done["dispatch"] = dispatch
 
     if stop_after == "dispatch":
-        emit_stage(dispatch)
+        with stage("emit"):
+            _emit(done, out_dir)
         return None
 
     # (6) hourly loadability on the dispatch-consistent operating points
-    def sweep():
-        points = _operating_points(config, data.network, nett, dispatch)
-        return compute_loadability(
+    # (the points are not kept: holding them through emission raises peak memory)
+    with stage("loadability"):
+        load_res = compute_loadability(
             data.network, config.loadability.region, config.loadability.participation,
-            step=config.loadability.step, hours=points,
+            step=config.loadability.step,
+            hours=_operating_points(config, fleet, data.network, nett, dispatch),
             lambda_max=config.loadability.lambda_max)
+    done["loadability"] = load_res
 
-    load_res = stage("loadability")(sweep)
-
-    report = ScenarioReport(
-        scenario_id=config.scenario_id,
-        uptake=config.uptake,
-        seed=config.seed,
-        config_hash=config_sha256(config.source_path) if config.source_path else "",
-        spilled_energy_twh=dispatch.spilled_energy_twh,
-        spilled_hours_pct=dispatch.spilled_hours_pct,
-        gt_energy_twh=dispatch.gt_energy_twh,
-        unserved_energy_twh=dispatch.unserved_energy_twh,
-        unserved_hours=dispatch.unserved_hours,
-        loadability_gw=average_loadability(load_res),
-        conventional_demand=conventional,
-        nett_demand=nett,
-        prices=prices,
-        demand_schedules=schedules,
-        pv_power=pv_power,
-        dispatch=dispatch,
-        loadability=load_res,
-    )
-    if out_dir is not None:
-        emit_report(report, out_dir)
+    with stage("emit"):
+        report = done["report"] = ScenarioReport(
+            scenario_id=config.scenario_id,
+            uptake=config.uptake,
+            seed=config.seed,
+            config_hash=config_sha256(config.source_path) if config.source_path else "",
+            spilled_energy_twh=dispatch.spilled_energy_twh,
+            spilled_hours_pct=dispatch.spilled_hours_pct,
+            gt_energy_twh=dispatch.gt_energy_twh,
+            unserved_energy_twh=dispatch.unserved_energy_twh,
+            unserved_hours=dispatch.unserved_hours,
+            loadability_gw=average_loadability(load_res),
+            conventional_demand=conventional,
+            nett_demand=nett,
+            prices=prices,
+            demand_schedules=schedules,
+            pv_power=pv_power,
+            dispatch=dispatch,
+            loadability=load_res,
+        )
+        _emit(done, out_dir)
     return report
 
 
 # -- emission -----------------------------------------------------------------
 
+SUMMARY_FILE = "summary.csv"
 SUMMARY_COLUMNS = ("scenario", "spilled_energy_TWh", "spilled_hours_pct",
                    "gt_energy_TWh", "loadability_GW", "unserved_energy_TWh")
+
+
+def _output_files(done: Mapping[str, object]) -> list[tuple[str, Callable[[Path], None]]]:
+    """(file name, writer) for every output of the finished stages in ``done``.
+
+    ``done`` maps the names of ``ScenarioReport`` fields, plus ``predictors``
+    and ``report``, to stage results; absent keys are stages not run.  Each
+    writer takes the file's path.  This is the one place that names output
+    files.
+    """
+    files = []
+    for region, predictor in sorted(done.get("predictors", {}).items()):
+        files.append((f"predictor_{region}.txt", partial(save_predictor, predictor)))
+    for key in ("prices", "nett_demand"):  # prices_<R>.csv, nett_demand_<R>.csv
+        for region, ts in sorted(done.get(key, {}).items()):
+            files.append((f"{key}_{region}.csv", partial(write_timeseries_csv, ts)))
+    for region, days in sorted(done.get("demand_schedules", {}).items()):
+        files.append((f"demand_{region}.csv", partial(
+            _write_schedule_csv, days, done["prices"][region],
+            done["conventional_demand"][region], done["pv_power"][region])))
+    if "dispatch" in done:
+        files.append(("dispatch_hourly.csv", partial(_write_dispatch_csv, done["dispatch"])))
+    if "loadability" in done:
+        files.append(("loadability_hourly.csv",
+                      partial(_write_loadability_csv, done["loadability"])))
+    if "report" in done:
+        files.append((SUMMARY_FILE, partial(_write_summary_csv, done["report"])))
+        files.append(("manifest.txt", partial(_write_manifest, done["report"])))
+    return files
+
+
+def _emit(done: Mapping[str, object], out_dir) -> list[Path]:
+    """Write the outputs of the finished stages in ``done`` into ``out_dir``, if given."""
+    if out_dir is None:
+        return []
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, write in _output_files(done):
+        write(out_dir / name)
+        written.append(out_dir / name)
+    return written
+
+
+def _write_partial(done: Mapping[str, object], out_dir) -> None:
+    """Write a failed run's finished outputs as ``partial_*`` files, best effort:
+    the stage error matters more, so what cannot be written is named in a
+    warning and the rest is still written."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        warnings.warn(f"could not create {out_dir} for partial outputs: {exc!r}",
+                      RuntimeWarning, stacklevel=2)
+        return
+    for name, write in _output_files(done):
+        path = out_dir / f"partial_{name}"
+        try:
+            write(path)
+        except Exception as exc:  # reported here; the stage error follows
+            warnings.warn(f"could not write partial output {path}: {exc!r}",
+                          RuntimeWarning, stacklevel=2)
 
 
 def _write_rows(path: Path, header: Sequence[str], rows) -> None:
@@ -555,26 +574,27 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _flush_partial(partial: dict, out_dir: Path) -> None:
-    """Write what a failed run produced so far, for inspection.
+def _write_summary_csv(report: ScenarioReport, path: Path) -> None:
+    _write_rows(path, SUMMARY_COLUMNS, [[
+        report.scenario_id,
+        float(report.spilled_energy_twh),
+        float(report.spilled_hours_pct),
+        float(report.gt_energy_twh),
+        float(report.loadability_gw),
+        float(report.unserved_energy_twh),
+    ]])
 
-    Flushing is best-effort, since the stage error matters more: a file that
-    cannot be written is named in a warning and the others are still written.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    writes = []
-    for key, prefix in (("prices", "partial_prices"), ("nett", "partial_nett_demand")):
-        for region, ts in partial.get(key, {}).items():
-            writes.append((write_timeseries_csv, ts, out_dir / f"{prefix}_{region}.csv"))
-    if "dispatch" in partial:
-        writes.append((_write_dispatch_csv, partial["dispatch"],
-                       out_dir / "partial_dispatch_hourly.csv"))
-    for write, data, path in writes:
-        try:
-            write(data, path)
-        except Exception as exc:  # reported here; the stage error follows
-            warnings.warn(f"could not write partial output {path}: {exc!r}",
-                          RuntimeWarning, stacklevel=2)
+
+def _write_manifest(report: ScenarioReport, path: Path) -> None:
+    path.write_text(
+        f"scenario {report.scenario_id}\n"
+        f"uptake {report.uptake}\n"
+        f"seed {report.seed}\n"
+        f"config_sha256 {report.config_hash}\n"
+        f"gridstudy {gridstudy.__version__}\n"
+        f"numpy {np.__version__}\n"
+        f"config_schema 1\n"
+    )
 
 
 def _write_dispatch_csv(dispatch: DispatchResult, path: Path) -> None:
@@ -598,35 +618,25 @@ def _write_dispatch_csv(dispatch: DispatchResult, path: Path) -> None:
     _write_rows(path, header, rows())
 
 
-def _emit_series(series_by_region: Mapping[str, TimeSeries], prefix: str, out_dir: Path) -> list[Path]:
-    written = []
-    for region in sorted(series_by_region):
-        p = out_dir / f"{prefix}_{region}.csv"
-        write_timeseries_csv(series_by_region[region], p)
-        written.append(p)
-    return written
+def _write_loadability_csv(res: LoadabilityResult, path: Path) -> None:
+    _write_rows(path,
+                ["hour", "lambda_star", "served_load_MW", "region_load_MW", "min_voltage_pu"],
+                ([h, float(res.lambda_star[h]), float(res.served_load_mw[h]),
+                  float(res.region_load_mw[h]), float(res.min_voltage_pu[h])]
+                 for h in range(len(res))))
 
 
-def _emit_schedule_files(schedules, prices, conventional, pv_power, out_dir: Path) -> list[Path]:
-    written = []
-    for region in sorted(schedules):
-        sched_path = out_dir / f"demand_{region}.csv"
-        days = schedules[region]
-        price = prices[region].values
-        load = conventional[region].values
-        pv = pv_power[region].values
+def _write_schedule_csv(days: Sequence[DemandSchedule], price: TimeSeries, load: TimeSeries,
+                        pv: TimeSeries, path: Path) -> None:
+    def rows():
+        for d, sched in enumerate(days):
+            for h in range(HOURS_PER_DAY):
+                hour = d * HOURS_PER_DAY + h
+                yield [hour, float(price.values[hour]), float(load.values[hour]),
+                       float(pv.values[hour]), float(sched.battery_mw[h]),
+                       float(sched.grid_mw[h]), float(sched.soc_mwh[h + 1])]
 
-        def srows():
-            for d, sched in enumerate(days):
-                for h in range(HOURS_PER_DAY):
-                    hour = d * HOURS_PER_DAY + h
-                    yield [hour, float(price[hour]), float(load[hour]), float(pv[hour]),
-                           float(sched.battery_mw[h]), float(sched.grid_mw[h]),
-                           float(sched.soc_mwh[h + 1])]
-
-        _write_rows(sched_path, ["hour", "price", "load", "pv", "p_b", "p_g", "soc"], srows())
-        written.append(sched_path)
-    return written
+    _write_rows(path, ["hour", "price", "load", "pv", "p_b", "p_g", "soc"], rows())
 
 
 def emit_report(report: ScenarioReport, out_dir) -> list[Path]:
@@ -635,58 +645,14 @@ def emit_report(report: ScenarioReport, out_dir) -> list[Path]:
     Emission is deterministic: the same report produces byte-identical
     files.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    summary = out_dir / "summary.csv"
-    _write_rows(summary, SUMMARY_COLUMNS, [[
-        report.scenario_id,
-        float(report.spilled_energy_twh),
-        float(report.spilled_hours_pct),
-        float(report.gt_energy_twh),
-        float(report.loadability_gw),
-        float(report.unserved_energy_twh),
-    ]])
-    written.append(summary)
-
-    dispatch_path = out_dir / "dispatch_hourly.csv"
-    _write_dispatch_csv(report.dispatch, dispatch_path)
-    written.append(dispatch_path)
-
-    load_path = out_dir / "loadability_hourly.csv"
-    res = report.loadability
-    _write_rows(load_path,
-                ["hour", "lambda_star", "served_load_MW", "region_load_MW", "min_voltage_pu"],
-                ([h, float(res.lambda_star[h]), float(res.served_load_mw[h]),
-                  float(res.region_load_mw[h]), float(res.min_voltage_pu[h])]
-                 for h in range(len(res))))
-    written.append(load_path)
-
-    written += _emit_series(report.prices, "prices", out_dir)
-    written += _emit_series(report.nett_demand, "nett_demand", out_dir)
-    written += _emit_schedule_files(report.demand_schedules, report.prices,
-                                    report.conventional_demand, report.pv_power, out_dir)
-
-    manifest = out_dir / "manifest.txt"
-    manifest.write_text(
-        f"scenario {report.scenario_id}\n"
-        f"uptake {report.uptake}\n"
-        f"seed {report.seed}\n"
-        f"config_sha256 {report.config_hash}\n"
-        f"gridstudy {gridstudy.__version__}\n"
-        f"numpy {np.__version__}\n"
-        f"config_schema 1\n"
-    )
-    written.append(manifest)
-    return written
+    return _emit({**vars(report), "report": report}, out_dir)
 
 
 def merge_summaries(run_dirs: Sequence, out_path) -> Path:
     """Merge per-scenario summary rows into one table ordered by scenario id."""
     rows = []
     for run_dir in run_dirs:
-        path = Path(run_dir) / "summary.csv"
+        path = Path(run_dir) / SUMMARY_FILE
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -695,8 +661,5 @@ def merge_summaries(run_dirs: Sequence, out_path) -> Path:
             rows.extend(reader)
     rows.sort(key=lambda r: int(r[0]))
     out_path = Path(out_path)
-    with out_path.open("w", newline="") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_rows(out_path, SUMMARY_COLUMNS, rows)
     return out_path

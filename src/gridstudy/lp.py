@@ -299,14 +299,11 @@ class _Tableau:
                     continue
                 if t < -FEASIBILITY_TOL:
                     t = 0.0
+                # A strictly smaller ratio wins; a tie goes to the lowest basic
+                # variable index (Bland's rule).
                 if t < step - _PIVOT_TOL or (t < step + _PIVOT_TOL and
                                              (leave < 0 or self.basis[i] < self.basis[leave])):
-                    if t < step - _PIVOT_TOL:
-                        leave = i
-                    elif leave >= 0 and self.basis[i] < self.basis[leave]:
-                        leave = i
-                    elif leave < 0:
-                        leave = i
+                    leave = i
                     step = min(step, max(t, 0.0))
             if not np.isfinite(step):
                 return "unbounded"

@@ -13,7 +13,8 @@ Schema (version 1) by section:
 * ``[battery <R>]`` / ``[pv <R>]`` -- per-region storage window (MWh) and
   PV capacity (MW) for uptake scenarios, one pair per demand region.
 * ``[generator <name>]``          -- fleet entries (type, zone, region,
-  capacity_mw, min_stable_mw, srmc).
+  capacity_mw, min_stable_mw, srmc) of a dispatchable type; renewable
+  units come only from ``[replacement]``.
 * ``[interconnector <name>]``     -- from, to, forward_mw, reverse_mw.
 * ``[replacement]``   -- scenarios 2..5 only: coal units to remove, wind
   and CSP additions with zones, capacities and the CSP delay.
@@ -398,6 +399,9 @@ def scenario_from_config(path) -> ScenarioConfig:
     for g in fleet:
         if g.region not in all_regions:
             errors.append(f"[generator {g.name}] region {g.region!r} not in the region lists")
+        if g.is_renewable:
+            errors.append(f"[generator {g.name}] type {g.gtype!r}: renewable units have no "
+                          f"availability series; they come only from [replacement]")
     for line in lines:
         for end in (line.from_region, line.to_region):
             if end not in all_regions:

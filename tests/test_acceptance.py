@@ -338,12 +338,13 @@ class TestYearProperties:
     def test_loadability_bracket_on_year_hours(self, year_suite, data_dir):
         """Re-solve with the plain solver: converges at the hour's factor,
         fails one step above."""
-        from gridstudy.harness import _load_data, _operating_points
+        from gridstudy.harness import _load_data, _operating_points, apply_renewable_replacement
         reports, _, _ = year_suite
         rep = reports[1]
         cfg = scenario_from_config(config_path(1))
         data = _load_data(cfg, data_dir, None)
-        points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
+        fleet = apply_renewable_replacement(cfg.fleet, cfg)
+        points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
         res = rep.loadability
         rng = np.random.default_rng(77)
         for hour in rng.choice(len(res), size=4, replace=False):

@@ -123,6 +123,18 @@ class TestViolations:
         with pytest.raises(ConfigError, match="GHOST_9"):
             scenario_from_config(path)
 
+    @pytest.mark.parametrize("gtype", ["wind", "csp", "utility_pv"])
+    def test_renewable_generator_section_rejected(self, tmp_path, scenario4_text, gtype):
+        """Only the replacement's units get availability series."""
+        def fn(p):
+            p.add_section("generator WX")
+            for key, value in (("type", gtype), ("zone", "NSA"), ("region", "SA"),
+                               ("capacity_mw", "500"), ("srmc", "0")):
+                p.set("generator WX", key, value)
+        path = mutate(scenario4_text, tmp_path, fn)
+        with pytest.raises(ConfigError, match=rf"\[generator WX\] type '{gtype}'"):
+            scenario_from_config(path)
+
     def test_missing_data_entry(self, tmp_path, scenario4_text):
         path = mutate(scenario4_text, tmp_path, lambda p: p.remove_option("data", "bus"))
         with pytest.raises(ConfigError, match="missing file entry 'bus'"):

@@ -128,12 +128,11 @@ class TestPipeline:
             assert schedule_violations(sched, params, day, tol=1e-6) == []
 
     def test_unwritable_partial_output_is_warned_about(self, short_reports, tmp_path):
-        from gridstudy.harness import _flush_partial
         rep = short_reports[2]
         blocked = tmp_path / "partial_prices_NSW.csv"
         blocked.mkdir()  # a directory where the file should go
         with pytest.warns(RuntimeWarning, match="partial_prices_NSW.csv"):
-            _flush_partial({"prices": rep.prices, "dispatch": rep.dispatch}, tmp_path)
+            harness._write_partial({"prices": rep.prices, "dispatch": rep.dispatch}, tmp_path)
         assert (tmp_path / "partial_prices_QLD.csv").is_file()
         assert (tmp_path / "partial_dispatch_hourly.csv").is_file()
 
@@ -143,6 +142,68 @@ class TestPipeline:
         with pytest.raises(StageError) as err:
             run_scenario(cfg, broken, days=2)
         assert err.value.stage == "load-data"
+
+    def test_unusable_out_dir_keeps_the_stage_tag(self, tmp_path):
+        """A failed run whose output directory cannot be made warns about it
+        and still reports the stage that failed."""
+        cfg = scenario_from_config(config_path(1))
+        out = tmp_path / "taken"
+        out.write_text("a regular file, not a directory")
+        with pytest.warns(RuntimeWarning, match="taken"):
+            with pytest.raises(StageError) as err:
+                run_scenario(cfg, tmp_path / "missing", out_dir=out, days=2)
+        assert err.value.stage == "load-data"
+
+    def test_unwritable_output_fails_in_emit(self, data_dir, tmp_path):
+        cfg = scenario_from_config(config_path(1))
+        out = tmp_path / "taken"
+        out.write_text("a regular file, not a directory")
+        with pytest.warns(RuntimeWarning, match="taken"):
+            with pytest.raises(StageError) as err:
+                run_scenario(cfg, data_dir, out_dir=out, days=2, stop_after="demand")
+        assert err.value.stage == "emit"
+
+
+def _names(prefix, kinds, regions):
+    return [f"{prefix}{kind}_{r}.{'txt' if kind == 'predictor' else 'csv'}"
+            for kind in kinds for r in regions]
+
+
+class TestOutputFiles:
+    """The exact files each way of ending a run leaves (scenario 3, with a transit region)."""
+
+    REGIONS = ("NSW", "QLD", "SA", "VIC")
+
+    def expected(self, prefix, dispatch):
+        files = (_names(prefix, ("predictor", "prices", "demand"), self.REGIONS)
+                 + _names(prefix, ("nett_demand",), self.REGIONS + ("SH",)))
+        if dispatch:
+            files.append(f"{prefix}dispatch_hourly.csv")
+        return sorted(files)
+
+    @pytest.mark.parametrize("stop_after", ["demand", "dispatch"])
+    def test_stop_after(self, data_dir, tmp_path, stop_after):
+        cfg = scenario_from_config(config_path(3))
+        assert run_scenario(cfg, data_dir, out_dir=tmp_path, days=2, stop_after=stop_after) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.expected(
+            "", stop_after == "dispatch")
+
+    def test_failed_loadability_stage(self, data_dir, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no sweep")
+
+        monkeypatch.setattr(harness, "compute_loadability", fail)
+        cfg = scenario_from_config(config_path(3))
+        with pytest.raises(StageError) as err:
+            run_scenario(cfg, data_dir, out_dir=tmp_path, days=2)
+        assert err.value.stage == "loadability"
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.expected("partial_", True)
+
+    def test_full_run(self, data_dir, tmp_path):
+        cfg = scenario_from_config(config_path(3))
+        run_scenario(cfg, data_dir, out_dir=tmp_path, days=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            self.expected("", True) + ["loadability_hourly.csv", "manifest.txt", "summary.csv"])
 
 
 class TestEmission:
