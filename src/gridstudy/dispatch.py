@@ -15,7 +15,7 @@ strands demand by committing further dispatchables one at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -124,7 +124,6 @@ class HourDispatch:
     unserved_hour: bool
     dumped_hour: bool
     objective: float = 0.0
-    basis_hint: Optional[BasisHint] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _read_only(self, ("output_mw", "flow_mw", "unserved_mw", "dumped_mw", "price"))
@@ -214,12 +213,14 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
 
 def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
                   lines: Sequence[Interconnector], hour: int = 0,
-                  basis_hint: BasisHint | None = None) -> HourDispatch:
+                  hints: dict[tuple[str, ...], BasisHint] | None = None) -> HourDispatch:
     """LP dispatch of a committed fleet against per-region demand.
 
     Regional balance: generation + imports - exports + unserved =
     demand + dumped.  Marginal price per region is the balance-row dual
-    of the optimal basis.
+    of the optimal basis.  ``hints`` is an optional cache of optimal bases
+    keyed by commitment signature: the solve starts from the basis stored
+    for this commitment, and stores its own.
     """
     regions = list(demand.keys())
     for line in lines:
@@ -258,9 +259,12 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
         a_eq[i, nu + nl + nr + i] = -1.0
         names.append(f"dumped:{r}")
     lp = LinearProgram(cost, lower, upper, a_eq, b_eq, [], [], names=tuple(names))
-    sol = solve_lp(lp, basis_hint=basis_hint)
+    sig = _signature(committed)
+    sol = solve_lp(lp, basis_hint=None if hints is None else hints.get(sig))
     if not sol.is_optimal:
         raise DispatchError(f"hour {hour}: dispatch LP failed with status {sol.status}")
+    if hints is not None:
+        hints[sig] = sol.basis_hint
     x = sol.x
     unserved = {r: float(x[nu + nl + i]) for i, r in enumerate(regions)}
     dumped = {r: float(x[nu + nl + nr + i]) for i, r in enumerate(regions)}
@@ -274,7 +278,6 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
         unserved_hour=any(v > _BALANCE_TOL for v in unserved.values()),
         dumped_hour=any(v > _BALANCE_TOL for v in dumped.values()),
         objective=float(sol.objective),
-        basis_hint=sol.basis_hint,
     )
 
 
@@ -323,19 +326,12 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
     energy that another commitment would absorb.
 
     ``hints`` is an optional cross-call cache of optimal bases keyed by
-    commitment signature; it only accelerates re-solves.
+    commitment signature (see ``dispatch_hour``); it only accelerates
+    re-solves.
     """
-    hints = hints if hints is not None else {}
-
-    def solve(commitment: Commitment) -> HourDispatch:
-        sig = _signature(commitment)
-        hd = dispatch_hour(commitment, demand, lines, hour, basis_hint=hints.get(sig))
-        hints[sig] = hd.basis_hint
-        return hd
-
     base = _regional_topup(generators, demand, lines,
                            commit_merit_order(generators, demand, availability))
-    dispatch = solve(base)
+    dispatch = dispatch_hour(base, demand, lines, hour, hints)
     if not dispatch.unserved_hour:
         return base, dispatch
     committed_names = {u.name for u in base}
@@ -345,7 +341,7 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
         pick = next((g for g in spare if g.region in short), spare[0])
         spare.remove(pick)
         trial_commitment = base + (_window(pick, 1.0),)
-        trial = solve(trial_commitment)
+        trial = dispatch_hour(trial_commitment, demand, lines, hour, hints)
         if trial.objective < dispatch.objective:
             base, dispatch = trial_commitment, trial
     return base, dispatch

@@ -52,7 +52,7 @@ from gridstudy.dispatch import (
 )
 from gridstudy.loadability import (
     LoadabilityResult,
-    OperatingPoint,
+    Points,
     average_loadability,
     compute_loadability,
 )
@@ -276,27 +276,40 @@ def _availabilities(config: ScenarioConfig, data: _StudyData) -> dict[str, TimeS
     return out
 
 
-def _zone_weights(config: ScenarioConfig, network: BusNetwork, region: str) -> ZoneWeights:
-    if region in config.zone_weights:
-        return ZoneWeights(config.zone_weights[region])
-    load_buses = [b.bus_id for b in network.buses if b.region == region and b.kind == "pq"]
-    if not load_buses:
-        raise ValueError(f"region {region} has no load buses in the network")
-    return ZoneWeights.equal(load_buses)
-
-
 def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], network: BusNetwork,
-                      nett: Mapping[str, TimeSeries],
-                      dispatch: DispatchResult) -> list[OperatingPoint]:
-    """Dispatch-consistent hourly power-flow inputs.
+                      nett: Mapping[str, TimeSeries], dispatch: DispatchResult) -> Points:
+    """Dispatch-consistent hourly power-flow inputs, as ``compute_loadability`` sweeps them.
 
-    Regional nett demand splits across the region's load buses by the
-    configured zone weights; the output of each unit of ``fleet`` (the
-    replaced fleet that was dispatched) lands on the bus that lists it, or
-    else on the first non-slack generator bus of its region.  Units on the
-    slack bus, or with no such bus, are left to the slack balance.
+    Returns (hours x buses) arrays of load MW, load MVAr and injected MW,
+    with columns in ``network.buses`` order.  Loads start from the network's
+    base loads.  Each demand region's nett demand splits across its pq buses
+    by the configured zone weights (equal shares when none are given), at
+    Q = P * ``LOAD_TAN_PHI``; a weight on any other bus is an error.  The
+    output of each unit of ``fleet`` (the replaced fleet that was dispatched)
+    lands on the bus that lists it, or else on the first non-slack generator
+    bus of its region.  Units on the slack bus, or with no such bus, are left
+    to the slack balance.
     """
     n_hours = len(next(iter(nett.values())))
+    column = {b.bus_id: i for i, b in enumerate(network.buses)}
+    load_mw = np.tile([b.p_load_mw for b in network.buses], (n_hours, 1))
+    load_mvar = np.tile([b.q_load_mvar for b in network.buses], (n_hours, 1))
+    for region in config.demand_regions:
+        pq_buses = [b.bus_id for b in network.buses if b.region == region and b.kind == "pq"]
+        weights = config.zone_weights.get(region)
+        if weights is None:
+            if not pq_buses:
+                raise ValueError(f"region {region} has no load buses in the network")
+            weights = ZoneWeights.equal(pq_buses)
+        for bus_id, ts in split_regional_demand(nett[region], weights).items():
+            if bus_id not in column:
+                raise ValueError(f"[zone_weights {region}] names unknown bus {bus_id!r}")
+            if bus_id not in pq_buses:
+                raise ValueError(f"[zone_weights {region}] bus {bus_id!r} is not a pq bus "
+                                 f"of region {region}")
+            load_mw[:, column[bus_id]] = ts.values
+            load_mvar[:, column[bus_id]] = ts.values * LOAD_TAN_PHI
+
     listed: dict[str, str] = {}
     first_pv_bus: dict[str, str] = {}
     slack_id = next(b.bus_id for b in network.buses if b.kind == "slack")
@@ -305,34 +318,19 @@ def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], networ
             first_pv_bus.setdefault(b.region, b.bus_id)
         for unit in b.gen_names:
             listed[unit] = b.bus_id
-    bus_of_unit = {}
+    unit_column = {}
     for g in fleet:
         bus = listed.get(g.name) or first_pv_bus.get(g.region)
         if bus not in (None, slack_id):
-            bus_of_unit[g.name] = bus
-    splits: dict[str, dict[str, np.ndarray]] = {}
-    for region in config.demand_regions:
-        weights = _zone_weights(config, network, region)
-        splits[region] = {zone: ts.values for zone, ts
-                          in split_regional_demand(nett[region], weights).items()}
-    points = []
-    for h in range(n_hours):
-        hd = dispatch.hours[h]
-        loads = {}
-        for region, zones in splits.items():
-            for bus_id, series in zones.items():
-                p = float(series[h])
-                loads[bus_id] = (p, p * LOAD_TAN_PHI)
-        injections: dict[str, list[float]] = {}
+            unit_column[g.name] = column[bus]
+    injection_mw = np.zeros((n_hours, len(column)))
+    # Added one unit at a time in dispatch order: units that share a bus
+    # must sum in the same order on every run.
+    for row, hd in zip(injection_mw, dispatch.hours, strict=True):
         for unit, mw in hd.output_mw.items():
-            bus = bus_of_unit.get(unit)
-            if bus is not None:
-                injections.setdefault(bus, [0.0, 0.0])[0] += mw
-        points.append(OperatingPoint(
-            loads=loads,
-            injections={k: (v[0], v[1]) for k, v in injections.items()},
-        ))
-    return points
+            if unit in unit_column:
+                row[unit_column[unit]] += mw
+    return load_mw, load_mvar, injection_mw
 
 
 @contextmanager

@@ -7,6 +7,8 @@ generator buses according to their factors (the slack absorbs losses).
 The loadability of the hour is the last factor at which the power flow
 still converges, one step before divergence.
 
+The hourly operating points come as (hours x buses) arrays of load MW,
+load MVAr and injected MW, with columns in ``BusNetwork.buses`` order.
 All hours advance through the factor grid in lockstep, so a year of
 operating points is swept by batched Newton solves.  Scanning an hour on its
 own solves the same equations, and its voltages differ from the batched
@@ -16,14 +18,13 @@ tolerance could in principle flip on that difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 import numpy as np
 
 from gridstudy.powerflow import (
     BusNetwork,
-    PowerFlowError,
     _Grid,
     _nr_batch,
     scale_loads,
@@ -35,21 +36,13 @@ DEFAULT_STEP = 0.005
 #: Safety cap on the scaling factor so a lightly loaded case cannot scan forever.
 DEFAULT_LAMBDA_MAX = 10.0
 
+#: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep,
+#: or one hour's rows of them for ``verify_bracket``.
+Points = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class LoadabilityError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Bus loads and generator injections (MW / MVAr) for one hour.
-
-    Buses absent from ``loads`` keep the network's base load; ``injections``
-    add generation at (typically PV) buses.
-    """
-
-    loads: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    injections: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -97,43 +90,32 @@ def _validate_participation(net: BusNetwork, participation: Mapping[str, float])
 
 def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str, float],
                         step: float = DEFAULT_STEP,
-                        hours: Optional[Sequence[OperatingPoint]] = None,
+                        hours: Optional[Points] = None,
                         lambda_max: float = DEFAULT_LAMBDA_MAX) -> LoadabilityResult:
     """Scan the scaling factor upward per hour until power flow diverges.
 
-    ``hours`` supplies one operating point per hour; when omitted the
-    network's base loads form a single hour.  The factor grid is
-    ``1 + k * step``; increments to slack-bus participation are ignored
-    (the slack balances by construction).
+    ``hours`` holds the (hours x buses) load and injection arrays (see
+    ``Points``); when omitted the network's base loads form a single hour
+    with no injections.  The factor grid is ``1 + k * step``; increments to
+    slack-bus participation are ignored (the slack balances by construction).
     """
     if step <= 0:
         raise LoadabilityError(f"step must be positive, got {step}")
     shares = _validate_participation(net, participation)
-    region_bus_ids = [b.bus_id for b in net.region_buses(region)]
-    if hours is None:
-        hours = [OperatingPoint()]
     grid = _Grid(net)
     n = grid.n
-    nh = len(hours)
+    if hours is None:
+        hours = (np.array([[b.p_load_mw for b in net.buses]]),
+                 np.array([[b.q_load_mvar for b in net.buses]]), np.zeros((1, n)))
+    base_p, base_q, inj_p = (np.asarray(a, dtype=float) for a in hours)
+    if base_p.ndim != 2 or not base_p.shape == base_q.shape == inj_p.shape == (len(base_p), n):
+        raise LoadabilityError(
+            f"operating points need (hours, {n}) arrays, one column per bus; got shapes "
+            f"{base_p.shape}, {base_q.shape} and {inj_p.shape}")
+    nh = len(base_p)
     index = {b.bus_id: i for i, b in enumerate(net.buses)}
-    base_p = np.tile([b.p_load_mw for b in net.buses], (nh, 1))
-    base_q = np.tile([b.q_load_mvar for b in net.buses], (nh, 1))
-    inj_p = np.zeros((nh, n))
-    inj_q = np.zeros((nh, n))
-    for h, op in enumerate(hours):
-        for bid, (p, q) in op.loads.items():
-            if bid not in index:
-                raise PowerFlowError(f"hour {h}: unknown bus {bid!r} in loads")
-            base_p[h, index[bid]] = p
-            base_q[h, index[bid]] = q
-        for bid, (p, q) in op.injections.items():
-            if bid not in index:
-                raise PowerFlowError(f"hour {h}: unknown bus {bid!r} in injections")
-            inj_p[h, index[bid]] = p
-            inj_q[h, index[bid]] = q
-    region_mask = np.zeros(n, dtype=bool)
-    for bid in region_bus_ids:
-        region_mask[index[bid]] = True
+    region_ids = {b.bus_id for b in net.region_buses(region)}
+    region_mask = np.array([b.bus_id in region_ids for b in net.buses])
     region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
     pickup = np.zeros(n)
     for bid, f in shares.items():
@@ -157,7 +139,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
         q_load = base_q[active] * scale
         increment = (lam - 1.0) * np.sum(base_p[active][:, region_mask], axis=1)
         p_inj = inj_p[active] + increment[:, None] * pickup
-        p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, inj_q[active])
+        p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
         vm, va, conv, _, _, _ = _nr_batch(grid, p_sched, q_sched)
         ok = conv
         idx_ok = active[ok]
@@ -184,19 +166,26 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
 
 
 def stressed_network(net: BusNetwork, region: str, participation: Mapping[str, float],
-                     op: OperatingPoint, lam: float) -> tuple[BusNetwork, dict[str, tuple[float, float]]]:
+                     row: Optional[Points], lam: float
+                     ) -> tuple[BusNetwork, dict[str, tuple[float, float]]]:
     """Network and injections for one hour at scaling factor ``lam``.
 
-    Used to re-verify the bracketing invariant with the plain solver:
-    power flow converges at the hour's loadability and fails one step above.
+    ``row`` is one hour's rows of the sweep's arrays (see ``Points``), or
+    None for the network's base loads.  Used to re-verify the bracketing
+    invariant with the plain solver: power flow converges at the hour's
+    loadability and fails one step above.
     """
     shares = _validate_participation(net, participation)
-    scoped = net.with_loads(dict(op.loads)) if op.loads else net
+    scoped, injections = net, {}
+    if row is not None:
+        load_mw, load_mvar, injection_mw = row
+        scoped = net.with_loads({b.bus_id: (float(p), float(q))
+                                 for b, p, q in zip(net.buses, load_mw, load_mvar)})
+        injections = {b.bus_id: (float(p), 0.0) for b, p in zip(net.buses, injection_mw)}
     base_region = sum(b.p_load_mw for b in scoped.region_buses(region) if b.has_load)
     stressed = scale_loads(scoped, region, lam) if lam > 1.0 else scoped
     slack_id = next(b.bus_id for b in net.buses if b.kind == "slack")
     increment = (lam - 1.0) * base_region
-    injections = {bid: (p, q) for bid, (p, q) in op.injections.items()}
     for bid, f in shares.items():
         if bid == slack_id:
             continue
@@ -206,10 +195,10 @@ def stressed_network(net: BusNetwork, region: str, participation: Mapping[str, f
 
 
 def verify_bracket(net: BusNetwork, region: str, participation: Mapping[str, float],
-                   op: OperatingPoint, lam_star: float, step: float) -> tuple[bool, bool]:
+                   row: Optional[Points], lam_star: float, step: float) -> tuple[bool, bool]:
     """(converges at lam_star, converges at lam_star + step) via the plain solver."""
-    at, inj_at = stressed_network(net, region, participation, op, lam_star)
-    above, inj_above = stressed_network(net, region, participation, op, lam_star + step)
+    at, inj_at = stressed_network(net, region, participation, row, lam_star)
+    above, inj_above = stressed_network(net, region, participation, row, lam_star + step)
     return (solve_power_flow(at, inj_at).converged,
             solve_power_flow(above, inj_above).converged)
 

@@ -394,16 +394,3 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None,
         duals_ub=y[tab.me:].copy(),
         basis_hint=hint,
     )
-
-
-def dump_instance(lp: LinearProgram) -> str:
-    """Plain-text tableau dump for debugging solver issues."""
-    lines = [f"minimise over {lp.n_vars} variables"]
-    lines.append("cost    " + " ".join(f"{v:.6g}" for v in lp.cost))
-    lines.append("lower   " + " ".join(f"{v:.6g}" for v in lp.lower))
-    lines.append("upper   " + " ".join(f"{v:.6g}" for v in lp.upper))
-    for i in range(lp.a_eq.shape[0]):
-        lines.append("eq  " + " ".join(f"{v:.6g}" for v in lp.a_eq[i]) + f" = {lp.b_eq[i]:.6g}")
-    for i in range(lp.a_ub.shape[0]):
-        lines.append("ub  " + " ".join(f"{v:.6g}" for v in lp.a_ub[i]) + f" <= {lp.b_ub[i]:.6g}")
-    return "\n".join(lines)

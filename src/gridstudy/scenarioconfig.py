@@ -21,8 +21,9 @@ Schema (version 1) by section:
 * ``[loadability]``   -- region, step, lambda_max, participation
   (``bus:factor`` list), base_mva.
 * ``[predictor]``     -- model kind.
-* ``[zone_weights <R>]`` -- optional per-bus split of the region's demand;
-  equal shares when omitted.
+* ``[zone_weights <R>]`` -- optional per-bus split of demand region R's
+  demand (finite shares >= 0 summing to 1); equal shares over R's load
+  buses when omitted.
 
 Unknown sections or keys are rejected, with every violation reported
 against its field.
@@ -38,8 +39,9 @@ from typing import Mapping, Optional
 
 from gridstudy.demand import DEFAULT_EFFICIENCY
 from gridstudy.dispatch import DispatchError, Generator, Interconnector
+from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.pricing import MODEL_KINDS
-from gridstudy.timeseries import KNOWN_REGIONS
+from gridstudy.timeseries import KNOWN_REGIONS, TimeSeriesError, ZoneWeights
 
 SCHEMA_VERSION = 1
 UPTAKE_LEVELS = ("none", "low", "medium", "high")
@@ -90,8 +92,8 @@ class ReplacementSpec:
 @dataclass(frozen=True)
 class LoadabilityOptions:
     region: str
-    step: float = 0.005
-    lambda_max: float = 10.0
+    step: float = DEFAULT_STEP
+    lambda_max: float = DEFAULT_LAMBDA_MAX
     participation: Mapping[str, float] = field(default_factory=dict)
     base_mva: float = 100.0
 
@@ -121,7 +123,7 @@ class ScenarioConfig:
     replacement: Optional[ReplacementSpec]
     loadability: LoadabilityOptions
     predictor_kind: str
-    zone_weights: Mapping[str, Mapping[str, float]]
+    zone_weights: Mapping[str, ZoneWeights]
     source_path: Optional[str] = None
 
     @property
@@ -238,7 +240,7 @@ def scenario_from_config(path) -> ScenarioConfig:
     pv_capacity: dict[str, float] = {}
     fleet: list[Generator] = []
     lines: list[Interconnector] = []
-    zone_weights: dict[str, dict[str, float]] = {}
+    zone_weights: dict[str, ZoneWeights] = {}
     replacement: Optional[ReplacementSpec] = None
 
     for name in list(sections):
@@ -304,11 +306,15 @@ def scenario_from_config(path) -> ScenarioConfig:
         elif name.startswith("zone_weights "):
             region = name.split(" ", 1)[1]
             sec = section(name)
-            weights = {}
-            for key, raw in list(sec.items.items()):
-                sec.items.pop(key)
-                weights[key] = _parse_float(name, key, raw)
-            zone_weights[region] = weights
+            weights = {key: _parse_float(name, key, raw) for key, raw in sec.items.items()}
+            sec.items = {}
+            if region not in demand_regions:
+                errors.append(f"[{name}] {region!r} is not a demand region")
+                continue
+            try:
+                zone_weights[region] = ZoneWeights(weights)
+            except TimeSeriesError as exc:
+                errors.append(f"[{name}] {exc}")
 
     repl_sec = section("replacement")
     if repl_sec:
@@ -344,14 +350,13 @@ def scenario_from_config(path) -> ScenarioConfig:
                 continue
             bus, factor = part.split(":", 1)
             participation[bus.strip()] = _parse_float("loadability", "participation", factor)
+        numbers = {}  # keys left out take the LoadabilityOptions defaults
+        for key in ("step", "lambda_max", "base_mva"):
+            raw = load_sec.take(key)
+            if raw is not None:
+                numbers[key] = _parse_float("loadability", key, raw)
         try:
-            load_opts = LoadabilityOptions(
-                region=region,
-                step=_parse_float("loadability", "step", load_sec.take("step", default="0.005")),
-                lambda_max=_parse_float("loadability", "lambda_max", load_sec.take("lambda_max", default="10.0")),
-                participation=participation,
-                base_mva=_parse_float("loadability", "base_mva", load_sec.take("base_mva", default="100.0")),
-            )
+            load_opts = LoadabilityOptions(region=region, participation=participation, **numbers)
         except ConfigError as exc:
             errors.append(str(exc))
         load_sec.leftovers()

@@ -30,7 +30,7 @@ from gridstudy.dispatch import (
     _window,
 )
 from gridstudy.harness import emit_report, merge_summaries, run_scenario
-from gridstudy.loadability import OperatingPoint, compute_loadability, verify_bracket
+from gridstudy.loadability import compute_loadability, verify_bracket
 from gridstudy.powerflow import solve_power_flow
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import study_network, three_bus_case, two_bus_case
@@ -173,7 +173,7 @@ def test_criterion_5_two_bus_loadability():
     res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
     served = float(res.served_load_mw[0])
     within = abs(served - 500.0) <= 0.005 * 500.0 + 1e-9
-    at, above = verify_bracket(net, "LOAD", {"source": 1.0}, OperatingPoint(),
+    at, above = verify_bracket(net, "LOAD", {"source": 1.0}, None,
                                float(res.lambda_star[0]), res.step)
     report(5, within and at and not above,
            f"served {served:.2f} MW vs analytic 500, bracket=({at},{not above})")
@@ -352,7 +352,8 @@ class TestYearProperties:
             if res.degenerate[hour]:
                 continue
             at, above = verify_bracket(data.network, cfg.loadability.region,
-                                       cfg.loadability.participation, points[hour],
+                                       cfg.loadability.participation,
+                                       tuple(a[hour] for a in points),
                                        float(res.lambda_star[hour]), res.step)
             assert at and not above, f"hour {hour}"
 

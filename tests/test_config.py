@@ -5,12 +5,14 @@ import configparser
 import numpy as np
 import pytest
 
+from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.scenarioconfig import (
     BatterySpec,
     ConfigError,
     config_sha256,
     scenario_from_config,
 )
+from gridstudy.timeseries import ZoneWeights
 from tests.conftest import config_path
 
 
@@ -43,6 +45,18 @@ class TestBundledConfigs:
         lines = {l.name: (l.forward_limit_mw, l.reverse_limit_mw) for l in cfg.interconnectors}
         assert lines["NSW-QLD"] == (600.0, -1000.0)
         assert lines["VIC-SA"] == (500.0, -500.0)
+
+    def test_zone_weights_parsed(self):
+        cfg = scenario_from_config(config_path(4))
+        assert cfg.zone_weights == {"NSW": ZoneWeights({"nsw_load_n": 0.55, "nsw_load_s": 0.45})}
+
+    def test_loadability_defaults_come_from_the_sweep(self, tmp_path, scenario4_text):
+        def fn(p):
+            for key in ("step", "lambda_max", "base_mva"):
+                p.remove_option("loadability", key)
+        opts = scenario_from_config(mutate(scenario4_text, tmp_path, fn)).loadability
+        assert (opts.step, opts.lambda_max, opts.base_mva) == (DEFAULT_STEP, DEFAULT_LAMBDA_MAX,
+                                                              100.0)
 
     def test_hash_is_stable(self):
         assert config_sha256(config_path(1)) == config_sha256(config_path(1))
@@ -133,6 +147,28 @@ class TestViolations:
                 p.set("generator WX", key, value)
         path = mutate(scenario4_text, tmp_path, fn)
         with pytest.raises(ConfigError, match=rf"\[generator WX\] type '{gtype}'"):
+            scenario_from_config(path)
+
+    @pytest.mark.parametrize("region, weights, why", [
+        ("SH", {"sh_gen": "1.0"}, "'SH' is not a demand region"),
+        ("TAS", {"tas_load": "1.0"}, "'TAS' is not a demand region"),
+        ("QLD", {"qld_load": "0.9"}, "sum to 0.9"),
+        ("NSW", {"nsw_load_n": "1.5", "nsw_load_s": "-0.5"}, "must be finite and >= 0"),
+        ("NSW", {"nsw_load_n": "nan", "nsw_load_s": "1.0"}, "must be finite and >= 0"),
+        ("VIC", {}, "at least one zone"),
+    ])
+    def test_bad_zone_weights_rejected(self, tmp_path, scenario4_text, region, weights, why):
+        """A split the loadability stage cannot use fails when the config is parsed."""
+        def fn(p):
+            name = f"zone_weights {region}"
+            if not p.has_section(name):
+                p.add_section(name)
+            for bus in list(p[name]):
+                p.remove_option(name, bus)
+            for bus, share in weights.items():
+                p.set(name, bus, share)
+        path = mutate(scenario4_text, tmp_path, fn)
+        with pytest.raises(ConfigError, match=rf"\[zone_weights {region}\] .*{why}"):
             scenario_from_config(path)
 
     def test_missing_data_entry(self, tmp_path, scenario4_text):

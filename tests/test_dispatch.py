@@ -270,3 +270,29 @@ class TestSimulateHorizon:
         for hd in res.hours:
             for region, price in hd.price.items():
                 assert min(abs(price - a) for a in allowed) < 1e-6, (hd.hour, region, price)
+
+    def test_hint_cache_feeds_warm_starts(self, data_dir, monkeypatch):
+        """48 hours of scenario 4's pass 0: 48 priority-list solves plus 3 repair
+        trials, and 37 of the 51 start from the basis cached for their commitment."""
+        from gridstudy import dispatch
+        from gridstudy.harness import _availabilities, _load_data, apply_renewable_replacement
+        from gridstudy.lp import solve_lp
+        from gridstudy.scenarioconfig import scenario_from_config
+        from tests.conftest import config_path
+
+        hinted = []
+
+        def counting(lp, basis_hint=None):
+            hinted.append(basis_hint is not None)
+            return solve_lp(lp, basis_hint)
+
+        monkeypatch.setattr(dispatch, "solve_lp", counting)
+        cfg = scenario_from_config(config_path(4))
+        data = _load_data(cfg, data_dir, 2)
+        zero = np.zeros(data.n_hours)
+        nett = {**data.demand, **{r: TimeSeries(SYNTHETIC_YEAR_START, zero, r)
+                                  for r in cfg.transit_regions}}
+        res = simulate_horizon(apply_renewable_replacement(cfg.fleet, cfg), nett,
+                               cfg.interconnectors, _availabilities(cfg, data))
+        assert len(res.hours) == 48
+        assert (len(hinted), sum(hinted)) == (51, 37)

@@ -4,9 +4,10 @@ import csv
 import filecmp
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from gridstudy.harness import (
     merge_summaries,
     run_scenario,
 )
+from gridstudy.powerflow import PowerFlowError
 from gridstudy.scenarioconfig import scenario_from_config
-from gridstudy.timeseries import load_timeseries_csv
+from gridstudy.synthdata import LOAD_TAN_PHI
+from gridstudy.timeseries import ZoneWeights, load_timeseries_csv, split_regional_demand
 from tests.conftest import config_path
 
 DAYS = 4
@@ -421,3 +424,119 @@ class TestReuseAcrossScenarios:
                         report.dispatch.generator_energy_mwh):
             with pytest.raises(TypeError):
                 mapping[next(iter(mapping))] = 0.0
+
+
+# -- operating points: the dict-based builder the sweep arrays replaced --------
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Bus loads and generator injections (MW / MVAr) for one hour."""
+
+    loads: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+    injections: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+
+
+def _zone_weights(config, network, region) -> ZoneWeights:
+    if region in config.zone_weights:
+        return config.zone_weights[region]  # parsed into ZoneWeights by the config now
+    load_buses = [b.bus_id for b in network.buses if b.region == region and b.kind == "pq"]
+    if not load_buses:
+        raise ValueError(f"region {region} has no load buses in the network")
+    return ZoneWeights.equal(load_buses)
+
+
+def dict_operating_points(config, fleet, network, nett, dispatch) -> list[OperatingPoint]:
+    """The former ``harness._operating_points``: one dict-based point per hour."""
+    n_hours = len(next(iter(nett.values())))
+    listed: dict[str, str] = {}
+    first_pv_bus: dict[str, str] = {}
+    slack_id = next(b.bus_id for b in network.buses if b.kind == "slack")
+    for b in network.buses:
+        if b.kind == "pv":
+            first_pv_bus.setdefault(b.region, b.bus_id)
+        for unit in b.gen_names:
+            listed[unit] = b.bus_id
+    bus_of_unit = {}
+    for g in fleet:
+        bus = listed.get(g.name) or first_pv_bus.get(g.region)
+        if bus not in (None, slack_id):
+            bus_of_unit[g.name] = bus
+    splits: dict[str, dict[str, np.ndarray]] = {}
+    for region in config.demand_regions:
+        weights = _zone_weights(config, network, region)
+        splits[region] = {zone: ts.values for zone, ts
+                          in split_regional_demand(nett[region], weights).items()}
+    points = []
+    for h in range(n_hours):
+        hd = dispatch.hours[h]
+        loads = {}
+        for region, zones in splits.items():
+            for bus_id, series in zones.items():
+                p = float(series[h])
+                loads[bus_id] = (p, p * LOAD_TAN_PHI)
+        injections: dict[str, list[float]] = {}
+        for unit, mw in hd.output_mw.items():
+            bus = bus_of_unit.get(unit)
+            if bus is not None:
+                injections.setdefault(bus, [0.0, 0.0])[0] += mw
+        points.append(OperatingPoint(
+            loads=loads,
+            injections={k: (v[0], v[1]) for k, v in injections.items()},
+        ))
+    return points
+
+
+def dict_points_to_arrays(net, hours):
+    """The loop that turned the dict-based points into the sweep's arrays."""
+    n = len(net.buses)
+    nh = len(hours)
+    index = {b.bus_id: i for i, b in enumerate(net.buses)}
+    base_p = np.tile([b.p_load_mw for b in net.buses], (nh, 1))
+    base_q = np.tile([b.q_load_mvar for b in net.buses], (nh, 1))
+    inj_p = np.zeros((nh, n))
+    inj_q = np.zeros((nh, n))
+    for h, op in enumerate(hours):
+        for bid, (p, q) in op.loads.items():
+            if bid not in index:
+                raise PowerFlowError(f"hour {h}: unknown bus {bid!r} in loads")
+            base_p[h, index[bid]] = p
+            base_q[h, index[bid]] = q
+        for bid, (p, q) in op.injections.items():
+            if bid not in index:
+                raise PowerFlowError(f"hour {h}: unknown bus {bid!r} in injections")
+            inj_p[h, index[bid]] = p
+            inj_q[h, index[bid]] = q
+    return base_p, base_q, inj_p, inj_q
+
+
+class TestOperatingPoints:
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+    def test_arrays_equal_the_dict_oracle_bitwise(self, data_dir, monkeypatch, scenario):
+        calls = []
+
+        def recorded(*args):
+            calls.append((args, build(*args)))
+            return calls[-1][1]
+
+        build = harness._operating_points
+        monkeypatch.setattr(harness, "_operating_points", recorded)
+        run_scenario(scenario_from_config(config_path(scenario)), data_dir, days=7)
+        [(args, arrays)] = calls
+        network = args[2]
+        *oracle, inj_q = dict_points_to_arrays(network, dict_operating_points(*args))
+        assert not inj_q.any()
+        assert arrays[0].shape == (7 * 24, len(network.buses))
+        for got, want in zip(arrays, oracle, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bus, why", [("qld_gen", "not a pq bus of region QLD"),
+                                          ("nsw_load_n", "not a pq bus of region QLD"),
+                                          ("ghost", "unknown bus 'ghost'")])
+    def test_zone_weight_off_the_regions_load_buses_fails(self, data_dir, bus, why):
+        cfg = scenario_from_config(config_path(1))
+        cfg = replace(cfg, zone_weights={**cfg.zone_weights, "QLD": ZoneWeights({bus: 1.0})})
+        with pytest.raises(StageError, match=why) as err:
+            run_scenario(cfg, data_dir, days=1)
+        assert err.value.stage == "loadability"
+        assert bus in str(err.value)

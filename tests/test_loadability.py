@@ -5,13 +5,28 @@ import pytest
 
 from gridstudy.loadability import (
     LoadabilityError,
-    OperatingPoint,
     average_loadability,
     compute_loadability,
     verify_bracket,
 )
 from gridstudy.powerflow import Branch, Bus, BusNetwork
 from gridstudy.synthdata import study_network, two_bus_case
+
+
+def points(net, loads, injections=None):
+    """Sweep arrays for hours given as ``{bus: (MW, MVAr)}`` load overrides
+    and ``{bus: MW}`` injections; other buses keep their base loads."""
+    col = {b.bus_id: i for i, b in enumerate(net.buses)}
+    load_mw = np.tile([b.p_load_mw for b in net.buses], (len(loads), 1))
+    load_mvar = np.tile([b.q_load_mvar for b in net.buses], (len(loads), 1))
+    injection_mw = np.zeros_like(load_mw)
+    for h, hour in enumerate(loads):
+        for bid, (p, q) in hour.items():
+            load_mw[h, col[bid]], load_mvar[h, col[bid]] = p, q
+    for h, hour in enumerate(injections or ()):
+        for bid, p in hour.items():
+            injection_mw[h, col[bid]] = p
+    return load_mw, load_mvar, injection_mw
 
 
 class TestTwoBusAnalytic:
@@ -25,9 +40,18 @@ class TestTwoBusAnalytic:
     def test_bracketing_invariant_by_resolve(self):
         net = two_bus_case()
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
-        at, above = verify_bracket(net, "LOAD", {"source": 1.0}, OperatingPoint(),
+        at, above = verify_bracket(net, "LOAD", {"source": 1.0}, None,
                                    float(res.lambda_star[0]), res.step)
         assert at and not above
+
+    def test_base_hour_is_the_default(self):
+        net = two_bus_case()
+        base = points(net, [{}])
+        assert base[0].shape == (1, 2) and not base[2].any()
+        default = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
+        given = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005, hours=base)
+        for name in ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu"):
+            assert getattr(default, name).tobytes() == getattr(given, name).tobytes()
 
     def test_no_headroom_when_base_is_the_limit(self):
         net = two_bus_case().with_loads({"load": (500.0, 0.0)})
@@ -46,11 +70,10 @@ class TestTwoBusAnalytic:
 class TestRefinement:
     def test_halving_step_never_decreases_lambda(self):
         net = study_network()
-        op = OperatingPoint(loads={"qld_load": (6000.0, 1972.0)},
-                            injections={"qld_gen": (5000.0, 0.0)})
+        op = points(net, [{"qld_load": (6000.0, 1972.0)}], [{"qld_gen": 5000.0}])
         part = {"qld_gen": 0.5, "qld_csp": 0.5}
-        coarse = compute_loadability(net, "QLD", part, step=0.04, hours=[op])
-        fine = compute_loadability(net, "QLD", part, step=0.02, hours=[op])
+        coarse = compute_loadability(net, "QLD", part, step=0.04, hours=op)
+        fine = compute_loadability(net, "QLD", part, step=0.02, hours=op)
         assert fine.lambda_star[0] >= coarse.lambda_star[0] - 1e-12
         assert fine.lambda_star[0] - coarse.lambda_star[0] <= 0.04 + 1e-12
 
@@ -60,7 +83,7 @@ class TestBatchedSweep:
         net = two_bus_case()
         rng = np.random.default_rng(7)
         loads = rng.uniform(60, 320, 10)
-        hours = [OperatingPoint(loads={"load": (float(p), 0.0)}) for p in loads]
+        hours = points(net, [{"load": (float(p), 0.0)} for p in loads])
         batch = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
         for i, p in enumerate(loads):
             single = compute_loadability(net.with_loads({"load": (float(p), 0.0)}),
@@ -71,12 +94,20 @@ class TestBatchedSweep:
             assert batch.min_voltage_pu[i] == pytest.approx(single.min_voltage_pu[0],
                                                             rel=0, abs=1e-12)
 
+    def test_bracket_holds_on_array_rows(self):
+        net = two_bus_case()
+        hours = points(net, [{"load": (p, 0.0)} for p in (90.0, 150.0, 240.0)])
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
+        for h in range(3):
+            at, above = verify_bracket(net, "LOAD", {"source": 1.0},
+                                       tuple(a[h] for a in hours),
+                                       float(res.lambda_star[h]), res.step)
+            assert at and not above, h
+
     def test_monotone_stress_depresses_voltage(self):
         net = study_network()
-        ops = [OperatingPoint(loads={"qld_load": (5200.0, 1709.0)},
-                              injections={"qld_gen": (4500.0, 0.0)}),
-               OperatingPoint(loads={"qld_load": (6800.0, 2235.0)},
-                              injections={"qld_gen": (6000.0, 0.0)})]
+        ops = points(net, [{"qld_load": (5200.0, 1709.0)}, {"qld_load": (6800.0, 2235.0)}],
+                     [{"qld_gen": 4500.0}, {"qld_gen": 6000.0}])
         res = compute_loadability(net, "QLD", {"qld_gen": 0.5, "qld_csp": 0.5},
                                   step=0.02, hours=ops)
         assert np.all(res.min_voltage_pu <= res.base_min_voltage_pu + 1e-12)
@@ -105,6 +136,13 @@ class TestValidation:
         with pytest.raises(LoadabilityError, match="positive"):
             compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=0.0)
 
+    @pytest.mark.parametrize("shapes", [((3, 2), (3, 2), (2, 2)), ((3, 3), (3, 3), (3, 3)),
+                                        ((2,), (2,), (2,))])
+    def test_operating_point_shapes_checked(self, shapes):
+        hours = tuple(np.zeros(shape) for shape in shapes)
+        with pytest.raises(LoadabilityError, match=r"\(hours, 2\) arrays"):
+            compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=0.01, hours=hours)
+
 
 class TestAverage:
     def test_table_shaped_single_hour(self):
@@ -117,8 +155,7 @@ class TestAverage:
 
     def test_mean_of_two_hours(self):
         net = two_bus_case()
-        hours = [OperatingPoint(loads={"load": (100.0, 0.0)}),
-                 OperatingPoint(loads={"load": (200.0, 0.0)})]
+        hours = points(net, [{"load": (100.0, 0.0)}, {"load": (200.0, 0.0)}])
         # lambda capped at 1: served loads are the base loads themselves
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.01,
                                   hours=hours, lambda_max=1.0)
@@ -127,8 +164,7 @@ class TestAverage:
     def test_matches_external_mean_from_emitted_values(self):
         net = two_bus_case()
         rng = np.random.default_rng(9)
-        hours = [OperatingPoint(loads={"load": (float(p), 0.0)})
-                 for p in rng.uniform(80, 300, 12)]
+        hours = points(net, [{"load": (float(p), 0.0)} for p in rng.uniform(80, 300, 12)])
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
         good = ~res.degenerate
         assert average_loadability(res) == pytest.approx(

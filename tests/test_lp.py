@@ -10,7 +10,6 @@ from gridstudy.lp import (
     LinearProgram,
     LpFormatError,
     check_feasible,
-    dump_instance,
     solve_lp,
 )
 
@@ -95,11 +94,6 @@ class TestExamples:
             LinearProgram([1.0, 2.0], [0.0], [1.0], [], [], [], [])
         with pytest.raises(LpFormatError, match="lower bound"):
             box_lp([1.0], [2.0], [1.0])
-
-    def test_dump_instance_mentions_rows(self):
-        lp = box_lp([1.0, 2.0], [0, 0], [1, 1], a_ub=[[1.0, 1.0]], b_ub=[1.5])
-        text = dump_instance(lp)
-        assert "minimise over 2 variables" in text and "ub" in text
 
 
 class TestVertexOracle:
