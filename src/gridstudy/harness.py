@@ -55,6 +55,7 @@ from gridstudy.loadability import (
     Points,
     average_loadability,
     compute_loadability,
+    validate_participation,
 )
 from gridstudy.powerflow import BusNetwork, load_network
 from gridstudy.pricing import feature_matrix, predict_rows, save_predictor, train_matrix
@@ -261,7 +262,29 @@ def _load_data(config: ScenarioConfig, data_dir, days: Optional[int]) -> _StudyD
     network = load_network(data_dir / config.data_files["bus"],
                            data_dir / config.data_files["branch"],
                            base_mva=config.loadability.base_mva)
+    _check_buses(config, network)
     return _StudyData(demand, hist_demand, hist_price, pv, traces, network, n_hours)
+
+
+def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
+    """Fail unless the buses the config names fit ``network``, before any dispatch runs.
+
+    Participation must name generator buses; each demand region needs pq
+    (load) buses, and its zone weights may name only those.
+    """
+    validate_participation(network, config.loadability.participation)
+    known = {b.bus_id for b in network.buses}
+    for region in config.demand_regions:
+        pq_buses = {b.bus_id for b in network.buses if b.region == region and b.kind == "pq"}
+        if not pq_buses:
+            raise ValueError(f"region {region} has no load buses in the network")
+        weights = config.zone_weights.get(region)
+        for bus_id in weights.weights if weights else ():
+            if bus_id not in known:
+                raise ValueError(f"[zone_weights {region}] names unknown bus {bus_id!r}")
+            if bus_id not in pq_buses:
+                raise ValueError(f"[zone_weights {region}] bus {bus_id!r} is not a pq bus "
+                                 f"of region {region}")
 
 
 def _availabilities(config: ScenarioConfig, data: _StudyData) -> dict[str, TimeSeries]:
@@ -284,7 +307,7 @@ def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], networ
     with columns in ``network.buses`` order.  Loads start from the network's
     base loads.  Each demand region's nett demand splits across its pq buses
     by the configured zone weights (equal shares when none are given), at
-    Q = P * ``LOAD_TAN_PHI``; a weight on any other bus is an error.  The
+    Q = P * ``LOAD_TAN_PHI`` (``_check_buses`` has checked those buses).  The
     output of each unit of ``fleet`` (the replaced fleet that was dispatched)
     lands on the bus that lists it, or else on the first non-slack generator
     bus of its region.  Units on the slack bus, or with no such bus, are left
@@ -296,17 +319,8 @@ def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], networ
     load_mvar = np.tile([b.q_load_mvar for b in network.buses], (n_hours, 1))
     for region in config.demand_regions:
         pq_buses = [b.bus_id for b in network.buses if b.region == region and b.kind == "pq"]
-        weights = config.zone_weights.get(region)
-        if weights is None:
-            if not pq_buses:
-                raise ValueError(f"region {region} has no load buses in the network")
-            weights = ZoneWeights.equal(pq_buses)
+        weights = config.zone_weights.get(region) or ZoneWeights.equal(pq_buses)
         for bus_id, ts in split_regional_demand(nett[region], weights).items():
-            if bus_id not in column:
-                raise ValueError(f"[zone_weights {region}] names unknown bus {bus_id!r}")
-            if bus_id not in pq_buses:
-                raise ValueError(f"[zone_weights {region}] bus {bus_id!r} is not a pq bus "
-                                 f"of region {region}")
             load_mw[:, column[bus_id]] = ts.values
             load_mvar[:, column[bus_id]] = ts.values * LOAD_TAN_PHI
 

@@ -69,7 +69,8 @@ class LoadabilityResult:
         return int(self.lambda_star.size)
 
 
-def _validate_participation(net: BusNetwork, participation: Mapping[str, float]) -> dict[str, float]:
+def validate_participation(net: BusNetwork, participation: Mapping[str, float]) -> dict[str, float]:
+    """The shares as floats, if they name generator buses of ``net``, are >= 0 and sum to 1."""
     if not participation:
         raise LoadabilityError("participation factors must name at least one generator bus")
     index = {b.bus_id: b for b in net.buses}
@@ -101,7 +102,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     """
     if step <= 0:
         raise LoadabilityError(f"step must be positive, got {step}")
-    shares = _validate_participation(net, participation)
+    shares = validate_participation(net, participation)
     grid = _Grid(net)
     n = grid.n
     if hours is None:
@@ -175,7 +176,7 @@ def stressed_network(net: BusNetwork, region: str, participation: Mapping[str, f
     invariant with the plain solver: power flow converges at the hour's
     loadability and fails one step above.
     """
-    shares = _validate_participation(net, participation)
+    shares = validate_participation(net, participation)
     scoped, injections = net, {}
     if row is not None:
         load_mw, load_mvar, injection_mw = row

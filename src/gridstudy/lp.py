@@ -113,7 +113,6 @@ class LpSolution:
     objective: Optional[float]
     iterations: int
     duals_eq: Optional[np.ndarray] = None
-    duals_ub: Optional[np.ndarray] = None
     basis_hint: Optional[BasisHint] = None
 
     @property
@@ -391,6 +390,5 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None,
         objective=float(lp.cost @ x),
         iterations=tab.iterations,
         duals_eq=y[:tab.me].copy(),
-        duals_ub=y[tab.me:].copy(),
         basis_hint=hint,
     )

@@ -1,47 +1,55 @@
-"""Scenario configuration: a versioned INI schema parsed into ScenarioConfig.
+"""Scenario configuration: one INI file per study scenario, read into ``ScenarioConfig``.
 
-Schema (version 1) by section:
+A scenario file (schema version 1; the bundled ones are under ``configs/``)
+has these sections:
 
-* ``[scenario]``      -- schema_version (mandatory), id 1..5, uptake level
-  (none | low | medium | high), run seed.
+* ``[scenario]``      -- ``schema_version`` (must be 1), ``id`` 1..5,
+  ``uptake`` (none | low | medium | high), optional run ``seed`` (0).
 * ``[regions]``       -- ``demand`` region list, optional ``transit`` list.
 * ``[data]``          -- file names, resolved against the run's data
-  directory: ``demand.<R>``, ``historical_demand.<R>``,
+  directory: ``demand.<R>``, ``historical_demand.<R>`` and
   ``historical_price.<R>`` per demand region; ``pv.<R>`` when uptake is
-  not none; ``wind.<zone>`` / ``solar.<zone>`` traces named by the
-  replacement section; ``bus`` and ``branch`` for the network.
-* ``[battery <R>]`` / ``[pv <R>]`` -- per-region storage window (MWh) and
-  PV capacity (MW) for uptake scenarios, one pair per demand region.
-* ``[generator <name>]``          -- fleet entries (type, zone, region,
-  capacity_mw, min_stable_mw, srmc) of a dispatchable type; renewable
-  units come only from ``[replacement]``.
-* ``[interconnector <name>]``     -- from, to, forward_mw, reverse_mw.
-* ``[replacement]``   -- scenarios 2..5 only: coal units to remove, wind
-  and CSP additions with zones, capacities and the CSP delay.
-* ``[loadability]``   -- region, step, lambda_max, participation
-  (``bus:factor`` list), base_mva.
-* ``[predictor]``     -- model kind.
-* ``[zone_weights <R>]`` -- optional per-bus split of demand region R's
-  demand (finite shares >= 0 summing to 1); equal shares over R's load
-  buses when omitted.
+  not none; the ``wind.<zone>`` / ``solar.<zone>`` traces that
+  ``[replacement]`` names; ``bus`` and ``branch`` for the network.
+* ``[battery <R>]`` / ``[pv <R>]`` -- storage window (MWh), optional
+  charge/discharge rates and efficiency, and PV capacity (MW): one pair per
+  demand region when uptake is not none, none otherwise.
+* ``[generator <name>]``      -- type, zone, region, capacity_mw, optional
+  min_stable_mw (0), srmc.  Dispatchable types only: renewable units come
+  from ``[replacement]``, the one place their availability traces are named.
+* ``[interconnector <name>]`` -- from, to, forward_mw, reverse_mw.
+* ``[replacement]``   -- scenarios 2..5 only: the coal units to remove, the
+  wind farm and the CSP pair with zones and capacities, optional
+  csp_delay_hours (12).
+* ``[loadability]``   -- region, participation (``bus:factor`` list), and
+  optional step, lambda_max and base_mva.
+* ``[predictor]``     -- optional model kind (ridge-linear).
+* ``[zone_weights <R>]`` -- optional split of demand region R over buses:
+  finite shares >= 0 summing to 1, one key per bus.  Without it, R's demand
+  splits equally over R's load buses.
 
-Unknown sections or keys are rejected, with every violation reported
-against its field.
+``scenario_from_config`` reads every section before it gives up, so one
+``ConfigError`` lists every violation in the file, one line each: a
+missing, malformed or unknown key as ``[section] key: ...``, a rejected
+value under its section's name, then the checks across sections.  A check
+across sections skips a value that itself failed, so one mistake gives one
+line.  Values that name network buses (participation, zone weights) are
+checked against the network once it is loaded, before any dispatch runs.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 from gridstudy.demand import DEFAULT_EFFICIENCY
-from gridstudy.dispatch import DispatchError, Generator, Interconnector
+from gridstudy.dispatch import Generator, Interconnector
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.pricing import MODEL_KINDS
-from gridstudy.timeseries import KNOWN_REGIONS, TimeSeriesError, ZoneWeights
+from gridstudy.timeseries import KNOWN_REGIONS, ZoneWeights
 
 SCHEMA_VERSION = 1
 UPTAKE_LEVELS = ("none", "low", "medium", "high")
@@ -55,9 +63,9 @@ class ConfigError(ValueError):
 class BatterySpec:
     soc_min_mwh: float
     soc_max_mwh: float
-    charge_rate_mw: Optional[float] = None
-    discharge_rate_mw: Optional[float] = None
-    efficiency: float = DEFAULT_EFFICIENCY
+    charge_rate_mw: Optional[float]
+    discharge_rate_mw: Optional[float]
+    efficiency: float
 
     def __post_init__(self):
         if not 0.0 <= self.soc_min_mwh < self.soc_max_mwh:
@@ -78,7 +86,7 @@ class ReplacementSpec:
     csp_region: str
     csp_zones: tuple[str, ...]
     csp_capacity_mw: float
-    csp_delay_hours: int = 12
+    csp_delay_hours: int
 
     def __post_init__(self):
         if len(self.csp_names) != len(self.csp_zones):
@@ -92,10 +100,10 @@ class ReplacementSpec:
 @dataclass(frozen=True)
 class LoadabilityOptions:
     region: str
-    step: float = DEFAULT_STEP
-    lambda_max: float = DEFAULT_LAMBDA_MAX
-    participation: Mapping[str, float] = field(default_factory=dict)
-    base_mva: float = 100.0
+    step: float
+    lambda_max: float
+    participation: Mapping[str, float]
+    base_mva: float
 
     def __post_init__(self):
         if self.step <= 0:
@@ -135,46 +143,75 @@ class ScenarioConfig:
         return self.uptake != "none"
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+#: A value that could not be read (its error is already recorded); also the
+#: default that marks a key as required.
+_BAD = object()
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+def _names(raw):
+    return raw if raw is _BAD else tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
-def _names(raw: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in raw.split(",") if x.strip())
+def _read_all(mapping: dict):
+    return _BAD if _BAD in mapping.values() else mapping
 
 
 class _Section:
-    """Tracks consumed keys so leftovers can be reported as unknown."""
+    """One section's keys, each read at most once; problems go to ``errors``.
 
-    def __init__(self, name: str, items: Mapping[str, str], errors: list[str]):
+    A missing or malformed value is recorded and read as ``_BAD`` instead of
+    raising, so the rest of the file is still checked.  A required section
+    that is absent was reported once; its keys read as ``_BAD`` silently.
+    """
+
+    def __init__(self, name: str, items: Optional[Mapping[str, str]], errors: list[str]):
         self.name = name
-        self.items = dict(items)
+        self.absent = items is None
+        self.items = dict(items or {})
         self.errors = errors
 
-    def take(self, key: str, required: bool = False, default: str | None = None) -> str | None:
+    def error(self, message: str) -> None:
+        self.errors.append(f"[{self.name}] {message}")
+
+    def text(self, key: str, default=_BAD):
+        """The value of ``key``, stripped; ``default`` when the key is absent
+        (recorded as missing when there is no default)."""
         if key in self.items:
-            return self.items.pop(key)
-        if required:
-            self.errors.append(f"[{self.name}] missing required key {key!r}")
+            return self.items.pop(key).strip()
+        if default is _BAD and not self.absent:
+            self.error(f"missing required key {key!r}")
         return default
 
-    def leftovers(self):
+    def number(self, key: str, default=_BAD, kind=float):
+        raw = self.text(key, default)
+        return self.convert(key, raw, kind) if isinstance(raw, str) else raw
+
+    def convert(self, key: str, raw: str, kind=float):
+        try:
+            return kind(raw)
+        except ValueError:
+            self.error(f"{key}: not {'an integer' if kind is int else 'a number'}: {raw!r}")
+            return _BAD
+
+    def build(self, cls, *values):
+        """``cls(*values)`` when every value was read, else ``_BAD``; the spec's
+        own ValueError is recorded, and so is each key left unread."""
+        spec = _BAD
+        if _BAD not in values:
+            try:
+                spec = cls(*values)
+            except ValueError as exc:
+                self.error(str(exc))
+        self.leftovers()
+        return spec
+
+    def leftovers(self) -> None:
         for key in self.items:
-            self.errors.append(f"[{self.name}] unknown key {key!r}")
+            self.error(f"unknown key {key!r}")
 
 
 def scenario_from_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario file; every violation is reported per field."""
+    """Parse and check a scenario file; a ``ConfigError`` lists every violation."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"missing scenario config: {path}")
@@ -187,248 +224,168 @@ def scenario_from_config(path) -> ScenarioConfig:
     errors: list[str] = []
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
 
-    def section(name: str, required: bool = False) -> _Section | None:
-        if name in sections:
-            return _Section(name, sections.pop(name), errors)
-        if required:
+    def section(name: str, required: bool = False) -> _Section:
+        if required and name not in sections:
             errors.append(f"missing required section [{name}]")
-        return None
+        return _Section(name, sections.pop(name, None), errors)
 
-    scen = section("scenario", required=True)
-    scenario_id, uptake, seed = 0, "none", 0
-    if scen:
-        version_raw = scen.take("schema_version", required=True)
-        if version_raw is not None and _parse_int("scenario", "schema_version", version_raw) != SCHEMA_VERSION:
-            errors.append(f"[scenario] schema_version {version_raw} unsupported (expected {SCHEMA_VERSION})")
-        id_raw = scen.take("id", required=True)
-        if id_raw is not None:
-            scenario_id = _parse_int("scenario", "id", id_raw)
-            if not 1 <= scenario_id <= 5:
-                errors.append(f"[scenario] id {scenario_id} outside 1..5")
-        uptake_raw = scen.take("uptake", required=True)
-        if uptake_raw is not None:
-            uptake = uptake_raw.strip()
-            if uptake not in UPTAKE_LEVELS:
-                errors.append(f"[scenario] uptake {uptake!r} not one of {UPTAKE_LEVELS}")
-        seed_raw = scen.take("seed", default="0")
-        seed = _parse_int("scenario", "seed", seed_raw)
-        scen.leftovers()
+    sec = section("scenario", required=True)
+    version = sec.number("schema_version", kind=int)
+    if version not in (_BAD, SCHEMA_VERSION):
+        sec.error(f"schema_version {version} unsupported (expected {SCHEMA_VERSION})")
+    scenario_id = sec.number("id", kind=int)
+    if scenario_id is not _BAD and not 1 <= scenario_id <= 5:
+        sec.error(f"id {scenario_id} outside 1..5")
+        scenario_id = _BAD
+    uptake = sec.text("uptake")
+    if uptake is not _BAD and uptake not in UPTAKE_LEVELS:
+        sec.error(f"uptake {uptake!r} not one of {UPTAKE_LEVELS}")
+        uptake = _BAD
+    seed = sec.number("seed", 0, int)
+    sec.leftovers()
 
-    regions_sec = section("regions", required=True)
-    demand_regions: tuple[str, ...] = ()
-    transit_regions: tuple[str, ...] = ()
-    if regions_sec:
-        demand_raw = regions_sec.take("demand", required=True)
-        if demand_raw:
-            demand_regions = _names(demand_raw)
-        transit_raw = regions_sec.take("transit", default="")
-        transit_regions = _names(transit_raw)
-        regions_sec.leftovers()
-    if not demand_regions:
-        errors.append("[regions] demand region list is empty")
-    for region in demand_regions + transit_regions:
+    sec = section("regions", required=True)
+    demand_regions = _names(sec.text("demand"))
+    transit_regions = _names(sec.text("transit", ""))
+    sec.leftovers()
+    if demand_regions == ():
+        sec.error("demand region list is empty")
+        demand_regions = _BAD
+    for region in (() if demand_regions is _BAD else demand_regions) + transit_regions:
         if region not in KNOWN_REGIONS:
-            errors.append(f"[regions] unknown region {region!r}; expected a subset of {KNOWN_REGIONS}")
+            sec.error(f"unknown region {region!r}; expected a subset of {KNOWN_REGIONS}")
+    # None when the demand regions could not be read: region checks are skipped.
+    all_regions = None if demand_regions is _BAD else set(demand_regions) | set(transit_regions)
 
-    data_sec = section("data", required=True)
-    data_files: dict[str, str] = {}
-    if data_sec:
-        data_files = dict(data_sec.items)
-        data_sec.items = {}
+    data_files = section("data", required=True).items
 
+    # Each section's spec by label, in file order; _BAD where it failed to build.
     batteries: dict[str, BatterySpec] = {}
     pv_capacity: dict[str, float] = {}
-    fleet: list[Generator] = []
-    lines: list[Interconnector] = []
+    fleet: dict[str, Generator] = {}
+    lines: dict[str, Interconnector] = {}
     zone_weights: dict[str, ZoneWeights] = {}
-    replacement: Optional[ReplacementSpec] = None
-
     for name in list(sections):
-        if name.startswith("battery "):
-            region = name.split(" ", 1)[1]
-            sec = section(name)
-            try:
-                lo = _parse_float(name, "soc_min_mwh", sec.take("soc_min_mwh", required=True) or "nan")
-                hi = _parse_float(name, "soc_max_mwh", sec.take("soc_max_mwh", required=True) or "nan")
-                cha = sec.take("charge_rate_mw")
-                dis = sec.take("discharge_rate_mw")
-                eff = sec.take("efficiency")
-                batteries[region] = BatterySpec(
-                    lo, hi,
-                    None if cha is None else _parse_float(name, "charge_rate_mw", cha),
-                    None if dis is None else _parse_float(name, "discharge_rate_mw", dis),
-                    DEFAULT_EFFICIENCY if eff is None else _parse_float(name, "efficiency", eff),
-                )
-            except ConfigError as exc:
-                errors.append(str(exc))
+        kind, space, label = name.partition(" ")
+        if not space or kind not in ("battery", "pv", "generator", "interconnector",
+                                     "zone_weights"):
+            continue
+        sec = section(name)
+        if kind == "battery":
+            batteries[label] = sec.build(
+                BatterySpec, sec.number("soc_min_mwh"), sec.number("soc_max_mwh"),
+                sec.number("charge_rate_mw", None), sec.number("discharge_rate_mw", None),
+                sec.number("efficiency", DEFAULT_EFFICIENCY))
+        elif kind == "pv":
+            cap = pv_capacity[label] = sec.number("capacity_mw")
+            if cap is not _BAD and cap < 0:
+                sec.error("capacity_mw must be >= 0")
             sec.leftovers()
-        elif name.startswith("pv "):
-            region = name.split(" ", 1)[1]
-            sec = section(name)
-            raw = sec.take("capacity_mw", required=True)
-            if raw is not None:
-                cap = _parse_float(name, "capacity_mw", raw)
-                if cap < 0:
-                    errors.append(f"[{name}] capacity_mw must be >= 0")
-                else:
-                    pv_capacity[region] = cap
-            sec.leftovers()
-        elif name.startswith("generator "):
-            gname = name.split(" ", 1)[1]
-            sec = section(name)
-            try:
-                fleet.append(Generator(
-                    name=gname,
-                    gtype=(sec.take("type", required=True) or "").strip(),
-                    zone=(sec.take("zone", required=True) or "").strip(),
-                    region=(sec.take("region", required=True) or "").strip(),
-                    capacity_mw=_parse_float(name, "capacity_mw", sec.take("capacity_mw", required=True) or "nan"),
-                    min_stable_mw=_parse_float(name, "min_stable_mw", sec.take("min_stable_mw", default="0")),
-                    srmc=_parse_float(name, "srmc", sec.take("srmc", required=True) or "nan"),
-                ))
-            except (ConfigError, DispatchError) as exc:
-                errors.append(f"[{name}] {exc}")
-            sec.leftovers()
-        elif name.startswith("interconnector "):
-            lname = name.split(" ", 1)[1]
-            sec = section(name)
-            try:
-                lines.append(Interconnector(
-                    name=lname,
-                    from_region=(sec.take("from", required=True) or "").strip(),
-                    to_region=(sec.take("to", required=True) or "").strip(),
-                    forward_limit_mw=_parse_float(name, "forward_mw", sec.take("forward_mw", required=True) or "nan"),
-                    reverse_limit_mw=_parse_float(name, "reverse_mw", sec.take("reverse_mw", required=True) or "nan"),
-                ))
-            except (ConfigError, DispatchError) as exc:
-                errors.append(f"[{name}] {exc}")
-            sec.leftovers()
-        elif name.startswith("zone_weights "):
-            region = name.split(" ", 1)[1]
-            sec = section(name)
-            weights = {key: _parse_float(name, key, raw) for key, raw in sec.items.items()}
-            sec.items = {}
-            if region not in demand_regions:
-                errors.append(f"[{name}] {region!r} is not a demand region")
-                continue
-            try:
-                zone_weights[region] = ZoneWeights(weights)
-            except TimeSeriesError as exc:
-                errors.append(f"[{name}] {exc}")
-
-    repl_sec = section("replacement")
-    if repl_sec:
-        try:
-            replacement = ReplacementSpec(
-                remove=_names(repl_sec.take("remove", required=True) or ""),
-                wind_name=(repl_sec.take("wind_name", required=True) or "").strip(),
-                wind_region=(repl_sec.take("wind_region", required=True) or "").strip(),
-                wind_zone=(repl_sec.take("wind_zone", required=True) or "").strip(),
-                wind_capacity_mw=_parse_float("replacement", "wind_capacity_mw",
-                                              repl_sec.take("wind_capacity_mw", required=True) or "nan"),
-                csp_names=_names(repl_sec.take("csp_names", required=True) or ""),
-                csp_region=(repl_sec.take("csp_region", required=True) or "").strip(),
-                csp_zones=_names(repl_sec.take("csp_zones", required=True) or ""),
-                csp_capacity_mw=_parse_float("replacement", "csp_capacity_mw",
-                                             repl_sec.take("csp_capacity_mw", required=True) or "nan"),
-                csp_delay_hours=_parse_int("replacement", "csp_delay_hours",
-                                           repl_sec.take("csp_delay_hours", default="12")),
-            )
-        except ConfigError as exc:
-            errors.append(str(exc))
-        repl_sec.leftovers()
-
-    load_sec = section("loadability", required=True)
-    load_opts = None
-    if load_sec:
-        region = (load_sec.take("region", required=True) or "").strip()
-        participation: dict[str, float] = {}
-        part_raw = load_sec.take("participation", default="")
-        for part in _names(part_raw):
-            if ":" not in part:
-                errors.append(f"[loadability] participation entry {part!r} must be bus:factor")
-                continue
-            bus, factor = part.split(":", 1)
-            participation[bus.strip()] = _parse_float("loadability", "participation", factor)
-        numbers = {}  # keys left out take the LoadabilityOptions defaults
-        for key in ("step", "lambda_max", "base_mva"):
-            raw = load_sec.take(key)
-            if raw is not None:
-                numbers[key] = _parse_float("loadability", key, raw)
-        try:
-            load_opts = LoadabilityOptions(region=region, participation=participation, **numbers)
-        except ConfigError as exc:
-            errors.append(str(exc))
-        load_sec.leftovers()
-
-    pred_sec = section("predictor")
-    predictor_kind = "ridge-linear"
-    if pred_sec:
-        kind = (pred_sec.take("kind", default="ridge-linear") or "").strip()
-        if kind not in MODEL_KINDS:
-            errors.append(f"[predictor] kind {kind!r} not one of {MODEL_KINDS}")
+        elif kind == "generator":
+            fleet[label] = sec.build(Generator, label, sec.text("type"), sec.text("zone"),
+                                     sec.text("region"), sec.number("capacity_mw"),
+                                     sec.number("min_stable_mw", 0.0), sec.number("srmc"))
+        elif kind == "interconnector":
+            lines[label] = sec.build(Interconnector, label, sec.text("from"), sec.text("to"),
+                                     sec.number("forward_mw"), sec.number("reverse_mw"))
         else:
-            predictor_kind = kind
-        pred_sec.leftovers()
+            weights = {bus: sec.convert(bus, sec.items.pop(bus)) for bus in list(sec.items)}
+            if demand_regions is not _BAD and label not in demand_regions:
+                sec.error(f"{label!r} is not a demand region")
+            else:
+                zone_weights[label] = sec.build(ZoneWeights, _read_all(weights))
+
+    replacement = None
+    if "replacement" in sections:
+        sec = section("replacement")
+        replacement = sec.build(
+            ReplacementSpec, _names(sec.text("remove")), sec.text("wind_name"),
+            sec.text("wind_region"), sec.text("wind_zone"), sec.number("wind_capacity_mw"),
+            _names(sec.text("csp_names")), sec.text("csp_region"),
+            _names(sec.text("csp_zones")), sec.number("csp_capacity_mw"),
+            sec.number("csp_delay_hours", 12, int))
+
+    sec = section("loadability", required=True)
+    region = sec.text("region")
+    participation = {}
+    for part in _names(sec.text("participation", "")):
+        bus, colon, factor = part.partition(":")
+        if not colon:
+            sec.error(f"participation entry {part!r} must be bus:factor")
+        participation[bus.strip()] = sec.convert("participation", factor) if colon else _BAD
+    load_opts = sec.build(LoadabilityOptions, region, sec.number("step", DEFAULT_STEP),
+                          sec.number("lambda_max", DEFAULT_LAMBDA_MAX),
+                          _read_all(participation), sec.number("base_mva", 100.0))
+
+    sec = section("predictor")
+    predictor_kind = sec.text("kind", "ridge-linear")
+    if predictor_kind not in MODEL_KINDS:
+        sec.error(f"kind {predictor_kind!r} not one of {MODEL_KINDS}")
+    sec.leftovers()
 
     for name in sections:
         errors.append(f"unknown section [{name}]")
 
-    # Cross-field invariants.
-    all_regions = set(demand_regions) | set(transit_regions)
+    # Checks across sections; each skips values whose own read failed.
     if scenario_id == 1 and replacement is not None:
         errors.append("scenario 1 is the unmodified fleet; [replacement] is not allowed")
-    if scenario_id >= 2 and replacement is None:
+    if scenario_id in (2, 3, 4, 5) and replacement is None:
         errors.append(f"scenario {scenario_id} must define [replacement]")
-    if scenario_id in (1, 2) and uptake != "none":
+    if scenario_id in (1, 2) and uptake not in ("none", _BAD):
         errors.append(f"scenario {scenario_id} runs the conventional load; uptake must be none")
-    if scenario_id >= 3 and uptake == "none":
+    if scenario_id in (3, 4, 5) and uptake == "none":
         errors.append(f"scenario {scenario_id} is an uptake scenario; uptake must not be none")
+    uptake_regions = sorted(set(batteries) | set(pv_capacity))
     if uptake == "none":
-        for region in set(batteries) | set(pv_capacity):
+        for region in uptake_regions:
             errors.append(f"uptake none forbids [battery {region}]/[pv {region}] sections")
-    else:
+    elif uptake is not _BAD and all_regions is not None:
         for region in demand_regions:
-            if region not in batteries:
-                errors.append(f"uptake {uptake}: missing [battery {region}]")
-            if region not in pv_capacity:
-                errors.append(f"uptake {uptake}: missing [pv {region}]")
-        for region in set(batteries) | set(pv_capacity):
+            for kind, specs in (("battery", batteries), ("pv", pv_capacity)):
+                if region not in specs:
+                    errors.append(f"uptake {uptake}: missing [{kind} {region}]")
+        for region in uptake_regions:
             if region not in demand_regions:
                 errors.append(f"battery/pv section names unknown region {region!r}")
-    fleet_names = {g.name for g in fleet}
-    if replacement is not None:
+    if isinstance(replacement, ReplacementSpec):
         for unit in replacement.remove:
-            if unit not in fleet_names:
+            if unit not in fleet:
                 errors.append(f"[replacement] removes unknown unit {unit!r}")
-    for g in fleet:
-        if g.region not in all_regions:
-            errors.append(f"[generator {g.name}] region {g.region!r} not in the region lists")
+    if not fleet:
+        errors.append("no [generator ...] sections found")
+    units = [g for g in fleet.values() if g is not _BAD]
+    for g in units:
         if g.is_renewable:
             errors.append(f"[generator {g.name}] type {g.gtype!r}: renewable units have no "
                           f"availability series; they come only from [replacement]")
-    for line in lines:
-        for end in (line.from_region, line.to_region):
-            if end not in all_regions:
-                errors.append(f"[interconnector {line.name}] region {end!r} not in the region lists")
-    if load_opts and load_opts.region and load_opts.region not in all_regions:
-        errors.append(f"[loadability] region {load_opts.region!r} not in the region lists")
-    if not fleet:
-        errors.append("no [generator ...] sections found")
-    required_files = ["bus", "branch"]
-    for region in demand_regions:
-        required_files += [f"demand.{region}", f"historical_demand.{region}", f"historical_price.{region}"]
-        if uptake != "none":
-            required_files.append(f"pv.{region}")
-    if replacement is not None:
-        required_files.append(f"wind.{replacement.wind_zone}")
-        required_files += [f"solar.{zone}" for zone in replacement.csp_zones]
-    for key in required_files:
-        if key not in data_files:
-            errors.append(f"[data] missing file entry {key!r}")
-    for key in data_files:
-        if key not in required_files and not key.startswith(("pv.", "wind.", "solar.")):
-            errors.append(f"[data] unknown file entry {key!r}")
+    if all_regions is not None:
+        for g in units:
+            if g.region not in all_regions:
+                errors.append(f"[generator {g.name}] region {g.region!r} not in the region lists")
+        for line in lines.values():
+            if line is _BAD:
+                continue
+            for end in (line.from_region, line.to_region):
+                if end not in all_regions:
+                    errors.append(f"[interconnector {line.name}] region {end!r} "
+                                  f"not in the region lists")
+        if load_opts is not _BAD and load_opts.region and load_opts.region not in all_regions:
+            errors.append(f"[loadability] region {load_opts.region!r} not in the region lists")
+        required_files = ["bus", "branch"]
+        for region in demand_regions:
+            required_files += [f"demand.{region}", f"historical_demand.{region}",
+                               f"historical_price.{region}"]
+            if uptake not in ("none", _BAD):
+                required_files.append(f"pv.{region}")
+        if isinstance(replacement, ReplacementSpec):
+            required_files.append(f"wind.{replacement.wind_zone}")
+            required_files += [f"solar.{zone}" for zone in replacement.csp_zones]
+        for key in required_files:
+            if key not in data_files:
+                errors.append(f"[data] missing file entry {key!r}")
+        for key in data_files:
+            if key not in required_files and not key.startswith(("pv.", "wind.", "solar.")):
+                errors.append(f"[data] unknown file entry {key!r}")
 
     if errors:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(errors))
@@ -441,8 +398,8 @@ def scenario_from_config(path) -> ScenarioConfig:
         data_files=data_files,
         batteries=batteries,
         pv_capacity_mw=pv_capacity,
-        fleet=tuple(fleet),
-        interconnectors=tuple(lines),
+        fleet=tuple(fleet.values()),
+        interconnectors=tuple(lines.values()),
         replacement=replacement,
         loadability=load_opts,
         predictor_kind=predictor_kind,

@@ -1,10 +1,15 @@
 """Scenario configuration schema: bundled files, violations and fuzzing."""
 
 import configparser
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridstudy
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.scenarioconfig import (
     BatterySpec,
@@ -170,6 +175,38 @@ class TestViolations:
         path = mutate(scenario4_text, tmp_path, fn)
         with pytest.raises(ConfigError, match=rf"\[zone_weights {region}\] .*{why}"):
             scenario_from_config(path)
+
+    def test_every_violation_is_reported_once(self, tmp_path, scenario4_text):
+        """A value that is not a number hides no other violation, and a key
+        that failed to read adds no follow-on errors."""
+        def fn(p):
+            p.set("loadability", "step", "abc")
+            p.remove_option("scenario", "uptake")
+            p.set("generator TPS_4", "capacity_mw", "abc")
+            p.set("battery VIC", "soc_max_mwh", p.get("battery VIC", "soc_min_mwh"))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(mutate(scenario4_text, tmp_path, fn))
+        lines = str(err.value).splitlines()[1:]
+        assert len(lines) == 4, lines
+        for name in ("step: not a number: 'abc'", "missing required key 'uptake'",
+                     "[generator TPS_4] capacity_mw: not a number: 'abc'",
+                     "[battery VIC] battery window [800.0, 800.0]"):
+            assert sum(name in line for line in lines) == 1, (name, lines)
+
+    def test_messages_do_not_depend_on_the_hash_seed(self, tmp_path, scenario4_text):
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("scenario", "uptake", "none"))
+        code = ("import sys\n"
+                "from gridstudy.scenarioconfig import ConfigError, scenario_from_config\n"
+                "try:\n    scenario_from_config(sys.argv[1])\n"
+                "except ConfigError as exc:\n    print(exc)\n")
+        src = str(Path(gridstudy.__file__).resolve().parent.parent)
+        outputs = {subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                                  text=True, check=True,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "PYTHONHASHSEED": str(seed)}).stdout
+                   for seed in range(1, 5)}
+        assert len(outputs) == 1
+        assert outputs.pop().count("uptake none forbids") == 4
 
     def test_missing_data_entry(self, tmp_path, scenario4_text):
         path = mutate(scenario4_text, tmp_path, lambda p: p.remove_option("data", "bus"))

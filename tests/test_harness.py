@@ -307,6 +307,14 @@ def counted(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def no_dispatch(monkeypatch):
+    """The dispatch horizons the harness starts from now on (a failing run should start none)."""
+    started = []
+    monkeypatch.setattr(harness, "simulate_horizon", lambda *args: started.append(args))
+    return started
+
+
 def same_files(a: Path, b: Path) -> bool:
     names = sorted(p.name for p in a.iterdir())
     return (names == sorted(p.name for p in b.iterdir())
@@ -533,10 +541,20 @@ class TestOperatingPoints:
     @pytest.mark.parametrize("bus, why", [("qld_gen", "not a pq bus of region QLD"),
                                           ("nsw_load_n", "not a pq bus of region QLD"),
                                           ("ghost", "unknown bus 'ghost'")])
-    def test_zone_weight_off_the_regions_load_buses_fails(self, data_dir, bus, why):
+    def test_zone_weight_off_the_regions_load_buses_fails(self, data_dir, no_dispatch, bus, why):
         cfg = scenario_from_config(config_path(1))
         cfg = replace(cfg, zone_weights={**cfg.zone_weights, "QLD": ZoneWeights({bus: 1.0})})
         with pytest.raises(StageError, match=why) as err:
             run_scenario(cfg, data_dir, days=1)
-        assert err.value.stage == "loadability"
+        assert err.value.stage == "load-data"
         assert bus in str(err.value)
+        assert no_dispatch == []
+
+    def test_unknown_participation_bus_fails_in_load_data(self, data_dir, no_dispatch):
+        cfg = scenario_from_config(config_path(4))
+        cfg = replace(cfg, loadability=replace(cfg.loadability,
+                                               participation={"ghost": 0.5, "qld_csp": 0.5}))
+        with pytest.raises(StageError, match="unknown participation bus 'ghost'") as err:
+            run_scenario(cfg, data_dir, days=2)
+        assert err.value.stage == "load-data"
+        assert no_dispatch == []
