@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class DispatchError(ValueError):
 
 @dataclass(frozen=True)
 class Generator:
-    """Dispatchable or must-run unit.  ``availability`` is a per-unit-of-capacity
-    hourly series, mandatory for renewables and ignored for the rest."""
+    """Dispatchable or must-run unit.  A renewable's per-unit-of-capacity hourly
+    availability comes by unit name in ``simulate_horizon``'s ``availabilities``."""
 
     name: str
     gtype: str
@@ -51,7 +51,6 @@ class Generator:
     capacity_mw: float
     min_stable_mw: float
     srmc: float
-    availability: Optional[TimeSeries] = None
 
     def __post_init__(self):
         if self.gtype not in GENERATOR_TYPES:

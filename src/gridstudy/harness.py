@@ -58,7 +58,8 @@ from gridstudy.loadability import (
     validate_participation,
 )
 from gridstudy.powerflow import BusNetwork, load_network
-from gridstudy.pricing import feature_matrix, predict_rows, save_predictor, train_matrix
+from gridstudy.pricing import (TrainedPredictor, feature_matrix, predict_rows, save_predictor,
+                               train_matrix)
 from gridstudy.scenarioconfig import ScenarioConfig, config_sha256
 from gridstudy.synthdata import LOAD_TAN_PHI
 from gridstudy.timeseries import (
@@ -93,6 +94,7 @@ class ScenarioReport:
     unserved_energy_twh: float
     unserved_hours: int
     loadability_gw: float
+    predictors: Mapping[str, TrainedPredictor]
     conventional_demand: Mapping[str, TimeSeries]
     nett_demand: Mapping[str, TimeSeries]
     prices: Mapping[str, TimeSeries]
@@ -492,6 +494,7 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
             unserved_energy_twh=dispatch.unserved_energy_twh,
             unserved_hours=dispatch.unserved_hours,
             loadability_gw=average_loadability(load_res),
+            predictors=predictors,
             conventional_demand=conventional,
             nett_demand=nett,
             prices=prices,
@@ -514,10 +517,9 @@ SUMMARY_COLUMNS = ("scenario", "spilled_energy_TWh", "spilled_hours_pct",
 def _output_files(done: Mapping[str, object]) -> list[tuple[str, Callable[[Path], None]]]:
     """(file name, writer) for every output of the finished stages in ``done``.
 
-    ``done`` maps the names of ``ScenarioReport`` fields, plus ``predictors``
-    and ``report``, to stage results; absent keys are stages not run.  Each
-    writer takes the file's path.  This is the one place that names output
-    files.
+    ``done`` maps the names of ``ScenarioReport`` fields, plus ``report``, to
+    stage results; absent keys are stages not run.  Each writer takes the
+    file's path.  This is the one place that names output files.
     """
     files = []
     for region, predictor in sorted(done.get("predictors", {}).items()):

@@ -10,10 +10,9 @@ still converges, one step before divergence.
 The hourly operating points come as (hours x buses) arrays of load MW,
 load MVAr and injected MW, with columns in ``BusNetwork.buses`` order.
 All hours advance through the factor grid in lockstep, so a year of
-operating points is swept by batched Newton solves.  Scanning an hour on its
-own solves the same equations, and its voltages differ from the batched
-ones by about one ulp (see ``powerflow``); a convergence result near the
-tolerance could in principle flip on that difference.
+operating points is swept by batched Newton solves.  An hour's results do
+not depend on the other hours: any split of the hours gives the same bits,
+and ``verify_bracket`` re-solves the very points the sweep solved.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     with no injections.  The factor grid is ``1 + k * step``; increments to
     slack-bus participation are ignored (the slack balances by construction).
     """
-    if step <= 0:
+    if not step > 0:  # nan too
         raise LoadabilityError(f"step must be positive, got {step}")
     shares = validate_participation(net, participation)
     grid = _Grid(net)
@@ -114,14 +113,10 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
             f"operating points need (hours, {n}) arrays, one column per bus; got shapes "
             f"{base_p.shape}, {base_q.shape} and {inj_p.shape}")
     nh = len(base_p)
-    index = {b.bus_id: i for i, b in enumerate(net.buses)}
     region_ids = {b.bus_id for b in net.region_buses(region)}
     region_mask = np.array([b.bus_id in region_ids for b in net.buses])
     region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
-    pickup = np.zeros(n)
-    for bid, f in shares.items():
-        if index[bid] != grid.slack:
-            pickup[index[bid]] = f
+    pickup = np.array([0.0 if b.kind == "slack" else shares.get(b.bus_id, 0.0) for b in net.buses])
 
     lam_star = np.full(nh, np.nan)
     served = np.full(nh, np.nan)
@@ -130,10 +125,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     base_min_v = np.full(nh, np.nan)
     active = np.arange(nh)
     k = 0
-    while active.size:
-        lam = 1.0 + k * step
-        if lam > lambda_max:
-            break
+    while active.size and (lam := 1.0 + k * step) <= lambda_max:
         scale = np.ones(n)
         scale[region_mask] = lam
         p_load = base_p[active] * scale
@@ -141,19 +133,16 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
         increment = (lam - 1.0) * np.sum(base_p[active][:, region_mask], axis=1)
         p_inj = inj_p[active] + increment[:, None] * pickup
         p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
-        vm, va, conv, _, _, _ = _nr_batch(grid, p_sched, q_sched)
-        ok = conv
-        idx_ok = active[ok]
-        if idx_ok.size:
-            lam_star[idx_ok] = lam
-            served[idx_ok] = np.sum(p_load[ok], axis=1)
-            region_load[idx_ok] = np.sum(p_load[ok][:, region_mask], axis=1)
-            min_v[idx_ok] = np.min(vm[ok], axis=1)
-            if k == 0:
-                base_min_v[idx_ok] = np.min(vm[ok], axis=1)
+        vm, _, ok, _, _, _ = _nr_batch(grid, p_sched, q_sched)
         # Hours that fail stop scanning: at k = 0 they are degenerate
         # (lambda_star stays NaN), later their last converged factor stands.
         active = active[ok]
+        lam_star[active] = lam
+        served[active] = np.sum(p_load[ok], axis=1)
+        region_load[active] = np.sum(p_load[ok][:, region_mask], axis=1)
+        min_v[active] = np.min(vm[ok], axis=1)
+        if k == 0:
+            base_min_v[:] = min_v
         k += 1
     return LoadabilityResult(
         lambda_star=lam_star,

@@ -8,9 +8,8 @@ or any voltage magnitude collapsing below 0.4 p.u.
 
 The Newton kernel is written over a batch axis so that loadability sweeps
 can solve thousands of operating points in lockstep; a single solve is a
-batch of one and runs the same code.  The numbers of a point solved alone
-and in a batch agree to about one ulp, not bit for bit: BLAS computes the
-one-row product ``V @ Ybus.T`` by another path than the many-row one.
+batch of one and runs the same code.  A point's results are the same bits
+whichever batch it is solved in, alone included.
 """
 
 from __future__ import annotations
@@ -171,19 +170,44 @@ class PowerFlowSolution:
 
 
 class _Grid:
-    """Index arrays and Ybus shared by every solve of one network."""
+    """Index arrays and real network matrices shared by every solve of one network.
+
+    ``[e f] @ mix`` gives the bus currents ``[Re I, Im I]`` of voltages e + jf.
+    Jacobian rows are P at pvpq then Q at pq, columns Va at pvpq then ΔVm/Vm
+    at pq: both index the buses ``jbus``.  Only the entries on the bus
+    diagonal or where Ybus is nonzero are computed, at flat positions
+    ``jac_at``.  Off the bus diagonal an entry is c * jac_c + s * jac_s, with
+    c + js = V_i conj(V_j): MATPOWER's polar ``dSbus_dV`` expressions, split
+    into real and imaginary parts.
+    """
 
     def __init__(self, net: BusNetwork):
         self.net = net
         kinds = np.array([b.kind for b in net.buses])
-        self.n = len(net.buses)
-        self.slack = int(np.flatnonzero(kinds == "slack")[0])
+        self.n = n = len(net.buses)
         self.pq = np.flatnonzero(kinds == "pq")
         self.pvpq = np.flatnonzero(kinds != "slack")
         self.vset = np.array([b.v_set_pu for b in net.buses])
         self.ybus = net.ybus()
-        self.y_va = self.ybus[np.ix_(self.pvpq, self.pvpq)]
-        self.y_vm = self.ybus[np.ix_(self.pvpq, self.pq)]
+        g, b = self.ybus.real, self.ybus.imag
+        self.mix = np.block([[g.T, b.T], [-b.T, g.T]])
+        self.jbus = jbus = np.concatenate([self.pvpq, self.pq])
+        p_row = np.arange(jbus.size) < self.pvpq.size  # also the angle columns
+        y = self.ybus[np.ix_(jbus, jbus)]
+        rows, cols = np.nonzero((y != 0) | (jbus[:, None] == jbus[None, :]))
+        self.jac_at = rows * jbus.size + cols
+        self.jac_ef = np.concatenate([jbus[rows], n + jbus[rows], jbus[cols], n + jbus[cols]])
+        # dS_i/dVa_j = -j V_i conj(Y_ij V_j) and dS_i/dVm_j * Vm_j = V_i conj(Y_ij V_j);
+        # P rows take the real part and Q rows the imaginary part.
+        w = np.conj(y[rows, cols]) * np.where(p_row[cols], -1j, 1.0)
+        self.jac_c = np.where(p_row[rows], w.real, w.imag)
+        self.jac_s = np.where(p_row[rows], -w.imag, w.real)
+        # The bus diagonal adds j S_i to an angle column and S_i to a magnitude
+        # column: -Q_i, P_i, P_i, Q_i in the four blocks, read from [P, Q, -Q].
+        self.diag_at = np.flatnonzero(jbus[rows] == jbus[cols])
+        r, c = rows[self.diag_at], cols[self.diag_at]
+        self.diag_from = np.where(p_row[c], 2 * p_row[r], ~p_row[r]) * n + jbus[c]
+        self.mismatch_from = np.concatenate([self.pvpq, n + self.pq])
 
     def scheduled(self, loads_mw, loads_mvar, inj_mw, inj_mvar):
         """Net scheduled injections in p.u., batched (B, n)."""
@@ -196,14 +220,16 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
 
     Returns (vm, va, converged, iterations, mismatch, cause codes).
     Cause codes: 0 ok, 1 max iterations, 2 voltage collapse, 3 singular.
+    A point's results depend on its row alone: the arithmetic is real and
+    elementwise, the one matrix product runs as gemm on at least two rows,
+    and each Jacobian is solved on its own.
     """
     nb = p_sched.shape[0]
-    y = grid.ybus
-    pq, pvpq = grid.pq, grid.pvpq
-    npvpq, npq = pvpq.size, pq.size
+    n, pq, pvpq = grid.n, grid.pq, grid.pvpq
+    npvpq, nj, nz = pvpq.size, grid.jbus.size, grid.jac_at.size
     vm = np.tile(grid.vset, (nb, 1))
     vm[:, pq] = 1.0  # flat start: PQ magnitudes at 1.0, PV/slack at setpoints
-    va = np.zeros((nb, grid.n))
+    va = np.zeros((nb, n))
     converged = np.zeros(nb, dtype=bool)
     cause = np.zeros(nb, dtype=np.int8)
     iters = np.zeros(nb, dtype=np.int64)
@@ -211,12 +237,7 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
     # Rows of the points still iterating; vm/va get a point's row when it leaves.
     active = np.arange(nb)
     vm_a, va_a = vm.copy(), va.copy()
-    p_a, q_a = p_sched[:, pvpq], q_sched[:, pq]
-    # Only the Jacobian's entries are built: dS/dVa on pvpq x pvpq and
-    # dS/dVm on pvpq x pq, each by MATPOWER's dSbus_dV expression.
-    va_diag = np.arange(npvpq)
-    vm_diag_row = np.searchsorted(pvpq, pq)  # row of each pq bus within pvpq
-    vm_diag_col = np.arange(npq)
+    sched_a = np.concatenate([p_sched[:, pvpq], q_sched[:, pq]], axis=1)
 
     def leave(mask):
         rows = active[mask]
@@ -226,12 +247,14 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
     for it in range(PF_MAX_ITERATIONS + 1):
         if active.size == 0:
             break
-        vnorm = np.exp(1j * va_a)
-        v = vm_a * vnorm
-        ibus = v @ y.T
-        s = v * np.conj(ibus)
-        f = np.concatenate([s.real[:, pvpq] - p_a, s.imag[:, pq] - q_a], axis=1)
-        norm = np.max(np.abs(f), axis=1)
+        ef = np.concatenate([vm_a * np.cos(va_a), vm_a * np.sin(va_a)], axis=1)
+        # one row would take gemv, which rounds otherwise than gemm
+        cur = ef @ grid.mix if active.size > 1 else (np.concatenate([ef, ef]) @ grid.mix)[:1]
+        e, f, ire, iim = ef[:, :n], ef[:, n:], cur[:, :n], cur[:, n:]
+        q = f * ire - e * iim
+        pqq = np.concatenate([e * ire + f * iim, q, -q], axis=1)  # [P, Q, -Q]
+        dpq = pqq[:, grid.mismatch_from] - sched_a
+        norm = np.max(np.abs(dpq), axis=1)
         mismatch[active] = norm
         ok = norm < PF_TOLERANCE
         if np.any(ok):
@@ -239,38 +262,33 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
             converged[done] = True
             iters[done] = it
             keep = ~ok
-            active, vm_a, va_a, f = active[keep], vm_a[keep], va_a[keep], f[keep]
-            p_a, q_a = p_a[keep], q_a[keep]
+            active, vm_a, va_a, dpq = active[keep], vm_a[keep], va_a[keep], dpq[keep]
+            ef, pqq, sched_a = ef[keep], pqq[keep], sched_a[keep]
             if active.size == 0:
                 break
-            v, vnorm = v[keep], vnorm[keep]
-            ibus = v @ y.T  # not ibus[keep]: BLAS rounds by batch size
         if it == PF_MAX_ITERATIONS:
             iters[leave(slice(None))] = it
             cause[active] = 1
             break
-        m1 = -grid.y_va[None, :, :] * v[:, None, pvpq]
-        m1[:, va_diag, va_diag] += ibus[:, pvpq]
-        ds_dva = 1j * v[:, pvpq, None] * np.conj(m1)
-        m2 = grid.y_vm[None, :, :] * vnorm[:, None, pq]
-        ds_dvm = v[:, pvpq, None] * np.conj(m2)
-        ds_dvm[:, vm_diag_row, vm_diag_col] += np.conj(ibus[:, pq]) * vnorm[:, pq]
-        jac = np.empty((active.size, npvpq + npq, npvpq + npq))
-        jac[:, :npvpq, :npvpq] = ds_dva.real
-        jac[:, :npvpq, npvpq:] = ds_dvm.real
-        jac[:, npvpq:, :npvpq] = ds_dva.imag[:, vm_diag_row]
-        jac[:, npvpq:, npvpq:] = ds_dvm.imag[:, vm_diag_row]
+        efj = ef[:, grid.jac_ef]
+        e_i, f_i, e_j, f_j = (efj[:, k * nz:(k + 1) * nz] for k in range(4))
+        # c + js = V_i conj(V_j); off the bus diagonal an entry is c * jac_c + s * jac_s
+        val = (e_i * e_j + f_i * f_j) * grid.jac_c
+        val += (f_i * e_j - e_i * f_j) * grid.jac_s
+        val[:, grid.diag_at] += pqq[:, grid.diag_from]
+        jac = np.zeros((active.size, nj, nj))
+        jac.reshape(-1, nj * nj)[:, grid.jac_at] = val
         try:
-            dx = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+            dx = np.linalg.solve(jac, -dpq[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            dx = np.full((active.size, npvpq + npq), np.nan)
+            dx = np.full((active.size, nj), np.nan)
             for k in range(active.size):
                 try:
-                    dx[k] = np.linalg.solve(jac[k], -f[k])
+                    dx[k] = np.linalg.solve(jac[k], -dpq[k])
                 except np.linalg.LinAlgError:
                     pass  # stays NaN, flagged below
         va_a[:, pvpq] += dx[:, :npvpq]
-        vm_a[:, pq] += dx[:, npvpq:]
+        vm_a[:, pq] *= 1.0 + dx[:, npvpq:]  # dx holds dVm/Vm there
         bad = ~np.all(np.isfinite(dx), axis=1)
         collapsed = np.min(vm_a, axis=1) < VOLTAGE_COLLAPSE_PU
         fail = bad | collapsed
@@ -280,7 +298,7 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
             cause[active[collapsed & ~bad]] = 2
             keep = ~fail
             active, vm_a, va_a = active[keep], vm_a[keep], va_a[keep]
-            p_a, q_a = p_a[keep], q_a[keep]
+            sched_a = sched_a[keep]
     return vm, va, converged, iters, mismatch, cause
 
 
@@ -289,18 +307,13 @@ _CAUSE_NAMES = {0: "", 1: "max_iterations", 2: "voltage_collapse", 3: "singular_
 
 def _branch_flows(net: BusNetwork, vm: np.ndarray, va: np.ndarray):
     index = {b.bus_id: i for i, b in enumerate(net.buses)}
+    i = np.array([index[br.from_bus] for br in net.branches], dtype=int)
+    j = np.array([index[br.to_bus] for br in net.branches], dtype=int)
+    ys = np.array([1.0 / complex(br.r_pu, br.x_pu) for br in net.branches])
+    sh = np.array([0.5j * br.b_shunt_pu for br in net.branches])
     v = vm * np.exp(1j * va)
-    nbr = len(net.branches)
-    s_from = np.zeros(nbr, dtype=complex)
-    s_to = np.zeros(nbr, dtype=complex)
-    for k, br in enumerate(net.branches):
-        i, j = index[br.from_bus], index[br.to_bus]
-        ys = 1.0 / complex(br.r_pu, br.x_pu)
-        sh = 1j * br.b_shunt_pu / 2.0
-        i_from = (v[i] - v[j]) * ys + v[i] * sh
-        i_to = (v[j] - v[i]) * ys + v[j] * sh
-        s_from[k] = v[i] * np.conj(i_from) * net.base_mva
-        s_to[k] = v[j] * np.conj(i_to) * net.base_mva
+    s_from = v[i] * np.conj((v[i] - v[j]) * ys + v[i] * sh) * net.base_mva
+    s_to = v[j] * np.conj((v[j] - v[i]) * ys + v[j] * sh) * net.base_mva
     return s_from, s_to
 
 
@@ -314,18 +327,15 @@ def solve_power_flow(net: BusNetwork,
     voltage setpoint), both parts matter on PQ buses.
     """
     grid = _Grid(net)
-    n = grid.n
     loads_p = np.array([[b.p_load_mw for b in net.buses]])
     loads_q = np.array([[b.q_load_mvar for b in net.buses]])
-    inj_p = np.zeros((1, n))
-    inj_q = np.zeros((1, n))
-    if injections:
-        index = {b.bus_id: i for i, b in enumerate(net.buses)}
-        for bid, (p, q) in injections.items():
-            if bid not in index:
-                raise PowerFlowError(f"unknown bus {bid!r} in injections")
-            inj_p[0, index[bid]] = p
-            inj_q[0, index[bid]] = q
+    inj_p, inj_q = np.zeros((2, 1, grid.n))
+    index = {b.bus_id: i for i, b in enumerate(net.buses)}
+    for bid, (p, q) in (injections or {}).items():
+        if bid not in index:
+            raise PowerFlowError(f"unknown bus {bid!r} in injections")
+        inj_p[0, index[bid]] = p
+        inj_q[0, index[bid]] = q
     p_sched, q_sched = grid.scheduled(loads_p, loads_q, inj_p, inj_q)
     vm, va, conv, iters, mism, cause = _nr_batch(grid, p_sched, q_sched)
     s_from, s_to = _branch_flows(net, vm[0], va[0])
@@ -356,35 +366,31 @@ def load_network(bus_csv, branch_csv, base_mva: float = 100.0) -> BusNetwork:
     (gen_names joins unit names with ';', may be empty)
     branch columns: from_bus,to_bus,r_pu,x_pu,b_shunt_pu
     """
-    buses = []
-    with Path(bus_csv).open(newline="") as fh:
+    def bus(row):
+        return Bus(bus_id=row["bus_id"].strip(), kind=row["kind"].strip(),
+                   p_load_mw=float(row["p_load_mw"]), q_load_mvar=float(row["q_load_mvar"]),
+                   v_set_pu=float(row["v_set_pu"]), region=row["region"].strip(),
+                   gen_names=tuple(x for x in row.get("gen_names", "").split(";") if x))
+
+    def branch(row):
+        return Branch(from_bus=row["from_bus"].strip(), to_bus=row["to_bus"].strip(),
+                      r_pu=float(row["r_pu"]), x_pu=float(row["x_pu"]),
+                      b_shunt_pu=float(row.get("b_shunt_pu", 0.0)))
+
+    return BusNetwork(_read_rows(bus_csv, "bus", bus), _read_rows(branch_csv, "branch", branch),
+                      base_mva)
+
+
+def _read_rows(path, what: str, make) -> tuple:
+    """``make(row)`` for each CSV row of ``path``; a row it rejects names the file."""
+    out = []
+    with Path(path).open(newline="") as fh:
         for row in csv.DictReader(fh):
             try:
-                buses.append(Bus(
-                    bus_id=row["bus_id"].strip(),
-                    kind=row["kind"].strip(),
-                    p_load_mw=float(row["p_load_mw"]),
-                    q_load_mvar=float(row["q_load_mvar"]),
-                    v_set_pu=float(row["v_set_pu"]),
-                    region=row["region"].strip(),
-                    gen_names=tuple(x for x in row.get("gen_names", "").split(";") if x),
-                ))
+                out.append(make(row))
             except (KeyError, ValueError) as exc:
-                raise PowerFlowError(f"{bus_csv}: bad bus row {row}: {exc}") from None
-    branches = []
-    with Path(branch_csv).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                branches.append(Branch(
-                    from_bus=row["from_bus"].strip(),
-                    to_bus=row["to_bus"].strip(),
-                    r_pu=float(row["r_pu"]),
-                    x_pu=float(row["x_pu"]),
-                    b_shunt_pu=float(row.get("b_shunt_pu", 0.0)),
-                ))
-            except (KeyError, ValueError) as exc:
-                raise PowerFlowError(f"{branch_csv}: bad branch row {row}: {exc}") from None
-    return BusNetwork(tuple(buses), tuple(branches), base_mva)
+                raise PowerFlowError(f"{path}: bad {what} row {row}: {exc}") from None
+    return tuple(out)
 
 
 def write_network(net: BusNetwork, bus_csv, branch_csv) -> None:

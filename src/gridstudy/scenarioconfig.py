@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -188,10 +189,13 @@ class _Section:
 
     def convert(self, key: str, raw: str, kind=float):
         try:
-            return kind(raw)
+            value = kind(raw)
+            if math.isfinite(value):
+                return value
+            self.error(f"{key}: not a finite number: {raw!r}")
         except ValueError:
             self.error(f"{key}: not {'an integer' if kind is int else 'a number'}: {raw!r}")
-            return _BAD
+        return _BAD
 
     def build(self, cls, *values):
         """``cls(*values)`` when every value was read, else ``_BAD``; the spec's

@@ -30,7 +30,7 @@ from gridstudy.dispatch import (
     _window,
 )
 from gridstudy.harness import emit_report, merge_summaries, run_scenario
-from gridstudy.loadability import compute_loadability, verify_bracket
+from gridstudy.loadability import compute_loadability, stressed_network, verify_bracket
 from gridstudy.powerflow import solve_power_flow
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import study_network, three_bus_case, two_bus_case
@@ -356,6 +356,25 @@ class TestYearProperties:
                                        tuple(a[hour] for a in points),
                                        float(res.lambda_star[hour]), res.step)
             assert at and not above, f"hour {hour}"
+
+    def test_single_solve_reproduces_sweep_voltages(self, year_suite, data_dir):
+        """The plain solver at an hour's factor returns the very minimum voltage
+        the sweep reported for that hour, bit for bit."""
+        from gridstudy.harness import _load_data, _operating_points, apply_renewable_replacement
+        reports, _, _ = year_suite
+        rep = reports[5]
+        cfg = scenario_from_config(config_path(5))
+        data = _load_data(cfg, data_dir, None)
+        fleet = apply_renewable_replacement(cfg.fleet, cfg)
+        points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
+        res = rep.loadability
+        hours = np.random.default_rng(78).choice(np.flatnonzero(~res.degenerate), size=48,
+                                                 replace=False)
+        for hour in hours.tolist():
+            sol = solve_power_flow(*stressed_network(
+                data.network, cfg.loadability.region, cfg.loadability.participation,
+                tuple(a[hour] for a in points), float(res.lambda_star[hour])))
+            assert sol.min_voltage_pu == res.min_voltage_pu[hour], f"hour {hour}"
 
     def test_conservation_across_scenarios(self, year_suite):
         reports, _, _ = year_suite

@@ -159,7 +159,7 @@ class TestViolations:
         ("TAS", {"tas_load": "1.0"}, "'TAS' is not a demand region"),
         ("QLD", {"qld_load": "0.9"}, "sum to 0.9"),
         ("NSW", {"nsw_load_n": "1.5", "nsw_load_s": "-0.5"}, "must be finite and >= 0"),
-        ("NSW", {"nsw_load_n": "nan", "nsw_load_s": "1.0"}, "must be finite and >= 0"),
+        ("NSW", {"nsw_load_n": "nan", "nsw_load_s": "1.0"}, "nsw_load_n: not a finite number"),
         ("VIC", {}, "at least one zone"),
     ])
     def test_bad_zone_weights_rejected(self, tmp_path, scenario4_text, region, weights, why):
@@ -192,6 +192,23 @@ class TestViolations:
                      "[generator TPS_4] capacity_mw: not a number: 'abc'",
                      "[battery VIC] battery window [800.0, 800.0]"):
             assert sum(name in line for line in lines) == 1, (name, lines)
+
+    @pytest.mark.parametrize("section,key,value,what", [
+        ("pv QLD", "capacity_mw", "nan", "capacity_mw"),
+        ("replacement", "csp_capacity_mw", "inf", "csp_capacity_mw"),
+        ("loadability", "step", "nan", "step"),
+        ("generator TPS_4", "srmc", "inf", "srmc"),
+        ("loadability", "participation", "qld_gen:nan,qld_csp:0.5", "participation"),
+        ("zone_weights NSW", "nsw_load_n", "-inf", "nsw_load_n"),
+    ])
+    def test_non_finite_number_is_one_error(self, tmp_path, scenario4_text, section, key, value,
+                                            what):
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set(section, key, value))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        bad = value.split(":")[1].split(",")[0] if ":" in value else value
+        assert str(err.value).splitlines()[1:] == [f"  [{section}] {what}: not a finite number: "
+                                                   f"{bad!r}"]
 
     def test_messages_do_not_depend_on_the_hash_seed(self, tmp_path, scenario4_text):
         path = mutate(scenario4_text, tmp_path, lambda p: p.set("scenario", "uptake", "none"))

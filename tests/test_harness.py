@@ -221,6 +221,18 @@ class TestEmission:
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_reemission_reproduces_the_runs_files(self, data_dir, tmp_path):
+        """emit_report of a run's report writes the run's own files, predictors
+        included, byte for byte."""
+        cfg = scenario_from_config(config_path(4))
+        rep = run_scenario(cfg, data_dir, out_dir=tmp_path / "run", days=2)
+        written = emit_report(rep, tmp_path / "again")
+        assert sorted(p.name for p in written) == sorted(p.name for p in
+                                                         (tmp_path / "run").iterdir())
+        assert any(p.name.startswith("predictor_") for p in written)
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
+
     def test_emitted_dispatch_serves_emitted_nett_demand(self, short_reports, tmp_path):
         """Each hour of dispatch_hourly.csv balances the nett_demand files.
 

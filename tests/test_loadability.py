@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstudy.loadability import (
     LoadabilityError,
@@ -90,9 +92,36 @@ class TestBatchedSweep:
                                          "LOAD", {"source": 1.0}, step=0.02)
             assert batch.lambda_star[i] == single.lambda_star[0]
             assert batch.served_load_mw[i] == single.served_load_mw[0]
-            # Voltages agree to rounding only: BLAS treats a one-row batch apart.
-            assert batch.min_voltage_pu[i] == pytest.approx(single.min_voltage_pu[0],
-                                                            rel=0, abs=1e-12)
+            assert batch.min_voltage_pu[i] == single.min_voltage_pu[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_any_split_into_chunks_gives_the_same_bits(self, data):
+        """A sweep of study-network hours equals, bit for bit, the sweeps of any
+        contiguous chunks of them, one-hour chunks included."""
+        net = study_network()
+        nh = data.draw(st.integers(1, 6), label="hours")
+        cuts = sorted(data.draw(st.sets(st.integers(1, nh - 1)), label="cuts")) if nh > 1 else []
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        load_scale = rng.uniform(0.4, 1.6, (nh, len(net.buses)))
+        load_mw = load_scale * [b.p_load_mw for b in net.buses]
+        load_mvar = load_scale * [b.q_load_mvar for b in net.buses]
+        share = rng.uniform(0.0, 0.2, (nh, 1)) * load_mw.sum(axis=1, keepdims=True)
+        injection_mw = np.where([b.kind == "pv" for b in net.buses], share, 0.0)
+        hours = (load_mw, load_mvar, injection_mw)
+        part = {"qld_gen": 0.5, "qld_csp": 0.5}
+
+        def sweep(rows):
+            return compute_loadability(net, "QLD", part, step=0.1, lambda_max=3.0,
+                                       hours=tuple(a[rows] for a in hours))
+
+        whole = sweep(slice(None))
+        bounds = [0, *cuts, nh]
+        chunks = [sweep(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        for name in ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu",
+                     "base_min_voltage_pu"):
+            joined = np.concatenate([getattr(c, name) for c in chunks])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
 
     def test_bracket_holds_on_array_rows(self):
         net = two_bus_case()
@@ -132,9 +161,10 @@ class TestValidation:
         with pytest.raises(LoadabilityError, match="negative"):
             compute_loadability(net, "L", {"g": 2.0, "s": -1.0}, step=0.01)
 
-    def test_bad_step(self):
+    @pytest.mark.parametrize("step", [0.0, float("nan")])
+    def test_bad_step(self, step):
         with pytest.raises(LoadabilityError, match="positive"):
-            compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=0.0)
+            compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=step)
 
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 2), (2, 2)), ((3, 3), (3, 3), (3, 3)),
                                         ((2,), (2,), (2,))])
