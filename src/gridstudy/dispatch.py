@@ -28,6 +28,8 @@ from gridstudy.timeseries import HOURS_PER_DAY, TimeSeries
 VALUE_OF_LOST_LOAD = 10_000.0
 #: Small penalty on dumped energy so the LP spills only what nothing can absorb.
 DUMP_PENALTY = 0.01
+#: Default CSP output delay (hours within the day) standing in for thermal storage.
+DEFAULT_CSP_DELAY_HOURS = 12
 
 _BALANCE_TOL = 1e-6
 
@@ -142,7 +144,8 @@ class DispatchResult:
         _read_only(self, ("generator_energy_mwh",))
 
 
-def csp_profile_shift(csp_availability: TimeSeries, delay_hours: int = 12) -> TimeSeries:
+def csp_profile_shift(csp_availability: TimeSeries,
+                      delay_hours: int = DEFAULT_CSP_DELAY_HOURS) -> TimeSeries:
     """Delay CSP output within each day (thermal-storage proxy).
 
     Output at hour ``h`` equals availability at hour ``(h - delay) mod 24``

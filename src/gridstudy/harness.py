@@ -271,12 +271,13 @@ def _load_data(config: ScenarioConfig, data_dir, days: Optional[int]) -> _StudyD
 def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
     """Fail unless the buses the config names fit ``network``, before any dispatch runs.
 
-    Participation must name generator buses; each demand region needs pq
-    (load) buses, and its zone weights may name only those.
+    Participation must name generator buses; each demand region and the
+    loadability region need pq (load) buses, and a demand region's zone
+    weights may name only those.
     """
     validate_participation(network, config.loadability.participation)
     known = {b.bus_id for b in network.buses}
-    for region in config.demand_regions:
+    for region in (*config.demand_regions, config.loadability.region):
         pq_buses = {b.bus_id for b in network.buses if b.region == region and b.kind == "pq"}
         if not pq_buses:
             raise ValueError(f"region {region} has no load buses in the network")

@@ -101,6 +101,8 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     """
     if not step > 0:  # nan too
         raise LoadabilityError(f"step must be positive, got {step}")
+    if not lambda_max >= 1:  # nan too
+        raise LoadabilityError(f"lambda_max must be >= 1, got {lambda_max}")
     shares = validate_participation(net, participation)
     grid = _Grid(net)
     n = grid.n

@@ -24,6 +24,8 @@ import numpy as np
 PF_TOLERANCE = 1e-8
 PF_MAX_ITERATIONS = 20
 VOLTAGE_COLLAPSE_PU = 0.4
+#: System MVA base of the per-unit quantities when none is given.
+DEFAULT_BASE_MVA = 100.0
 
 BUS_KINDS = ("slack", "pv", "pq")
 
@@ -70,7 +72,7 @@ class Branch:
 class BusNetwork:
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
-    base_mva: float = 100.0
+    base_mva: float = DEFAULT_BASE_MVA
 
     def __post_init__(self):
         ids = [b.bus_id for b in self.buses]
@@ -359,7 +361,7 @@ def bus_injections_pu(net: BusNetwork, solution: PowerFlowSolution) -> np.ndarra
     return v * np.conj(net.ybus() @ v)
 
 
-def load_network(bus_csv, branch_csv, base_mva: float = 100.0) -> BusNetwork:
+def load_network(bus_csv, branch_csv, base_mva: float = DEFAULT_BASE_MVA) -> BusNetwork:
     """Read the documented bus/branch CSV schema.
 
     bus columns: bus_id,kind,p_load_mw,q_load_mvar,v_set_pu,region,gen_names

@@ -33,8 +33,9 @@ has these sections:
 missing, malformed or unknown key as ``[section] key: ...``, a rejected
 value under its section's name, then the checks across sections.  A check
 across sections skips a value that itself failed, so one mistake gives one
-line.  Values that name network buses (participation, zone weights) are
-checked against the network once it is loaded, before any dispatch runs.
+line.  Values that name network buses (participation, zone weights) and
+the loadability region, which needs a load bus, are checked against the
+network once it is loaded, before any dispatch runs.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from gridstudy.demand import DEFAULT_EFFICIENCY
-from gridstudy.dispatch import Generator, Interconnector
+from gridstudy.demand import DEFAULT_EFFICIENCY, default_params
+from gridstudy.dispatch import DEFAULT_CSP_DELAY_HOURS, Generator, Interconnector
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
+from gridstudy.powerflow import DEFAULT_BASE_MVA
 from gridstudy.pricing import MODEL_KINDS
 from gridstudy.timeseries import KNOWN_REGIONS, ZoneWeights
 
@@ -69,11 +71,9 @@ class BatterySpec:
     efficiency: float
 
     def __post_init__(self):
-        if not 0.0 <= self.soc_min_mwh < self.soc_max_mwh:
-            raise ConfigError(
-                f"battery window [{self.soc_min_mwh}, {self.soc_max_mwh}] needs 0 <= min < max")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ConfigError(f"battery efficiency {self.efficiency} must be in (0, 1]")
+        # the demand model's checks of SOC window, rates and efficiency (grid limits 0)
+        default_params(self.soc_min_mwh, self.soc_max_mwh, 0.0, 0.0, self.charge_rate_mw,
+                       self.discharge_rate_mw, self.efficiency)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,12 @@ class LoadabilityOptions:
     base_mva: float
 
     def __post_init__(self):
+        if not self.region:
+            raise ConfigError("region must name a region")
         if self.step <= 0:
             raise ConfigError(f"loadability step {self.step} must be positive")
+        if not self.lambda_max >= 1:
+            raise ConfigError(f"lambda_max {self.lambda_max} must be >= 1")
         if self.base_mva <= 0:
             raise ConfigError("base_mva must be positive")
         if self.participation:
@@ -307,7 +311,7 @@ def scenario_from_config(path) -> ScenarioConfig:
             sec.text("wind_region"), sec.text("wind_zone"), sec.number("wind_capacity_mw"),
             _names(sec.text("csp_names")), sec.text("csp_region"),
             _names(sec.text("csp_zones")), sec.number("csp_capacity_mw"),
-            sec.number("csp_delay_hours", 12, int))
+            sec.number("csp_delay_hours", DEFAULT_CSP_DELAY_HOURS, int))
 
     sec = section("loadability", required=True)
     region = sec.text("region")
@@ -319,7 +323,7 @@ def scenario_from_config(path) -> ScenarioConfig:
         participation[bus.strip()] = sec.convert("participation", factor) if colon else _BAD
     load_opts = sec.build(LoadabilityOptions, region, sec.number("step", DEFAULT_STEP),
                           sec.number("lambda_max", DEFAULT_LAMBDA_MAX),
-                          _read_all(participation), sec.number("base_mva", 100.0))
+                          _read_all(participation), sec.number("base_mva", DEFAULT_BASE_MVA))
 
     sec = section("predictor")
     predictor_kind = sec.text("kind", "ridge-linear")
@@ -373,7 +377,7 @@ def scenario_from_config(path) -> ScenarioConfig:
                 if end not in all_regions:
                     errors.append(f"[interconnector {line.name}] region {end!r} "
                                   f"not in the region lists")
-        if load_opts is not _BAD and load_opts.region and load_opts.region not in all_regions:
+        if load_opts is not _BAD and load_opts.region not in all_regions:
             errors.append(f"[loadability] region {load_opts.region!r} not in the region lists")
         required_files = ["bus", "branch"]
         for region in demand_regions:

@@ -14,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,8 +31,6 @@ _DATE_FORMAT = "%Y-%m-%d"
 TIMESTAMP_FORMAT = _DATE_FORMAT + "T%H:%M:%S"
 #: Time-of-day text of each whole hour in ``TIMESTAMP_FORMAT``.
 _HOUR_TEXT = tuple(f"T{h:02d}:00:00" for h in range(HOURS_PER_DAY))
-#: Rows the reader checks at a time; bounds the text it holds.
-_BLOCK_ROWS = 1024
 
 
 class TimeSeriesError(ValueError):
@@ -128,13 +125,12 @@ def _checked_stamp(path, rownum: int, text: str, start, k: int) -> datetime:
 def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
     """Read a ``timestamp,value`` CSV into a gap-free hourly series.
 
-    Every structural defect, a non-finite value and a first stamp off the
-    whole hour included, is reported with its row number (1-based, counting
-    the header as row 1); of several defects the first row's is reported.
-    Stamps in ``TIMESTAMP_FORMAT`` text are checked against ``hour_stamps``
-    as text; a stamp in any other ISO-8601 form is parsed and checked on its
-    own.  Rows are taken in blocks, so only one block's text is held at a
-    time.
+    Rows are checked one at a time in file order: the column count, then the
+    stamp, then the value.  So the first bad row is the one reported, with
+    its row number (1-based, counting the header as row 1), and a tokeniser
+    or decoding error is raised only after the rows before it pass.  A stamp
+    equal to its hour's ``hour_stamps`` text is accepted as text; any other
+    stamp is parsed and checked on its own.
     """
     path = Path(path)
     if not path.exists():
@@ -149,23 +145,31 @@ def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
         if header[:2] != ["timestamp", "value"]:
             raise TimeSeriesError(f"{path}: row 1: header must be 'timestamp,value', got {header}")
         start = None
+        stamps: list[str] = []
         values: list[float] = []
-        first_rownum = 2
-        while True:
-            rows: list[list[str]] = []
-            read_error = None
+        for rownum, row in enumerate(reader, 2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise TimeSeriesError(f"{path}: row {rownum}: expected 2 columns")
+            k = len(values)
+            if start is None:
+                start = _checked_stamp(path, rownum, row[0], None, 0)
+                try:
+                    stamps = hour_stamps(start, expected_hours)
+                    if stamps and datetime.fromisoformat(stamps[0]) != start:
+                        stamps = []  # start is not a naive whole hour
+                except (OverflowError, ValueError):  # past datetime.max; %Y of a year < 1000
+                    stamps = []
+            elif k >= len(stamps) or row[0] != stamps[k]:
+                _checked_stamp(path, rownum, row[0], start, k)
             try:
-                rows.extend(islice(reader, _BLOCK_ROWS))
-            except (csv.Error, ValueError) as exc:  # ValueError: undecodable bytes
-                read_error = exc  # raised once the rows read before it pass
-            n_read = len(rows)
-            start = _read_block(path, rows, range(first_rownum, first_rownum + n_read),
-                                start, values)
-            if read_error is not None:
-                raise read_error
-            if n_read < _BLOCK_ROWS:
-                break
-            first_rownum += n_read
+                value = float(row[1])
+            except ValueError:
+                raise TimeSeriesError(f"{path}: row {rownum}: non-numeric value {row[1]!r}") from None
+            if not math.isfinite(value):
+                raise TimeSeriesError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
+            values.append(value)
         if start is None:
             raise TimeSeriesError(f"{path}: no data rows")
         if len(values) != expected_hours:
@@ -173,62 +177,6 @@ def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
                 f"{path}: expected {expected_hours} rows, found {len(values)}"
             )
     return TimeSeries(start, np.array(values), label=path.stem)
-
-
-def _read_block(path, rows: list[list[str]], rownums, start, values: list[float]):
-    """Check one block of rows and append its values; return the series start.
-
-    ``values`` holds the values of the rows before the block, so the
-    block's first stamp must be ``start + len(values)`` hours.
-    """
-    if not all(rows):
-        rownums = [num for num, row in zip(rownums, rows) if row]
-        rows = [row for row in rows if row]
-    # Rows [0, n_ok) have both columns and a numeric value; row_error, if
-    # any, belongs to row n_ok and stands unless a stamp before it (or on
-    # it, for a bad value) fails first.
-    n_ok = n_stamped = len(rows)
-    row_error = None
-    if min(map(len, rows), default=2) < 2:
-        n_ok = n_stamped = next(k for k, row in enumerate(rows) if len(row) < 2)
-        row_error = "expected 2 columns"
-    texts = [row[1] for row in rows[:n_ok]]
-    try:
-        block = list(map(float, texts))
-    except ValueError:
-        block = []
-        for text in texts:
-            try:
-                block.append(float(text))
-            except ValueError:
-                break
-        n_ok = len(block)
-        n_stamped = n_ok + 1
-        row_error = f"non-numeric value {texts[n_ok]!r}"
-    if not all(map(math.isfinite, block)):
-        n_ok = next(k for k, v in enumerate(block) if not math.isfinite(v))
-        n_stamped = n_ok + 1
-        row_error = f"non-finite value {texts[n_ok]!r}"
-    if n_stamped:
-        stamps = [row[0] for row in rows[:n_stamped]]
-        if start is None:
-            start = _checked_stamp(path, rownums[0], stamps[0], None, 0)
-        k0 = len(values)
-        try:
-            first = start + timedelta(hours=k0)
-            canonical = hour_stamps(first, n_stamped)
-            if datetime.fromisoformat(canonical[0]) != first:
-                canonical = []  # start is not a naive whole hour
-        except (OverflowError, ValueError):  # past datetime.max; %Y of a year < 1000
-            canonical = []
-        if stamps != canonical:
-            for k, stamp in enumerate(stamps):
-                if k >= len(canonical) or stamp != canonical[k]:
-                    _checked_stamp(path, rownums[k], stamp, start, k0 + k)
-    if row_error is not None:
-        raise TimeSeriesError(f"{path}: row {rownums[n_ok]}: {row_error}")
-    values += block
-    return start
 
 
 def write_timeseries_csv(series: TimeSeries, path) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 import gridstudy
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
+from gridstudy.powerflow import DEFAULT_BASE_MVA
 from gridstudy.scenarioconfig import (
     BatterySpec,
     ConfigError,
@@ -61,7 +62,7 @@ class TestBundledConfigs:
                 p.remove_option("loadability", key)
         opts = scenario_from_config(mutate(scenario4_text, tmp_path, fn)).loadability
         assert (opts.step, opts.lambda_max, opts.base_mva) == (DEFAULT_STEP, DEFAULT_LAMBDA_MAX,
-                                                              100.0)
+                                                              DEFAULT_BASE_MVA)
 
     def test_hash_is_stable(self):
         assert config_sha256(config_path(1)) == config_sha256(config_path(1))
@@ -190,8 +191,21 @@ class TestViolations:
         assert len(lines) == 4, lines
         for name in ("step: not a number: 'abc'", "missing required key 'uptake'",
                      "[generator TPS_4] capacity_mw: not a number: 'abc'",
-                     "[battery VIC] battery window [800.0, 800.0]"):
+                     "[battery VIC] SOC window [800.0, 800.0]"):
             assert sum(name in line for line in lines) == 1, (name, lines)
+
+    @pytest.mark.parametrize("section,key,value,why", [
+        ("loadability", "lambda_max", "0.5", "lambda_max 0.5 must be >= 1"),
+        ("loadability", "region", "", "region must name a region"),
+        ("battery QLD", "charge_rate_mw", "-5", "battery rate window [-1800.0, -5.0] must straddle 0"),
+        ("battery SA", "discharge_rate_mw", "5", "battery rate window [5.0, 400.0] must straddle 0"),
+    ])
+    def test_value_that_fails_after_dispatch_is_one_error(self, tmp_path, scenario4_text,
+                                                          section, key, value, why):
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set(section, key, value))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [f"  [{section}] {why}"]
 
     @pytest.mark.parametrize("section,key,value,what", [
         ("pv QLD", "capacity_mw", "nan", "capacity_mw"),

@@ -562,11 +562,15 @@ class TestOperatingPoints:
         assert bus in str(err.value)
         assert no_dispatch == []
 
-    def test_unknown_participation_bus_fails_in_load_data(self, data_dir, no_dispatch):
+    @pytest.mark.parametrize("change, why", [
+        ({"participation": {"ghost": 0.5, "qld_csp": 0.5}}, "unknown participation bus 'ghost'"),
+        # SH's only bus is the slack: every hour would be capped at lambda_max
+        ({"region": "SH"}, "region SH has no load buses"),
+    ])
+    def test_loadability_bus_misfit_fails_in_load_data(self, data_dir, no_dispatch, change, why):
         cfg = scenario_from_config(config_path(4))
-        cfg = replace(cfg, loadability=replace(cfg.loadability,
-                                               participation={"ghost": 0.5, "qld_csp": 0.5}))
-        with pytest.raises(StageError, match="unknown participation bus 'ghost'") as err:
+        cfg = replace(cfg, loadability=replace(cfg.loadability, **change))
+        with pytest.raises(StageError, match=why) as err:
             run_scenario(cfg, data_dir, days=2)
         assert err.value.stage == "load-data"
         assert no_dispatch == []

@@ -166,6 +166,13 @@ class TestValidation:
         with pytest.raises(LoadabilityError, match="positive"):
             compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=step)
 
+    @pytest.mark.parametrize("lambda_max", [0.5, float("nan")])
+    def test_lambda_max_below_one_rejected(self, lambda_max):
+        """Without this check no hour is scanned and every hour reads as degenerate."""
+        with pytest.raises(LoadabilityError, match="lambda_max must be >= 1"):
+            compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=0.01,
+                                lambda_max=lambda_max)
+
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 2), (2, 2)), ((3, 3), (3, 3), (3, 3)),
                                         ((2,), (2,), (2,))])
     def test_operating_point_shapes_checked(self, shapes):

@@ -16,14 +16,12 @@ import math
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstudy import timeseries
 from gridstudy.timeseries import (
     TIMESTAMP_FORMAT,
     TimeSeries,
@@ -98,8 +96,6 @@ def outcome(reader, path, expected_hours):
 def assert_same_outcome(path, expected_hours):
     want = outcome(reference_load, path, expected_hours)
     assert outcome(load_timeseries_csv, path, expected_hours) == want
-    with mock.patch.object(timeseries, "_BLOCK_ROWS", 3):  # rows span several blocks
-        assert outcome(load_timeseries_csv, path, expected_hours) == want
 
 
 # -- generated files ----------------------------------------------------------
