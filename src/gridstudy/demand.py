@@ -1,12 +1,14 @@
 """Aggregate price-taker demand with PV and battery storage.
 
-Each 24-hour window is scheduled by a cost-minimising LP.  Battery power
-is the only decision vector: grid power follows from the balance
-``grid = load + efficiency * battery - pv`` and the state of charge from
-the running sum of battery power, starting each day at the minimum SOC.
-The stored-energy window is enforced for every state including the
-end-of-horizon one, so the final hour cannot discharge energy the battery
-never held.
+Each 24-hour window is scheduled by a cost-minimising LP in ``solve_days``,
+the one day loop: each day's LP starts from the basis of the day before
+(``lp.solve_lp`` retries from scratch a warm start that does not end
+optimal).  Battery power is the only decision vector: grid power follows
+from the balance ``grid = load + efficiency * battery - pv`` and the state
+of charge from the running sum of battery power, starting each day at the
+minimum SOC.  The stored-energy window is enforced for every state
+including the end-of-horizon one, so the final hour cannot discharge
+energy the battery never held.
 
 Sign conventions: grid power >= 0 imports, < 0 exports; battery power
 >= 0 charges, < 0 discharges.
@@ -20,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridstudy.lp import BasisHint, LinearProgram, solve_lp
+from gridstudy.lp import LinearProgram, solve_lp
 from gridstudy.timeseries import HOURS_PER_DAY, TimeSeries
 
 #: Round-trip battery efficiency applied to battery power in the balance
@@ -140,9 +142,12 @@ class DemandSchedule:
 
 def schedule_violations(schedule: DemandSchedule, params: DemandParams, day: DayInputs,
                         tol: float = _BALANCE_TOL) -> list[str]:
-    """All broken schedule invariants (empty list when the schedule is clean)."""
+    """All non-finite entries and broken schedule invariants (empty list when the schedule is clean)."""
     out = []
     s, p = schedule, params
+    for key in ("grid_mw", "battery_mw", "soc_mwh"):
+        values = getattr(s, key)
+        out += [f"{key}[{i}] = {values[i]} is not finite" for i in np.flatnonzero(~np.isfinite(values))]
     if abs(s.soc_mwh[0] - p.soc_min_mwh) > tol:
         out.append(f"initial SOC {s.soc_mwh[0]} != minimum {p.soc_min_mwh}")
     recur = s.soc_mwh[:-1] + s.battery_mw - s.soc_mwh[1:]
@@ -194,7 +199,6 @@ def build_lp(params: DemandParams, day: DayInputs) -> tuple[LinearProgram, float
     lp = LinearProgram(
         cost=cost, lower=lower, upper=upper,
         a_eq=[], b_eq=[], a_ub=rows, b_ub=rhs,
-        names=tuple(f"battery_h{t}" for t in range(h)),
     )
     base_cost = float(day.price @ resid)
     return lp, base_cost
@@ -207,52 +211,40 @@ def _first_no_action_violation(params: DemandParams, day: DayInputs) -> int | No
     return int(idx[0]) if idx.size else None
 
 
-def solve_day(params: DemandParams, day: DayInputs,
-              basis_hint: BasisHint | None = None) -> DemandSchedule:
+def solve_day(params: DemandParams, day: DayInputs) -> DemandSchedule:
     """Minimise the day's grid energy bill; returns the optimal schedule.
 
     Feasibility is guaranteed whenever doing nothing is admissible, i.e.
     the no-battery grid power ``load - pv`` stays inside the grid window
-    every hour.  A ``basis_hint`` that does not lead to an optimum is
-    dropped and the day is solved again from scratch.
+    every hour.
     """
-    return _solve_day(params, day, basis_hint)[0]
-
-
-def _solve_day(params: DemandParams, day: DayInputs,
-               basis_hint: BasisHint | None) -> tuple[DemandSchedule, BasisHint | None]:
-    """``solve_day`` plus the hint for the next day (None after a cold retry)."""
-    lp, base_cost = build_lp(params, day)
-    sol = solve_lp(lp, basis_hint=basis_hint)
-    next_hint = sol.basis_hint
-    if basis_hint is not None and not sol.is_optimal:
-        sol = solve_lp(lp)
-        next_hint = None
-    if sol.status == "infeasible":
-        hour = _first_no_action_violation(params, day)
-        detail = f"; no-action grid power first leaves the window at hour {hour}" if hour is not None else ""
-        raise DemandModelError(f"day schedule infeasible{detail}")
-    if not sol.is_optimal:
-        raise DemandModelError(f"day schedule solver failure: status {sol.status}")
-    battery = sol.x
-    # SOC and grid power are reconstructed from battery power, so the
-    # recursion and balance identities hold exactly; the bounds hold to
-    # solver feasibility tolerance.
-    soc = params.soc_min_mwh + np.concatenate([[0.0], np.cumsum(battery)])
-    grid = day.load_mw + params.efficiency * battery - day.pv_mw
-    schedule = DemandSchedule(grid, battery, soc, cost=base_cost + sol.objective)
-    problems = schedule_violations(schedule, params, day, tol=1e-6)
-    if problems:
-        raise DemandModelError("solver returned an invalid schedule: " + "; ".join(problems))
-    return schedule, next_hint
+    return solve_days(params, [day])[0]
 
 
 def solve_days(params: DemandParams, days: Sequence[DayInputs]) -> list[DemandSchedule]:
-    """Solve consecutive days, warm-starting each LP from the previous basis."""
+    """``solve_day`` for consecutive days, each LP started from the previous day's basis."""
     out = []
-    hint: BasisHint | None = None
+    hint = None
     for day in days:
-        schedule, hint = _solve_day(params, day, hint)
+        lp, base_cost = build_lp(params, day)
+        sol = solve_lp(lp, basis_hint=hint)
+        if sol.status == "infeasible":
+            hour = _first_no_action_violation(params, day)
+            detail = f"; no-action grid power first leaves the window at hour {hour}" if hour is not None else ""
+            raise DemandModelError(f"day schedule infeasible{detail}")
+        if not sol.is_optimal:
+            raise DemandModelError(f"day schedule solver failure: status {sol.status}")
+        hint = sol.basis_hint
+        battery = sol.x
+        # SOC and grid power are reconstructed from battery power, so the
+        # recursion and balance identities hold exactly; the bounds hold to
+        # solver feasibility tolerance.
+        soc = params.soc_min_mwh + np.concatenate([[0.0], np.cumsum(battery)])
+        grid = day.load_mw + params.efficiency * battery - day.pv_mw
+        schedule = DemandSchedule(grid, battery, soc, cost=base_cost + sol.objective)
+        problems = schedule_violations(schedule, params, day, tol=1e-6)
+        if problems:
+            raise DemandModelError("solver returned an invalid schedule: " + "; ".join(problems))
         out.append(schedule)
     return out
 

@@ -240,27 +240,21 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     upper = np.full(n, INFINITE_BOUND)
     a_eq = np.zeros((nr, n))
     b_eq = np.array([demand[r] for r in regions], dtype=float)
-    names = []
     for j, u in enumerate(committed):
         cost[j] = u.srmc
         lower[j], upper[j] = u.p_min_mw, u.p_max_mw
         a_eq[ridx[u.region], j] = 1.0
-        names.append(f"gen:{u.name}")
     for j, line in enumerate(lines):
         col = nu + j
         lower[col], upper[col] = line.reverse_limit_mw, line.forward_limit_mw
         a_eq[ridx[line.from_region], col] = -1.0
         a_eq[ridx[line.to_region], col] = 1.0
-        names.append(f"flow:{line.name}")
-    for i, r in enumerate(regions):
+    for i in range(nr):
         cost[nu + nl + i] = VALUE_OF_LOST_LOAD
         a_eq[i, nu + nl + i] = 1.0
-        names.append(f"unserved:{r}")
-    for i, r in enumerate(regions):
         cost[nu + nl + nr + i] = DUMP_PENALTY
         a_eq[i, nu + nl + nr + i] = -1.0
-        names.append(f"dumped:{r}")
-    lp = LinearProgram(cost, lower, upper, a_eq, b_eq, [], [], names=tuple(names))
+    lp = LinearProgram(cost, lower, upper, a_eq, b_eq, [], [])
     sig = _signature(committed)
     sol = solve_lp(lp, basis_hint=None if hints is None else hints.get(sig))
     if not sol.is_optimal:

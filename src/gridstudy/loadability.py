@@ -68,24 +68,38 @@ class LoadabilityResult:
         return int(self.lambda_star.size)
 
 
-def validate_participation(net: BusNetwork, participation: Mapping[str, float]) -> dict[str, float]:
-    """The shares as floats, if they name generator buses of ``net``, are >= 0 and sum to 1."""
-    if not participation:
-        raise LoadabilityError("participation factors must name at least one generator bus")
-    index = {b.bus_id: b for b in net.buses}
+def validate_scan(step: float, lambda_max: float) -> None:
+    """Fail unless the factor grid ``1 + k * step`` rises (step > 0) and ``lambda_max`` >= 1."""
+    if not step > 0:  # nan too
+        raise LoadabilityError(f"step must be positive, got {step}")
+    if not lambda_max >= 1:  # nan too
+        raise LoadabilityError(f"lambda_max must be >= 1, got {lambda_max}")
+
+
+def validate_shares(participation: Mapping[str, float]) -> dict[str, float]:
+    """The participation factors as floats, if each is >= 0 and they sum to 1."""
     out = {}
     for bid, f in participation.items():
-        if bid not in index:
-            raise LoadabilityError(f"unknown participation bus {bid!r}")
-        if index[bid].kind == "pq":
-            raise LoadabilityError(f"participation bus {bid!r} is a load bus")
         if f < 0:
             raise LoadabilityError(f"participation factor for {bid!r} is negative")
         out[bid] = float(f)
     total = sum(out.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # nan too
         raise LoadabilityError(f"participation factors sum to {total!r}, expected 1")
     return out
+
+
+def validate_participation(net: BusNetwork, participation: Mapping[str, float]) -> dict[str, float]:
+    """The shares as floats, if they name generator buses of ``net`` and pass ``validate_shares``."""
+    if not participation:
+        raise LoadabilityError("participation factors must name at least one generator bus")
+    index = {b.bus_id: b for b in net.buses}
+    for bid in participation:
+        if bid not in index:
+            raise LoadabilityError(f"unknown participation bus {bid!r}")
+        if index[bid].kind == "pq":
+            raise LoadabilityError(f"participation bus {bid!r} is a load bus")
+    return validate_shares(participation)
 
 
 def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str, float],
@@ -99,10 +113,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     with no injections.  The factor grid is ``1 + k * step``; increments to
     slack-bus participation are ignored (the slack balances by construction).
     """
-    if not step > 0:  # nan too
-        raise LoadabilityError(f"step must be positive, got {step}")
-    if not lambda_max >= 1:  # nan too
-        raise LoadabilityError(f"lambda_max must be >= 1, got {lambda_max}")
+    validate_scan(step, lambda_max)
     shares = validate_participation(net, participation)
     grid = _Grid(net)
     n = grid.n

@@ -4,7 +4,9 @@ Solver: bounded-variable primal simplex, two phases, Bland's anti-cycling
 rule (lowest eligible index enters; lowest variable index leaves on ties).
 The basis inverse is maintained by product-form updates and refactorised
 periodically, so repeated solves of structurally identical instances are
-cheap, and a ``basis_hint`` from a previous solve can skip phase 1.
+cheap, and a ``basis_hint`` from a previous solve can skip phase 1; a hinted
+solve that does not end optimal is solved again from scratch.  Instance data
+is finite, except that an upper bound may be absent.
 
 Problems here have at most a few hundred variables; everything is dense
 numpy.  Results are deterministic: solving the same instance twice yields
@@ -18,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-#: Magnitude treated as "no bound".  Sentinel bounds never enter pivots.
+#: An upper bound this large is absent; every other entry must be smaller in
+#: magnitude.  Sentinel bounds never enter pivots.
 INFINITE_BOUND = 1e18
 
 #: Absolute feasibility tolerance on bounds and constraint rows.
@@ -32,23 +35,24 @@ _REDUCED_COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _PHASE1_TOL = 1e-7
 _REFACTOR_EVERY = 64
+_MAX_ITER = 20000
 
 # Nonbasic variable states.
 _AT_LOWER = -1
 _AT_UPPER = 1
-_FREE_AT_ZERO = 0
 
 
 class LpFormatError(ValueError):
-    """Raised at construction time for dimension or bound inconsistencies."""
+    """Raised at construction time for dimension, bound or data inconsistencies."""
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """min ``cost . x`` s.t. ``a_eq x = b_eq``, ``a_ub x <= b_ub``, ``lower <= x <= upper``.
 
-    Bounds of magnitude >= ``INFINITE_BOUND`` are treated as absent.
-    Two-sided rows are expressed as a pair of ``a_ub`` rows.
+    Entries are below ``INFINITE_BOUND`` in magnitude, except an upper bound
+    of ``INFINITE_BOUND`` or more (``inf`` too), which is absent.  Two-sided
+    rows are expressed as a pair of ``a_ub`` rows.
     """
 
     cost: np.ndarray
@@ -58,7 +62,6 @@ class LinearProgram:
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.cost, dtype=float))
@@ -75,27 +78,21 @@ class LinearProgram:
             raise LpFormatError(f"a_eq has {a_eq.shape[0]} rows but b_eq has {b_eq.size}")
         if a_ub.shape[0] != b_ub.size:
             raise LpFormatError(f"a_ub has {a_ub.shape[0]} rows but b_ub has {b_ub.size}")
-        if np.any(lo > hi):
-            bad = int(np.flatnonzero(lo > hi)[0])
-            raise LpFormatError(f"variable {self._name(bad)}: lower bound {lo[bad]} > upper bound {hi[bad]}")
-        names = tuple(self.names) if self.names else tuple(f"x{i}" for i in range(n))
-        if len(names) != n:
-            raise LpFormatError(f"{len(names)} names for {n} variables")
         for key, val in (("cost", c), ("lower", lo), ("upper", hi), ("a_eq", a_eq),
                          ("b_eq", b_eq), ("a_ub", a_ub), ("b_ub", b_ub)):
-            if not np.all(np.isfinite(val) | (np.abs(val) >= INFINITE_BOUND)):
-                raise LpFormatError(f"{key} contains NaN")
+            ok = ~np.isnan(val) if key == "upper" else np.abs(val) < INFINITE_BOUND
+            if not np.all(ok):
+                raise LpFormatError(f"{key} has a NaN entry or one of magnitude >= {INFINITE_BOUND:g}")
             arr = np.ascontiguousarray(val)
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
-        object.__setattr__(self, "names", names)
+        if np.any(lo > hi):
+            bad = int(np.flatnonzero(lo > hi)[0])
+            raise LpFormatError(f"variable {bad}: lower bound {lo[bad]} > upper bound {hi[bad]}")
 
     @property
     def n_vars(self) -> int:
         return self.cost.size
-
-    def _name(self, j: int) -> str:
-        return self.names[j] if self.names else f"x{j}"
 
 
 @dataclass(frozen=True)
@@ -122,34 +119,24 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # lower-bound | upper-bound | equality | inequality
+    kind: str  # non-finite | lower-bound | upper-bound | equality | inequality
     index: int
-    name: str
     magnitude: float
 
     def __str__(self):
-        return f"{self.kind} {self.name}[{self.index}] violated by {self.magnitude:.3e}"
+        return f"{self.kind} [{self.index}] violated by {self.magnitude:.3e}"
 
 
 def check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
-    """Every violated bound/constraint with its magnitude; empty iff feasible within ``tol``."""
+    """Every violated bound/constraint, and every NaN or infinite entry of ``x``,
+    with its magnitude; empty iff feasible within ``tol``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpFormatError(f"x has shape {x.shape}, expected ({lp.n_vars},)")
-    out = []
-    for j in range(lp.n_vars):
-        if lp.lower[j] - x[j] > tol:
-            out.append(Violation("lower-bound", j, lp._name(j), float(lp.lower[j] - x[j])))
-        if x[j] - lp.upper[j] > tol:
-            out.append(Violation("upper-bound", j, lp._name(j), float(x[j] - lp.upper[j])))
-    if lp.a_eq.shape[0]:
-        resid = lp.a_eq @ x - lp.b_eq
-        for i in np.flatnonzero(np.abs(resid) > tol):
-            out.append(Violation("equality", int(i), f"eq{i}", float(abs(resid[i]))))
-    if lp.a_ub.shape[0]:
-        excess = lp.a_ub @ x - lp.b_ub
-        for i in np.flatnonzero(excess > tol):
-            out.append(Violation("inequality", int(i), f"ub{i}", float(excess[i])))
+    out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~np.isfinite(x))]
+    for kind, excess in (("lower-bound", lp.lower - x), ("upper-bound", x - lp.upper),
+                         ("equality", np.abs(lp.a_eq @ x - lp.b_eq)), ("inequality", lp.a_ub @ x - lp.b_ub)):
+        out += [Violation(kind, int(i), float(excess[i])) for i in np.flatnonzero(excess > tol)]
     return out
 
 
@@ -184,16 +171,10 @@ class _Tableau:
     def start_cold(self):
         """Nonbasics at their finite bound nearest zero; slack or artificial basis."""
         n, mu, m = self.n, self.mu, self.m
-        for j in range(n + mu):
-            lo, hi = self.lower[j], self.upper[j]
-            if lo <= -INFINITE_BOUND and hi >= INFINITE_BOUND:
-                self.state[j], self.x[j] = _FREE_AT_ZERO, 0.0
-            elif lo <= -INFINITE_BOUND:
-                self.state[j], self.x[j] = _AT_UPPER, hi
-            elif hi >= INFINITE_BOUND or abs(lo) <= abs(hi):
-                self.state[j], self.x[j] = _AT_LOWER, lo
-            else:
-                self.state[j], self.x[j] = _AT_UPPER, hi
+        lo, hi = self.lower[:n + mu], self.upper[:n + mu]
+        at_upper = (hi < INFINITE_BOUND) & (np.abs(hi) < np.abs(lo))
+        self.state[:n + mu] = np.where(at_upper, _AT_UPPER, _AT_LOWER)
+        self.x[:n + mu] = np.where(at_upper, hi, lo)
         resid = self.b - self.a[:, :n] @ self.x[:n]
         # Slack rows whose residual is already nonnegative keep their slack
         # basic; every other row gets a signed artificial.
@@ -233,9 +214,7 @@ class _Tableau:
         except np.linalg.LinAlgError:
             return False
         x = np.zeros_like(self.x)
-        for j in range(nfree):
-            x[j] = (self.lower[j] if state[j] == _AT_LOWER
-                    else self.upper[j] if state[j] == _AT_UPPER else 0.0)
+        x[:nfree] = np.where(state == _AT_UPPER, self.upper[:nfree], self.lower[:nfree])
         x[basis] = 0.0
         xb = binv @ (self.b - self.a[:, :nfree] @ x[:nfree])
         if np.any(xb < self.lower[basis] - FEASIBILITY_TOL) or np.any(xb > self.upper[basis] + FEASIBILITY_TOL):
@@ -261,13 +240,13 @@ class _Tableau:
 
     # -- simplex ----------------------------------------------------------
 
-    def run(self, cost: np.ndarray, max_iter: int) -> str:
+    def run(self, cost: np.ndarray) -> str:
         """Minimise ``cost . x`` from the current basis.  Returns a status."""
         a, lower, upper = self.a, self.lower, self.upper
         fixed = upper - lower <= 0.0  # pinned columns never enter
         since_refactor = 0
         while True:
-            if self.iterations >= max_iter:
+            if self.iterations >= _MAX_ITER:
                 return "numerical"
             y = self.binv.T @ cost[self.basis]
             d = cost - a.T @ y
@@ -281,14 +260,12 @@ class _Tableau:
             w = self.binv @ a[:, q]
             # Ratio test: basics must stay inside their bounds, the entering
             # variable may at most traverse its own range (bound flip).
-            step = upper[q] - lower[q] if upper[q] < INFINITE_BOUND and lower[q] > -INFINITE_BOUND else np.inf
+            step = upper[q] - lower[q] if upper[q] < INFINITE_BOUND else np.inf
             leave = -1
             dw = direction * w
             xb = self.x[self.basis]
             for i in range(self.m):
                 if dw[i] > _PIVOT_TOL:
-                    if lower[self.basis[i]] <= -INFINITE_BOUND:
-                        continue
                     t = (xb[i] - lower[self.basis[i]]) / dw[i]
                 elif dw[i] < -_PIVOT_TOL:
                     if upper[self.basis[i]] >= INFINITE_BOUND:
@@ -339,39 +316,44 @@ class _Tableau:
                 since_refactor = 0
 
 
-def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None,
-             max_iter: int = 20000) -> LpSolution:
+def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSolution:
     """Solve ``lp``; classify as optimal / infeasible / unbounded.
 
     Numerical breakdown is reported as status ``"numerical"``, never as a
     wrong optimum.  ``basis_hint`` (from a previous solution of an instance
-    with identical shape) skips phase 1 when still primal feasible.
+    with identical shape) skips phase 1 when still primal feasible.  A
+    hinted solve that does not end optimal is solved again from scratch;
+    ``iterations`` then counts the pivots of both attempts.
     """
     tab = _Tableau(lp)
-    nfree = tab.n + tab.mu
-    warm = False
-    if basis_hint is not None:
-        warm = tab.start_from_hint(basis_hint)
-    if not warm:
-        need_phase1 = tab.start_cold()
-        if need_phase1:
-            phase1_cost = np.zeros(tab.a.shape[1])
-            phase1_cost[tab.art0:] = 1.0
-            status = tab.run(phase1_cost, max_iter)
-            if status != "optimal":
-                # Phase 1 is bounded below by zero, so anything but an
-                # optimum is a numerical breakdown.
-                return LpSolution("numerical", None, None, tab.iterations)
-            infeas = float(np.sum(tab.x[tab.art0:]))
-            if infeas > _PHASE1_TOL:
-                return LpSolution("infeasible", None, None, tab.iterations)
-            # Pin artificials at zero; they may stay basic but cannot move.
-            tab.lower[tab.art0:] = 0.0
-            tab.upper[tab.art0:] = 0.0
-            tab.x[tab.art0:] = 0.0
+    if basis_hint is not None and tab.start_from_hint(basis_hint):
+        sol = _phase2(lp, tab)
+        if sol.is_optimal:
+            return sol
+        tab = _Tableau(lp)
+        tab.iterations = sol.iterations
+    if tab.start_cold():
+        phase1_cost = np.zeros(tab.a.shape[1])
+        phase1_cost[tab.art0:] = 1.0
+        if tab.run(phase1_cost) != "optimal":
+            # Phase 1 is bounded below by zero, so anything but an
+            # optimum is a numerical breakdown.
+            return LpSolution("numerical", None, None, tab.iterations)
+        infeas = float(np.sum(tab.x[tab.art0:]))
+        if infeas > _PHASE1_TOL:
+            return LpSolution("infeasible", None, None, tab.iterations)
+        # Pin artificials at zero; they may stay basic but cannot move.
+        tab.lower[tab.art0:] = 0.0
+        tab.upper[tab.art0:] = 0.0
+        tab.x[tab.art0:] = 0.0
+    return _phase2(lp, tab)
+
+
+def _phase2(lp: LinearProgram, tab: _Tableau) -> LpSolution:
+    """Minimise the true cost from the tableau's primal-feasible basis."""
     cost = np.zeros(tab.a.shape[1])
     cost[:lp.n_vars] = lp.cost
-    status = tab.run(cost, max_iter)
+    status = tab.run(cost)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, tab.iterations)
     if status != "optimal":
@@ -383,7 +365,7 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None,
     if bad:
         return LpSolution("numerical", None, None, tab.iterations)
     y = tab.binv.T @ cost[tab.basis]
-    hint = BasisHint(tab.basis.copy(), tab.state[:nfree].copy())
+    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n + tab.mu].copy())
     return LpSolution(
         status="optimal",
         x=x,

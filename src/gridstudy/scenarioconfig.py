@@ -49,7 +49,7 @@ from typing import Mapping, Optional
 
 from gridstudy.demand import DEFAULT_EFFICIENCY, default_params
 from gridstudy.dispatch import DEFAULT_CSP_DELAY_HOURS, Generator, Interconnector
-from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
+from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP, validate_scan, validate_shares
 from gridstudy.powerflow import DEFAULT_BASE_MVA
 from gridstudy.pricing import MODEL_KINDS
 from gridstudy.timeseries import KNOWN_REGIONS, ZoneWeights
@@ -109,16 +109,11 @@ class LoadabilityOptions:
     def __post_init__(self):
         if not self.region:
             raise ConfigError("region must name a region")
-        if self.step <= 0:
-            raise ConfigError(f"loadability step {self.step} must be positive")
-        if not self.lambda_max >= 1:
-            raise ConfigError(f"lambda_max {self.lambda_max} must be >= 1")
+        validate_scan(self.step, self.lambda_max)
         if self.base_mva <= 0:
             raise ConfigError("base_mva must be positive")
         if self.participation:
-            total = sum(self.participation.values())
-            if any(v < 0 for v in self.participation.values()) or abs(total - 1.0) > 1e-9:
-                raise ConfigError("participation factors must be >= 0 and sum to 1")
+            validate_shares(self.participation)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ class TestViolations:
             assert sum(name in line for line in lines) == 1, (name, lines)
 
     @pytest.mark.parametrize("section,key,value,why", [
-        ("loadability", "lambda_max", "0.5", "lambda_max 0.5 must be >= 1"),
+        ("loadability", "lambda_max", "0.5", "lambda_max must be >= 1, got 0.5"),
         ("loadability", "region", "", "region must name a region"),
         ("battery QLD", "charge_rate_mw", "-5", "battery rate window [-1800.0, -5.0] must straddle 0"),
         ("battery SA", "discharge_rate_mw", "5", "battery rate window [5.0, 400.0] must straddle 0"),
@@ -206,6 +206,19 @@ class TestViolations:
         with pytest.raises(ConfigError) as err:
             scenario_from_config(path)
         assert str(err.value).splitlines()[1:] == [f"  [{section}] {why}"]
+
+    @pytest.mark.parametrize("key,value,why", [
+        ("step", "0", "step must be positive, got 0.0"),
+        ("lambda_max", "0.99", "lambda_max must be >= 1, got 0.99"),
+        ("participation", "qld_gen:0.7,qld_csp:0.5", "participation factors sum to 1.2, expected 1"),
+        ("participation", "qld_gen:1.5,qld_csp:-0.5", "participation factor for 'qld_csp' is negative"),
+    ])
+    def test_sweep_options_fail_with_the_sweeps_own_message(self, tmp_path, scenario4_text,
+                                                            key, value, why):
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("loadability", key, value))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [f"  [loadability] {why}"]
 
     @pytest.mark.parametrize("section,key,value,what", [
         ("pv QLD", "capacity_mw", "nan", "capacity_mw"),

@@ -152,6 +152,18 @@ class TestSolveDay:
         assert sched.cost == pytest.approx(10.0 * 20.0 * H, abs=1e-9)
         assert schedule_violations(sched, params, day) == []
 
+    def test_non_finite_schedule_is_reported(self):
+        """NaN passes every bound and residual comparison, so it is named on its own."""
+        params = DemandParams(100, -50, 5, -5, 2, 12, efficiency=0.9)
+        day = DayInputs(np.full(H, 10.0), np.full(H, 20.0), np.zeros(H))
+        nan = np.full(H, np.nan)
+        sched = DemandSchedule(nan, nan, np.concatenate([[2.0], nan]), cost=0.0)
+        problems = schedule_violations(sched, params, day)
+        assert len(problems) == 3 * H
+        for key in ("grid_mw", "battery_mw", "soc_mwh"):
+            assert sum(line.startswith(f"{key}[") for line in problems) == H
+        assert "soc_mwh[1] = nan is not finite" in problems
+
     def test_two_hour_example_brute_forced(self):
         """Cheap hour then dear hour: fill the battery, then empty it."""
         params = DemandParams(100, -100, 4, -4, 0, 4, efficiency=1.0)
@@ -336,25 +348,25 @@ class TestAggregate:
         with pytest.raises(DemandModelError, match="invalid schedule"):
             solve_days(params, days)
 
-    def test_non_optimal_warm_start_retries_cold(self, monkeypatch):
-        from dataclasses import replace
-
+    def test_non_optimal_warm_start_retries_cold(self, monkeypatch, failing_warm_phase):
+        """Every warm phase fails and is solved again cold inside ``solve_lp``; the
+        next day starts from the basis that ``solve_lp`` returned."""
         from gridstudy import demand
         rng = np.random.default_rng(45)
         params, price, load, pv = random_instance(rng, H)
         days = [DayInputs(rng.permutation(price), load, pv) for _ in range(4)]
-        hints = []
+        passed, returned = [], []
 
-        def warm_fails(lp, basis_hint=None):
-            hints.append(basis_hint is not None)
-            if basis_hint is not None:
-                return replace(solve_lp(lp), status="numerical", x=None, basis_hint=None)
-            return solve_lp(lp)
+        def recording(lp, basis_hint=None):
+            sol = solve_lp(lp, basis_hint=basis_hint)
+            passed.append(basis_hint)
+            returned.append(sol.basis_hint)
+            return sol
 
-        monkeypatch.setattr(demand, "solve_lp", warm_fails)
+        monkeypatch.setattr(demand, "solve_lp", recording)
         chained = solve_days(params, days)
-        # day 0 cold; then each day: warm (fails), cold retry, and no hint for the next
-        assert hints == [False, True, False, False, True, False]
+        assert passed[0] is None and all(passed[d] is returned[d - 1] for d in (1, 2, 3))
+        assert any(failing_warm_phase)
         for d, day in enumerate(days):
             assert chained[d].cost == pytest.approx(solve_day(params, day).cost, abs=1e-7)
 

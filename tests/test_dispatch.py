@@ -137,6 +137,18 @@ class TestDispatchHour:
         with pytest.raises(DispatchError, match="no demand entry"):
             dispatch_hour((_window(gen("g", 10, 10, region="X"), 1.0),), {"R": 5.0}, [])
 
+    def test_failed_warm_start_is_solved_cold(self, failing_warm_phase):
+        """A cached basis whose warm phase fails costs pivots, not the hour."""
+        cheap = gen("cheap", 20.0, 1000, region="A")
+        dear = gen("dear", 70.0, 1000, region="B", gtype="gt")
+        line = Interconnector("A-B", "A", "B", 100.0, -100.0)
+        committed = (_window(cheap, 1.0), _window(dear, 1.0))
+        hints = {}
+        dispatch_hour(committed, {"A": 50.0, "B": 200.0}, [line], 0, hints)
+        hd = dispatch_hour(committed, {"A": 60.0, "B": 190.0}, [line], 1, hints)
+        assert failing_warm_phase == [True]
+        assert hd == dispatch_hour(committed, {"A": 60.0, "B": 190.0}, [line], 1)
+
 
 def enumerate_commitments(generators, demand, availability, lines):
     """Oracle: dispatch every dispatchable subset; renewables always on."""

@@ -143,10 +143,11 @@ class TestBatchedSweep:
 
 
 class TestValidation:
-    def test_participation_must_sum_to_one(self):
+    @pytest.mark.parametrize("share", [0.7, float("nan")])
+    def test_participation_must_sum_to_one(self, share):
         net = two_bus_case()
         with pytest.raises(LoadabilityError, match="sum to"):
-            compute_loadability(net, "LOAD", {"source": 0.7}, step=0.01)
+            compute_loadability(net, "LOAD", {"source": share}, step=0.01)
 
     def test_participation_rejects_load_bus(self):
         net = two_bus_case()

@@ -1,4 +1,4 @@
-"""Solver checks against exhaustive vertex enumeration and re-evaluation oracles."""
+"""Solver checks against exhaustive vertex enumeration, HiGHS and re-evaluation oracles."""
 
 import itertools
 
@@ -86,14 +86,28 @@ class TestExamples:
     def test_infeasible_and_unbounded_classified(self):
         bad = box_lp([1.0], [0.0], [1.0], a_ub=[[1.0], [-1.0]], b_ub=[0.2, -0.5])
         assert solve_lp(bad).status == "infeasible"
-        free = box_lp([-1.0], [0.0], [INFINITE_BOUND])
-        assert solve_lp(free).status == "unbounded"
+        for absent in (INFINITE_BOUND, np.inf):
+            assert solve_lp(box_lp([-1.0], [0.0], [absent])).status == "unbounded"
 
     def test_dimension_mismatch_raises_at_construction(self):
         with pytest.raises(LpFormatError):
             LinearProgram([1.0, 2.0], [0.0], [1.0], [], [], [], [])
         with pytest.raises(LpFormatError, match="lower bound"):
             box_lp([1.0], [2.0], [1.0])
+
+    @pytest.mark.parametrize("key,value", [
+        ("cost", [np.inf, 1.0]), ("cost", [-np.inf, 1.0]), ("cost", [np.nan, 1.0]),
+        ("cost", [INFINITE_BOUND, 1.0]), ("lower", [-np.inf, 0.0]), ("lower", [-INFINITE_BOUND, 0.0]),
+        ("upper", [np.nan, 1.0]), ("a_eq", [[1.0, np.inf]]), ("b_eq", [-INFINITE_BOUND]),
+        ("a_ub", [[np.nan, 1.0]]), ("b_ub", [np.inf]),
+    ])
+    def test_non_finite_data_rejected(self, key, value):
+        """Only an upper bound may be infinite (absent); NaN is rejected everywhere."""
+        data = dict(cost=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]],
+                    b_eq=[1.0], a_ub=[[1.0, -1.0]], b_ub=[0.5])
+        LinearProgram(**data)
+        with pytest.raises(LpFormatError, match=key):
+            LinearProgram(**{**data, key: value})
 
 
 class TestVertexOracle:
@@ -152,6 +166,42 @@ class TestVertexOracle:
             assert relaxed.objective <= base.objective + 1e-8
 
 
+def random_lp_any_status(rng):
+    """Bounded-below LP with up to 3 equality and 5 inequality rows; a quarter
+    of the upper bounds are absent, so it may be optimal, infeasible or unbounded."""
+    n = int(rng.integers(1, 9))
+    me, mu = int(rng.integers(0, 4)), int(rng.integers(0, 6))
+    lower = rng.uniform(-5, 5, n)
+    upper = lower + rng.uniform(0, 10, n)
+    upper[rng.random(n) < 0.25] = np.inf
+    return LinearProgram(rng.normal(0, 1, n), lower, upper, rng.normal(0, 1, (me, n)),
+                         rng.normal(0, 3, me), rng.normal(0, 1, (mu, n)), rng.normal(0, 3, mu))
+
+
+class TestHighsOracle:
+    def test_random_lps_match_highs(self):
+        """Same status as ``scipy.optimize.linprog(method="highs")`` on 400 seeded
+        LPs, objectives within 1e-9 relative, and clean optimal points."""
+        optimize = pytest.importorskip("scipy.optimize")
+        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        rng = np.random.default_rng(2018)
+        seen = set()
+        for trial in range(400):
+            lp = random_lp_any_status(rng)
+            ours = solve_lp(lp)
+            ref = optimize.linprog(
+                lp.cost, A_ub=lp.a_ub if lp.a_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
+                A_eq=lp.a_eq if lp.a_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
+                bounds=[(lo, None if np.isinf(hi) else hi) for lo, hi in zip(lp.lower, lp.upper)],
+                method="highs")
+            assert ours.status == statuses[ref.status], (trial, ours.status, ref.message)
+            seen.add(ours.status)
+            if ours.is_optimal:
+                assert ours.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9), trial
+                assert check_feasible(lp, ours.x) == [], trial
+        assert seen == {"optimal", "infeasible", "unbounded"}
+
+
 class TestDeterminism:
     def test_identical_solves_bitwise(self):
         rng = np.random.default_rng(5)
@@ -169,6 +219,13 @@ class TestCheckFeasible:
         lp = random_bounded_lp(rng)
         sol = solve_lp(lp)
         assert check_feasible(lp, sol.x) == []
+
+    def test_non_finite_entries_reported(self):
+        lp = box_lp([1.0, 1.0], [0.0, 0.0], [2.0, 2.0])
+        assert [(v.kind, v.index) for v in check_feasible(lp, [np.nan, np.nan])] == [
+            ("non-finite", 0), ("non-finite", 1)]
+        report = check_feasible(lp, [1.0, np.inf])
+        assert ("non-finite", 1) in [(v.kind, v.index) for v in report]
 
     def test_single_bound_violation_magnitude(self):
         lp = box_lp([1.0, 1.0], [0.0, 0.0], [2.0, 2.0])
@@ -191,3 +248,24 @@ class TestCheckFeasible:
             if lp.a_ub.shape[0]:
                 expected += int(np.sum(lp.a_ub @ x - lp.b_ub > 1e-8))
             assert len(report) == expected
+
+
+class TestWarmStart:
+    def test_failed_warm_phase_is_solved_again_cold(self, request):
+        """The cold solve's optimum comes back, and ``iterations`` counts both attempts."""
+        rng = np.random.default_rng(21)
+        cases = []
+        for _ in range(10):
+            base = random_bounded_lp(rng)
+            lp = LinearProgram(-base.cost, base.lower, base.upper, base.a_eq, base.b_eq,
+                               base.a_ub, base.b_ub)
+            hint = solve_lp(base).basis_hint  # primal feasible for lp, not optimal
+            cases.append((lp, hint, solve_lp(lp, hint), solve_lp(lp)))
+        accepted = request.getfixturevalue("failing_warm_phase")
+        for trial, (lp, hint, warm, cold) in enumerate(cases):
+            assert warm.is_optimal and warm.iterations > 0, trial
+            retried = solve_lp(lp, hint)
+            assert retried.status == "optimal", trial
+            assert np.array_equal(retried.x, cold.x) and retried.objective == cold.objective
+            assert retried.iterations == warm.iterations + cold.iterations, trial
+        assert accepted == [True] * len(cases)
