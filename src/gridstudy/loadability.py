@@ -9,10 +9,15 @@ still converges, one step before divergence.
 
 The hourly operating points come as (hours x buses) arrays of load MW,
 load MVAr and injected MW, with columns in ``BusNetwork.buses`` order.
-All hours advance through the factor grid in lockstep, so a year of
-operating points is swept by batched Newton solves.  An hour's results do
-not depend on the other hours: any split of the hours gives the same bits,
-and ``verify_bracket`` re-solves the very points the sweep solved.
+A year of operating points is swept by batched Newton solves, in blocks.
+Each batch holds, for every hour still scanning, its next
+``max(1, hours // hours still scanning)`` grid steps, so no batch has more
+rows than the first and the batches fill up with later steps as hours
+stop.  An hour stops at the first step of a block that fails to converge;
+its later rows in that block are discarded.  An hour's results do not
+depend on the other hours or on the block it was solved in: any split of
+the hours gives the same bits, and ``verify_bracket`` re-solves the very
+points the sweep solved.
 """
 
 from __future__ import annotations
@@ -131,6 +136,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
     pickup = np.array([0.0 if b.kind == "slack" else shares.get(b.bus_id, 0.0) for b in net.buses])
 
+    region_base = np.sum(base_p[:, region_mask], axis=1)
     lam_star = np.full(nh, np.nan)
     served = np.full(nh, np.nan)
     region_load = np.full(nh, np.nan)
@@ -138,25 +144,38 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     base_min_v = np.full(nh, np.nan)
     active = np.arange(nh)
     k = 0
-    while active.size and (lam := 1.0 + k * step) <= lambda_max:
-        scale = np.ones(n)
-        scale[region_mask] = lam
-        p_load = base_p[active] * scale
-        q_load = base_q[active] * scale
-        increment = (lam - 1.0) * np.sum(base_p[active][:, region_mask], axis=1)
-        p_inj = inj_p[active] + increment[:, None] * pickup
+    while active.size:
+        # The block's grid steps k, k + 1, ...: as many as keep the batch within nh rows.
+        lams = 1.0 + (k + np.arange(max(1, nh // active.size))) * step
+        lams = lams[lams <= lambda_max]
+        nk = lams.size
+        if nk == 0:
+            break
+        scale = np.ones((nk, n))
+        scale[:, region_mask] = lams[:, None]
+        # Rows are hour-major: row i * nk + j is hour active[i] at factor lams[j].
+        p_load = (base_p[active][:, None] * scale).reshape(-1, n)
+        q_load = (base_q[active][:, None] * scale).reshape(-1, n)
+        increment = (lams - 1.0) * region_base[active][:, None]
+        p_inj = (inj_p[active][:, None] + increment[:, :, None] * pickup).reshape(-1, n)
         p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
         vm, _, ok, _, _, _ = _nr_batch(grid, p_sched, q_sched)
-        # Hours that fail stop scanning: at k = 0 they are degenerate
-        # (lambda_star stays NaN), later their last converged factor stands.
-        active = active[ok]
-        lam_star[active] = lam
-        served[active] = np.sum(p_load[ok], axis=1)
-        region_load[active] = np.sum(p_load[ok][:, region_mask], axis=1)
-        min_v[active] = np.min(vm[ok], axis=1)
-        if k == 0:
+        # An hour stops at its first failure: at k = 0 it is degenerate
+        # (lambda_star stays NaN), later its last converged factor stands.
+        # ``run`` counts an hour's converged steps before its first failure;
+        # its rows after that failure are discarded.
+        run = np.logical_and.accumulate(ok.reshape(-1, nk), axis=1).sum(axis=1)
+        moved = run > 0
+        rows = np.flatnonzero(moved) * nk + run[moved] - 1
+        hrs = active[moved]
+        lam_star[hrs] = lams[run[moved] - 1]
+        served[hrs] = np.sum(p_load[rows], axis=1)
+        region_load[hrs] = np.sum(p_load[rows][:, region_mask], axis=1)
+        min_v[hrs] = np.min(vm[rows], axis=1)
+        if k == 0:  # every hour is active, so the first block is step 0 alone
             base_min_v[:] = min_v
-        k += 1
+        active = active[run == nk]
+        k += nk
     return LoadabilityResult(
         lambda_star=lam_star,
         served_load_mw=served,

@@ -180,7 +180,10 @@ class _Grid:
     diagonal or where Ybus is nonzero are computed, at flat positions
     ``jac_at``.  Off the bus diagonal an entry is c * jac_c + s * jac_s, with
     c + js = V_i conj(V_j): MATPOWER's polar ``dSbus_dV`` expressions, split
-    into real and imaginary parts.
+    into real and imaginary parts.  Up to four entries (P or Q row, angle or
+    magnitude column) share a bus pair (i, j), so c and s are computed once
+    per pair: ``pair_ef`` gathers e_i, f_i, e_j, f_j of each pair from
+    ``[e f]`` and entry k reads pair ``jac_pair[k]``.
     """
 
     def __init__(self, net: BusNetwork):
@@ -198,7 +201,9 @@ class _Grid:
         y = self.ybus[np.ix_(jbus, jbus)]
         rows, cols = np.nonzero((y != 0) | (jbus[:, None] == jbus[None, :]))
         self.jac_at = rows * jbus.size + cols
-        self.jac_ef = np.concatenate([jbus[rows], n + jbus[rows], jbus[cols], n + jbus[cols]])
+        pairs, self.jac_pair = np.unique(jbus[rows] * n + jbus[cols], return_inverse=True)
+        bus_i, bus_j = pairs // n, pairs % n
+        self.pair_ef = np.concatenate([bus_i, n + bus_i, bus_j, n + bus_j])
         # dS_i/dVa_j = -j V_i conj(Y_ij V_j) and dS_i/dVm_j * Vm_j = V_i conj(Y_ij V_j);
         # P rows take the real part and Q rows the imaginary part.
         w = np.conj(y[rows, cols]) * np.where(p_row[cols], -1j, 1.0)
@@ -228,7 +233,7 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
     """
     nb = p_sched.shape[0]
     n, pq, pvpq = grid.n, grid.pq, grid.pvpq
-    npvpq, nj, nz = pvpq.size, grid.jbus.size, grid.jac_at.size
+    npvpq, nj, npair = pvpq.size, grid.jbus.size, grid.pair_ef.size // 4
     vm = np.tile(grid.vset, (nb, 1))
     vm[:, pq] = 1.0  # flat start: PQ magnitudes at 1.0, PV/slack at setpoints
     va = np.zeros((nb, n))
@@ -256,10 +261,10 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
         q = f * ire - e * iim
         pqq = np.concatenate([e * ire + f * iim, q, -q], axis=1)  # [P, Q, -Q]
         dpq = pqq[:, grid.mismatch_from] - sched_a
-        norm = np.max(np.abs(dpq), axis=1)
+        norm = np.abs(dpq).max(axis=1)
         mismatch[active] = norm
         ok = norm < PF_TOLERANCE
-        if np.any(ok):
+        if ok.any():
             done = leave(ok)
             converged[done] = True
             iters[done] = it
@@ -272,11 +277,13 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
             iters[leave(slice(None))] = it
             cause[active] = 1
             break
-        efj = ef[:, grid.jac_ef]
-        e_i, f_i, e_j, f_j = (efj[:, k * nz:(k + 1) * nz] for k in range(4))
+        efp = ef[:, grid.pair_ef]
+        e_i, f_i, e_j, f_j = (efp[:, k * npair:(k + 1) * npair] for k in range(4))
         # c + js = V_i conj(V_j); off the bus diagonal an entry is c * jac_c + s * jac_s
-        val = (e_i * e_j + f_i * f_j) * grid.jac_c
-        val += (f_i * e_j - e_i * f_j) * grid.jac_s
+        c = e_i * e_j + f_i * f_j
+        s = f_i * e_j - e_i * f_j
+        val = c[:, grid.jac_pair] * grid.jac_c
+        val += s[:, grid.jac_pair] * grid.jac_s
         val[:, grid.diag_at] += pqq[:, grid.diag_from]
         jac = np.zeros((active.size, nj, nj))
         jac.reshape(-1, nj * nj)[:, grid.jac_at] = val
@@ -291,10 +298,10 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
                     pass  # stays NaN, flagged below
         va_a[:, pvpq] += dx[:, :npvpq]
         vm_a[:, pq] *= 1.0 + dx[:, npvpq:]  # dx holds dVm/Vm there
-        bad = ~np.all(np.isfinite(dx), axis=1)
-        collapsed = np.min(vm_a, axis=1) < VOLTAGE_COLLAPSE_PU
+        bad = ~np.isfinite(dx).all(axis=1)
+        collapsed = vm_a.min(axis=1) < VOLTAGE_COLLAPSE_PU
         fail = bad | collapsed
-        if np.any(fail):
+        if fail.any():
             iters[leave(fail)] = it + 1
             cause[active[bad]] = 3
             cause[active[collapsed & ~bad]] = 2

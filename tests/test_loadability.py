@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridstudy import loadability
 from gridstudy.loadability import (
     LoadabilityError,
     average_loadability,
     compute_loadability,
     verify_bracket,
 )
-from gridstudy.powerflow import Branch, Bus, BusNetwork
+from gridstudy.powerflow import Branch, Bus, BusNetwork, _Grid, _nr_batch
 from gridstudy.synthdata import study_network, two_bus_case
 
 
@@ -28,6 +29,55 @@ def points(net, loads, injections=None):
     for h, hour in enumerate(injections or ()):
         for bid, p in hour.items():
             injection_mw[h, col[bid]] = p
+    return load_mw, load_mvar, injection_mw
+
+
+def reference_sweep(net, region, participation, step, hours, lambda_max):
+    """The scan as it was with one grid step per Newton batch: every hour
+    still scanning solves factor 1 + k * step in the k-th batch."""
+    grid = _Grid(net)
+    n = grid.n
+    base_p, base_q, inj_p = (np.asarray(a, dtype=float) for a in hours)
+    nh = len(base_p)
+    region_ids = {b.bus_id for b in net.region_buses(region)}
+    region_mask = np.array([b.bus_id in region_ids for b in net.buses])
+    region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
+    pickup = np.array([0.0 if b.kind == "slack" else participation.get(b.bus_id, 0.0)
+                       for b in net.buses])
+    lam_star, served, region_load, min_v, base_min_v = np.full((5, nh), np.nan)
+    active = np.arange(nh)
+    k = 0
+    while active.size and (lam := 1.0 + k * step) <= lambda_max:
+        scale = np.ones(n)
+        scale[region_mask] = lam
+        p_load = base_p[active] * scale
+        q_load = base_q[active] * scale
+        increment = (lam - 1.0) * np.sum(base_p[active][:, region_mask], axis=1)
+        p_inj = inj_p[active] + increment[:, None] * pickup
+        p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
+        vm, _, ok, _, _, _ = _nr_batch(grid, p_sched, q_sched)
+        active = active[ok]
+        lam_star[active] = lam
+        served[active] = np.sum(p_load[ok], axis=1)
+        region_load[active] = np.sum(p_load[ok][:, region_mask], axis=1)
+        min_v[active] = np.min(vm[ok], axis=1)
+        if k == 0:
+            base_min_v[:] = min_v
+        k += 1
+    return lam_star, served, region_load, min_v, base_min_v
+
+
+RESULT_ARRAYS = ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu",
+                 "base_min_voltage_pu")
+
+
+def study_hours(net, loads_scale, rng):
+    """Study-network hours: every load scaled per hour, and up to a fifth of
+    each hour's load injected at the PV buses."""
+    load_mw = loads_scale * [b.p_load_mw for b in net.buses]
+    load_mvar = loads_scale * [b.q_load_mvar for b in net.buses]
+    share = rng.uniform(0.0, 0.2, (len(load_mw), 1)) * load_mw.sum(axis=1, keepdims=True)
+    injection_mw = np.where([b.kind == "pv" for b in net.buses], share, 0.0)
     return load_mw, load_mvar, injection_mw
 
 
@@ -103,12 +153,7 @@ class TestBatchedSweep:
         nh = data.draw(st.integers(1, 6), label="hours")
         cuts = sorted(data.draw(st.sets(st.integers(1, nh - 1)), label="cuts")) if nh > 1 else []
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        load_scale = rng.uniform(0.4, 1.6, (nh, len(net.buses)))
-        load_mw = load_scale * [b.p_load_mw for b in net.buses]
-        load_mvar = load_scale * [b.q_load_mvar for b in net.buses]
-        share = rng.uniform(0.0, 0.2, (nh, 1)) * load_mw.sum(axis=1, keepdims=True)
-        injection_mw = np.where([b.kind == "pv" for b in net.buses], share, 0.0)
-        hours = (load_mw, load_mvar, injection_mw)
+        hours = study_hours(net, rng.uniform(0.4, 1.6, (nh, len(net.buses))), rng)
         part = {"qld_gen": 0.5, "qld_csp": 0.5}
 
         def sweep(rows):
@@ -118,8 +163,7 @@ class TestBatchedSweep:
         whole = sweep(slice(None))
         bounds = [0, *cuts, nh]
         chunks = [sweep(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        for name in ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu",
-                     "base_min_voltage_pu"):
+        for name in RESULT_ARRAYS:
             joined = np.concatenate([getattr(c, name) for c in chunks])
             assert joined.tobytes() == getattr(whole, name).tobytes(), name
 
@@ -140,6 +184,69 @@ class TestBatchedSweep:
         res = compute_loadability(net, "QLD", {"qld_gen": 0.5, "qld_csp": 0.5},
                                   step=0.02, hours=ops)
         assert np.all(res.min_voltage_pu <= res.base_min_voltage_pu + 1e-12)
+
+
+class TestBlockedScan:
+    """Each Newton batch carries several grid steps per hour still scanning."""
+
+    @staticmethod
+    def mixed_hours(net):
+        """Two-bus hours whose limits (lambda* = 500 MW / load) spread over the
+        grid, one degenerate hour (600 MW) and light hours that reach the cap."""
+        loads = [600.0, *np.random.default_rng(11).uniform(60, 330, 20), 40.0, 45.0]
+        return points(net, [{"load": (float(p), 0.0)} for p in loads])
+
+    @pytest.mark.parametrize("lambda_max", [6.0, 3.01])  # on the 0.02 grid and off it
+    def test_same_bits_as_one_step_per_call(self, lambda_max):
+        net = two_bus_case()
+        hours = self.mixed_hours(net)
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours,
+                                  lambda_max=lambda_max)
+        want = reference_sweep(net, "LOAD", {"source": 1.0}, 0.02, hours, lambda_max)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(res, name).tobytes() == ref.tobytes(), name
+        lam = res.lambda_star
+        assert res.degenerate[0]
+        top = lam[np.isfinite(lam)].max()
+        assert top <= lambda_max < top + 0.02 and (lam == top).sum() >= 2  # capped hours
+        assert np.unique(lam[np.isfinite(lam) & (lam < top)]).size >= 10  # fail at many steps
+
+    def test_same_bits_as_one_step_per_call_on_study_network(self):
+        net = study_network()
+        rng = np.random.default_rng(3)
+        hours = study_hours(net, rng.uniform(0.3, 2.2, (40, len(net.buses))), rng)
+        part = {"qld_gen": 0.5, "qld_csp": 0.5}
+        res = compute_loadability(net, "QLD", part, step=0.05, hours=hours, lambda_max=4.0)
+        want = reference_sweep(net, "QLD", part, 0.05, hours, 4.0)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(res, name).tobytes() == ref.tobytes(), name
+
+    def test_empty_horizon(self):
+        net = two_bus_case()
+        hours = tuple(np.zeros((0, 2)) for _ in range(3))
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
+        want = reference_sweep(net, "LOAD", {"source": 1.0}, 0.02, hours, 10.0)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(res, name).shape == (0,)
+            assert getattr(res, name).tobytes() == ref.tobytes(), name
+
+    def test_no_batch_has_more_rows_than_the_sweep_has_hours(self, monkeypatch):
+        """Blocks trade hours that stopped for later steps of the others, never
+        more: peak memory stays that of the first batch."""
+        rows = []
+
+        def counting(grid, p_sched, q_sched):
+            rows.append(len(p_sched))
+            return _nr_batch(grid, p_sched, q_sched)
+
+        monkeypatch.setattr(loadability, "_nr_batch", counting)
+        net = two_bus_case()
+        hours = self.mixed_hours(net)
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours,
+                                  lambda_max=6.0)
+        assert max(rows) == len(hours[0]) == rows[0]
+        steps = int(round((res.lambda_star[np.isfinite(res.lambda_star)].max() - 1.0) / 0.02))
+        assert len(rows) < steps  # later batches carry several steps per hour
 
 
 class TestValidation:

@@ -254,6 +254,20 @@ class TestNewtonKernel:
         # the batch mixes converged points with each failure cause
         assert set(np.unique(cause).tolist()) == {0, 1, 2}
 
+    def test_singular_jacobian_ends_each_point(self):
+        """Cause 3: a flat-start Jacobian that is exactly singular fails the
+        batched solve; the per-row fallback then fails every row alone."""
+        from gridstudy.powerflow import _Grid, _nr_batch
+        net = BusNetwork((Bus("s", "slack"), Bus("l", "pq", 50.0, 10.0)),
+                         (Branch("s", "l", 0.0, 0.5, 2.0),))
+        sol = solve_power_flow(net)
+        assert (sol.converged, sol.failure_cause, sol.iterations) == (False, "singular_jacobian", 1)
+        grid = _Grid(net)
+        loads_p, loads_q = np.array([[0.0, 50.0], [0.0, 0.0]]), np.array([[0.0, 10.0], [0.0, 0.0]])
+        _, _, conv, iters, _, cause = _nr_batch(grid, *grid.scheduled(loads_p, loads_q, 0.0, 0.0))
+        assert not conv.any()
+        assert cause.tolist() == [3, 3] and iters.tolist() == [1, 1]
+
     def test_single_solve_is_its_row_of_a_batch(self):
         """solve_power_flow, a batch of one, returns a batched point's bits."""
         from gridstudy.powerflow import _Grid, _nr_batch
