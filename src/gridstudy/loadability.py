@@ -11,13 +11,17 @@ The hourly operating points come as (hours x buses) arrays of load MW,
 load MVAr and injected MW, with columns in ``BusNetwork.buses`` order.
 A year of operating points is swept by batched Newton solves, in blocks.
 Each batch holds, for every hour still scanning, its next
-``max(1, hours // hours still scanning)`` grid steps, so no batch has more
-rows than the first and the batches fill up with later steps as hours
-stop.  An hour stops at the first step of a block that fails to converge;
-its later rows in that block are discarded.  An hour's results do not
-depend on the other hours or on the block it was solved in: any split of
-the hours gives the same bits, and ``verify_bracket`` re-solves the very
-points the sweep solved.
+``max(hours, MIN_BATCH_ROWS) // hours still scanning`` grid steps (at
+least one), so no batch has more than ``max(hours, MIN_BATCH_ROWS)`` rows
+and the batches fill up with later steps as hours stop.  A short horizon
+scans several steps per hour from the first batch on; a horizon of
+``MIN_BATCH_ROWS`` hours or more starts with step 0 alone.  An hour stops
+at the first step of a block that fails to converge; its later rows in
+that block are discarded.  ``base_min_voltage_pu`` comes from each hour's
+step-0 row, the first of its rows in the first block.  An hour's results
+do not depend on the other hours or on the block it was solved in: any
+split of the hours gives the same bits, and ``verify_bracket`` re-solves
+the very points the sweep solved.
 """
 
 from __future__ import annotations
@@ -39,6 +43,13 @@ from gridstudy.powerflow import (
 DEFAULT_STEP = 0.005
 #: Safety cap on the scaling factor so a lightly loaded case cannot scan forever.
 DEFAULT_LAMBDA_MAX = 10.0
+#: Fewest rows a scan block aims for.  A Newton iteration of ``_nr_batch`` has
+#: a fixed cost of about 147 us whatever the batch width (2 and 8 rows both
+#: cost about 148 us), and a call runs until its last row ends, often on the
+#: 20-iteration cap.  One step per hour would leave a short horizon with calls
+#: of a few rows each; at 256 rows the fixed cost is under a tenth of an
+#: iteration.  Horizons of this many hours or more start with one step per hour.
+MIN_BATCH_ROWS = 256
 
 #: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep,
 #: or one hour's rows of them for ``verify_bracket``.
@@ -145,8 +156,10 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     active = np.arange(nh)
     k = 0
     while active.size:
-        # The block's grid steps k, k + 1, ...: as many as keep the batch within nh rows.
-        lams = 1.0 + (k + np.arange(max(1, nh // active.size))) * step
+        # The block's grid steps k, k + 1, ...: as many as keep the batch within
+        # max(nh, MIN_BATCH_ROWS) rows.  The floor counts rows, not grid steps,
+        # so memory stays bounded however small ``step`` is.
+        lams = 1.0 + (k + np.arange(max(nh, MIN_BATCH_ROWS) // active.size)) * step
         lams = lams[lams <= lambda_max]
         nk = lams.size
         if nk == 0:
@@ -172,8 +185,8 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
         served[hrs] = np.sum(p_load[rows], axis=1)
         region_load[hrs] = np.sum(p_load[rows][:, region_mask], axis=1)
         min_v[hrs] = np.min(vm[rows], axis=1)
-        if k == 0:  # every hour is active, so the first block is step 0 alone
-            base_min_v[:] = min_v
+        if k == 0:  # every hour is active, and its step 0 is column 0 of the block
+            base_min_v[hrs] = np.min(vm.reshape(nh, nk, n)[moved, 0], axis=1)
         active = active[run == nk]
         k += nk
     return LoadabilityResult(

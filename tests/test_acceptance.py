@@ -196,6 +196,7 @@ def test_criterion_6_power_flow_fidelity():
     report(6, exact)
 
 
+@pytest.mark.year
 def test_criterion_7_demand_shift_and_secondary_peak(year_suite, data_dir):
     reports, _, _ = year_suite
     # (a) imports during the top-decile price hours never increase with uptake
@@ -240,6 +241,7 @@ def test_criterion_7_demand_shift_and_secondary_peak(year_suite, data_dir):
            f"top-decile imports {['%.0f' % v for v in ordered]}, secondary peak={coincided}")
 
 
+@pytest.mark.year
 def test_criterion_8_trend_reproduction(year_suite):
     reports, out_root, elapsed = year_suite
     spilled = {s: reports[s].spilled_energy_twh for s in range(1, 6)}
@@ -257,6 +259,7 @@ def test_criterion_8_trend_reproduction(year_suite):
            f"unserved {list(unserved.values())}, {elapsed:.0f}s")
 
 
+@pytest.mark.year
 class TestYearProperties:
     """Fixture-level properties of the bundled year beyond the criteria."""
 
@@ -386,6 +389,7 @@ class TestYearProperties:
             assert generated + unserved == pytest.approx(demand + dumped, rel=1e-6)
 
 
+@pytest.mark.year
 def test_criterion_9_determinism(data_dir, tmp_path):
     """Two runs that compute everything, and a third that reuses the second's
     series reads and pass-0 dispatch, write the same bytes."""

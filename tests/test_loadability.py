@@ -230,9 +230,12 @@ class TestBlockedScan:
             assert getattr(res, name).shape == (0,)
             assert getattr(res, name).tobytes() == ref.tobytes(), name
 
-    def test_no_batch_has_more_rows_than_the_sweep_has_hours(self, monkeypatch):
-        """Blocks trade hours that stopped for later steps of the others, never
-        more: peak memory stays that of the first batch."""
+    @pytest.mark.parametrize("nh, first_steps", [(23, 11), (300, 1)])
+    def test_no_batch_has_more_rows_than_hours_or_the_floor(self, monkeypatch, nh,
+                                                            first_steps):
+        """Blocks trade hours that stopped for later steps of the others, up to
+        max(hours, MIN_BATCH_ROWS) rows: a short horizon scans several steps per
+        hour from its first call on, a long one starts with step 0 alone."""
         rows = []
 
         def counting(grid, p_sched, q_sched):
@@ -241,12 +244,40 @@ class TestBlockedScan:
 
         monkeypatch.setattr(loadability, "_nr_batch", counting)
         net = two_bus_case()
-        hours = self.mixed_hours(net)
+        if nh == 23:
+            hours = self.mixed_hours(net)
+        else:
+            loads = np.random.default_rng(12).uniform(60, 480, nh)
+            hours = points(net, [{"load": (float(p), 0.0)} for p in loads])
+        assert len(hours[0]) == nh
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours,
                                   lambda_max=6.0)
-        assert max(rows) == len(hours[0]) == rows[0]
+        assert rows[0] == nh * first_steps
+        assert max(rows) <= max(nh, loadability.MIN_BATCH_ROWS)
         steps = int(round((res.lambda_star[np.isfinite(res.lambda_star)].max() - 1.0) / 0.02))
         assert len(rows) < steps  # later batches carry several steps per hour
+
+    def test_base_voltage_is_the_step_zero_row_of_a_multi_step_block(self):
+        """With several steps per hour in the first block, the base voltage is
+        each hour's step-0 row there, not its last converged row: on mixed
+        hours and on the single-hour default scan."""
+        net = two_bus_case()
+        # 600 MW is degenerate; 500 MW ends at lambda* = 1; the others up to
+        # 330 MW fail inside the first block's 32 steps (lambda* = 500 MW / load).
+        loads = [600.0, 500.0, 480.0, 430.0, 380.0, 330.0, 100.0, 45.0]
+        hours = points(net, [{"load": (p, 0.0)} for p in loads])
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
+        want = reference_sweep(net, "LOAD", {"source": 1.0}, 0.02, hours, 10.0)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(res, name).tobytes() == ref.tobytes(), name
+        first_block = 1.0 + (loadability.MIN_BATCH_ROWS // len(loads)) * 0.02
+        assert res.degenerate[0] and np.all(res.lambda_star[1:6] < first_block)
+
+        default = compute_loadability(net, "LOAD", {"source": 1.0})
+        want = reference_sweep(net, "LOAD", {"source": 1.0}, loadability.DEFAULT_STEP,
+                               points(net, [{}]), loadability.DEFAULT_LAMBDA_MAX)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(default, name).tobytes() == ref.tobytes(), name
 
 
 class TestValidation:

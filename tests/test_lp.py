@@ -178,10 +178,37 @@ def random_lp_any_status(rng):
                          rng.normal(0, 3, me), rng.normal(0, 1, (mu, n)), rng.normal(0, 3, mu))
 
 
+def dual_violation(lp, x, duals_eq, optimize, tol=1e-7):
+    """How far ``duals_eq`` is from the equality part of an optimal dual at ``x``.
+
+    The reduced costs are ``d = cost - a_eq.T @ duals_eq - a_ub.T @ z``. HiGHS
+    looks for inequality duals ``z <= 0``, zero on rows slack at ``x`` by more
+    than ``tol`` (complementary slackness), that keep ``d >= 0`` unless the
+    variable is at its upper bound and ``d <= 0`` unless it is at its lower
+    bound (dual feasibility), both within ``tol``.  Returns the largest sign
+    violation of ``d``, recomputed here for the ``z`` HiGHS found.
+    """
+    r = lp.cost - lp.a_eq.T @ duals_eq
+    need_ge = lp.upper - x > tol
+    need_le = x - lp.lower > tol
+    # Variables (z, t): minimise the largest violation t.
+    a = lp.a_ub.T
+    rows = np.vstack([np.c_[a[need_ge], -np.ones(need_ge.sum())],
+                      np.c_[-a[need_le], -np.ones(need_le.sum())]])
+    slack = lp.b_ub - lp.a_ub @ x
+    bounds = [(None, 0.0) if s <= tol else (0.0, 0.0) for s in slack] + [(0.0, None)]
+    res = optimize.linprog(np.r_[np.zeros(slack.size), 1.0], A_ub=rows,
+                           b_ub=np.r_[r[need_ge], -r[need_le]], bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    d = r - lp.a_ub.T @ res.x[:-1]
+    return float(np.max(np.r_[0.0, -d[need_ge], d[need_le]]))
+
+
 class TestHighsOracle:
     def test_random_lps_match_highs(self):
         """Same status as ``scipy.optimize.linprog(method="highs")`` on 400 seeded
-        LPs, objectives within 1e-9 relative, and clean optimal points."""
+        LPs, objectives within 1e-9 relative, and clean optimal points whose
+        equality duals are dual feasible and complementary to them within 1e-7."""
         optimize = pytest.importorskip("scipy.optimize")
         statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
         rng = np.random.default_rng(2018)
@@ -199,6 +226,7 @@ class TestHighsOracle:
             if ours.is_optimal:
                 assert ours.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9), trial
                 assert check_feasible(lp, ours.x) == [], trial
+                assert dual_violation(lp, ours.x, ours.duals_eq, optimize) <= 1e-7, trial
         assert seen == {"optimal", "infeasible", "unbounded"}
 
 
