@@ -22,8 +22,6 @@ def _add_run_args(sub):
     sub.add_argument("--scenario", required=True, help="scenario config file")
     sub.add_argument("--data-dir", required=True, help="directory holding the data files")
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config's run seed")
     sub.add_argument("--days", type=int, default=None,
                      help="truncate the horizon to the first N days")
 
@@ -59,8 +57,6 @@ def main(argv=None) -> int:
             print(f"merged {len(args.merge)} summaries into {out}")
             return 0
         config = scenario_from_config(args.scenario)
-        if args.seed is not None:
-            config = _with_seed(config, args.seed)
         stop_after = {"demand": "demand", "dispatch": "dispatch"}.get(args.command)
         report = run_scenario(config, args.data_dir, out_dir=args.out, days=args.days,
                               stop_after=stop_after)
@@ -83,11 +79,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _with_seed(config, seed):
-    from dataclasses import replace
-    return replace(config, seed=seed)
 
 
 if __name__ == "__main__":

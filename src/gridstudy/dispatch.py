@@ -104,16 +104,6 @@ class CommittedUnit:
 Commitment = tuple[CommittedUnit, ...]
 
 
-def _read_only(record, keys) -> None:
-    """Replace the named mapping fields of a frozen dataclass by read-only views.
-
-    A dispatch result may be served again to a later run in the same
-    process, so no holder may change it in place.
-    """
-    for key in keys:
-        object.__setattr__(record, key, MappingProxyType(getattr(record, key)))
-
-
 @dataclass(frozen=True)
 class HourDispatch:
     hour: int
@@ -127,7 +117,10 @@ class HourDispatch:
     objective: float = 0.0
 
     def __post_init__(self):
-        _read_only(self, ("output_mw", "flow_mw", "unserved_mw", "dumped_mw", "price"))
+        # A dispatch result may be served again to a later run in the same
+        # process, so no holder may change its mappings in place.
+        for key in ("output_mw", "flow_mw", "unserved_mw", "dumped_mw", "price"):
+            object.__setattr__(self, key, MappingProxyType(getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -138,10 +131,6 @@ class DispatchResult:
     gt_energy_twh: float
     unserved_energy_twh: float
     unserved_hours: int
-    generator_energy_mwh: Mapping[str, float]
-
-    def __post_init__(self):
-        _read_only(self, ("generator_energy_mwh",))
 
 
 def csp_profile_shift(csp_availability: TimeSeries,
@@ -385,12 +374,10 @@ def summarise(hours: Sequence[HourDispatch], generators: Sequence[Generator]) ->
     if n == 0:
         raise DispatchError("no hours to summarise")
     gt_names = {g.name for g in generators if g.gtype == "gt"}
-    energy: dict[str, float] = {g.name: 0.0 for g in generators}
     spilled = unserved = gt_energy = 0.0
     spilled_hours = unserved_hours = 0
     for hd in hours:
         for name, mw in hd.output_mw.items():
-            energy[name] = energy.get(name, 0.0) + mw
             if name in gt_names:
                 gt_energy += mw
         spilled += sum(hd.dumped_mw.values())
@@ -404,5 +391,4 @@ def summarise(hours: Sequence[HourDispatch], generators: Sequence[Generator]) ->
         gt_energy_twh=gt_energy / 1e6,
         unserved_energy_twh=unserved / 1e6,
         unserved_hours=unserved_hours,
-        generator_energy_mwh=energy,
     )

@@ -5,11 +5,12 @@ Per scenario: (0) load data, apply the renewable fleet replacement;
 (2) train the price predictor on historical plus simulated prices;
 (3) predict the study-year price signal per region; (4) schedule the
 price-responsive demand day by day (scenarios 1 and 2 keep the
-conventional load); (5) dispatch the resulting nett demand; (6) seed the
-power flow from the dispatch and sweep hourly loadability; (7) report.
+conventional load); (5) dispatch the resulting nett demand; (6) build the
+power-flow operating points from the dispatch and sweep hourly loadability;
+(7) report.
 
 Prices are predicted once and demand responds once: the loop is open,
-users are price takers.  Every stage is deterministic for a fixed seed.
+users are price takers.  Every stage is deterministic for a fixed data set.
 ``_output_files`` names the files of the finished stages; a full or
 stopped run writes them in its ``emit`` stage, and a failed run writes
 them with a ``partial_`` prefix before raising ``StageError`` tagged with
@@ -60,7 +61,7 @@ from gridstudy.loadability import (
 from gridstudy.powerflow import BusNetwork, load_network
 from gridstudy.pricing import (TrainedPredictor, feature_matrix, predict_rows, save_predictor,
                                train_matrix)
-from gridstudy.scenarioconfig import ScenarioConfig, config_sha256
+from gridstudy.scenarioconfig import SCHEMA_VERSION, ScenarioConfig, config_sha256
 from gridstudy.synthdata import LOAD_TAN_PHI
 from gridstudy.timeseries import (
     HOURS_PER_DAY,
@@ -86,7 +87,6 @@ class StageError(RuntimeError):
 class ScenarioReport:
     scenario_id: int
     uptake: str
-    seed: int
     config_hash: str
     spilled_energy_twh: float
     spilled_hours_pct: float
@@ -406,7 +406,7 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
             x = np.vstack([x_h, study_rows[region]])
             y = np.concatenate([data.historical_price[region].values,
                                 [hd.price[region] for hd in pass0.hours]])
-            predictors[region] = train_matrix(names, x, y, config.predictor_kind, config.seed)
+            predictors[region] = train_matrix(names, x, y, config.predictor_kind)
     done["predictors"] = predictors
 
     # (3) predicted study-year price signal per region
@@ -487,7 +487,6 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
         report = done["report"] = ScenarioReport(
             scenario_id=config.scenario_id,
             uptake=config.uptake,
-            seed=config.seed,
             config_hash=config_sha256(config.source_path) if config.source_path else "",
             spilled_energy_twh=dispatch.spilled_energy_twh,
             spilled_hours_pct=dispatch.spilled_hours_pct,
@@ -604,11 +603,10 @@ def _write_manifest(report: ScenarioReport, path: Path) -> None:
     path.write_text(
         f"scenario {report.scenario_id}\n"
         f"uptake {report.uptake}\n"
-        f"seed {report.seed}\n"
         f"config_sha256 {report.config_hash}\n"
         f"gridstudy {gridstudy.__version__}\n"
         f"numpy {np.__version__}\n"
-        f"config_schema 1\n"
+        f"config_schema {SCHEMA_VERSION}\n"
     )
 
 

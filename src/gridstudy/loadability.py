@@ -17,11 +17,9 @@ and the batches fill up with later steps as hours stop.  A short horizon
 scans several steps per hour from the first batch on; a horizon of
 ``MIN_BATCH_ROWS`` hours or more starts with step 0 alone.  An hour stops
 at the first step of a block that fails to converge; its later rows in
-that block are discarded.  ``base_min_voltage_pu`` comes from each hour's
-step-0 row, the first of its rows in the first block.  An hour's results
-do not depend on the other hours or on the block it was solved in: any
-split of the hours gives the same bits, and ``verify_bracket`` re-solves
-the very points the sweep solved.
+that block are discarded.  An hour's results do not depend on the other
+hours or on the block it was solved in: any split of the hours gives the
+same bits, one-hour splits included.
 """
 
 from __future__ import annotations
@@ -31,13 +29,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from gridstudy.powerflow import (
-    BusNetwork,
-    _Grid,
-    _nr_batch,
-    scale_loads,
-    solve_power_flow,
-)
+from gridstudy.powerflow import BusNetwork, _Grid, _nr_batch
 
 #: Default scaling step: 0.5% of the base regional load per step.
 DEFAULT_STEP = 0.005
@@ -51,8 +43,7 @@ DEFAULT_LAMBDA_MAX = 10.0
 #: iteration.  Horizons of this many hours or more start with one step per hour.
 MIN_BATCH_ROWS = 256
 
-#: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep,
-#: or one hour's rows of them for ``verify_bracket``.
+#: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep.
 Points = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -72,7 +63,6 @@ class LoadabilityResult:
     served_load_mw: np.ndarray
     region_load_mw: np.ndarray
     min_voltage_pu: np.ndarray
-    base_min_voltage_pu: np.ndarray
     step: float
     region: str
 
@@ -152,7 +142,6 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     served = np.full(nh, np.nan)
     region_load = np.full(nh, np.nan)
     min_v = np.full(nh, np.nan)
-    base_min_v = np.full(nh, np.nan)
     active = np.arange(nh)
     k = 0
     while active.size:
@@ -185,8 +174,6 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
         served[hrs] = np.sum(p_load[rows], axis=1)
         region_load[hrs] = np.sum(p_load[rows][:, region_mask], axis=1)
         min_v[hrs] = np.min(vm[rows], axis=1)
-        if k == 0:  # every hour is active, and its step 0 is column 0 of the block
-            base_min_v[hrs] = np.min(vm.reshape(nh, nk, n)[moved, 0], axis=1)
         active = active[run == nk]
         k += nk
     return LoadabilityResult(
@@ -194,48 +181,9 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
         served_load_mw=served,
         region_load_mw=region_load,
         min_voltage_pu=min_v,
-        base_min_voltage_pu=base_min_v,
         step=step,
         region=region,
     )
-
-
-def stressed_network(net: BusNetwork, region: str, participation: Mapping[str, float],
-                     row: Optional[Points], lam: float
-                     ) -> tuple[BusNetwork, dict[str, tuple[float, float]]]:
-    """Network and injections for one hour at scaling factor ``lam``.
-
-    ``row`` is one hour's rows of the sweep's arrays (see ``Points``), or
-    None for the network's base loads.  Used to re-verify the bracketing
-    invariant with the plain solver: power flow converges at the hour's
-    loadability and fails one step above.
-    """
-    shares = validate_participation(net, participation)
-    scoped, injections = net, {}
-    if row is not None:
-        load_mw, load_mvar, injection_mw = row
-        scoped = net.with_loads({b.bus_id: (float(p), float(q))
-                                 for b, p, q in zip(net.buses, load_mw, load_mvar)})
-        injections = {b.bus_id: (float(p), 0.0) for b, p in zip(net.buses, injection_mw)}
-    base_region = sum(b.p_load_mw for b in scoped.region_buses(region) if b.has_load)
-    stressed = scale_loads(scoped, region, lam) if lam > 1.0 else scoped
-    slack_id = next(b.bus_id for b in net.buses if b.kind == "slack")
-    increment = (lam - 1.0) * base_region
-    for bid, f in shares.items():
-        if bid == slack_id:
-            continue
-        p0, q0 = injections.get(bid, (0.0, 0.0))
-        injections[bid] = (p0 + f * increment, q0)
-    return stressed, injections
-
-
-def verify_bracket(net: BusNetwork, region: str, participation: Mapping[str, float],
-                   row: Optional[Points], lam_star: float, step: float) -> tuple[bool, bool]:
-    """(converges at lam_star, converges at lam_star + step) via the plain solver."""
-    at, inj_at = stressed_network(net, region, participation, row, lam_star)
-    above, inj_above = stressed_network(net, region, participation, row, lam_star + step)
-    return (solve_power_flow(at, inj_at).converged,
-            solve_power_flow(above, inj_above).converged)
 
 
 def average_loadability(result: LoadabilityResult) -> float:

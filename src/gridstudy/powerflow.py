@@ -7,17 +7,15 @@ and declares failure on iteration exhaustion (20), a singular Jacobian,
 or any voltage magnitude collapsing below 0.4 p.u.
 
 The Newton kernel is written over a batch axis so that loadability sweeps
-can solve thousands of operating points in lockstep; a single solve is a
-batch of one and runs the same code.  A point's results are the same bits
-whichever batch it is solved in, alone included.
+can solve thousands of operating points in lockstep.  A point's results
+are the same bits whichever batch it is solved in, alone included.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
 
 import numpy as np
 
@@ -49,10 +47,6 @@ class Bus:
             raise PowerFlowError(f"bus {self.bus_id}: unknown kind {self.kind!r}")
         if self.v_set_pu <= 0:
             raise PowerFlowError(f"bus {self.bus_id}: voltage setpoint must be positive")
-
-    @property
-    def has_load(self) -> bool:
-        return self.p_load_mw != 0.0 or self.q_load_mvar != 0.0
 
 
 @dataclass(frozen=True)
@@ -122,53 +116,6 @@ class BusNetwork:
         if not out:
             raise PowerFlowError(f"no buses tagged with region {region!r}")
         return out
-
-    def with_loads(self, loads: Mapping[str, tuple[float, float]]) -> "BusNetwork":
-        """Copy of the network with (P, Q) bus loads replaced where given."""
-        known = {b.bus_id for b in self.buses}
-        for bid in loads:
-            if bid not in known:
-                raise PowerFlowError(f"unknown bus {bid!r} in load override")
-        new = tuple(
-            replace(b, p_load_mw=loads[b.bus_id][0], q_load_mvar=loads[b.bus_id][1])
-            if b.bus_id in loads else b
-            for b in self.buses
-        )
-        return BusNetwork(new, self.branches, self.base_mva)
-
-
-def scale_loads(net: BusNetwork, region: str, lam: float) -> BusNetwork:
-    """Multiply P and Q of every load bus in ``region`` by ``lam``.
-
-    Q scales with P, so each bus keeps its power factor.
-    """
-    if lam < 1.0:
-        raise PowerFlowError(f"load scaling factor {lam} must be >= 1")
-    net.region_buses(region)  # raises on unknown region
-    new = tuple(
-        replace(b, p_load_mw=lam * b.p_load_mw, q_load_mvar=lam * b.q_load_mvar)
-        if b.region == region and b.has_load else b
-        for b in net.buses
-    )
-    return BusNetwork(new, net.branches, net.base_mva)
-
-
-@dataclass(frozen=True)
-class PowerFlowSolution:
-    converged: bool
-    v_pu: np.ndarray
-    angle_rad: np.ndarray
-    p_from_mw: np.ndarray
-    q_from_mvar: np.ndarray
-    p_to_mw: np.ndarray
-    q_to_mvar: np.ndarray
-    iterations: int
-    mismatch_pu: float
-    failure_cause: str = ""  # "", max_iterations, voltage_collapse, singular_jacobian
-
-    @property
-    def min_voltage_pu(self) -> float:
-        return float(np.min(self.v_pu))
 
 
 class _Grid:
@@ -309,63 +256,6 @@ def _nr_batch(grid: _Grid, p_sched: np.ndarray, q_sched: np.ndarray):
             active, vm_a, va_a = active[keep], vm_a[keep], va_a[keep]
             sched_a = sched_a[keep]
     return vm, va, converged, iters, mismatch, cause
-
-
-_CAUSE_NAMES = {0: "", 1: "max_iterations", 2: "voltage_collapse", 3: "singular_jacobian"}
-
-
-def _branch_flows(net: BusNetwork, vm: np.ndarray, va: np.ndarray):
-    index = {b.bus_id: i for i, b in enumerate(net.buses)}
-    i = np.array([index[br.from_bus] for br in net.branches], dtype=int)
-    j = np.array([index[br.to_bus] for br in net.branches], dtype=int)
-    ys = np.array([1.0 / complex(br.r_pu, br.x_pu) for br in net.branches])
-    sh = np.array([0.5j * br.b_shunt_pu for br in net.branches])
-    v = vm * np.exp(1j * va)
-    s_from = v[i] * np.conj((v[i] - v[j]) * ys + v[i] * sh) * net.base_mva
-    s_to = v[j] * np.conj((v[j] - v[i]) * ys + v[j] * sh) * net.base_mva
-    return s_from, s_to
-
-
-def solve_power_flow(net: BusNetwork,
-                     injections: Optional[Mapping[str, tuple[float, float]]] = None
-                     ) -> PowerFlowSolution:
-    """Solve the network with optional per-bus generation injections (MW, MVAr).
-
-    Injections add to the bus balance against the stored loads; the active
-    part matters on PV buses (their reactive output floats to hold the
-    voltage setpoint), both parts matter on PQ buses.
-    """
-    grid = _Grid(net)
-    loads_p = np.array([[b.p_load_mw for b in net.buses]])
-    loads_q = np.array([[b.q_load_mvar for b in net.buses]])
-    inj_p, inj_q = np.zeros((2, 1, grid.n))
-    index = {b.bus_id: i for i, b in enumerate(net.buses)}
-    for bid, (p, q) in (injections or {}).items():
-        if bid not in index:
-            raise PowerFlowError(f"unknown bus {bid!r} in injections")
-        inj_p[0, index[bid]] = p
-        inj_q[0, index[bid]] = q
-    p_sched, q_sched = grid.scheduled(loads_p, loads_q, inj_p, inj_q)
-    vm, va, conv, iters, mism, cause = _nr_batch(grid, p_sched, q_sched)
-    s_from, s_to = _branch_flows(net, vm[0], va[0])
-    return PowerFlowSolution(
-        converged=bool(conv[0]),
-        v_pu=vm[0],
-        angle_rad=va[0],
-        p_from_mw=s_from.real,
-        q_from_mvar=s_from.imag,
-        p_to_mw=s_to.real,
-        q_to_mvar=s_to.imag,
-        iterations=int(iters[0]),
-        mismatch_pu=float(mism[0]),
-        failure_cause=_CAUSE_NAMES[int(cause[0])],
-    )
-
-
-def bus_injections_pu(net: BusNetwork, solution: PowerFlowSolution) -> np.ndarray:
-    """Complex power injected at each bus implied by the solved voltages."""
-    v = solution.v_pu * np.exp(1j * solution.angle_rad)
-    return v * np.conj(net.ybus() @ v)
 
 
 def load_network(bus_csv, branch_csv, base_mva: float = DEFAULT_BASE_MVA) -> BusNetwork:

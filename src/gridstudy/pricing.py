@@ -12,7 +12,7 @@ interchangeable model kinds sit behind the same interface:
 
 Constant features carry no information and are dropped at training time
 (recorded on the predictor).  Everything is deterministic for a fixed
-training set and seed.
+training set.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def feature_matrix(fleet: Sequence[Generator], lines: Sequence[Interconnector],
 @dataclass(frozen=True)
 class TrainedPredictor:
     kind: str
-    seed: int
     feature_names: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
@@ -87,7 +86,7 @@ class TrainedPredictor:
 
 
 def train_matrix(feature_names: tuple[str, ...], x: np.ndarray, y: np.ndarray,
-                 kind: str = "ridge-linear", seed: int = 0) -> TrainedPredictor:
+                 kind: str = "ridge-linear") -> TrainedPredictor:
     """Fit a predictor of the requested kind on the rows of ``x`` and prices ``y``."""
     if kind not in MODEL_KINDS:
         raise PricingError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -121,10 +120,8 @@ def train_matrix(feature_names: tuple[str, ...], x: np.ndarray, y: np.ndarray,
         gram = a.T @ a
         gram[:k, :k] += RIDGE_WEIGHT * np.eye(k)  # intercept unpenalised
         coef = np.linalg.solve(gram, a.T @ y)
-        return TrainedPredictor(kind, seed, feature_names, mean, std, kept,
-                                dropped, coef=coef)
-    return TrainedPredictor(kind, seed, feature_names, mean, std, kept,
-                            dropped, exemplars=z, prices=y)
+        return TrainedPredictor(kind, feature_names, mean, std, kept, dropped, coef=coef)
+    return TrainedPredictor(kind, feature_names, mean, std, kept, dropped, exemplars=z, prices=y)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -163,12 +160,11 @@ def predict_rows(predictor: TrainedPredictor, names: tuple[str, ...],
 
 # -- plain-text persistence -------------------------------------------------
 
-_MAGIC = "gridstudy-predictor v1"
+_MAGIC = "gridstudy-predictor v2"
 
 
 def save_predictor(predictor: TrainedPredictor, path) -> None:
-    lines = [_MAGIC, f"kind {predictor.kind}", f"seed {predictor.seed}",
-             f"features {len(predictor.feature_names)}"]
+    lines = [_MAGIC, f"kind {predictor.kind}", f"features {len(predictor.feature_names)}"]
     for i, name in enumerate(predictor.feature_names):
         lines.append(f"f {name} {float(predictor.mean[i])!r} {float(predictor.std[i])!r} {int(predictor.kept[i])}")
     if predictor.kind == "ridge-linear":
@@ -185,21 +181,20 @@ def load_predictor(path) -> TrainedPredictor:
     if not lines or lines[0] != _MAGIC:
         raise PricingError(f"{path}: not a saved predictor")
     kind = lines[1].split(" ", 1)[1]
-    seed = int(lines[2].split(" ", 1)[1])
-    n_features = int(lines[3].split(" ", 1)[1])
+    n_features = int(lines[2].split(" ", 1)[1])
     names, mean, std, kept = [], [], [], []
-    for line in lines[4:4 + n_features]:
+    for line in lines[3:3 + n_features]:
         _, name, m, s, k = line.split(" ")
         names.append(name)
         mean.append(float(m))
         std.append(float(s))
         kept.append(bool(int(k)))
-    rest = lines[4 + n_features:]
+    rest = lines[3 + n_features:]
     mean, std, kept = np.array(mean), np.array(std), np.array(kept)
     dropped = tuple(n for n, k in zip(names, kept) if not k)
     if kind == "ridge-linear":
         coef = np.array([float(v) for v in rest[0].split(" ")[1:]])
-        return TrainedPredictor(kind, seed, tuple(names), mean, std, kept, dropped, coef=coef)
+        return TrainedPredictor(kind, tuple(names), mean, std, kept, dropped, coef=coef)
     count = int(rest[0].split(" ", 1)[1])
     exemplars, prices = [], []
     for line in rest[1:1 + count]:
@@ -207,5 +202,5 @@ def load_predictor(path) -> TrainedPredictor:
         feats, price = body.split(" -> ")
         exemplars.append([float(v) for v in feats.split(" ")])
         prices.append(float(price))
-    return TrainedPredictor(kind, seed, tuple(names), mean, std, kept, dropped,
+    return TrainedPredictor(kind, tuple(names), mean, std, kept, dropped,
                             exemplars=np.array(exemplars), prices=np.array(prices))

@@ -4,7 +4,7 @@ A scenario file (schema version 1; the bundled ones are under ``configs/``)
 has these sections:
 
 * ``[scenario]``      -- ``schema_version`` (must be 1), ``id`` 1..5,
-  ``uptake`` (none | low | medium | high), optional run ``seed`` (0).
+  ``uptake`` (none | low | medium | high).
 * ``[regions]``       -- ``demand`` region list, optional ``transit`` list.
 * ``[data]``          -- file names, resolved against the run's data
   directory: ``demand.<R>``, ``historical_demand.<R>`` and
@@ -120,7 +120,6 @@ class LoadabilityOptions:
 class ScenarioConfig:
     scenario_id: int
     uptake: str
-    seed: int
     demand_regions: tuple[str, ...]
     transit_regions: tuple[str, ...]
     data_files: Mapping[str, str]
@@ -244,7 +243,6 @@ def scenario_from_config(path) -> ScenarioConfig:
     if uptake is not _BAD and uptake not in UPTAKE_LEVELS:
         sec.error(f"uptake {uptake!r} not one of {UPTAKE_LEVELS}")
         uptake = _BAD
-    seed = sec.number("seed", 0, int)
     sec.leftovers()
 
     sec = section("regions", required=True)
@@ -395,7 +393,6 @@ def scenario_from_config(path) -> ScenarioConfig:
     return ScenarioConfig(
         scenario_id=scenario_id,
         uptake=uptake,
-        seed=seed,
         demand_regions=demand_regions,
         transit_regions=transit_regions,
         data_files=data_files,

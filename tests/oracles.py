@@ -1,0 +1,305 @@
+"""Reference implementations that the tests hold the runtime package against.
+
+* ``reference_nr_batch``: the Newton kernel with the full complex MATPOWER
+  ``dSbus_dV`` tensors.
+* ``reference_sweep``: the loadability scan with one grid step per Newton
+  batch.
+* ``solve_power_flow`` and its helpers: one operating point on a
+  ``BusNetwork`` whose bus loads hold the point, solved as a batch of one
+  through ``_nr_batch``, with branch flows.
+* ``stressed_network`` and ``verify_bracket``: one hour of a loadability
+  sweep rebuilt as such a network and re-solved at and above its λ*.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional
+
+import numpy as np
+
+from gridstudy.loadability import Points, validate_participation
+from gridstudy.powerflow import (
+    PF_MAX_ITERATIONS,
+    PF_TOLERANCE,
+    VOLTAGE_COLLAPSE_PU,
+    Bus,
+    BusNetwork,
+    PowerFlowError,
+    _Grid,
+    _nr_batch,
+)
+
+
+# -- one operating point at a time ---------------------------------------------
+
+def has_load(bus: Bus) -> bool:
+    return bus.p_load_mw != 0.0 or bus.q_load_mvar != 0.0
+
+
+def with_loads(net: BusNetwork, loads: Mapping[str, tuple[float, float]]) -> BusNetwork:
+    """Copy of the network with (P, Q) bus loads replaced where given."""
+    known = {b.bus_id for b in net.buses}
+    for bid in loads:
+        if bid not in known:
+            raise PowerFlowError(f"unknown bus {bid!r} in load override")
+    new = tuple(
+        replace(b, p_load_mw=loads[b.bus_id][0], q_load_mvar=loads[b.bus_id][1])
+        if b.bus_id in loads else b
+        for b in net.buses
+    )
+    return BusNetwork(new, net.branches, net.base_mva)
+
+
+def scale_loads(net: BusNetwork, region: str, lam: float) -> BusNetwork:
+    """Multiply P and Q of every load bus in ``region`` by ``lam``.
+
+    Q scales with P, so each bus keeps its power factor.
+    """
+    if lam < 1.0:
+        raise PowerFlowError(f"load scaling factor {lam} must be >= 1")
+    net.region_buses(region)  # raises on unknown region
+    new = tuple(
+        replace(b, p_load_mw=lam * b.p_load_mw, q_load_mvar=lam * b.q_load_mvar)
+        if b.region == region and has_load(b) else b
+        for b in net.buses
+    )
+    return BusNetwork(new, net.branches, net.base_mva)
+
+
+@dataclass(frozen=True)
+class PowerFlowSolution:
+    converged: bool
+    v_pu: np.ndarray
+    angle_rad: np.ndarray
+    p_from_mw: np.ndarray
+    q_from_mvar: np.ndarray
+    p_to_mw: np.ndarray
+    q_to_mvar: np.ndarray
+    iterations: int
+    mismatch_pu: float
+    failure_cause: str = ""  # "", max_iterations, voltage_collapse, singular_jacobian
+
+    @property
+    def min_voltage_pu(self) -> float:
+        return float(np.min(self.v_pu))
+
+
+_CAUSE_NAMES = {0: "", 1: "max_iterations", 2: "voltage_collapse", 3: "singular_jacobian"}
+
+
+def _branch_flows(net: BusNetwork, vm: np.ndarray, va: np.ndarray):
+    index = {b.bus_id: i for i, b in enumerate(net.buses)}
+    i = np.array([index[br.from_bus] for br in net.branches], dtype=int)
+    j = np.array([index[br.to_bus] for br in net.branches], dtype=int)
+    ys = np.array([1.0 / complex(br.r_pu, br.x_pu) for br in net.branches])
+    sh = np.array([0.5j * br.b_shunt_pu for br in net.branches])
+    v = vm * np.exp(1j * va)
+    s_from = v[i] * np.conj((v[i] - v[j]) * ys + v[i] * sh) * net.base_mva
+    s_to = v[j] * np.conj((v[j] - v[i]) * ys + v[j] * sh) * net.base_mva
+    return s_from, s_to
+
+
+def solve_power_flow(net: BusNetwork,
+                     injections: Optional[Mapping[str, tuple[float, float]]] = None
+                     ) -> PowerFlowSolution:
+    """Solve the network with optional per-bus generation injections (MW, MVAr).
+
+    Injections add to the bus balance against the stored loads; the active
+    part matters on PV buses (their reactive output floats to hold the
+    voltage setpoint), both parts matter on PQ buses.
+    """
+    grid = _Grid(net)
+    loads_p = np.array([[b.p_load_mw for b in net.buses]])
+    loads_q = np.array([[b.q_load_mvar for b in net.buses]])
+    inj_p, inj_q = np.zeros((2, 1, grid.n))
+    index = {b.bus_id: i for i, b in enumerate(net.buses)}
+    for bid, (p, q) in (injections or {}).items():
+        if bid not in index:
+            raise PowerFlowError(f"unknown bus {bid!r} in injections")
+        inj_p[0, index[bid]] = p
+        inj_q[0, index[bid]] = q
+    p_sched, q_sched = grid.scheduled(loads_p, loads_q, inj_p, inj_q)
+    vm, va, conv, iters, mism, cause = _nr_batch(grid, p_sched, q_sched)
+    s_from, s_to = _branch_flows(net, vm[0], va[0])
+    return PowerFlowSolution(
+        converged=bool(conv[0]),
+        v_pu=vm[0],
+        angle_rad=va[0],
+        p_from_mw=s_from.real,
+        q_from_mvar=s_from.imag,
+        p_to_mw=s_to.real,
+        q_to_mvar=s_to.imag,
+        iterations=int(iters[0]),
+        mismatch_pu=float(mism[0]),
+        failure_cause=_CAUSE_NAMES[int(cause[0])],
+    )
+
+
+def bus_injections_pu(net: BusNetwork, solution: PowerFlowSolution) -> np.ndarray:
+    """Complex power injected at each bus implied by the solved voltages."""
+    v = solution.v_pu * np.exp(1j * solution.angle_rad)
+    return v * np.conj(net.ybus() @ v)
+
+
+def stressed_network(net: BusNetwork, region: str, participation: Mapping[str, float],
+                     row: Optional[Points], lam: float
+                     ) -> tuple[BusNetwork, dict[str, tuple[float, float]]]:
+    """Network and injections for one hour at scaling factor ``lam``.
+
+    ``row`` is one hour's rows of the sweep's arrays (see ``Points``), or
+    None for the network's base loads.  Used to re-verify the bracketing
+    invariant with the plain solver: power flow converges at the hour's
+    loadability and fails one step above.
+    """
+    shares = validate_participation(net, participation)
+    scoped, injections = net, {}
+    if row is not None:
+        load_mw, load_mvar, injection_mw = row
+        scoped = with_loads(net, {b.bus_id: (float(p), float(q))
+                                  for b, p, q in zip(net.buses, load_mw, load_mvar)})
+        injections = {b.bus_id: (float(p), 0.0) for b, p in zip(net.buses, injection_mw)}
+    base_region = sum(b.p_load_mw for b in scoped.region_buses(region) if has_load(b))
+    stressed = scale_loads(scoped, region, lam) if lam > 1.0 else scoped
+    slack_id = next(b.bus_id for b in net.buses if b.kind == "slack")
+    increment = (lam - 1.0) * base_region
+    for bid, f in shares.items():
+        if bid == slack_id:
+            continue
+        p0, q0 = injections.get(bid, (0.0, 0.0))
+        injections[bid] = (p0 + f * increment, q0)
+    return stressed, injections
+
+
+def verify_bracket(net: BusNetwork, region: str, participation: Mapping[str, float],
+                   row: Optional[Points], lam_star: float, step: float) -> tuple[bool, bool]:
+    """(converges at lam_star, converges at lam_star + step) via the plain solver."""
+    at, inj_at = stressed_network(net, region, participation, row, lam_star)
+    above, inj_above = stressed_network(net, region, participation, row, lam_star + step)
+    return (solve_power_flow(at, inj_at).converged,
+            solve_power_flow(above, inj_above).converged)
+
+
+# -- batched references --------------------------------------------------------
+
+def reference_nr_batch(grid, p_sched, q_sched):
+    """The kernel as it was with the full n x n complex MATPOWER dSbus_dV tensors.
+
+    The current kernel builds the same Jacobian in real arithmetic, in the
+    (dVa, dVm/Vm) variables, so the two agree to rounding, not bit for bit.
+    """
+    nb = p_sched.shape[0]
+    n = grid.n
+    y = grid.ybus
+    pq, pvpq = grid.pq, grid.pvpq
+    npvpq, npq = pvpq.size, pq.size
+    vm = np.tile(grid.vset, (nb, 1))
+    vm[:, pq] = 1.0
+    va = np.zeros((nb, n))
+    converged = np.zeros(nb, dtype=bool)
+    cause = np.zeros(nb, dtype=np.int8)
+    iters = np.zeros(nb, dtype=np.int64)
+    mismatch = np.full(nb, np.inf)
+    active = np.arange(nb)
+
+    def residual(vm_a, va_a, idx):
+        v = vm_a * np.exp(1j * va_a)
+        s = v * np.conj(v @ y.T)
+        dp = s.real[:, pvpq] - p_sched[idx][:, pvpq]
+        dq = s.imag[:, pq] - q_sched[idx][:, pq]
+        return np.concatenate([dp, dq], axis=1)
+
+    for it in range(PF_MAX_ITERATIONS + 1):
+        if active.size == 0:
+            break
+        vm_a, va_a = vm[active], va[active]
+        f = residual(vm_a, va_a, active)
+        norm = np.max(np.abs(f), axis=1)
+        mismatch[active] = norm
+        ok = norm < PF_TOLERANCE
+        if np.any(ok):
+            converged[active[ok]] = True
+            iters[active[ok]] = it
+            keep = ~ok
+            active = active[keep]
+            vm_a, va_a, f = vm_a[keep], va_a[keep], f[keep]
+            if active.size == 0:
+                break
+        if it == PF_MAX_ITERATIONS:
+            cause[active] = 1
+            iters[active] = it
+            break
+        v = vm_a * np.exp(1j * va_a)
+        vnorm = np.exp(1j * va_a)
+        ibus = v @ y.T
+        m1 = -y[None, :, :] * v[:, None, :]
+        m1[:, np.arange(n), np.arange(n)] += ibus
+        ds_dva = 1j * v[:, :, None] * np.conj(m1)
+        m2 = y[None, :, :] * vnorm[:, None, :]
+        ds_dvm = v[:, :, None] * np.conj(m2)
+        ds_dvm[:, np.arange(n), np.arange(n)] += np.conj(ibus) * vnorm
+        j11 = ds_dva.real[:, pvpq[:, None], pvpq[None, :]]
+        j12 = ds_dvm.real[:, pvpq[:, None], pq[None, :]]
+        j21 = ds_dva.imag[:, pq[:, None], pvpq[None, :]]
+        j22 = ds_dvm.imag[:, pq[:, None], pq[None, :]]
+        jac = np.concatenate([
+            np.concatenate([j11, j12], axis=2),
+            np.concatenate([j21, j22], axis=2),
+        ], axis=1)
+        try:
+            dx = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            dx = np.full((active.size, npvpq + npq), np.nan)
+            for k in range(active.size):
+                try:
+                    dx[k] = np.linalg.solve(jac[k], -f[k])
+                except np.linalg.LinAlgError:
+                    pass
+        va_a = va_a.copy()
+        vm_a = vm_a.copy()
+        va_a[:, pvpq] += dx[:, :npvpq]
+        vm_a[:, pq] += dx[:, npvpq:]
+        bad = ~np.all(np.isfinite(dx), axis=1)
+        collapsed = np.min(vm_a, axis=1) < VOLTAGE_COLLAPSE_PU
+        vm[active] = vm_a
+        va[active] = va_a
+        fail = bad | collapsed
+        if np.any(fail):
+            cause[active[bad]] = 3
+            cause[active[collapsed & ~bad]] = 2
+            iters[active[fail]] = it + 1
+            active = active[~fail]
+    return vm, va, converged, iters, mismatch, cause
+
+
+def reference_sweep(net, region, participation, step, hours, lambda_max):
+    """The scan as it was with one grid step per Newton batch: every hour
+    still scanning solves factor 1 + k * step in the k-th batch."""
+    grid = _Grid(net)
+    n = grid.n
+    base_p, base_q, inj_p = (np.asarray(a, dtype=float) for a in hours)
+    nh = len(base_p)
+    region_ids = {b.bus_id for b in net.region_buses(region)}
+    region_mask = np.array([b.bus_id in region_ids for b in net.buses])
+    region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
+    pickup = np.array([0.0 if b.kind == "slack" else participation.get(b.bus_id, 0.0)
+                       for b in net.buses])
+    lam_star, served, region_load, min_v = np.full((4, nh), np.nan)
+    active = np.arange(nh)
+    k = 0
+    while active.size and (lam := 1.0 + k * step) <= lambda_max:
+        scale = np.ones(n)
+        scale[region_mask] = lam
+        p_load = base_p[active] * scale
+        q_load = base_q[active] * scale
+        increment = (lam - 1.0) * np.sum(base_p[active][:, region_mask], axis=1)
+        p_inj = inj_p[active] + increment[:, None] * pickup
+        p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
+        vm, _, ok, _, _, _ = _nr_batch(grid, p_sched, q_sched)
+        active = active[ok]
+        lam_star[active] = lam
+        served[active] = np.sum(p_load[ok], axis=1)
+        region_load[active] = np.sum(p_load[ok][:, region_mask], axis=1)
+        min_v[active] = np.min(vm[ok], axis=1)
+        k += 1
+    return lam_star, served, region_load, min_v

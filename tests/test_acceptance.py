@@ -30,11 +30,11 @@ from gridstudy.dispatch import (
     _window,
 )
 from gridstudy.harness import emit_report, merge_summaries, run_scenario
-from gridstudy.loadability import compute_loadability, stressed_network, verify_bracket
-from gridstudy.powerflow import solve_power_flow
+from gridstudy.loadability import compute_loadability
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import study_network, three_bus_case, two_bus_case
 from gridstudy.timeseries import HOURS_PER_DAY
+from oracles import solve_power_flow, stressed_network, verify_bracket
 from tests.conftest import config_path
 
 from tests.test_demand import discretized_min_cost, padded_day, random_instance

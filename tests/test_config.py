@@ -104,6 +104,12 @@ class TestViolations:
         with pytest.raises(ConfigError, match="unknown key 'surprise'"):
             scenario_from_config(path)
 
+    def test_run_seed_of_an_old_config_is_one_unknown_key(self, tmp_path, scenario4_text):
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("scenario", "seed", "11"))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == ["  [scenario] unknown key 'seed'"]
+
     def test_unknown_section_rejected(self, tmp_path, scenario4_text):
         def fn(p):
             p.add_section("mystery")

@@ -237,7 +237,7 @@ class TestSimulateHorizon:
         res = simulate_horizon(self.small_fleet(), demand, [])
         assert res.spilled_hours_pct == 0.0
         assert res.unserved_hours == 0
-        assert res.generator_energy_mwh["base"] == pytest.approx(150.0 * 24)
+        assert sum(hd.output_mw["base"] for hd in res.hours) == pytest.approx(150.0 * 24)
         assert res.gt_energy_twh == 0.0
 
     def test_horizon_mismatch_rejected(self):

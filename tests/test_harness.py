@@ -293,6 +293,23 @@ class TestCli:
         assert rc == 0
         assert merged.read_text().startswith("scenario,")
 
+    def test_run_seed_is_not_an_option(self, data_dir, tmp_path, capsys):
+        from gridstudy.cli import main
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--scenario", str(config_path(1)), "--data-dir", str(data_dir),
+                  "--out", str(tmp_path / "o"), "--seed", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_make_data_keeps_its_data_seed(self, data_dir, tmp_path):
+        """``data_dir`` holds the data of the default seed."""
+        from gridstudy.cli import main
+        out = tmp_path / "d5"
+        assert main(["make-data", "--out", str(out), "--seed", "5"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in data_dir.iterdir())
+        assert (out / "demand_QLD.csv").read_bytes() != (data_dir / "demand_QLD.csv").read_bytes()
+
     def test_failure_exit_code(self, tmp_path):
         from gridstudy.cli import main
         rc = main(["run", "--scenario", str(tmp_path / "nope.ini"),
@@ -440,8 +457,7 @@ class TestReuseAcrossScenarios:
         harness._REUSE.clear()
         report = run_scenario(scenario_from_config(config_path(2)), data_dir, days=2)
         hd = report.dispatch.hours[0]
-        for mapping in (hd.output_mw, hd.flow_mw, hd.unserved_mw, hd.dumped_mw, hd.price,
-                        report.dispatch.generator_energy_mwh):
+        for mapping in (hd.output_mw, hd.flow_mw, hd.unserved_mw, hd.dumped_mw, hd.price):
             with pytest.raises(TypeError):
                 mapping[next(iter(mapping))] = 0.0
 

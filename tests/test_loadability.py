@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridstudy import loadability
-from gridstudy.loadability import (
-    LoadabilityError,
-    average_loadability,
-    compute_loadability,
-    verify_bracket,
-)
-from gridstudy.powerflow import Branch, Bus, BusNetwork, _Grid, _nr_batch
+from gridstudy.loadability import LoadabilityError, average_loadability, compute_loadability
+from gridstudy.powerflow import Branch, Bus, BusNetwork, _nr_batch
 from gridstudy.synthdata import study_network, two_bus_case
+from oracles import reference_sweep, solve_power_flow, stressed_network, verify_bracket, with_loads
 
 
 def points(net, loads, injections=None):
@@ -32,43 +28,7 @@ def points(net, loads, injections=None):
     return load_mw, load_mvar, injection_mw
 
 
-def reference_sweep(net, region, participation, step, hours, lambda_max):
-    """The scan as it was with one grid step per Newton batch: every hour
-    still scanning solves factor 1 + k * step in the k-th batch."""
-    grid = _Grid(net)
-    n = grid.n
-    base_p, base_q, inj_p = (np.asarray(a, dtype=float) for a in hours)
-    nh = len(base_p)
-    region_ids = {b.bus_id for b in net.region_buses(region)}
-    region_mask = np.array([b.bus_id in region_ids for b in net.buses])
-    region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
-    pickup = np.array([0.0 if b.kind == "slack" else participation.get(b.bus_id, 0.0)
-                       for b in net.buses])
-    lam_star, served, region_load, min_v, base_min_v = np.full((5, nh), np.nan)
-    active = np.arange(nh)
-    k = 0
-    while active.size and (lam := 1.0 + k * step) <= lambda_max:
-        scale = np.ones(n)
-        scale[region_mask] = lam
-        p_load = base_p[active] * scale
-        q_load = base_q[active] * scale
-        increment = (lam - 1.0) * np.sum(base_p[active][:, region_mask], axis=1)
-        p_inj = inj_p[active] + increment[:, None] * pickup
-        p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
-        vm, _, ok, _, _, _ = _nr_batch(grid, p_sched, q_sched)
-        active = active[ok]
-        lam_star[active] = lam
-        served[active] = np.sum(p_load[ok], axis=1)
-        region_load[active] = np.sum(p_load[ok][:, region_mask], axis=1)
-        min_v[active] = np.min(vm[ok], axis=1)
-        if k == 0:
-            base_min_v[:] = min_v
-        k += 1
-    return lam_star, served, region_load, min_v, base_min_v
-
-
-RESULT_ARRAYS = ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu",
-                 "base_min_voltage_pu")
+RESULT_ARRAYS = ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu")
 
 
 def study_hours(net, loads_scale, rng):
@@ -106,12 +66,12 @@ class TestTwoBusAnalytic:
             assert getattr(default, name).tobytes() == getattr(given, name).tobytes()
 
     def test_no_headroom_when_base_is_the_limit(self):
-        net = two_bus_case().with_loads({"load": (500.0, 0.0)})
+        net = with_loads(two_bus_case(), {"load": (500.0, 0.0)})
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
         assert res.lambda_star[0] == 1.0
 
     def test_degenerate_hour_reported(self):
-        net = two_bus_case().with_loads({"load": (600.0, 0.0)})
+        net = with_loads(two_bus_case(), {"load": (600.0, 0.0)})
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.01)
         assert res.degenerate[0]
         assert np.isnan(res.lambda_star[0])
@@ -138,7 +98,7 @@ class TestBatchedSweep:
         hours = points(net, [{"load": (float(p), 0.0)} for p in loads])
         batch = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
         for i, p in enumerate(loads):
-            single = compute_loadability(net.with_loads({"load": (float(p), 0.0)}),
+            single = compute_loadability(with_loads(net, {"load": (float(p), 0.0)}),
                                          "LOAD", {"source": 1.0}, step=0.02)
             assert batch.lambda_star[i] == single.lambda_star[0]
             assert batch.served_load_mw[i] == single.served_load_mw[0]
@@ -178,12 +138,16 @@ class TestBatchedSweep:
             assert at and not above, h
 
     def test_monotone_stress_depresses_voltage(self):
+        """The minimum voltage at lambda* is no higher than in the hour's base case."""
         net = study_network()
         ops = points(net, [{"qld_load": (5200.0, 1709.0)}, {"qld_load": (6800.0, 2235.0)}],
                      [{"qld_gen": 4500.0}, {"qld_gen": 6000.0}])
-        res = compute_loadability(net, "QLD", {"qld_gen": 0.5, "qld_csp": 0.5},
-                                  step=0.02, hours=ops)
-        assert np.all(res.min_voltage_pu <= res.base_min_voltage_pu + 1e-12)
+        part = {"qld_gen": 0.5, "qld_csp": 0.5}
+        res = compute_loadability(net, "QLD", part, step=0.02, hours=ops)
+        for h in range(2):
+            base = solve_power_flow(*stressed_network(net, "QLD", part,
+                                                      tuple(a[h] for a in ops), 1.0))
+            assert base.converged and res.min_voltage_pu[h] <= base.min_voltage_pu + 1e-12, h
 
 
 class TestBlockedScan:
@@ -257,10 +221,10 @@ class TestBlockedScan:
         steps = int(round((res.lambda_star[np.isfinite(res.lambda_star)].max() - 1.0) / 0.02))
         assert len(rows) < steps  # later batches carry several steps per hour
 
-    def test_base_voltage_is_the_step_zero_row_of_a_multi_step_block(self):
-        """With several steps per hour in the first block, the base voltage is
-        each hour's step-0 row there, not its last converged row: on mixed
-        hours and on the single-hour default scan."""
+    def test_hours_that_stop_inside_a_multi_step_first_block(self):
+        """With several steps per hour in the first block, an hour that stops
+        inside it reports its last converged row there, as the one-step scan
+        does: on mixed hours and on the single-hour default scan."""
         net = two_bus_case()
         # 600 MW is degenerate; 500 MW ends at lambda* = 1; the others up to
         # 330 MW fail inside the first block's 32 steps (lambda* = 500 MW / load).
@@ -326,7 +290,7 @@ class TestAverage:
         res = LoadabilityResult(
             lambda_star=np.array([1.35]), served_load_mw=np.array([25530.0]),
             region_load_mw=np.array([8000.0]), min_voltage_pu=np.array([0.8]),
-            base_min_voltage_pu=np.array([0.95]), step=0.005, region="QLD")
+            step=0.005, region="QLD")
         assert average_loadability(res) == pytest.approx(25.53)
 
     def test_mean_of_two_hours(self):

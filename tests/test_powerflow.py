@@ -8,13 +8,18 @@ from gridstudy.powerflow import (
     Bus,
     BusNetwork,
     PowerFlowError,
-    bus_injections_pu,
     load_network,
-    scale_loads,
-    solve_power_flow,
     write_network,
 )
 from gridstudy.synthdata import study_network, three_bus_case, two_bus_case
+from oracles import (
+    bus_injections_pu,
+    has_load,
+    reference_nr_batch,
+    scale_loads,
+    solve_power_flow,
+    with_loads,
+)
 
 
 class TestNetworkModel:
@@ -64,7 +69,7 @@ class TestSolve:
         assert v2 == pytest.approx(v2_analytic, abs=1e-8)
 
     def test_beyond_transfer_limit_diverges(self):
-        net = two_bus_case().with_loads({"load": (600.0, 0.0)})
+        net = with_loads(two_bus_case(), {"load": (600.0, 0.0)})
         sol = solve_power_flow(net)
         assert not sol.converged
         assert sol.failure_cause in ("max_iterations", "voltage_collapse", "singular_jacobian")
@@ -127,7 +132,7 @@ class TestScaleLoads:
             lam = float(rng.uniform(1, 4))
             scaled = scale_loads(net, "R", lam)
             for before, after in zip(net.buses, scaled.buses):
-                if before.region == "R" and before.has_load:
+                if before.region == "R" and has_load(before):
                     assert after.q_load_mvar / after.p_load_mw == pytest.approx(
                         before.q_load_mvar / before.p_load_mw, abs=1e-12)
 
@@ -138,97 +143,6 @@ class TestScaleLoads:
     def test_lambda_below_one_rejected(self):
         with pytest.raises(PowerFlowError, match=">= 1"):
             scale_loads(self.region_net(), "R", 0.9)
-
-
-def reference_nr_batch(grid, p_sched, q_sched):
-    """The kernel as it was with the full n x n complex MATPOWER dSbus_dV tensors.
-
-    The current kernel builds the same Jacobian in real arithmetic, in the
-    (dVa, dVm/Vm) variables, so the two agree to rounding, not bit for bit.
-    """
-    from gridstudy.powerflow import PF_MAX_ITERATIONS, PF_TOLERANCE, VOLTAGE_COLLAPSE_PU
-    nb = p_sched.shape[0]
-    n = grid.n
-    y = grid.ybus
-    pq, pvpq = grid.pq, grid.pvpq
-    npvpq, npq = pvpq.size, pq.size
-    vm = np.tile(grid.vset, (nb, 1))
-    vm[:, pq] = 1.0
-    va = np.zeros((nb, n))
-    converged = np.zeros(nb, dtype=bool)
-    cause = np.zeros(nb, dtype=np.int8)
-    iters = np.zeros(nb, dtype=np.int64)
-    mismatch = np.full(nb, np.inf)
-    active = np.arange(nb)
-
-    def residual(vm_a, va_a, idx):
-        v = vm_a * np.exp(1j * va_a)
-        s = v * np.conj(v @ y.T)
-        dp = s.real[:, pvpq] - p_sched[idx][:, pvpq]
-        dq = s.imag[:, pq] - q_sched[idx][:, pq]
-        return np.concatenate([dp, dq], axis=1)
-
-    for it in range(PF_MAX_ITERATIONS + 1):
-        if active.size == 0:
-            break
-        vm_a, va_a = vm[active], va[active]
-        f = residual(vm_a, va_a, active)
-        norm = np.max(np.abs(f), axis=1)
-        mismatch[active] = norm
-        ok = norm < PF_TOLERANCE
-        if np.any(ok):
-            converged[active[ok]] = True
-            iters[active[ok]] = it
-            keep = ~ok
-            active = active[keep]
-            vm_a, va_a, f = vm_a[keep], va_a[keep], f[keep]
-            if active.size == 0:
-                break
-        if it == PF_MAX_ITERATIONS:
-            cause[active] = 1
-            iters[active] = it
-            break
-        v = vm_a * np.exp(1j * va_a)
-        vnorm = np.exp(1j * va_a)
-        ibus = v @ y.T
-        m1 = -y[None, :, :] * v[:, None, :]
-        m1[:, np.arange(n), np.arange(n)] += ibus
-        ds_dva = 1j * v[:, :, None] * np.conj(m1)
-        m2 = y[None, :, :] * vnorm[:, None, :]
-        ds_dvm = v[:, :, None] * np.conj(m2)
-        ds_dvm[:, np.arange(n), np.arange(n)] += np.conj(ibus) * vnorm
-        j11 = ds_dva.real[:, pvpq[:, None], pvpq[None, :]]
-        j12 = ds_dvm.real[:, pvpq[:, None], pq[None, :]]
-        j21 = ds_dva.imag[:, pq[:, None], pvpq[None, :]]
-        j22 = ds_dvm.imag[:, pq[:, None], pq[None, :]]
-        jac = np.concatenate([
-            np.concatenate([j11, j12], axis=2),
-            np.concatenate([j21, j22], axis=2),
-        ], axis=1)
-        try:
-            dx = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            dx = np.full((active.size, npvpq + npq), np.nan)
-            for k in range(active.size):
-                try:
-                    dx[k] = np.linalg.solve(jac[k], -f[k])
-                except np.linalg.LinAlgError:
-                    pass
-        va_a = va_a.copy()
-        vm_a = vm_a.copy()
-        va_a[:, pvpq] += dx[:, :npvpq]
-        vm_a[:, pq] += dx[:, npvpq:]
-        bad = ~np.all(np.isfinite(dx), axis=1)
-        collapsed = np.min(vm_a, axis=1) < VOLTAGE_COLLAPSE_PU
-        vm[active] = vm_a
-        va[active] = va_a
-        fail = bad | collapsed
-        if np.any(fail):
-            cause[active[bad]] = 3
-            cause[active[collapsed & ~bad]] = 2
-            iters[active[fail]] = it + 1
-            active = active[~fail]
-    return vm, va, converged, iters, mismatch, cause
 
 
 class TestNewtonKernel:
@@ -279,8 +193,8 @@ class TestNewtonKernel:
         vm, va, conv, iters, mismatch, _ = _nr_batch(grid, *grid.scheduled(loads_p, loads_q,
                                                                            0.0, 0.0))
         for h in range(len(scale)):
-            sol = solve_power_flow(net.with_loads({b.bus_id: (p, q) for b, p, q in
-                                                   zip(net.buses, loads_p[h], loads_q[h])}))
+            sol = solve_power_flow(with_loads(net, {b.bus_id: (p, q) for b, p, q in
+                                                    zip(net.buses, loads_p[h], loads_q[h])}))
             assert sol.v_pu.tobytes() == vm[h].tobytes()
             assert sol.angle_rad.tobytes() == va[h].tobytes()
             assert (sol.converged, sol.iterations, sol.mismatch_pu) == (conv[h], iters[h],

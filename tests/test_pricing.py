@@ -1,5 +1,6 @@
 """Feature matrix and the two baseline price models."""
 
+from dataclasses import fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -136,22 +137,22 @@ class TestTrain:
     def test_constant_target_ridge(self):
         rng = np.random.default_rng(0)
         x = rows(rng.uniform(100, 200, 48), np.arange(48) % 24)
-        p = train_matrix(NAMES, x, np.full(48, 42.0), "ridge-linear", 1)
+        p = train_matrix(NAMES, x, np.full(48, 42.0), "ridge-linear")
         assert predict_one(p, 150.0, 5) == pytest.approx(42.0, abs=1e-6)
 
     def test_ridge_recovers_slope(self):
         rng = np.random.default_rng(1)
-        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear", 1)
+        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear")
         assert predict_one(p, 170.0, 5) == pytest.approx(340.0, rel=1e-3)
 
     def test_single_exemplar_neighbour(self):
-        p = train_matrix(NAMES, rows(100, 1), [77.0], "nearest-neighbor", 0)
+        p = train_matrix(NAMES, rows(100, 1), [77.0], "nearest-neighbor")
         assert predict_one(p, 999, 23) == 77.0
 
     def test_ridge_requires_24_samples(self):
         x = rows(np.arange(10.0), np.arange(10))
         with pytest.raises(PricingError, match="at least 24"):
-            train_matrix(NAMES, x, np.arange(10.0), "ridge-linear", 0)
+            train_matrix(NAMES, x, np.arange(10.0), "ridge-linear")
 
     def test_empty_set_rejected(self):
         with pytest.raises(PricingError, match="empty"):
@@ -160,14 +161,14 @@ class TestTrain:
     def test_degenerate_features_reported(self):
         x, y = rows(np.full(30, 5.0), np.full(30, 5.0)), np.arange(30.0)
         with pytest.raises(PricingError, match="constant"):
-            train_matrix(NAMES, x, y, "ridge-linear", 0)
-        nn = train_matrix(NAMES, x, y, "nearest-neighbor", 0)
+            train_matrix(NAMES, x, y, "ridge-linear")
+        nn = train_matrix(NAMES, x, y, "nearest-neighbor")
         assert nn.dropped == ("demand", "hour")
 
     def test_constant_feature_dropped_and_recorded(self):
         rng = np.random.default_rng(5)
         x = np.column_stack([rng.uniform(0, 1, 40), np.full(40, 7.0)])
-        p = train_matrix(("demand", "fixed"), x, np.arange(40.0), "ridge-linear", 0)
+        p = train_matrix(("demand", "fixed"), x, np.arange(40.0), "ridge-linear")
         assert p.dropped == ("fixed",)
 
 
@@ -179,29 +180,29 @@ class TestRejectsBadInput:
         x, y = linear_set(np.random.default_rng(13))
         x[5, 1] = np.nan  # its NaN std would mark "hour" as constant and drop it
         with pytest.raises(PricingError, match="features are not finite at row 5"):
-            train_matrix(NAMES, x, y, kind, 0)
+            train_matrix(NAMES, x, y, kind)
 
     @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
     def test_infinite_price(self, kind):
         x, y = linear_set(np.random.default_rng(14))
         y[3] = np.inf  # it would turn every ridge prediction into NaN
         with pytest.raises(PricingError, match="prices are not finite at row 3"):
-            train_matrix(NAMES, x, y, kind, 0)
+            train_matrix(NAMES, x, y, kind)
 
     def test_prices_must_match_feature_rows(self):
         x, y = linear_set(np.random.default_rng(15))
         with pytest.raises(PricingError, match="one price per row"):
-            train_matrix(NAMES, x, y[:-1], "nearest-neighbor", 0)
+            train_matrix(NAMES, x, y[:-1], "nearest-neighbor")
 
     @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
     def test_nan_query_row(self, kind):
-        p = train_matrix(NAMES, *linear_set(np.random.default_rng(16)), kind, 0)
+        p = train_matrix(NAMES, *linear_set(np.random.default_rng(16)), kind)
         query = rows([150.0, np.nan, 120.0], [1, 2, 3])
         with pytest.raises(PricingError, match="query rows are not finite at row 1"):
             predict_rows(p, NAMES, query)
 
     def test_query_width_must_match_names(self):
-        p = train_matrix(NAMES, *linear_set(np.random.default_rng(17)), "ridge-linear", 0)
+        p = train_matrix(NAMES, *linear_set(np.random.default_rng(17)), "ridge-linear")
         with pytest.raises(PricingError, match="2 names for query rows of shape"):
             predict_rows(p, NAMES, np.ones((4, 3)))
 
@@ -210,7 +211,7 @@ class TestPredict:
     def test_flat_day_from_constant_model(self):
         rng = np.random.default_rng(2)
         x = rows(rng.uniform(10, 20, 48), np.arange(48) % 24)
-        p = train_matrix(NAMES, x, np.full(48, 9.5), "ridge-linear", 0)
+        p = train_matrix(NAMES, x, np.full(48, 9.5), "ridge-linear")
         out = predict_rows(p, NAMES, rows(np.full(24, 15.0), np.arange(24)))
         assert out.shape == (24,)
         assert np.allclose(out, 9.5, atol=1e-6)
@@ -218,7 +219,7 @@ class TestPredict:
     def test_neighbour_exact_training_point(self):
         rng = np.random.default_rng(3)
         x = rows(rng.uniform(0, 10, 40), np.arange(40) % 24)
-        p = train_matrix(NAMES, x, np.arange(40.0), "nearest-neighbor", 0)
+        p = train_matrix(NAMES, x, np.arange(40.0), "nearest-neighbor")
         assert predict_rows(p, NAMES, x[7:8])[0] == 7.0
 
     def test_golden_series_against_independent_formulas(self):
@@ -227,7 +228,7 @@ class TestPredict:
         x = rng.uniform(0, 50, size=(200, 3))
         y = 3.0 * x[:, 0] - 2.0 * x[:, 1] + rng.normal(0, 0.5, 200) + 10
         names = ("a", "b", "c")
-        p = train_matrix(names, x, y, "ridge-linear", 0)
+        p = train_matrix(names, x, y, "ridge-linear")
         # independent implementation of the documented formulas
         mean, std = x.mean(axis=0), x.std(axis=0)
         z = (x - mean) / std
@@ -242,7 +243,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
-        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear", 0)
+        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear")
         with pytest.raises(PricingError, match="names do not match"):
             predict_rows(p, ("other", "hour"), rows(1.0, 2.0))
 
@@ -252,7 +253,7 @@ class TestProperties:
         rng = np.random.default_rng(8)
         x, y = linear_set(rng)
         for kind in ("ridge-linear", "nearest-neighbor"):
-            p1, p2 = train_matrix(NAMES, x, y, kind, 7), train_matrix(NAMES, x, y, kind, 7)
+            p1, p2 = train_matrix(NAMES, x, y, kind), train_matrix(NAMES, x, y, kind)
             assert np.array_equal(p1.mean, p2.mean) and np.array_equal(p1.std, p2.std)
             if kind == "ridge-linear":
                 assert np.array_equal(p1.coef, p2.coef)
@@ -263,7 +264,7 @@ class TestProperties:
     def test_neighbour_zero_in_sample_error(self):
         rng = np.random.default_rng(9)
         x, y = linear_set(rng, n=50)
-        p = train_matrix(NAMES, x, y, "nearest-neighbor", 0)
+        p = train_matrix(NAMES, x, y, "nearest-neighbor")
         assert np.array_equal(predict_rows(p, NAMES, x), y)
 
     def test_ridge_beats_constant_in_sample(self):
@@ -272,7 +273,7 @@ class TestProperties:
             n = int(rng.integers(30, 120))
             x = rng.uniform(0, 10, (n, 2))
             y = rng.normal(0, 1, n) + x[:, 0] * rng.uniform(-3, 3)
-            p = train_matrix(("a", "b"), x, y, "ridge-linear", 0)
+            p = train_matrix(("a", "b"), x, y, "ridge-linear")
             pred = predict_rows(p, ("a", "b"), x)
             rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
             rmse_const = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
@@ -282,8 +283,8 @@ class TestProperties:
         rng = np.random.default_rng(11)
         x, y = linear_set(rng, n=50)
         scale = np.array([1000.0, 1.0])
-        pa = train_matrix(NAMES, x, y, "nearest-neighbor", 0)
-        pb = train_matrix(NAMES, x * scale, y, "nearest-neighbor", 0)
+        pa = train_matrix(NAMES, x, y, "nearest-neighbor")
+        pb = train_matrix(NAMES, x * scale, y, "nearest-neighbor")
         q = x[13:14]
         assert predict_rows(pa, NAMES, q)[0] == predict_rows(pb, NAMES, q * scale)[0]
 
@@ -292,15 +293,30 @@ class TestPersistence:
     @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
     def test_round_trip(self, tmp_path, kind):
         rng = np.random.default_rng(12)
-        p = train_matrix(NAMES, *linear_set(rng), kind, 3)
+        p = train_matrix(NAMES, *linear_set(rng), kind)
         path = tmp_path / "model.txt"
         save_predictor(p, path)
         back = load_predictor(path)
-        assert back.kind == p.kind and back.seed == p.seed
+        for field in fields(p):
+            want, got = getattr(p, field.name), getattr(back, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
         assert predict_one(back, 123.4, 9) == predict_one(p, 123.4, 9)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
+        with pytest.raises(PricingError, match="not a saved predictor"):
+            load_predictor(path)
+
+    def test_rejects_a_v1_file_with_a_seed_line(self, tmp_path):
+        """The v1 format had a seed line, which v2 would read as the feature count."""
+        path = tmp_path / "model.txt"
+        save_predictor(train_matrix(NAMES, *linear_set(np.random.default_rng(12))), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "gridstudy-predictor v2"
+        path.write_text("\n".join(["gridstudy-predictor v1", lines[1], "seed 11", *lines[2:]]))
         with pytest.raises(PricingError, match="not a saved predictor"):
             load_predictor(path)
