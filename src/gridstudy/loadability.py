@@ -9,17 +9,17 @@ still converges, one step before divergence.
 
 The hourly operating points come as (hours x buses) arrays of load MW,
 load MVAr and injected MW, with columns in ``BusNetwork.buses`` order.
-A year of operating points is swept by batched Newton solves, in blocks.
-Each batch holds, for every hour still scanning, its next
-``max(hours, MIN_BATCH_ROWS) // hours still scanning`` grid steps (at
-least one), so no batch has more than ``max(hours, MIN_BATCH_ROWS)`` rows
-and the batches fill up with later steps as hours stop.  A short horizon
-scans several steps per hour from the first batch on; a horizon of
-``MIN_BATCH_ROWS`` hours or more starts with step 0 alone.  An hour stops
-at the first step of a block that fails to converge; its later rows in
-that block are discarded.  An hour's results do not depend on the other
-hours or on the block it was solved in: any split of the hours gives the
-same bits, one-hour splits included.
+A year of operating points is swept through one Newton pool
+(``powerflow._NewtonPool``) of ``max(hours, MIN_BATCH_ROWS)`` rows.  Each
+hour issues its grid steps in order, at most ``max(1, rows //
+hours still scanning)`` of them in the pool at once, and refills its share
+as its points leave, so the pool stays full while the hours scan at their
+own pace.  An hour's loadability is the step before its lowest failing
+step; when a step fails, the hour's steps above it leave the pool at once.
+The last converged point of each hour is then solved once more for its
+voltages.  An hour's results do not depend on the other hours or on the
+pool: any split of the hours gives the same bits, one-hour splits
+included.
 """
 
 from __future__ import annotations
@@ -29,19 +29,17 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from gridstudy.powerflow import BusNetwork, _Grid, _nr_batch
+from gridstudy.powerflow import BusNetwork, _Grid, _NewtonPool, _nr_batch
 
 #: Default scaling step: 0.5% of the base regional load per step.
 DEFAULT_STEP = 0.005
 #: Safety cap on the scaling factor so a lightly loaded case cannot scan forever.
 DEFAULT_LAMBDA_MAX = 10.0
-#: Fewest rows a scan block aims for.  A Newton iteration of ``_nr_batch`` has
-#: a fixed cost of about 147 us whatever the batch width (2 and 8 rows both
-#: cost about 148 us), and a call runs until its last row ends, often on the
-#: 20-iteration cap.  One step per hour would leave a short horizon with calls
-#: of a few rows each; at 256 rows the fixed cost is under a tenth of an
-#: iteration.  Horizons of this many hours or more start with one step per hour.
-MIN_BATCH_ROWS = 256
+#: Fewest rows of the sweep's Newton pool; a horizon of more hours gets a row
+#: per hour.  A pool iteration has a fixed cost of about 0.35 ms, some 90 rows'
+#: worth, so 1,024 rows keep it under a tenth; the Newton step's temporaries
+#: take about 2.3 kB per row, and 2,048 rows were no faster.
+MIN_BATCH_ROWS = 1024
 
 #: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep.
 Points = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -138,44 +136,53 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     pickup = np.array([0.0 if b.kind == "slack" else shares.get(b.bus_id, 0.0) for b in net.buses])
 
     region_base = np.sum(base_p[:, region_mask], axis=1)
-    lam_star = np.full(nh, np.nan)
-    served = np.full(nh, np.nan)
-    region_load = np.full(nh, np.nan)
-    min_v = np.full(nh, np.nan)
-    active = np.arange(nh)
-    k = 0
-    while active.size:
-        # The block's grid steps k, k + 1, ...: as many as keep the batch within
-        # max(nh, MIN_BATCH_ROWS) rows.  The floor counts rows, not grid steps,
-        # so memory stays bounded however small ``step`` is.
-        lams = 1.0 + (k + np.arange(max(nh, MIN_BATCH_ROWS) // active.size)) * step
-        lams = lams[lams <= lambda_max]
-        nk = lams.size
-        if nk == 0:
-            break
-        scale = np.ones((nk, n))
-        scale[:, region_mask] = lams[:, None]
-        # Rows are hour-major: row i * nk + j is hour active[i] at factor lams[j].
-        p_load = (base_p[active][:, None] * scale).reshape(-1, n)
-        q_load = (base_q[active][:, None] * scale).reshape(-1, n)
-        increment = (lams - 1.0) * region_base[active][:, None]
-        p_inj = (inj_p[active][:, None] + increment[:, :, None] * pickup).reshape(-1, n)
-        p_sched, q_sched = grid.scheduled(p_load, q_load, p_inj, 0.0)
-        vm, _, ok, _, _, _ = _nr_batch(grid, p_sched, q_sched)
-        # An hour stops at its first failure: at k = 0 it is degenerate
-        # (lambda_star stays NaN), later its last converged factor stands.
-        # ``run`` counts an hour's converged steps before its first failure;
-        # its rows after that failure are discarded.
-        run = np.logical_and.accumulate(ok.reshape(-1, nk), axis=1).sum(axis=1)
-        moved = run > 0
-        rows = np.flatnonzero(moved) * nk + run[moved] - 1
-        hrs = active[moved]
-        lam_star[hrs] = lams[run[moved] - 1]
-        served[hrs] = np.sum(p_load[rows], axis=1)
-        region_load[hrs] = np.sum(p_load[rows][:, region_mask], axis=1)
-        min_v[hrs] = np.min(vm[rows], axis=1)
-        active = active[run == nk]
-        k += nk
+
+    def stressed(h, lam):
+        """Load MW and scheduled injections (p.u.) of hours ``h`` at factors ``lam``."""
+        scale = np.where(region_mask, lam[:, None], 1.0)
+        p_load = base_p[h] * scale
+        p_inj = inj_p[h] + ((lam - 1.0) * region_base[h])[:, None] * pickup
+        return p_load, *grid.scheduled(p_load, base_q[h] * scale, p_inj, 0.0)
+
+    # Per hour: the next grid step to issue, its steps in the pool, and its lowest
+    # failing step (the first step above lambda_max counts as failing).  An hour
+    # still scans while it has steps to issue or steps in the pool.
+    width = max(nh, MIN_BATCH_ROWS)
+    issued = np.zeros(nh, dtype=np.int64)
+    in_pool = np.zeros(nh, dtype=np.int64)
+    first_fail = np.full(nh, np.iinfo(np.int64).max)
+    pool = _NewtonPool(grid)
+    while scanning := np.count_nonzero((issued < first_fail) | (in_pool > 0)):
+        share = max(1, width // scanning)
+        more = np.maximum(np.minimum(share - in_pool, first_fail - issued), 0)
+        hrs = np.flatnonzero(more)
+        h = np.repeat(hrs, more[hrs])  # hour hrs[i] takes its next more[hrs[i]] steps
+        k = issued[h] + np.arange(h.size) - np.repeat(np.cumsum(more[hrs]) - more[hrs], more[hrs])
+        issued += more
+        lam = 1.0 + k * step
+        over = lam > lambda_max
+        np.minimum.at(first_fail, h[over], k[over])
+        h, k, lam = h[~over], k[~over], lam[~over]
+        in_pool += np.bincount(h, minlength=nh)
+        pool.add(k * nh + h, *stressed(h, lam)[1:])
+        tag, _, _, converged = pool.iterate()[:4]
+        in_pool -= np.bincount(tag % nh, minlength=nh)
+        np.minimum.at(first_fail, tag[~converged] % nh, tag[~converged] // nh)
+        # An hour's steps above its lowest failure leave the pool at once.
+        above = pool.tag // nh > first_fail[pool.tag % nh]
+        in_pool -= np.bincount(pool.tag[above] % nh, minlength=nh)
+        pool.keep(~above)
+    # Every step below an hour's first failure converged; lambda* is the last of
+    # them, or NaN (degenerate) when the base case fails.  That point is solved
+    # once more for its voltages, which come out as the same bits: a point's
+    # results do not depend on the points solved with it.
+    lam_star, served, region_load, min_v = np.full((4, nh), np.nan)
+    ok = np.flatnonzero(first_fail > 0)
+    lam_star[ok] = 1.0 + (first_fail[ok] - 1) * step
+    p_load, p_sched, q_sched = stressed(ok, lam_star[ok])
+    served[ok] = np.sum(p_load, axis=1)
+    region_load[ok] = np.sum(p_load[:, region_mask], axis=1)
+    min_v[ok] = np.min(_nr_batch(grid, p_sched, q_sched)[0], axis=1)
     return LoadabilityResult(
         lambda_star=lam_star,
         served_load_mw=served,

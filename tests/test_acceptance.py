@@ -5,7 +5,6 @@ five-scenario year runs once per session and is shared by the trend
 criteria.  Tolerances are pinned here and nowhere else.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -14,11 +13,9 @@ import pytest
 from gridstudy.demand import (
     DayInputs,
     DemandParams,
-    conventional_baseline,
     default_params,
     schedule_violations,
     solve_day,
-    solve_days,
 )
 from gridstudy.dispatch import (
     DUMP_PENALTY,
@@ -29,7 +26,7 @@ from gridstudy.dispatch import (
     dispatch_hour,
     _window,
 )
-from gridstudy.harness import emit_report, merge_summaries, run_scenario
+from gridstudy.harness import merge_summaries, run_scenario
 from gridstudy.loadability import compute_loadability
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import study_network, three_bus_case, two_bus_case

@@ -13,7 +13,6 @@ import gridstudy
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.powerflow import DEFAULT_BASE_MVA
 from gridstudy.scenarioconfig import (
-    BatterySpec,
     ConfigError,
     config_sha256,
     scenario_from_config,

@@ -8,7 +8,6 @@ import pytest
 from gridstudy.dispatch import (
     DUMP_PENALTY,
     VALUE_OF_LOST_LOAD,
-    Commitment,
     DispatchError,
     Generator,
     Interconnector,
@@ -17,7 +16,6 @@ from gridstudy.dispatch import (
     csp_profile_shift,
     dispatch_hour,
     simulate_horizon,
-    summarise,
     _window,
 )
 from gridstudy.timeseries import SYNTHETIC_YEAR_START, TimeSeries

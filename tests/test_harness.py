@@ -1,7 +1,6 @@
 """Pipeline wiring on short horizons: replacement, stages, emission, CLI."""
 
 import csv
-import filecmp
 import os
 import shutil
 from dataclasses import dataclass, field, replace
@@ -13,9 +12,7 @@ import numpy as np
 import pytest
 
 from gridstudy import harness
-from gridstudy.dispatch import Generator
 from gridstudy.harness import (
-    ScenarioReport,
     StageError,
     apply_renewable_replacement,
     emit_report,

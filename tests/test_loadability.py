@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstudy import loadability
+from gridstudy import loadability, powerflow
 from gridstudy.loadability import LoadabilityError, average_loadability, compute_loadability
-from gridstudy.powerflow import Branch, Bus, BusNetwork, _nr_batch
+from gridstudy.powerflow import Branch, Bus, BusNetwork
 from gridstudy.synthdata import study_network, two_bus_case
 from oracles import reference_sweep, solve_power_flow, stressed_network, verify_bracket, with_loads
 
@@ -150,8 +150,8 @@ class TestBatchedSweep:
             assert base.converged and res.min_voltage_pu[h] <= base.min_voltage_pu + 1e-12, h
 
 
-class TestBlockedScan:
-    """Each Newton batch carries several grid steps per hour still scanning."""
+class TestPooledScan:
+    """One Newton pool carries several grid steps of each hour still scanning."""
 
     @staticmethod
     def mixed_hours(net):
@@ -194,19 +194,20 @@ class TestBlockedScan:
             assert getattr(res, name).shape == (0,)
             assert getattr(res, name).tobytes() == ref.tobytes(), name
 
-    @pytest.mark.parametrize("nh, first_steps", [(23, 11), (300, 1)])
-    def test_no_batch_has_more_rows_than_hours_or_the_floor(self, monkeypatch, nh,
-                                                            first_steps):
-        """Blocks trade hours that stopped for later steps of the others, up to
-        max(hours, MIN_BATCH_ROWS) rows: a short horizon scans several steps per
-        hour from its first call on, a long one starts with step 0 alone."""
-        rows = []
+    @pytest.mark.parametrize("nh", [23, 300])
+    def test_pool_stays_within_its_width_and_refills(self, monkeypatch, nh):
+        """No Newton iteration holds more than max(hours, MIN_BATCH_ROWS) rows; the
+        pool starts with width // hours grid steps per hour and refills as points
+        leave, so it is on average at least half full until the last rows'
+        tail of at most PF_MAX_ITERATIONS iterations."""
+        sizes = []
 
-        def counting(grid, p_sched, q_sched):
-            rows.append(len(p_sched))
-            return _nr_batch(grid, p_sched, q_sched)
+        class CountingPool(powerflow._NewtonPool):
+            def iterate(self):
+                sizes.append(len(self))
+                return super().iterate()
 
-        monkeypatch.setattr(loadability, "_nr_batch", counting)
+        monkeypatch.setattr(loadability, "_NewtonPool", CountingPool)
         net = two_bus_case()
         if nh == 23:
             hours = self.mixed_hours(net)
@@ -214,28 +215,28 @@ class TestBlockedScan:
             loads = np.random.default_rng(12).uniform(60, 480, nh)
             hours = points(net, [{"load": (float(p), 0.0)} for p in loads])
         assert len(hours[0]) == nh
-        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours,
-                                  lambda_max=6.0)
-        assert rows[0] == nh * first_steps
-        assert max(rows) <= max(nh, loadability.MIN_BATCH_ROWS)
-        steps = int(round((res.lambda_star[np.isfinite(res.lambda_star)].max() - 1.0) / 0.02))
-        assert len(rows) < steps  # later batches carry several steps per hour
+        compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours,
+                            lambda_max=6.0)
+        width = max(nh, loadability.MIN_BATCH_ROWS)
+        assert sizes[0] == nh * (width // nh)
+        assert max(sizes) <= width
+        assert len(sizes) <= 2 * sum(sizes) / width + powerflow.PF_MAX_ITERATIONS
 
-    def test_hours_that_stop_inside_a_multi_step_first_block(self):
-        """With several steps per hour in the first block, an hour that stops
-        inside it reports its last converged row there, as the one-step scan
+    def test_hours_that_stop_among_their_first_steps_in_flight(self):
+        """With several steps per hour in the pool from the start, an hour that
+        stops among them reports its last converged step, as the one-step scan
         does: on mixed hours and on the single-hour default scan."""
         net = two_bus_case()
         # 600 MW is degenerate; 500 MW ends at lambda* = 1; the others up to
-        # 330 MW fail inside the first block's 32 steps (lambda* = 500 MW / load).
+        # 330 MW fail among their first width // 8 steps (lambda* = 500 MW / load).
         loads = [600.0, 500.0, 480.0, 430.0, 380.0, 330.0, 100.0, 45.0]
         hours = points(net, [{"load": (p, 0.0)} for p in loads])
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
         want = reference_sweep(net, "LOAD", {"source": 1.0}, 0.02, hours, 10.0)
         for name, ref in zip(RESULT_ARRAYS, want):
             assert getattr(res, name).tobytes() == ref.tobytes(), name
-        first_block = 1.0 + (loadability.MIN_BATCH_ROWS // len(loads)) * 0.02
-        assert res.degenerate[0] and np.all(res.lambda_star[1:6] < first_block)
+        first_steps = 1.0 + (loadability.MIN_BATCH_ROWS // len(loads)) * 0.02
+        assert res.degenerate[0] and np.all(res.lambda_star[1:6] < first_steps)
 
         default = compute_loadability(net, "LOAD", {"source": 1.0})
         want = reference_sweep(net, "LOAD", {"source": 1.0}, loadability.DEFAULT_STEP,

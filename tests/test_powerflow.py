@@ -199,3 +199,73 @@ class TestNewtonKernel:
             assert sol.angle_rad.tobytes() == va[h].tobytes()
             assert (sol.converged, sol.iterations, sol.mismatch_pu) == (conv[h], iters[h],
                                                                         mismatch[h])
+
+
+class TestSlotLU:
+    """The Newton step's sparse LU: natural order, fixed pattern, no pivoting."""
+
+    def test_steps_match_lapack_near_collapse(self, monkeypatch):
+        """Steps that a study-network sweep takes near voltage collapse equal
+        np.linalg.solve's within 1e-12 relative, or within 4 cond(J) eps where J
+        is so ill-conditioned that two sound solvers differ by more."""
+        from gridstudy import powerflow
+        from gridstudy.loadability import compute_loadability
+        newton_step, steps = powerflow._newton_step, []
+
+        def recording(grid, ef, pqq, dpq, norm):
+            dx, sound = newton_step(grid, ef, pqq, dpq, norm)
+            nj = grid.jbus.size
+            jac = np.zeros((len(ef), nj * nj))
+            jac[:, grid.jac_at] = powerflow._jacobian(grid, ef, pqq).T
+            vmin = np.hypot(ef[:, :grid.n], ef[:, grid.n:]).min(axis=1)
+            steps.append((jac.reshape(-1, nj, nj), dpq, dx, sound, vmin))
+            return dx, sound
+
+        monkeypatch.setattr(powerflow, "_newton_step", recording)
+        net = study_network()
+        scale = np.random.default_rng(4).uniform(0.6, 1.4, (12, 1))
+        loads = (scale * [b.p_load_mw for b in net.buses],
+                 scale * [b.q_load_mvar for b in net.buses])
+        compute_loadability(net, "QLD", {"qld_gen": 0.5, "qld_csp": 0.5}, step=0.01,
+                            hours=(*loads, np.zeros_like(loads[0])), lambda_max=6.0)
+        jac, dpq, dx, sound, vmin = (np.concatenate(a) for a in zip(*steps))
+        assert sound.all()
+        near = vmin < 0.7
+        want = np.linalg.solve(jac[near], -dpq[near][:, :, None])[:, :, 0]
+        cond = np.linalg.cond(jac[near])
+        rel = np.abs(dx[near] - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert np.all(rel <= np.maximum(1e-12, 4 * cond * np.finfo(float).eps))
+        assert near.sum() >= 100 and cond.max() > 1e4  # the sample reaches the singular end
+
+    def test_vanishing_natural_order_pivot_ends_the_point(self):
+        """Cause 3 where LAPACK would pivot: at a flat start the first pivot,
+        dP_a/dVa_a = 1/0.1 + 1/(-0.1), is zero, yet the Jacobian is nonsingular and
+        the pivoting reference kernel converges.  The point keeps its finite
+        flat-start voltages."""
+        from gridstudy.powerflow import _Grid, _nr_batch
+        net = BusNetwork((Bus("s", "slack"), Bus("a", "pq"), Bus("b", "pq", 30.0, 10.0)),
+                         (Branch("s", "a", 0.0, 0.1), Branch("a", "b", 0.0, -0.1)))
+        grid = _Grid(net)
+        sched = grid.scheduled(np.array([[0.0, 0.0, 30.0]]), np.array([[0.0, 0.0, 10.0]]),
+                               0.0, 0.0)
+        vm, va, conv, iters, _, cause = _nr_batch(grid, *sched)
+        assert (conv[0], iters[0], cause[0]) == (False, 1, 3)
+        assert vm.tolist() == [[1.0, 1.0, 1.0]] and va.tolist() == [[0.0, 0.0, 0.0]]
+        _, _, ref_conv, ref_iters, _, ref_cause = reference_nr_batch(grid, *sched)
+        assert (ref_conv[0], ref_cause[0]) == (True, 0) and ref_iters[0] > 1
+
+    def test_step_above_the_backward_error_bound_ends_the_point(self, monkeypatch):
+        """With the bound at 0 every step whose residual is not exactly zero is
+        unsound: each point ends as cause 3 at its first step, with its finite
+        flat-start voltages."""
+        from gridstudy import powerflow
+        monkeypatch.setattr(powerflow, "SOLVE_BACKWARD_ERROR", 0.0)
+        net = study_network()
+        grid = powerflow._Grid(net)
+        scale = np.array([[0.5], [1.0]])
+        sched = grid.scheduled(scale * [b.p_load_mw for b in net.buses],
+                               scale * [b.q_load_mvar for b in net.buses], 0.0, 0.0)
+        vm, va, conv, iters, _, cause = powerflow._nr_batch(grid, *sched)
+        assert not conv.any() and cause.tolist() == [3, 3] and iters.tolist() == [1, 1]
+        flat = np.where([b.kind == "pq" for b in net.buses], 1.0, grid.vset)
+        assert vm.tolist() == [flat.tolist()] * 2 and not va.any()
