@@ -395,26 +395,25 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
                                     config.interconnectors, availabilities)
 
     # (2) train one predictor per region on historical + simulated pairs;
-    # the study-year feature rows are kept for the prediction in (3)
+    # the study-year feature names and rows are kept for the prediction in (3)
     with stage("train-predictor"):
         predictors, study_rows = {}, {}
         for region in config.demand_regions:
             names, x_h = feature_matrix(fleet, config.interconnectors, availabilities,
                                         data.historical_demand[region])
-            _, study_rows[region] = feature_matrix(fleet, config.interconnectors,
-                                                   availabilities, data.demand[region])
-            x = np.vstack([x_h, study_rows[region]])
+            study_rows[region] = feature_matrix(fleet, config.interconnectors,
+                                                availabilities, data.demand[region])
+            x = np.vstack([x_h, study_rows[region][1]])
             y = np.concatenate([data.historical_price[region].values,
                                 [hd.price[region] for hd in pass0.hours]])
-            predictors[region] = train_matrix(names, x, y, config.predictor_kind)
+            predictors[region] = train_matrix(names, x, y)
     done["predictors"] = predictors
 
     # (3) predicted study-year price signal per region
     with stage("predict-prices"):
         prices = {}
         for region in config.demand_regions:
-            predictor = predictors[region]
-            values = predict_rows(predictor, predictor.feature_names, study_rows[region])
+            values = predict_rows(predictors[region], *study_rows[region])
             prices[region] = TimeSeries(data.demand[region].start, values,
                                         label=f"price_{region}")
     done["prices"] = prices

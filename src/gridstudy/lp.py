@@ -169,7 +169,7 @@ class _Tableau:
     # -- initialisation ---------------------------------------------------
 
     def start_cold(self):
-        """Nonbasics at their finite bound nearest zero; slack or artificial basis."""
+        """Nonbasics at their finite bound closest to zero; slack or artificial basis."""
         n, mu, m = self.n, self.mu, self.m
         lo, hi = self.lower[:n + mu], self.upper[:n + mu]
         at_upper = (hi < INFINITE_BOUND) & (np.abs(hi) < np.abs(lo))

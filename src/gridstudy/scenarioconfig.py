@@ -23,7 +23,6 @@ has these sections:
   csp_delay_hours (12).
 * ``[loadability]``   -- region, participation (``bus:factor`` list), and
   optional step, lambda_max and base_mva.
-* ``[predictor]``     -- optional model kind (ridge-linear).
 * ``[zone_weights <R>]`` -- optional split of demand region R over buses:
   finite shares >= 0 summing to 1, one key per bus.  Without it, R's demand
   splits equally over R's load buses.
@@ -51,7 +50,6 @@ from gridstudy.demand import DEFAULT_EFFICIENCY, default_params
 from gridstudy.dispatch import DEFAULT_CSP_DELAY_HOURS, Generator, Interconnector
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP, validate_scan, validate_shares
 from gridstudy.powerflow import DEFAULT_BASE_MVA
-from gridstudy.pricing import MODEL_KINDS
 from gridstudy.timeseries import KNOWN_REGIONS, ZoneWeights
 
 SCHEMA_VERSION = 1
@@ -129,7 +127,6 @@ class ScenarioConfig:
     interconnectors: tuple[Interconnector, ...]
     replacement: Optional[ReplacementSpec]
     loadability: LoadabilityOptions
-    predictor_kind: str
     zone_weights: Mapping[str, ZoneWeights]
     source_path: Optional[str] = None
 
@@ -318,12 +315,6 @@ def scenario_from_config(path) -> ScenarioConfig:
                           sec.number("lambda_max", DEFAULT_LAMBDA_MAX),
                           _read_all(participation), sec.number("base_mva", DEFAULT_BASE_MVA))
 
-    sec = section("predictor")
-    predictor_kind = sec.text("kind", "ridge-linear")
-    if predictor_kind not in MODEL_KINDS:
-        sec.error(f"kind {predictor_kind!r} not one of {MODEL_KINDS}")
-    sec.leftovers()
-
     for name in sections:
         errors.append(f"unknown section [{name}]")
 
@@ -402,7 +393,6 @@ def scenario_from_config(path) -> ScenarioConfig:
         interconnectors=tuple(lines.values()),
         replacement=replacement,
         loadability=load_opts,
-        predictor_kind=predictor_kind,
         zone_weights=zone_weights,
         source_path=str(path),
     )

@@ -335,6 +335,57 @@ class TestYearProperties:
                 for region, price in hd.price.items():
                     assert min(abs(price - s) for s in srmcs) < 1e-6, (scenario, hd.hour, price)
 
+    def test_demand_region_prices_match_highs(self, year_suite, data_dir, monkeypatch):
+        """Every 37th hour of each scenario's dispatch is dispatched again with
+        every LP recorded, repair trials included.  Each LP's demand-region
+        prices equal the equality-row marginals of
+        ``linprog(method="highs")`` within 1e-6, and the hour's prices equal
+        the ones the run emitted.  The transit region SH is left out: it has
+        no demand, and when its lines and its hydro unit all sit at their
+        limits its balance dual is any value in an interval, so two correct
+        solvers may return different vertices of it."""
+        optimize = pytest.importorskip("scipy.optimize")
+        from gridstudy import dispatch
+        from gridstudy.harness import _availabilities, _load_data, apply_renewable_replacement
+        from gridstudy.lp import INFINITE_BOUND, solve_lp
+
+        solved = []
+
+        def recording(lp, basis_hint=None):
+            solved.append((lp, solve_lp(lp, basis_hint)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(dispatch, "solve_lp", recording)
+        reports, _, _ = year_suite
+        hours = trials = 0
+        for scenario, rep in reports.items():
+            cfg = scenario_from_config(config_path(scenario))
+            fleet = apply_renewable_replacement(cfg.fleet, cfg)
+            availabilities = _availabilities(cfg, _load_data(cfg, data_dir, None))
+            hints = {}
+            for hour in range(0, len(rep.dispatch.hours), 37):
+                demand = {r: float(ts.values[hour]) for r, ts in rep.nett_demand.items()}
+                avail = {name: float(ts.values[hour]) for name, ts in availabilities.items()}
+                solved.clear()
+                _, hd = choose_commitment(fleet, demand, avail, cfg.interconnectors,
+                                          hour=hour, hints=hints)
+                hours += 1
+                trials += len(solved) - 1
+                for lp, sol in solved:
+                    ref = optimize.linprog(
+                        lp.cost, A_eq=lp.a_eq, b_eq=lp.b_eq, method="highs",
+                        bounds=[(lo, None if hi >= INFINITE_BOUND else hi)
+                                for lo, hi in zip(lp.lower, lp.upper)])
+                    assert ref.status == 0, (scenario, hour, ref.message)
+                    for i, region in enumerate(demand):
+                        if region in cfg.demand_regions:
+                            assert abs(sol.duals_eq[i] - ref.eqlin.marginals[i]) <= 1e-6, (
+                                scenario, hour, region, sol.duals_eq[i], ref.eqlin.marginals[i])
+                for region in cfg.demand_regions:
+                    assert abs(hd.price[region] - rep.dispatch.hours[hour].price[region]) <= 1e-6, (
+                        scenario, hour, region)
+        assert hours == 5 * 237 and trials > 0, (hours, trials)
+
     def test_loadability_bracket_on_year_hours(self, year_suite, data_dir):
         """Re-solve with the plain solver: converges at the hour's factor,
         fails one step above."""

@@ -109,6 +109,17 @@ class TestViolations:
             scenario_from_config(path)
         assert str(err.value).splitlines()[1:] == ["  [scenario] unknown key 'seed'"]
 
+    def test_predictor_section_of_an_old_config_is_one_unknown_section(self, tmp_path,
+                                                                        scenario4_text):
+        """Ridge regression is the one price model, so no config selects it."""
+        def fn(p):
+            p.add_section("predictor")
+            p.set("predictor", "kind", "ridge-linear")
+        path = mutate(scenario4_text, tmp_path, fn)
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == ["  unknown section [predictor]"]
+
     def test_unknown_section_rejected(self, tmp_path, scenario4_text):
         def fn(p):
             p.add_section("mystery")
@@ -275,7 +286,7 @@ class TestFuzz:
         ("generator TPS_4", "capacity_mw", "abc"),
         ("interconnector NSW-QLD", "forward_mw", "-600"),
         ("loadability", "step", "0"),
-        ("predictor", "kind", "oracle"),
+        ("loadability", "base_mva", "0"),
     ]
 
     @pytest.mark.parametrize("section,key,value", BREAKERS)

@@ -20,6 +20,7 @@ from gridstudy.harness import (
     run_scenario,
 )
 from gridstudy.powerflow import PowerFlowError
+from gridstudy.pricing import feature_matrix
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import LOAD_TAN_PHI
 from gridstudy.timeseries import ZoneWeights, load_timeseries_csv, split_regional_demand
@@ -198,6 +199,23 @@ class TestOutputFiles:
             run_scenario(cfg, data_dir, out_dir=tmp_path, days=2)
         assert err.value.stage == "loadability"
         assert sorted(p.name for p in tmp_path.iterdir()) == self.expected("partial_", True)
+
+    def test_study_rows_are_predicted_under_their_own_names(self, data_dir, tmp_path,
+                                                           monkeypatch):
+        """Study-year feature columns in another order than the training
+        columns fail the prediction instead of being read as the training ones."""
+        def study_columns_swapped(fleet, lines, availabilities, demand):
+            names, x = feature_matrix(fleet, lines, availabilities, demand)
+            if demand.label.startswith("historical_"):
+                return names, x
+            order = [1, 0, *range(2, len(names))]
+            return tuple(names[i] for i in order), x[:, order]
+
+        monkeypatch.setattr(harness, "feature_matrix", study_columns_swapped)
+        cfg = scenario_from_config(config_path(1))
+        with pytest.raises(StageError, match="feature names do not match") as err:
+            run_scenario(cfg, data_dir, out_dir=tmp_path, days=2)
+        assert err.value.stage == "predict-prices"
 
     def test_full_run(self, data_dir, tmp_path):
         cfg = scenario_from_config(config_path(3))

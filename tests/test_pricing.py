@@ -1,4 +1,4 @@
-"""Feature matrix and the two baseline price models."""
+"""Feature matrix and the ridge price model."""
 
 from dataclasses import fields
 from datetime import datetime, timedelta
@@ -137,22 +137,18 @@ class TestTrain:
     def test_constant_target_ridge(self):
         rng = np.random.default_rng(0)
         x = rows(rng.uniform(100, 200, 48), np.arange(48) % 24)
-        p = train_matrix(NAMES, x, np.full(48, 42.0), "ridge-linear")
+        p = train_matrix(NAMES, x, np.full(48, 42.0))
         assert predict_one(p, 150.0, 5) == pytest.approx(42.0, abs=1e-6)
 
     def test_ridge_recovers_slope(self):
         rng = np.random.default_rng(1)
-        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear")
+        p = train_matrix(NAMES, *linear_set(rng))
         assert predict_one(p, 170.0, 5) == pytest.approx(340.0, rel=1e-3)
-
-    def test_single_exemplar_neighbour(self):
-        p = train_matrix(NAMES, rows(100, 1), [77.0], "nearest-neighbor")
-        assert predict_one(p, 999, 23) == 77.0
 
     def test_ridge_requires_24_samples(self):
         x = rows(np.arange(10.0), np.arange(10))
         with pytest.raises(PricingError, match="at least 24"):
-            train_matrix(NAMES, x, np.arange(10.0), "ridge-linear")
+            train_matrix(NAMES, x, np.arange(10.0))
 
     def test_empty_set_rejected(self):
         with pytest.raises(PricingError, match="empty"):
@@ -161,48 +157,43 @@ class TestTrain:
     def test_degenerate_features_reported(self):
         x, y = rows(np.full(30, 5.0), np.full(30, 5.0)), np.arange(30.0)
         with pytest.raises(PricingError, match="constant"):
-            train_matrix(NAMES, x, y, "ridge-linear")
-        nn = train_matrix(NAMES, x, y, "nearest-neighbor")
-        assert nn.dropped == ("demand", "hour")
+            train_matrix(NAMES, x, y)
 
     def test_constant_feature_dropped_and_recorded(self):
         rng = np.random.default_rng(5)
         x = np.column_stack([rng.uniform(0, 1, 40), np.full(40, 7.0)])
-        p = train_matrix(("demand", "fixed"), x, np.arange(40.0), "ridge-linear")
+        p = train_matrix(("demand", "fixed"), x, np.arange(40.0))
         assert p.dropped == ("fixed",)
 
 
 class TestRejectsBadInput:
     """Input that would otherwise pass through training or prediction silently."""
 
-    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
-    def test_nan_feature(self, kind):
+    def test_nan_feature(self):
         x, y = linear_set(np.random.default_rng(13))
         x[5, 1] = np.nan  # its NaN std would mark "hour" as constant and drop it
         with pytest.raises(PricingError, match="features are not finite at row 5"):
-            train_matrix(NAMES, x, y, kind)
+            train_matrix(NAMES, x, y)
 
-    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
-    def test_infinite_price(self, kind):
+    def test_infinite_price(self):
         x, y = linear_set(np.random.default_rng(14))
-        y[3] = np.inf  # it would turn every ridge prediction into NaN
+        y[3] = np.inf  # it would turn every prediction into NaN
         with pytest.raises(PricingError, match="prices are not finite at row 3"):
-            train_matrix(NAMES, x, y, kind)
+            train_matrix(NAMES, x, y)
 
     def test_prices_must_match_feature_rows(self):
         x, y = linear_set(np.random.default_rng(15))
         with pytest.raises(PricingError, match="one price per row"):
-            train_matrix(NAMES, x, y[:-1], "nearest-neighbor")
+            train_matrix(NAMES, x, y[:-1])
 
-    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
-    def test_nan_query_row(self, kind):
-        p = train_matrix(NAMES, *linear_set(np.random.default_rng(16)), kind)
+    def test_nan_query_row(self):
+        p = train_matrix(NAMES, *linear_set(np.random.default_rng(16)))
         query = rows([150.0, np.nan, 120.0], [1, 2, 3])
         with pytest.raises(PricingError, match="query rows are not finite at row 1"):
             predict_rows(p, NAMES, query)
 
     def test_query_width_must_match_names(self):
-        p = train_matrix(NAMES, *linear_set(np.random.default_rng(17)), "ridge-linear")
+        p = train_matrix(NAMES, *linear_set(np.random.default_rng(17)))
         with pytest.raises(PricingError, match="2 names for query rows of shape"):
             predict_rows(p, NAMES, np.ones((4, 3)))
 
@@ -211,16 +202,10 @@ class TestPredict:
     def test_flat_day_from_constant_model(self):
         rng = np.random.default_rng(2)
         x = rows(rng.uniform(10, 20, 48), np.arange(48) % 24)
-        p = train_matrix(NAMES, x, np.full(48, 9.5), "ridge-linear")
+        p = train_matrix(NAMES, x, np.full(48, 9.5))
         out = predict_rows(p, NAMES, rows(np.full(24, 15.0), np.arange(24)))
         assert out.shape == (24,)
         assert np.allclose(out, 9.5, atol=1e-6)
-
-    def test_neighbour_exact_training_point(self):
-        rng = np.random.default_rng(3)
-        x = rows(rng.uniform(0, 10, 40), np.arange(40) % 24)
-        p = train_matrix(NAMES, x, np.arange(40.0), "nearest-neighbor")
-        assert predict_rows(p, NAMES, x[7:8])[0] == 7.0
 
     def test_golden_series_against_independent_formulas(self):
         """Ridge predictions match a from-scratch normal-equation solve."""
@@ -228,7 +213,7 @@ class TestPredict:
         x = rng.uniform(0, 50, size=(200, 3))
         y = 3.0 * x[:, 0] - 2.0 * x[:, 1] + rng.normal(0, 0.5, 200) + 10
         names = ("a", "b", "c")
-        p = train_matrix(names, x, y, "ridge-linear")
+        p = train_matrix(names, x, y)
         # independent implementation of the documented formulas
         mean, std = x.mean(axis=0), x.std(axis=0)
         z = (x - mean) / std
@@ -243,7 +228,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
-        p = train_matrix(NAMES, *linear_set(rng), "ridge-linear")
+        p = train_matrix(NAMES, *linear_set(rng))
         with pytest.raises(PricingError, match="names do not match"):
             predict_rows(p, ("other", "hour"), rows(1.0, 2.0))
 
@@ -252,20 +237,10 @@ class TestProperties:
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(8)
         x, y = linear_set(rng)
-        for kind in ("ridge-linear", "nearest-neighbor"):
-            p1, p2 = train_matrix(NAMES, x, y, kind), train_matrix(NAMES, x, y, kind)
-            assert np.array_equal(p1.mean, p2.mean) and np.array_equal(p1.std, p2.std)
-            if kind == "ridge-linear":
-                assert np.array_equal(p1.coef, p2.coef)
-            else:
-                assert np.array_equal(p1.exemplars, p2.exemplars)
-            assert predict_one(p1, 137.0, 11) == predict_one(p2, 137.0, 11)
-
-    def test_neighbour_zero_in_sample_error(self):
-        rng = np.random.default_rng(9)
-        x, y = linear_set(rng, n=50)
-        p = train_matrix(NAMES, x, y, "nearest-neighbor")
-        assert np.array_equal(predict_rows(p, NAMES, x), y)
+        p1, p2 = train_matrix(NAMES, x, y), train_matrix(NAMES, x, y)
+        assert np.array_equal(p1.mean, p2.mean) and np.array_equal(p1.std, p2.std)
+        assert np.array_equal(p1.coef, p2.coef)
+        assert predict_one(p1, 137.0, 11) == predict_one(p2, 137.0, 11)
 
     def test_ridge_beats_constant_in_sample(self):
         rng = np.random.default_rng(10)
@@ -273,27 +248,40 @@ class TestProperties:
             n = int(rng.integers(30, 120))
             x = rng.uniform(0, 10, (n, 2))
             y = rng.normal(0, 1, n) + x[:, 0] * rng.uniform(-3, 3)
-            p = train_matrix(("a", "b"), x, y, "ridge-linear")
+            p = train_matrix(("a", "b"), x, y)
             pred = predict_rows(p, ("a", "b"), x)
             rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
             rmse_const = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
             assert rmse <= rmse_const + 1e-12
 
-    def test_scale_invariance_of_neighbour(self):
+    def test_scale_invariance(self):
+        """Features are z-scored, so rescaling a column leaves predictions as
+        they were, up to rounding."""
         rng = np.random.default_rng(11)
         x, y = linear_set(rng, n=50)
         scale = np.array([1000.0, 1.0])
-        pa = train_matrix(NAMES, x, y, "nearest-neighbor")
-        pb = train_matrix(NAMES, x * scale, y, "nearest-neighbor")
+        pa = train_matrix(NAMES, x, y)
+        pb = train_matrix(NAMES, x * scale, y)
         q = x[13:14]
-        assert predict_rows(pa, NAMES, q)[0] == predict_rows(pb, NAMES, q * scale)[0]
+        assert predict_rows(pb, NAMES, q * scale)[0] == pytest.approx(
+            predict_rows(pa, NAMES, q)[0], rel=1e-12)
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("kind", ["ridge-linear", "nearest-neighbor"])
-    def test_round_trip(self, tmp_path, kind):
+    def saved_lines(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_predictor(train_matrix(NAMES, *linear_set(np.random.default_rng(12))), path)
+        return path, path.read_text().splitlines()
+
+    def rejected(self, path, lines, match):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PricingError, match=match) as err:
+            load_predictor(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        p = train_matrix(NAMES, *linear_set(rng), kind)
+        p = train_matrix(NAMES, *linear_set(rng))
         path = tmp_path / "model.txt"
         save_predictor(p, path)
         back = load_predictor(path)
@@ -305,6 +293,15 @@ class TestPersistence:
                 assert got == want, field.name
         assert predict_one(back, 123.4, 9) == predict_one(p, 123.4, 9)
 
+    def test_file_layout(self, tmp_path):
+        """Magic, kind, feature count, one ``f`` line per feature, then the
+        coefficients of the kept features and the intercept."""
+        _, lines = self.saved_lines(tmp_path)
+        assert lines[:3] == ["gridstudy-predictor v2", "kind ridge-linear", "features 2"]
+        assert [line.split(" ")[:2] for line in lines[3:5]] == [["f", "demand"], ["f", "hour"]]
+        assert lines[5].startswith("coef ") and len(lines[5].split(" ")) == 4
+        assert len(lines) == 6
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
@@ -313,10 +310,36 @@ class TestPersistence:
 
     def test_rejects_a_v1_file_with_a_seed_line(self, tmp_path):
         """The v1 format had a seed line, which v2 would read as the feature count."""
-        path = tmp_path / "model.txt"
-        save_predictor(train_matrix(NAMES, *linear_set(np.random.default_rng(12))), path)
-        lines = path.read_text().splitlines()
+        path, lines = self.saved_lines(tmp_path)
         assert lines[0] == "gridstudy-predictor v2"
         path.write_text("\n".join(["gridstudy-predictor v1", lines[1], "seed 11", *lines[2:]]))
         with pytest.raises(PricingError, match="not a saved predictor"):
             load_predictor(path)
+
+    def test_rejects_a_file_cut_after_the_magic_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        self.rejected(path, lines[:1], "line 2 is not 'kind ridge-linear'")
+
+    def test_rejects_fewer_feature_lines_than_counted(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        self.rejected(path, lines[:4] + lines[5:], "line 5 is not a 'f' line")
+
+    def test_rejects_a_file_cut_before_its_coefficients(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        self.rejected(path, lines[:5], "line 6 is not a 'coef' line")
+
+    def test_rejects_a_non_integer_feature_count(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        self.rejected(path, [*lines[:2], "features 2.0", *lines[3:]], "not an integer: '2.0'")
+
+    def test_rejects_a_neighbour_model_file(self, tmp_path):
+        """The other model that v2 files once held: stored exemplars and prices."""
+        path, lines = self.saved_lines(tmp_path)
+        self.rejected(path, [lines[0], "kind nearest-neighbor", *lines[2:5], "exemplars 1",
+                             "e 0.5 -0.25 -> 42.0"], "line 2 is not 'kind ridge-linear'")
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_rejects_a_coefficient_count_that_does_not_fit(self, tmp_path, count):
+        path, lines = self.saved_lines(tmp_path)
+        self.rejected(path, [*lines[:5], "coef" + " 1.0" * count],
+                      f"{count} coefficients for 2 kept features")
