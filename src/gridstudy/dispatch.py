@@ -334,12 +334,11 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
 
 def simulate_horizon(generators: Sequence[Generator], nett_demand: Mapping[str, TimeSeries],
                      lines: Sequence[Interconnector],
-                     availabilities: Mapping[str, TimeSeries] | None = None) -> DispatchResult:
+                     availabilities: Mapping[str, TimeSeries]) -> DispatchResult:
     """Commit and dispatch every hour of the horizon, then aggregate totals.
 
     Spilled-hour percentages are taken over all hours of the horizon.
     """
-    availabilities = availabilities or {}
     horizons = {r: len(ts) for r, ts in nett_demand.items()}
     if len(set(horizons.values())) != 1:
         raise DispatchError(f"demand horizon mismatch: {horizons}")

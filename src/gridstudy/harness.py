@@ -169,9 +169,6 @@ class _LastRunStore:
         finally:
             self._kept, self._used = self._used, {}
 
-    def clear(self) -> None:
-        self._kept, self._used = {}, {}
-
 
 _REUSE = _LastRunStore()
 
@@ -531,7 +528,8 @@ def _output_files(done: Mapping[str, object]) -> list[tuple[str, Callable[[Path]
             _write_schedule_csv, days, done["prices"][region],
             done["conventional_demand"][region], done["pv_power"][region])))
     if "dispatch" in done:
-        files.append(("dispatch_hourly.csv", partial(_write_dispatch_csv, done["dispatch"])))
+        files.append(("dispatch_hourly.csv",
+                      partial(_write_dispatch_csv, done["dispatch"], sorted(done["prices"]))))
     if "loadability" in done:
         files.append(("loadability_hourly.csv",
                       partial(_write_loadability_csv, done["loadability"])))
@@ -609,13 +607,14 @@ def _write_manifest(report: ScenarioReport, path: Path) -> None:
     )
 
 
-def _write_dispatch_csv(dispatch: DispatchResult, path: Path) -> None:
+def _write_dispatch_csv(dispatch: DispatchResult, priced: Sequence[str], path: Path) -> None:
+    """Hourly dispatch; prices only for the regions in ``priced`` (the demand regions)."""
     units = sorted(set().union(*(hd.output_mw for hd in dispatch.hours)))
     lines = sorted(dispatch.hours[0].flow_mw)
     regions = sorted(dispatch.hours[0].unserved_mw)
     header = (["hour"] + [f"gen_{u}" for u in units] + [f"flow_{l}" for l in lines]
               + [f"unserved_{r}" for r in regions] + [f"dumped_{r}" for r in regions]
-              + [f"price_{r}" for r in regions] + ["unserved_hour", "dumped_hour"])
+              + [f"price_{r}" for r in priced] + ["unserved_hour", "dumped_hour"])
 
     def rows():
         for hd in dispatch.hours:
@@ -624,7 +623,7 @@ def _write_dispatch_csv(dispatch: DispatchResult, path: Path) -> None:
                    + [float(hd.flow_mw[l]) for l in lines]
                    + [float(hd.unserved_mw[r]) for r in regions]
                    + [float(hd.dumped_mw[r]) for r in regions]
-                   + [float(hd.price[r]) for r in regions]
+                   + [float(hd.price[r]) for r in priced]
                    + [int(hd.unserved_hour), int(hd.dumped_hour)])
 
     _write_rows(path, header, rows())
@@ -649,15 +648,6 @@ def _write_schedule_csv(days: Sequence[DemandSchedule], price: TimeSeries, load:
                        float(sched.grid_mw[h]), float(sched.soc_mwh[h + 1])]
 
     _write_rows(path, ["hour", "price", "load", "pv", "p_b", "p_g", "soc"], rows())
-
-
-def emit_report(report: ScenarioReport, out_dir) -> list[Path]:
-    """Write the summary, hourly detail files and the run manifest.
-
-    Emission is deterministic: the same report produces byte-identical
-    files.
-    """
-    return _emit({**vars(report), "report": report}, out_dir)
 
 
 def merge_summaries(run_dirs: Sequence, out_path) -> Path:

@@ -25,7 +25,7 @@ included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -61,8 +61,6 @@ class LoadabilityResult:
     served_load_mw: np.ndarray
     region_load_mw: np.ndarray
     min_voltage_pu: np.ndarray
-    step: float
-    region: str
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -107,23 +105,18 @@ def validate_participation(net: BusNetwork, participation: Mapping[str, float]) 
 
 
 def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str, float],
-                        step: float = DEFAULT_STEP,
-                        hours: Optional[Points] = None,
+                        hours: Points, step: float = DEFAULT_STEP,
                         lambda_max: float = DEFAULT_LAMBDA_MAX) -> LoadabilityResult:
     """Scan the scaling factor upward per hour until power flow diverges.
 
     ``hours`` holds the (hours x buses) load and injection arrays (see
-    ``Points``); when omitted the network's base loads form a single hour
-    with no injections.  The factor grid is ``1 + k * step``; increments to
+    ``Points``).  The factor grid is ``1 + k * step``; increments to
     slack-bus participation are ignored (the slack balances by construction).
     """
     validate_scan(step, lambda_max)
     shares = validate_participation(net, participation)
     grid = _Grid(net)
     n = grid.n
-    if hours is None:
-        hours = (np.array([[b.p_load_mw for b in net.buses]]),
-                 np.array([[b.q_load_mvar for b in net.buses]]), np.zeros((1, n)))
     base_p, base_q, inj_p = (np.asarray(a, dtype=float) for a in hours)
     if base_p.ndim != 2 or not base_p.shape == base_q.shape == inj_p.shape == (len(base_p), n):
         raise LoadabilityError(
@@ -188,8 +181,6 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
         served_load_mw=served,
         region_load_mw=region_load,
         min_voltage_pu=min_v,
-        step=step,
-        region=region,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class TrainedPredictor:
     mean: np.ndarray
     std: np.ndarray
     kept: np.ndarray  # mask over feature_names; constant features dropped
-    dropped: tuple[str, ...]
     coef: np.ndarray  # [weights of the kept features..., intercept]
 
 
@@ -100,14 +99,13 @@ def train_matrix(feature_names: tuple[str, ...], x: np.ndarray,
     if not np.any(kept):
         raise PricingError("every feature is constant across the training set")
     feature_names = tuple(feature_names)
-    dropped = tuple(name for name, k in zip(feature_names, kept) if not k)
     z = (x[:, kept] - mean[kept]) / std[kept]
     k = z.shape[1]
     a = np.hstack([z, np.ones((n, 1))])
     gram = a.T @ a
     gram[:k, :k] += RIDGE_WEIGHT * np.eye(k)  # intercept unpenalised
     coef = np.linalg.solve(gram, a.T @ y)
-    return TrainedPredictor(feature_names, mean, std, kept, dropped, coef)
+    return TrainedPredictor(feature_names, mean, std, kept, coef)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -144,38 +142,3 @@ def save_predictor(predictor: TrainedPredictor, path) -> None:
         lines.append(f"f {name} {float(predictor.mean[i])!r} {float(predictor.std[i])!r} {int(predictor.kept[i])}")
     lines.append("coef " + " ".join(repr(float(c)) for c in predictor.coef))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_predictor(path) -> TrainedPredictor:
-    """Read a file written by ``save_predictor``; a ``PricingError`` naming the
-    file rejects anything else."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise PricingError(f"{path}: not a saved predictor")
-    if lines[1:2] != [_KIND]:
-        raise PricingError(f"{path}: line 2 is not {_KIND!r}")
-
-    def fields(i: int, key: str, count: Optional[int] = None) -> list[str]:
-        words = lines[i].split(" ") if 0 <= i < len(lines) else []
-        if words[:1] != [key] or (count is not None and len(words) != count + 1):
-            raise PricingError(f"{path}: line {i + 1} is not a {key!r} line")
-        return words[1:]
-
-    def number(text: str, kind=float):
-        try:
-            return kind(text)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise PricingError(f"{path}: not {what}: {text!r}") from None
-
-    n_features = number(fields(2, "features", 1)[0], int)
-    rows = [fields(3 + i, "f", 4) for i in range(n_features)]
-    names = tuple(name for name, _, _, _ in rows)
-    mean = np.array([number(m) for _, m, _, _ in rows])
-    std = np.array([number(s) for _, _, s, _ in rows])
-    kept = np.array([bool(number(k, int)) for _, _, _, k in rows], dtype=bool)
-    coef = np.array([number(c) for c in fields(3 + n_features, "coef")])
-    if len(coef) != int(kept.sum()) + 1:
-        raise PricingError(f"{path}: {len(coef)} coefficients for {int(kept.sum())} kept features")
-    dropped = tuple(n for n, k in zip(names, kept) if not k)
-    return TrainedPredictor(names, mean, std, kept, dropped, coef)

@@ -165,27 +165,6 @@ def study_network() -> BusNetwork:
     return BusNetwork(buses, branches, base_mva=10000.0)
 
 
-def two_bus_case() -> BusNetwork:
-    """Textbook two-bus case: lossless 0.1 p.u. line, 1.0 p.u. unity-pf load."""
-    return BusNetwork((
-        Bus("source", "slack", 0.0, 0.0, 1.0, "SRC"),
-        Bus("load", "pq", 100.0, 0.0, 1.0, "LOAD"),
-    ), (Branch("source", "load", 0.0, 0.1),), base_mva=100.0)
-
-
-def three_bus_case() -> BusNetwork:
-    """Textbook three-bus case: slack, PV generator and a lagging PQ load."""
-    return BusNetwork((
-        Bus("slack", "slack", 0.0, 0.0, 1.02, "A"),
-        Bus("gen", "pv", 0.0, 0.0, 1.01, "B", ("G1",)),
-        Bus("city", "pq", 90.0, 30.0, 1.0, "B"),
-    ), (
-        Branch("slack", "gen", 0.02, 0.12),
-        Branch("gen", "city", 0.015, 0.09),
-        Branch("slack", "city", 0.025, 0.15),
-    ), base_mva=100.0)
-
-
 def generate_dataset(data_dir, seed: int = DEFAULT_SEED) -> dict[str, str]:
     """Write the whole bundled dataset into ``data_dir``; returns name->file map.
 
@@ -223,7 +202,4 @@ def generate_dataset(data_dir, seed: int = DEFAULT_SEED) -> dict[str, str]:
     write_network(net, data_dir / "bus.csv", data_dir / "branch.csv")
     files["bus"] = "bus.csv"
     files["branch"] = "branch.csv"
-    for name, case in (("validation_2bus", two_bus_case()), ("validation_3bus", three_bus_case())):
-        write_network(case, data_dir / f"{name}_bus.csv", data_dir / f"{name}_branch.csv")
-        files[name] = f"{name}_bus.csv"
     return files

@@ -64,9 +64,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def timestamp_at(self, hour: int) -> datetime:
-        return self.start + timedelta(hours=hour)
-
     @property
     def n_days(self) -> int:
         if len(self) % HOURS_PER_DAY:

@@ -1,5 +1,10 @@
-"""Reference implementations that the tests hold the runtime package against.
+"""Reference implementations that the tests hold the runtime package against,
+and the test-only code that the pipeline never calls.
 
+* ``two_bus_case`` and ``three_bus_case``: textbook networks for the power
+  flow and loadability tests.
+* ``load_predictor``: the reader of ``pricing.save_predictor``'s files, the
+  oracle of its round trip.
 * ``reference_nr_batch``: the Newton kernel with the full complex MATPOWER
   ``dSbus_dV`` tensors.
 * ``reference_sweep``: the loadability scan with one grid step per Newton
@@ -14,6 +19,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
@@ -23,12 +29,73 @@ from gridstudy.powerflow import (
     PF_MAX_ITERATIONS,
     PF_TOLERANCE,
     VOLTAGE_COLLAPSE_PU,
+    Branch,
     Bus,
     BusNetwork,
     PowerFlowError,
     _Grid,
     _nr_batch,
 )
+from gridstudy.pricing import _KIND, _MAGIC, PricingError, TrainedPredictor
+
+
+# -- textbook networks -----------------------------------------------------------
+
+def two_bus_case() -> BusNetwork:
+    """Textbook two-bus case: lossless 0.1 p.u. line, 1.0 p.u. unity-pf load."""
+    return BusNetwork((
+        Bus("source", "slack", 0.0, 0.0, 1.0, "SRC"),
+        Bus("load", "pq", 100.0, 0.0, 1.0, "LOAD"),
+    ), (Branch("source", "load", 0.0, 0.1),), base_mva=100.0)
+
+
+def three_bus_case() -> BusNetwork:
+    """Textbook three-bus case: slack, PV generator and a lagging PQ load."""
+    return BusNetwork((
+        Bus("slack", "slack", 0.0, 0.0, 1.02, "A"),
+        Bus("gen", "pv", 0.0, 0.0, 1.01, "B", ("G1",)),
+        Bus("city", "pq", 90.0, 30.0, 1.0, "B"),
+    ), (
+        Branch("slack", "gen", 0.02, 0.12),
+        Branch("gen", "city", 0.015, 0.09),
+        Branch("slack", "city", 0.025, 0.15),
+    ), base_mva=100.0)
+
+
+# -- saved predictors ------------------------------------------------------------
+
+def load_predictor(path) -> TrainedPredictor:
+    """Read a file written by ``save_predictor``; a ``PricingError`` naming the
+    file rejects anything else."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != _MAGIC:
+        raise PricingError(f"{path}: not a saved predictor")
+    if lines[1:2] != [_KIND]:
+        raise PricingError(f"{path}: line 2 is not {_KIND!r}")
+
+    def fields(i: int, key: str, count: Optional[int] = None) -> list[str]:
+        words = lines[i].split(" ") if 0 <= i < len(lines) else []
+        if words[:1] != [key] or (count is not None and len(words) != count + 1):
+            raise PricingError(f"{path}: line {i + 1} is not a {key!r} line")
+        return words[1:]
+
+    def number(text: str, kind=float):
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise PricingError(f"{path}: not {what}: {text!r}") from None
+
+    n_features = number(fields(2, "features", 1)[0], int)
+    rows = [fields(3 + i, "f", 4) for i in range(n_features)]
+    names = tuple(name for name, _, _, _ in rows)
+    mean = np.array([number(m) for _, m, _, _ in rows])
+    std = np.array([number(s) for _, _, s, _ in rows])
+    kept = np.array([bool(number(k, int)) for _, _, _, k in rows], dtype=bool)
+    coef = np.array([number(c) for c in fields(3 + n_features, "coef")])
+    if len(coef) != int(kept.sum()) + 1:
+        raise PricingError(f"{path}: {len(coef)} coefficients for {int(kept.sum())} kept features")
+    return TrainedPredictor(names, mean, std, kept, coef)
 
 
 # -- one operating point at a time ---------------------------------------------

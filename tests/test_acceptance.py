@@ -29,12 +29,13 @@ from gridstudy.dispatch import (
 from gridstudy.harness import merge_summaries, run_scenario
 from gridstudy.loadability import compute_loadability
 from gridstudy.scenarioconfig import scenario_from_config
-from gridstudy.synthdata import study_network, three_bus_case, two_bus_case
+from gridstudy.synthdata import study_network
 from gridstudy.timeseries import HOURS_PER_DAY
-from oracles import solve_power_flow, stressed_network, verify_bracket
+from oracles import solve_power_flow, stressed_network, three_bus_case, two_bus_case, verify_bracket
 from tests.conftest import config_path
 
 from tests.test_demand import discretized_min_cost, padded_day, random_instance
+from tests.test_loadability import points
 
 
 def report(criterion, ok, detail=""):
@@ -167,11 +168,11 @@ def test_criterion_4_dispatch_correctness():
 
 def test_criterion_5_two_bus_loadability():
     net = two_bus_case()
-    res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
+    res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.005)
     served = float(res.served_load_mw[0])
     within = abs(served - 500.0) <= 0.005 * 500.0 + 1e-9
     at, above = verify_bracket(net, "LOAD", {"source": 1.0}, None,
-                               float(res.lambda_star[0]), res.step)
+                               float(res.lambda_star[0]), 0.005)
     report(5, within and at and not above,
            f"served {served:.2f} MW vs analytic 500, bracket=({at},{not above})")
 
@@ -405,7 +406,7 @@ class TestYearProperties:
             at, above = verify_bracket(data.network, cfg.loadability.region,
                                        cfg.loadability.participation,
                                        tuple(a[hour] for a in points),
-                                       float(res.lambda_star[hour]), res.step)
+                                       float(res.lambda_star[hour]), cfg.loadability.step)
             assert at and not above, f"hour {hour}"
 
     def test_single_solve_reproduces_sweep_voltages(self, year_suite, data_dir):
@@ -445,7 +446,7 @@ def test_criterion_9_determinism(data_dir, tmp_path):
     cfg = scenario_from_config(config_path(4))
     outs = [tmp_path / name for name in ("a", "b", "c")]
     for out in outs[:2]:
-        harness._REUSE.clear()
+        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
         run_scenario(cfg, data_dir, out_dir=out, days=10)
     run_scenario(cfg, data_dir, out_dir=outs[2], days=10)
     names = sorted(p.name for p in outs[0].iterdir())

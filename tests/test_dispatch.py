@@ -232,7 +232,7 @@ class TestSimulateHorizon:
 
     def test_flat_day_single_unit_adequacy(self):
         demand = {"R": TimeSeries(SYNTHETIC_YEAR_START, np.full(24, 150.0), "R")}
-        res = simulate_horizon(self.small_fleet(), demand, [])
+        res = simulate_horizon(self.small_fleet(), demand, [], {})
         assert res.spilled_hours_pct == 0.0
         assert res.unserved_hours == 0
         assert sum(hd.output_mw["base"] for hd in res.hours) == pytest.approx(150.0 * 24)
@@ -242,13 +242,13 @@ class TestSimulateHorizon:
         demand = {"A": TimeSeries(SYNTHETIC_YEAR_START, np.ones(24), "A"),
                   "B": TimeSeries(SYNTHETIC_YEAR_START, np.ones(48), "B")}
         with pytest.raises(DispatchError, match="horizon mismatch"):
-            simulate_horizon([gen("g", 10, 10)], demand, [])
+            simulate_horizon([gen("g", 10, 10)], demand, [], {})
 
     def test_missing_availability_rejected(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
         demand = {"R": TimeSeries(SYNTHETIC_YEAR_START, np.ones(24), "R")}
         with pytest.raises(DispatchError, match="availability"):
-            simulate_horizon([wind], demand, [])
+            simulate_horizon([wind], demand, [], {})
 
     def test_totals_rederivable_from_hours(self):
         rng = np.random.default_rng(14)

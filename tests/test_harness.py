@@ -15,7 +15,6 @@ from gridstudy import harness
 from gridstudy.harness import (
     StageError,
     apply_renewable_replacement,
-    emit_report,
     merge_summaries,
     run_scenario,
 )
@@ -27,6 +26,18 @@ from gridstudy.timeseries import ZoneWeights, load_timeseries_csv, split_regiona
 from tests.conftest import config_path
 
 DAYS = 4
+
+#: What ``make-data`` writes: the series of the study and historical years,
+#: and the study network.
+DATA_FILES = sorted(
+    [f"{kind}_{r}.csv" for kind in ("demand", "historical_demand", "historical_price", "pv")
+     for r in ("NSW", "QLD", "SA", "VIC")]
+    + ["wind_NSA.csv", "solar_NQ.csv", "solar_CQ.csv", "bus.csv", "branch.csv"])
+
+
+def emit_report(report, out_dir) -> list[Path]:
+    """Write every output file of a finished run's ``report`` into ``out_dir``."""
+    return harness._emit({**vars(report), "report": report}, out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +280,18 @@ class TestEmission:
                 sink = nett[h] + sum(v for k, v in mw.items() if k.startswith("dumped_"))
                 assert supply == pytest.approx(sink, rel=1e-6), (scenario, h)
 
+    def test_dispatch_prices_only_the_demand_regions(self, short_reports, tmp_path):
+        """Transit regions keep their unserved and dumped columns but have no
+        price column; the in-memory dispatch keeps every region's price."""
+        rep = short_reports[4]
+        emit_report(rep, tmp_path / "r4")
+        header = (tmp_path / "r4" / "dispatch_hourly.csv").read_text().splitlines()[0].split(",")
+        priced = [name for name in header if name.startswith("price_")]
+        assert priced == [f"price_{r}" for r in sorted(rep.prices)] == [
+            "price_NSW", "price_QLD", "price_SA", "price_VIC"]
+        assert "unserved_SH" in header and "dumped_SH" in header
+        assert "SH" in rep.dispatch.hours[0].price
+
     def test_demand_csv_columns(self, short_reports, tmp_path):
         emit_report(short_reports[4], tmp_path / "r4")
         header = (tmp_path / "r4" / "demand_QLD.csv").read_text().splitlines()[0]
@@ -322,7 +345,8 @@ class TestCli:
         from gridstudy.cli import main
         out = tmp_path / "d5"
         assert main(["make-data", "--out", str(out), "--seed", "5"]) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in data_dir.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == DATA_FILES
+        assert sorted(p.name for p in data_dir.iterdir()) == DATA_FILES
         assert (out / "demand_QLD.csv").read_bytes() != (data_dir / "demand_QLD.csv").read_bytes()
 
     def test_failure_exit_code(self, tmp_path):
@@ -370,9 +394,9 @@ class TestReuseAcrossScenarios:
 
     def test_reused_run_writes_the_files_of_a_fresh_run(self, data_dir, tmp_path, counted):
         cfg2, cfg3 = (scenario_from_config(config_path(k)) for k in (2, 3))
-        harness._REUSE.clear()
+        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
         run_scenario(cfg3, data_dir, out_dir=tmp_path / "fresh", days=2)
-        harness._REUSE.clear()
+        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
         run_scenario(cfg2, data_dir, days=2)
         counted["parsed"].clear()
         counted["horizons"] = 0
@@ -386,7 +410,7 @@ class TestReuseAcrossScenarios:
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         cfg = scenario_from_config(config_path(1))
-        harness._REUSE.clear()
+        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
         first = run_scenario(cfg, data, days=2, stop_after="demand")
         assert first is None
         path = data / "demand_NSW.csv"
@@ -423,7 +447,7 @@ class TestReuseAcrossScenarios:
 
     def test_store_holds_only_the_last_runs_entries(self, data_dir, counted):
         cfg1, cfg3 = (scenario_from_config(config_path(k)) for k in (1, 3))
-        harness._REUSE.clear()
+        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
         run_scenario(cfg3, data_dir, days=2, stop_after="demand")
         run_scenario(cfg1, data_dir, days=2, stop_after="demand")
         kinds = [key[0] for key in harness._REUSE._kept]
@@ -469,7 +493,7 @@ class TestReuseAcrossScenarios:
 
     def test_served_dispatch_cannot_be_changed_in_place(self, data_dir):
         """Scenario 2's report carries its pass-0 result, which scenario 3 reuses."""
-        harness._REUSE.clear()
+        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
         report = run_scenario(scenario_from_config(config_path(2)), data_dir, days=2)
         hd = report.dispatch.hours[0]
         for mapping in (hd.output_mw, hd.flow_mw, hd.unserved_mw, hd.dumped_mw, hd.price):

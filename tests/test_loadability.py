@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from gridstudy import loadability, powerflow
 from gridstudy.loadability import LoadabilityError, average_loadability, compute_loadability
 from gridstudy.powerflow import Branch, Bus, BusNetwork
-from gridstudy.synthdata import study_network, two_bus_case
-from oracles import reference_sweep, solve_power_flow, stressed_network, verify_bracket, with_loads
+from gridstudy.synthdata import study_network
+from oracles import (
+    reference_sweep,
+    solve_power_flow,
+    stressed_network,
+    two_bus_case,
+    verify_bracket,
+    with_loads,
+)
 
 
 def points(net, loads, injections=None):
@@ -44,35 +51,26 @@ def study_hours(net, loads_scale, rng):
 class TestTwoBusAnalytic:
     def test_limit_within_one_step_of_closed_form(self):
         net = two_bus_case()
-        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.005)
         assert not res.degenerate[0]
         # analytic maximum: V1^2 / (2x) = 5.0 p.u. = 500 MW at base load 100 MW
         assert abs(res.served_load_mw[0] - 500.0) <= 0.005 * 500.0 + 1e-9
 
     def test_bracketing_invariant_by_resolve(self):
         net = two_bus_case()
-        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.005)
         at, above = verify_bracket(net, "LOAD", {"source": 1.0}, None,
-                                   float(res.lambda_star[0]), res.step)
+                                   float(res.lambda_star[0]), 0.005)
         assert at and not above
-
-    def test_base_hour_is_the_default(self):
-        net = two_bus_case()
-        base = points(net, [{}])
-        assert base[0].shape == (1, 2) and not base[2].any()
-        default = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
-        given = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005, hours=base)
-        for name in ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu"):
-            assert getattr(default, name).tobytes() == getattr(given, name).tobytes()
 
     def test_no_headroom_when_base_is_the_limit(self):
         net = with_loads(two_bus_case(), {"load": (500.0, 0.0)})
-        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.005)
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.005)
         assert res.lambda_star[0] == 1.0
 
     def test_degenerate_hour_reported(self):
         net = with_loads(two_bus_case(), {"load": (600.0, 0.0)})
-        res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.01)
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.01)
         assert res.degenerate[0]
         assert np.isnan(res.lambda_star[0])
         with pytest.raises(LoadabilityError, match="degenerate"):
@@ -98,8 +96,9 @@ class TestBatchedSweep:
         hours = points(net, [{"load": (float(p), 0.0)} for p in loads])
         batch = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
         for i, p in enumerate(loads):
-            single = compute_loadability(with_loads(net, {"load": (float(p), 0.0)}),
-                                         "LOAD", {"source": 1.0}, step=0.02)
+            alone = with_loads(net, {"load": (float(p), 0.0)})
+            single = compute_loadability(alone, "LOAD", {"source": 1.0}, points(alone, [{}]),
+                                         step=0.02)
             assert batch.lambda_star[i] == single.lambda_star[0]
             assert batch.served_load_mw[i] == single.served_load_mw[0]
             assert batch.min_voltage_pu[i] == single.min_voltage_pu[0]
@@ -134,7 +133,7 @@ class TestBatchedSweep:
         for h in range(3):
             at, above = verify_bracket(net, "LOAD", {"source": 1.0},
                                        tuple(a[h] for a in hours),
-                                       float(res.lambda_star[h]), res.step)
+                                       float(res.lambda_star[h]), 0.02)
             assert at and not above, h
 
     def test_monotone_stress_depresses_voltage(self):
@@ -225,7 +224,7 @@ class TestPooledScan:
     def test_hours_that_stop_among_their_first_steps_in_flight(self):
         """With several steps per hour in the pool from the start, an hour that
         stops among them reports its last converged step, as the one-step scan
-        does: on mixed hours and on the single-hour default scan."""
+        does: on mixed hours and on one base-load hour at the default step."""
         net = two_bus_case()
         # 600 MW is degenerate; 500 MW ends at lambda* = 1; the others up to
         # 330 MW fail among their first width // 8 steps (lambda* = 500 MW / load).
@@ -238,7 +237,7 @@ class TestPooledScan:
         first_steps = 1.0 + (loadability.MIN_BATCH_ROWS // len(loads)) * 0.02
         assert res.degenerate[0] and np.all(res.lambda_star[1:6] < first_steps)
 
-        default = compute_loadability(net, "LOAD", {"source": 1.0})
+        default = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]))
         want = reference_sweep(net, "LOAD", {"source": 1.0}, loadability.DEFAULT_STEP,
                                points(net, [{}]), loadability.DEFAULT_LAMBDA_MAX)
         for name, ref in zip(RESULT_ARRAYS, want):
@@ -250,12 +249,12 @@ class TestValidation:
     def test_participation_must_sum_to_one(self, share):
         net = two_bus_case()
         with pytest.raises(LoadabilityError, match="sum to"):
-            compute_loadability(net, "LOAD", {"source": share}, step=0.01)
+            compute_loadability(net, "LOAD", {"source": share}, points(net, [{}]), step=0.01)
 
     def test_participation_rejects_load_bus(self):
         net = two_bus_case()
         with pytest.raises(LoadabilityError, match="load bus"):
-            compute_loadability(net, "LOAD", {"load": 1.0}, step=0.01)
+            compute_loadability(net, "LOAD", {"load": 1.0}, points(net, [{}]), step=0.01)
 
     def test_negative_factor_rejected(self):
         net = BusNetwork((
@@ -263,18 +262,20 @@ class TestValidation:
             Bus("l", "pq", 50.0, 10.0, region="L"),
         ), (Branch("s", "g", 0.01, 0.1), Branch("g", "l", 0.01, 0.1)))
         with pytest.raises(LoadabilityError, match="negative"):
-            compute_loadability(net, "L", {"g": 2.0, "s": -1.0}, step=0.01)
+            compute_loadability(net, "L", {"g": 2.0, "s": -1.0}, points(net, [{}]), step=0.01)
 
     @pytest.mark.parametrize("step", [0.0, float("nan")])
     def test_bad_step(self, step):
+        net = two_bus_case()
         with pytest.raises(LoadabilityError, match="positive"):
-            compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=step)
+            compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=step)
 
     @pytest.mark.parametrize("lambda_max", [0.5, float("nan")])
     def test_lambda_max_below_one_rejected(self, lambda_max):
         """Without this check no hour is scanned and every hour reads as degenerate."""
+        net = two_bus_case()
         with pytest.raises(LoadabilityError, match="lambda_max must be >= 1"):
-            compute_loadability(two_bus_case(), "LOAD", {"source": 1.0}, step=0.01,
+            compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.01,
                                 lambda_max=lambda_max)
 
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 2), (2, 2)), ((3, 3), (3, 3), (3, 3)),
@@ -290,8 +291,7 @@ class TestAverage:
         from gridstudy.loadability import LoadabilityResult
         res = LoadabilityResult(
             lambda_star=np.array([1.35]), served_load_mw=np.array([25530.0]),
-            region_load_mw=np.array([8000.0]), min_voltage_pu=np.array([0.8]),
-            step=0.005, region="QLD")
+            region_load_mw=np.array([8000.0]), min_voltage_pu=np.array([0.8]))
         assert average_loadability(res) == pytest.approx(25.53)
 
     def test_mean_of_two_hours(self):

@@ -11,13 +11,15 @@ from gridstudy.powerflow import (
     load_network,
     write_network,
 )
-from gridstudy.synthdata import study_network, three_bus_case, two_bus_case
+from gridstudy.synthdata import study_network
 from oracles import (
     bus_injections_pu,
     has_load,
     reference_nr_batch,
     scale_loads,
     solve_power_flow,
+    three_bus_case,
+    two_bus_case,
     with_loads,
 )
 

@@ -12,12 +12,12 @@ from gridstudy.dispatch import GENERATOR_TYPES, Generator, Interconnector
 from gridstudy.pricing import (
     PricingError,
     feature_matrix,
-    load_predictor,
     predict_rows,
     save_predictor,
     train_matrix,
 )
 from gridstudy.timeseries import TimeSeries
+from oracles import load_predictor
 
 
 def hour_features(timestamp, demand_mw, fleet, line_limits, availability):
@@ -127,7 +127,7 @@ class TestFeatureMatrix:
         assert x.shape == (n, len(names))
         for hour in range(n):
             ref_names, ref = hour_features(
-                demand.timestamp_at(hour), float(demand.values[hour]), fleet, limits,
+                demand.start + timedelta(hours=hour), float(demand.values[hour]), fleet, limits,
                 {name: float(ts.values[hour]) for name, ts in avail.items()})
             assert ref_names == names
             assert np.array_equal(x[hour], ref)  # same operations in the same order
@@ -163,7 +163,8 @@ class TestTrain:
         rng = np.random.default_rng(5)
         x = np.column_stack([rng.uniform(0, 1, 40), np.full(40, 7.0)])
         p = train_matrix(("demand", "fixed"), x, np.arange(40.0))
-        assert p.dropped == ("fixed",)
+        assert p.feature_names == ("demand", "fixed")
+        assert p.kept.tolist() == [True, False]
 
 
 class TestRejectsBadInput:

@@ -1,0 +1,99 @@
+"""Every function, class and method in ``src/gridstudy`` has a caller outside ``tests/``.
+
+Code that only the tests call belongs in ``tests/oracles.py`` or in the test
+module that uses it.  A definition counts as called when its name is
+referenced (as a name, an attribute or an imported name) somewhere in
+``src/gridstudy`` outside its own body, in the benchmark's ``perfbench/*.py``
+modules other than its tests (string constants included: the tracer names
+its targets as strings), or by the console-script entry point in
+``pyproject.toml``.  Names are matched without their class or module, so a
+definition that shares its name with a called one passes; the scan errs
+towards passing.
+"""
+
+import ast
+import re
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gridstudy"
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each module-level function and class
+    and of each method, dunder methods left out: Python calls those itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def _references(tree: ast.AST, strings: bool = False):
+    """(name, line) of every name, attribute and imported name in ``tree``;
+    with ``strings``, identifier-like string constants as well."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def _entry_points() -> set[str]:
+    """Function names of the ``[project.scripts]`` targets."""
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'=\s*"[\w.]+:(\w+)"', scripts))
+
+
+def uncalled_definitions(src: Path = SRC) -> list[str]:
+    """``module.name`` of each definition in ``src`` without a caller."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    assert trees, f"no modules under {src}"
+    outside = _entry_points()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            outside.update(name for name, _ in _references(ast.parse(path.read_text()), True))
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    uncalled = []
+    for path, tree in trees.items():
+        for qualname, first, last in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            called = name in outside or any(
+                ref == name and not (other == path and first <= line <= last)
+                for other, found in refs.items() for ref, line in found)
+            if not called:
+                uncalled.append(f"{path.stem}.{qualname}")
+    return uncalled
+
+
+def test_src_holds_only_what_the_pipeline_calls():
+    assert uncalled_definitions() == []
+
+
+def test_the_scan_reports_test_only_code(tmp_path):
+    """A method and a function that nothing in the package calls are reported;
+    a function called from the package is not."""
+    for path in SRC.glob("*.py"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "extra.py").write_text(
+        "class Series:\n"
+        "    def timestamp_at(self, hour):\n"
+        "        return hour\n\n"
+        "def orphan():\n"
+        "    return orphan()\n\n"
+        "def helper():\n"
+        "    return Series()\n\n"
+        "VALUE = helper()\n")
+    found = [name for name in uncalled_definitions(tmp_path) if name.startswith("extra.")]
+    assert found == ["extra.Series.timestamp_at", "extra.orphan"]

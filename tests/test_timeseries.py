@@ -33,7 +33,7 @@ class TestLoadCsv:
         ts = load_timeseries_csv(p, expected_hours=24)
         assert len(ts) == 24
         assert ts.values[13] == 13.0
-        assert ts.timestamp_at(5) == datetime(2021, 1, 1, 5)
+        assert ts.start == datetime(2021, 1, 1)
 
     def test_missing_hour_names_the_timestamp(self, tmp_path):
         p = tmp_path / "gap.csv"

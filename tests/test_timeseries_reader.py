@@ -238,8 +238,6 @@ class TestAgainstRowByRowReader:
 
     def test_bundled_year_files(self, data_dir):
         for path in sorted(data_dir.glob("*_*.csv")):
-            if path.name.startswith("validation_"):
-                continue
             assert_same_outcome(path, 8760)
 
 
