@@ -651,17 +651,35 @@ def _write_schedule_csv(days: Sequence[DemandSchedule], price: TimeSeries, load:
 
 
 def merge_summaries(run_dirs: Sequence, out_path) -> Path:
-    """Merge per-scenario summary rows into one table ordered by scenario id."""
-    rows = []
+    """Merge per-scenario summary rows into one table ordered by scenario id.
+
+    Blank rows are skipped.  A row whose cell count differs from the header's
+    or whose scenario id is not an integer raises a ``ValueError`` naming the
+    file and the row; so does a scenario id already read, naming both files.
+    """
+    found = {}  # scenario id -> (file, row)
     for run_dir in run_dirs:
         path = Path(run_dir) / SUMMARY_FILE
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header) != SUMMARY_COLUMNS:
                 raise ValueError(f"{path}: unexpected summary columns {header}")
-            rows.extend(reader)
-    rows.sort(key=lambda r: int(r[0]))
+            for rownum, row in enumerate(reader, 2):
+                if not row:
+                    continue
+                if len(row) != len(SUMMARY_COLUMNS):
+                    raise ValueError(f"{path}: row {rownum}: expected {len(SUMMARY_COLUMNS)} "
+                                     f"cells, found {len(row)}")
+                try:
+                    scenario = int(row[0])
+                except ValueError:
+                    raise ValueError(f"{path}: row {rownum}: scenario id {row[0]!r} "
+                                     f"is not an integer") from None
+                if scenario in found:
+                    raise ValueError(f"{path}: row {rownum}: scenario {scenario} is also "
+                                     f"in {found[scenario][0]}")
+                found[scenario] = (path, row)
     out_path = Path(out_path)
-    _write_rows(out_path, SUMMARY_COLUMNS, rows)
+    _write_rows(out_path, SUMMARY_COLUMNS, [found[k][1] for k in sorted(found)])
     return out_path

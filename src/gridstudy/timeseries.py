@@ -4,6 +4,11 @@ The on-disk format is ``timestamp,value`` with ISO-8601 hourly timestamps,
 one file per (region, quantity).  Values are written with ``repr`` so a
 write/read round trip is exact, both as text and numerically.
 
+A file in exactly the layout ``write_timeseries_csv`` emits is checked and
+parsed as a whole text; every other layout, and every file that fails one of
+those whole-file checks, goes through the row-by-row ``csv`` loop, which is
+the only source of error texts.  Both routes give the same series.
+
 The study calendar is a fixed non-leap synthetic year (8760 hours) starting
 2021-01-01 00:00.
 """
@@ -12,8 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -31,6 +39,8 @@ _DATE_FORMAT = "%Y-%m-%d"
 TIMESTAMP_FORMAT = _DATE_FORMAT + "T%H:%M:%S"
 #: Time-of-day text of each whole hour in ``TIMESTAMP_FORMAT``.
 _HOUR_TEXT = tuple(f"T{h:02d}:00:00" for h in range(HOURS_PER_DAY))
+#: The header line ``write_timeseries_csv`` writes.
+_WRITER_HEADER = "timestamp,value\n"
 
 
 class TimeSeriesError(ValueError):
@@ -95,6 +105,55 @@ def hour_stamps(start: datetime, n_hours: int) -> list[str]:
     return [date + hour for date in dates for hour in _HOUR_TEXT][first:first + n_hours]
 
 
+@lru_cache(maxsize=8)
+def _shared_hour_stamps(start: datetime, n_hours: int) -> tuple[str, ...]:
+    """``hour_stamps`` as a tuple, computed once for the series files sharing a calendar."""
+    return tuple(hour_stamps(start, n_hours))
+
+
+def _parse_writer_layout(path: Path, expected_hours: int):
+    """``(start, values)`` of a file in exactly ``write_timeseries_csv``'s layout.
+
+    ``None`` for any other file: text that fails to decode, another header, a
+    carriage return (a line end to the ``csv`` reader, whitespace to
+    ``float``), no final newline, a line without exactly one comma, a stamp
+    other than the ``hour_stamps`` text of its hour (so also a row count
+    other than ``expected_hours``), a field longer than
+    ``csv.field_size_limit()``, or a value that is not a finite float (so
+    also a quoted one).  The row loop then reads the file and reports what
+    it finds.
+    """
+    try:
+        with path.open(newline="") as fh:  # decoded as the row loop decodes it
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if not text.startswith(_WRITER_HEADER) or not text.endswith("\n") or "\r" in text:
+        return None
+    body = text[len(_WRITER_HEADER):-1]
+    del text
+    lines = body.split("\n")
+    # A comma on every line and no more commas than lines: exactly one on each.
+    if body.count(",") != len(lines) or not all(map(operator.contains, lines, repeat(","))):
+        return None
+    del lines
+    fields = body.replace("\n", ",").split(",")
+    del body
+    stamps, value_texts = tuple(fields[0::2]), fields[1::2]
+    del fields
+    try:
+        start = datetime.fromisoformat(stamps[0])
+        if (stamps != _shared_hour_stamps(start, expected_hours)
+                or max(map(len, value_texts)) > csv.field_size_limit()):
+            return None
+        values = np.array(list(map(float, value_texts)))
+    except (OverflowError, ValueError):  # a start near datetime.max; not a number
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return start, values
+
+
 def _checked_stamp(path, rownum: int, text: str, start, k: int) -> datetime:
     """Parse row ``rownum``'s stamp and require it to be ``start + k`` hours.
 
@@ -122,16 +181,25 @@ def _checked_stamp(path, rownum: int, text: str, start, k: int) -> datetime:
 def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
     """Read a ``timestamp,value`` CSV into a gap-free hourly series.
 
-    Rows are checked one at a time in file order: the column count, then the
-    stamp, then the value.  So the first bad row is the one reported, with
-    its row number (1-based, counting the header as row 1), and a tokeniser
-    or decoding error is raised only after the rows before it pass.  A stamp
-    equal to its hour's ``hour_stamps`` text is accepted as text; any other
-    stamp is parsed and checked on its own.
+    A file in exactly ``write_timeseries_csv``'s layout with the expected
+    number of rows is checked and parsed as one text
+    (``_parse_writer_layout``).  Every other layout, and every file that
+    fails one of those checks, is read by the row loop below, which gives
+    the same series and is the only source of errors.
+
+    The row loop checks rows one at a time in file order: the column count,
+    then the stamp, then the value.  So the first bad row is the one
+    reported, with its row number (1-based, counting the header as row 1),
+    and a tokeniser or decoding error is raised only after the rows before
+    it pass.  A stamp equal to its hour's ``hour_stamps`` text is accepted
+    as text; any other stamp is parsed and checked on its own.
     """
     path = Path(path)
     if not path.exists():
         raise TimeSeriesError(f"missing series file: {path}")
+    whole = _parse_writer_layout(path, expected_hours)
+    if whole is not None:
+        return TimeSeries(*whole, label=path.stem)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:

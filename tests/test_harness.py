@@ -35,6 +35,14 @@ DATA_FILES = sorted(
     + ["wind_NSA.csv", "solar_NQ.csv", "solar_CQ.csv", "bus.csv", "branch.csv"])
 
 
+def write_summary(run_dir: Path, rows) -> Path:
+    """A run directory whose ``summary.csv`` holds the header and ``rows``."""
+    run_dir.mkdir()
+    (run_dir / "summary.csv").write_text(
+        ",".join(harness.SUMMARY_COLUMNS) + "\n" + "".join(f"{row}\n" for row in rows))
+    return run_dir
+
+
 def emit_report(report, out_dir) -> list[Path]:
     """Write every output file of a finished run's ``report`` into ``out_dir``."""
     return harness._emit({**vars(report), "report": report}, out_dir)
@@ -308,6 +316,32 @@ class TestEmission:
         assert len(lines) == 1 + len(dirs)
         ids = [int(row.split(",")[0]) for row in lines[1:]]
         assert ids == sorted(ids)
+        # Blank rows are skipped, and the order of the directories does not matter.
+        summary = dirs[1] / "summary.csv"
+        header, row = summary.read_text().splitlines()
+        summary.write_text(f"{header}\n\n{row}\n\n")
+        assert merge_summaries(dirs[::-1], tmp_path / "blank.csv").read_bytes() == merged.read_bytes()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,0.1,2.0,0.3,4.0", r"summary.csv: row 3: expected 6 cells, found 5"),
+        ("1,0.1,2.0,0.3,4.0,0.0,9", r"summary.csv: row 3: expected 6 cells, found 7"),
+        ("s1,0.1,2.0,0.3,4.0,0.0", r"summary.csv: row 3: scenario id 's1' is not an integer"),
+        ("1,0.1,2.0,0.3,4.0,0.0", r"summary.csv: row 3: scenario 1 is also in .*summary.csv"),
+    ])
+    def test_merge_rejects_bad_rows(self, tmp_path, row, message):
+        run = write_summary(tmp_path / "run", ["1,0.5,1.0,0.2,3.0,0.0", row])
+        with pytest.raises(ValueError, match=message) as err:
+            merge_summaries([run], tmp_path / "merged.csv")
+        assert str(run / "summary.csv") in str(err.value)
+        assert not (tmp_path / "merged.csv").exists()
+
+    def test_merge_names_both_files_of_a_repeated_scenario(self, tmp_path):
+        first = write_summary(tmp_path / "a", ["2,0.5,1.0,0.2,3.0,0.0"])
+        second = write_summary(tmp_path / "b", ["3,0.5,1.0,0.2,3.0,0.0", "2,0.5,1.0,0.2,3.0,0.0"])
+        with pytest.raises(ValueError) as err:
+            merge_summaries([first, second], tmp_path / "merged.csv")
+        assert str(err.value) == (f"{second / 'summary.csv'}: row 3: scenario 2 is also in "
+                                  f"{first / 'summary.csv'}")
 
 
 class TestCli:
@@ -330,6 +364,17 @@ class TestCli:
         rc = main(["report", "--merge", str(out), "--out", str(merged)])
         assert rc == 0
         assert merged.read_text().startswith("scenario,")
+
+    def test_merge_of_one_run_twice_fails(self, tmp_path, capsys):
+        from gridstudy.cli import main
+        run = write_summary(tmp_path / "run", ["1,0.5,1.0,0.2,3.0,0.0"])
+        rc = main(["report", "--merge", str(run), str(run), "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {run / 'summary.csv'}: row 2: scenario 1 is also in {run / 'summary.csv'}"]
+        assert not (tmp_path / "m.csv").exists()
 
     def test_run_seed_is_not_an_option(self, data_dir, tmp_path, capsys):
         from gridstudy.cli import main
