@@ -20,12 +20,29 @@ The last converged point of each hour is then solved once more for its
 voltages.  An hour's results do not depend on the other hours or on the
 pool: any split of the hours gives the same bits, one-hour splits
 included.
+
+So a long horizon is split across processes: one per usable CPU while
+each gets at least ``MIN_WORKER_HOURS`` hours.  Hour ``h`` goes to share
+``h % workers``, so every share spans the whole horizon, whatever the
+order of its seasons.  This process sweeps share 0 and each other share
+runs in a child forked from it, which needs no re-import and no pickled
+inputs: a fork took about 2 ms, while a fresh interpreter took 0.31-0.36 s
+of CPU to import numpy and this module, about what its half of a 336-hour
+sweep costs.  The children send back their results or their exceptions
+through pipes and are reaped before the call returns, also when it fails.
+With one usable CPU, a short horizon or no ``os.fork`` the sweep runs here
+alone.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NoReturn
 
 import numpy as np
 
@@ -40,6 +57,13 @@ DEFAULT_LAMBDA_MAX = 10.0
 #: worth, so 1,024 rows keep it under a tenth; the Newton step's temporaries
 #: take about 2.3 kB per row, and 2,048 rows were no faster.
 MIN_BATCH_ROWS = 1024
+#: Fewest hours per worker process of a sweep.  Each extra share costs about
+#: 16-28 ms more CPU, the tail of its own pool (25-35 more iterations) and more
+#: steps in flight per hour, against about 2.3 ms per hour swept: one process
+#: sweeping two interleaved shares of 24, 48, 96, 128 and 168 hours took 1.15x,
+#: 1.09x, 1.08x, 1.06x and 1.02x the CPU of sweeping them as one (medians of 25
+#: pairs, 2-vCPU Xeon).  From 128 hours a share the split costs about 5% or less.
+MIN_WORKER_HOURS = 128
 
 #: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep.
 Points = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -71,11 +95,17 @@ class LoadabilityResult:
 
 
 def validate_scan(step: float, lambda_max: float) -> None:
-    """Fail unless the factor grid ``1 + k * step`` rises (step > 0) and ``lambda_max`` >= 1."""
+    """Fail unless the factor grid ``1 + k * step`` rises (finite step > 0) to a
+    finite ``lambda_max`` >= 1: an infinite step makes every factor above 1 NaN,
+    and an infinite ``lambda_max`` lets an hour that never collapses scan forever."""
     if not step > 0:  # nan too
         raise LoadabilityError(f"step must be positive, got {step}")
     if not lambda_max >= 1:  # nan too
         raise LoadabilityError(f"lambda_max must be >= 1, got {lambda_max}")
+    if step == math.inf:
+        raise LoadabilityError(f"step must be finite, got {step}")
+    if lambda_max == math.inf:
+        raise LoadabilityError(f"lambda_max must be finite, got {lambda_max}")
 
 
 def validate_shares(participation: Mapping[str, float]) -> dict[str, float]:
@@ -128,6 +158,22 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
     pickup = np.array([0.0 if b.kind == "slack" else shares.get(b.bus_id, 0.0) for b in net.buses])
 
+    def sweep(rows):
+        return _sweep(grid, region_mask, pickup, base_p[rows], base_q[rows], inj_p[rows],
+                      step, lambda_max)
+
+    workers = _worker_count(nh)
+    out = sweep(slice(None)) if workers <= 1 else _sweep_forked(sweep, nh, workers)
+    return LoadabilityResult(*out)
+
+
+def _sweep(grid: _Grid, region_mask: np.ndarray, pickup: np.ndarray, base_p: np.ndarray,
+           base_q: np.ndarray, inj_p: np.ndarray, step: float, lambda_max: float) -> np.ndarray:
+    """The scan of ``compute_loadability`` over the given hours, in this process.
+
+    Returns a (4 x hours) array: lambda*, served load, region load and minimum voltage.
+    """
+    nh = len(base_p)
     region_base = np.sum(base_p[:, region_mask], axis=1)
 
     def stressed(h, lam):
@@ -169,19 +215,111 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
     # them, or NaN (degenerate) when the base case fails.  That point is solved
     # once more for its voltages, which come out as the same bits: a point's
     # results do not depend on the points solved with it.
-    lam_star, served, region_load, min_v = np.full((4, nh), np.nan)
+    out = np.full((4, nh), np.nan)
+    lam_star, served, region_load, min_v = out
     ok = np.flatnonzero(first_fail > 0)
     lam_star[ok] = 1.0 + (first_fail[ok] - 1) * step
     p_load, p_sched, q_sched = stressed(ok, lam_star[ok])
     served[ok] = np.sum(p_load, axis=1)
     region_load[ok] = np.sum(p_load[:, region_mask], axis=1)
     min_v[ok] = np.min(_nr_batch(grid, p_sched, q_sched)[0], axis=1)
-    return LoadabilityResult(
-        lambda_star=lam_star,
-        served_load_mw=served,
-        region_load_mw=region_load,
-        min_voltage_pu=min_v,
-    )
+    return out
+
+
+def _worker_count(hours: int) -> int:
+    """Processes for a sweep of ``hours``: one per usable CPU while each gets at
+    least ``MIN_WORKER_HOURS`` hours; one where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, hours // MIN_WORKER_HOURS))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker, as its text."""
+
+
+def _sweep_forked(sweep: Callable[[slice], np.ndarray], nh: int, workers: int) -> np.ndarray:
+    """``sweep`` over ``nh`` hours in ``workers`` processes, hour ``h`` in share ``h % workers``.
+
+    This process sweeps share 0; each other share runs in a forked child that
+    writes its (4 x share) float64 result, or its pickled exception, to a pipe.
+    Every pipe is read to its end before any child is reaped: a year's share
+    is larger than a pipe's buffer.  If this process fails first, the children
+    are killed.  Either way every child is reaped before this returns.
+    """
+    out = np.empty((4, nh))
+    fds, pids, messages = [], [], []
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(sweep, slice(i, None, workers), write_fd, fds)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        out[:, ::workers] = sweep(slice(0, None, workers))
+        messages = [_read_to_end(fd) for fd in fds]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for i, (pid, status, message) in enumerate(zip(pids, statuses, messages), 1):
+        share = out[:, i::workers]
+        code = os.waitstatus_to_exitcode(status)
+        if message[:1] == b"e" and code == 0:
+            exc, text = pickle.loads(message[1:])
+            raise exc from _WorkerTraceback(text)
+        if message[:1] != b"r" or len(message) != 1 + share.nbytes or code != 0:
+            raise RuntimeError(f"loadability worker {pid} exited with code {code} "
+                               f"after writing {len(message)} of {1 + share.nbytes} bytes")
+        share[:] = np.frombuffer(message, offset=1).reshape(share.shape)
+    return out
+
+
+def _worker(sweep: Callable[[slice], np.ndarray], rows: slice, write_fd: int,
+            fds: list[int]) -> NoReturn:
+    """In a forked child: write ``b"r"`` and the bytes of ``sweep(rows)``, or
+    ``b"e"`` and the pickled exception with its traceback text, to ``write_fd``;
+    then exit, with code 0 once the message is written.  Never returns."""
+    code = 1
+    try:
+        for fd in fds:
+            os.close(fd)
+        try:
+            message = b"r" + sweep(rows).tobytes()
+        except Exception as exc:
+            message = b"e" + _pickled(exc, traceback.format_exc())
+        with open(write_fd, "wb") as pipe:
+            pipe.write(message)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled(exc: Exception, text: str) -> bytes:
+    """``(exc, text)`` pickled, or with ``exc`` as a ``RuntimeError`` naming its
+    type and message if it does not come back from a pickle."""
+    try:
+        data = pickle.dumps((exc, text))
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((RuntimeError(f"{type(exc).__qualname__}: {exc}"), text))
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def average_loadability(result: LoadabilityResult) -> float:

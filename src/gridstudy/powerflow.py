@@ -28,6 +28,13 @@ PF_MAX_ITERATIONS = 20
 VOLTAGE_COLLAPSE_PU = 0.4
 #: Largest backward error of a Newton step's linear solve (see ``_newton_step``).
 SOLVE_BACKWARD_ERROR = 1e-10
+#: Most rows of one gemm in ``_injections``.  OpenBLAS 0.3.31 ran the
+#: (rows x 2n) @ (2n x 2n) gemm of the study network on both CPUs of a 2-vCPU
+#: host from 1,536 rows on, and its second thread then spun between calls: a
+#: one-process year sweep took twice its wall time in CPU, and the spinning
+#: thread of each forked sweep worker slowed the others.  Per row, a gemm's
+#: bits do not depend on how many rows it has, once it has two.
+GEMM_ROWS = 1024
 #: System MVA base of the per-unit quantities when none is given.
 DEFAULT_BASE_MVA = 100.0
 
@@ -228,8 +235,16 @@ def _injections(grid: _Grid, vm: np.ndarray, va: np.ndarray):
     """Voltages ``[e f]`` and injected powers ``[P, Q, -Q]`` (B rows each) in p.u."""
     n = grid.n
     ef = np.concatenate([vm * np.cos(va), vm * np.sin(va)], axis=1)
-    # one row would take gemv, which rounds otherwise than gemm
-    cur = ef @ grid.mix if len(ef) > 1 else (np.concatenate([ef, ef]) @ grid.mix)[:1]
+    # One row would take gemv, which rounds otherwise than gemm.  More rows go
+    # in even blocks of at most GEMM_ROWS rows, so of two rows at least.
+    if len(ef) == 1:
+        cur = (np.concatenate([ef, ef]) @ grid.mix)[:1]
+    else:
+        cur = np.empty_like(ef)
+        blocks = -(-len(ef) // GEMM_ROWS)
+        cuts = [len(ef) * i // blocks for i in range(blocks + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.matmul(ef[lo:hi], grid.mix, out=cur[lo:hi])
     e, f, ire, iim = ef[:, :n], ef[:, n:], cur[:, :n], cur[:, n:]
     q = f * ire - e * iim
     return ef, np.concatenate([e * ire + f * iim, q, -q], axis=1)

@@ -1,10 +1,18 @@
 """Load-scaling collapse search on analytic and bundled networks."""
 
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridstudy
 from gridstudy import loadability, powerflow
 from gridstudy.loadability import LoadabilityError, average_loadability, compute_loadability
 from gridstudy.powerflow import Branch, Bus, BusNetwork
@@ -244,6 +252,162 @@ class TestPooledScan:
             assert getattr(default, name).tobytes() == ref.tobytes(), name
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Three usable CPUs and two hours per worker at least; returns the pids of
+    the children that ``os.fork`` starts."""
+    monkeypatch.setattr(loadability, "MIN_WORKER_HOURS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+class TestWorkers:
+    PART = {"qld_gen": 0.5, "qld_csp": 0.5}
+
+    @staticmethod
+    def hours(net):
+        """Seven study-network hours: three workers of the ``forks`` fixture, with
+        shares of 3, 2 and 2 hours."""
+        rng = np.random.default_rng(31)
+        return study_hours(net, rng.uniform(0.4, 1.6, (7, len(net.buses))), rng)
+
+    def sweep(self):
+        net = study_network()
+        return compute_loadability(net, "QLD", self.PART, self.hours(net), step=0.1,
+                                   lambda_max=3.0)
+
+    def test_forked_sweep_has_the_bits_of_one_process(self, forks, monkeypatch):
+        forked = self.sweep()
+        assert len(forks) == 2
+        assert_no_child_left()
+        monkeypatch.setattr(loadability, "MIN_WORKER_HOURS", 8)
+        alone = self.sweep()
+        assert len(forks) == 2
+        for name in RESULT_ARRAYS:
+            assert getattr(forked, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    @pytest.mark.parametrize("picklable", [True, False])
+    def test_worker_exception_reaches_the_caller(self, forks, monkeypatch, picklable):
+        """With its type and message, and the worker's traceback as its cause; an
+        exception that does not pickle comes as a RuntimeError naming both."""
+        class LocalError(Exception):
+            pass
+
+        parent, sweep = os.getpid(), loadability._sweep
+
+        def fail_in_workers(grid, region_mask, pickup, base_p, *rest):
+            if os.getpid() != parent:
+                error = ZeroDivisionError if picklable else LocalError
+                raise error(f"share of {len(base_p)} hours")
+            return sweep(grid, region_mask, pickup, base_p, *rest)
+
+        monkeypatch.setattr(loadability, "_sweep", fail_in_workers)
+        want = (ZeroDivisionError, "share of 2 hours") if picklable else (
+            RuntimeError, "LocalError: share of 2 hours")
+        with pytest.raises(want[0], match=want[1]) as err:
+            self.sweep()
+        assert len(forks) == 2
+        assert "fail_in_workers" in str(err.value.__cause__)
+        assert_no_child_left()
+
+    def test_shares_larger_than_a_pipe_buffer_come_back_in_place(self, forks, monkeypatch):
+        """Each worker's share of 4,096 hours is 128 kB of results, twice a pipe's
+        64 kB buffer; hour h's row says h wherever it was swept."""
+        def hour_numbers(grid, region_mask, pickup, base_p, *rest):
+            return np.tile(base_p[:, 1], (4, 1))
+
+        monkeypatch.setattr(loadability, "_sweep", hour_numbers)
+        net = two_bus_case()
+        nh = 3 * 4096
+        res = compute_loadability(net, "LOAD", {"source": 1.0},
+                                  points(net, [{"load": (h, 0.0)} for h in range(nh)]))
+        assert len(forks) == 2
+        for name in RESULT_ARRAYS:
+            assert np.array_equal(getattr(res, name), np.arange(nh)), name
+        assert_no_child_left()
+
+    def test_no_child_outlives_a_failing_parent_share(self, forks, monkeypatch):
+        """The parent's own share fails while the first worker is blocked writing
+        a share larger than a pipe's buffer and the second is still sweeping: the
+        call raises at once, and leaves no child behind."""
+        parent = os.getpid()
+
+        def fail_in_parent(grid, region_mask, pickup, base_p, *rest):
+            if os.getpid() != parent:
+                if forks:  # the second worker, forked after the first
+                    time.sleep(60)
+                return np.zeros((4, len(base_p)))
+            time.sleep(0.2)
+            assert os.waitpid(forks[0], os.WNOHANG) == (0, 0), "first worker not blocked"
+            raise KeyError("parent share")
+
+        monkeypatch.setattr(loadability, "_sweep", fail_in_parent)
+        net = two_bus_case()
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="parent share"):
+            compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}] * 3 * 4096))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("platform", ["one CPU in the affinity mask", "one CPU counted",
+                                          "no os.fork"])
+    def test_one_process_without_a_second_cpu_or_fork(self, forks, monkeypatch, platform):
+        if platform == "one CPU in the affinity mask":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif platform == "one CPU counted":
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.delattr(os, "fork")
+        res = self.sweep()
+        assert forks == []
+        net = study_network()
+        want = reference_sweep(net, "QLD", self.PART, 0.1, self.hours(net), 3.0)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(res, name).tobytes() == ref.tobytes(), name
+
+    def test_bits_do_not_depend_on_openblas_threads(self):
+        """The sweep's results, in a fresh interpreter with ``OPENBLAS_NUM_THREADS``
+        at 1 and at 2 before numpy loads, have the same bytes."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from gridstudy.loadability import compute_loadability\n"
+            "from gridstudy.synthdata import study_network\n"
+            "net = study_network()\n"
+            "rng = np.random.default_rng(5)\n"
+            "scale = rng.uniform(0.4, 1.6, (48, len(net.buses)))\n"
+            "hours = (scale * [b.p_load_mw for b in net.buses],\n"
+            "         scale * [b.q_load_mvar for b in net.buses], np.zeros_like(scale))\n"
+            "res = compute_loadability(net, 'QLD', {'qld_gen': 0.5, 'qld_csp': 0.5}, hours,\n"
+            "                          step=0.05, lambda_max=4.0)\n"
+            "print(hashlib.sha256(b''.join(getattr(res, name).tobytes() for name in\n"
+            "      ('lambda_star', 'served_load_mw', 'region_load_mw', 'min_voltage_pu')))"
+            ".hexdigest())\n")
+        src = str(Path(gridstudy.__file__).resolve().parent.parent)
+        digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, timeout=300,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
 class TestValidation:
     @pytest.mark.parametrize("share", [0.7, float("nan")])
     def test_participation_must_sum_to_one(self, share):
@@ -277,6 +441,16 @@ class TestValidation:
         with pytest.raises(LoadabilityError, match="lambda_max must be >= 1"):
             compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=0.01,
                                 lambda_max=lambda_max)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["step", "lambda_max"])
+    def test_non_finite_scan_rejected(self, name, value):
+        """An infinite step made every factor above 1 NaN; an infinite lambda_max
+        let an hour that never collapses scan forever."""
+        net = two_bus_case()
+        with pytest.raises(LoadabilityError, match=f"^{name} must be"):
+            compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]),
+                                **{name: value})
 
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 2), (2, 2)), ((3, 3), (3, 3), (3, 3)),
                                         ((2,), (2,), (2,))])

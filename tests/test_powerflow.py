@@ -202,6 +202,21 @@ class TestNewtonKernel:
             assert (sol.converged, sol.iterations, sol.mismatch_pu) == (conv[h], iters[h],
                                                                         mismatch[h])
 
+    def test_batch_of_more_rows_than_a_gemm_block_has_the_rows_bits(self):
+        """A batch whose injections take two gemm blocks gives, row for row, the
+        bits of batches that take one."""
+        from gridstudy.powerflow import GEMM_ROWS, _Grid, _nr_batch
+        net = study_network()
+        grid = _Grid(net)
+        scale = np.random.default_rng(8).uniform(0.2, 4.0, (GEMM_ROWS + 1, 1))
+        sched = grid.scheduled(scale * [b.p_load_mw for b in net.buses],
+                               scale * [b.q_load_mvar for b in net.buses], 0.0, 0.0)
+        whole = _nr_batch(grid, *sched)
+        parts = [_nr_batch(grid, *(a[rows] for a in sched)) for rows in (slice(0, 2),
+                                                                        slice(2, None))]
+        for got, *want in zip(whole, *parts):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
 
 class TestSlotLU:
     """The Newton step's sparse LU: natural order, fixed pattern, no pivoting."""
