@@ -29,13 +29,15 @@ runs in a child forked from it, which needs no re-import and no pickled
 inputs: a fork took about 2 ms, while a fresh interpreter took 0.31-0.36 s
 of CPU to import numpy and this module, about what its half of a 336-hour
 sweep costs.  The children send back their results or their exceptions
-through pipes and are reaped before the call returns, also when it fails.
-With one usable CPU, a short horizon or no ``os.fork`` the sweep runs here
+through pipes and are reaped before the call returns, also when it fails;
+on Linux a child also dies with the process that forked it.  With one
+usable CPU, a short horizon or no ``os.fork`` the sweep runs here
 alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
@@ -235,6 +237,10 @@ def _worker_count(hours: int) -> int:
     return max(1, min(cpus or 1, hours // MIN_WORKER_HOURS))
 
 
+#: ``prctl`` option that asks for a signal when the parent dies (linux/prctl.h).
+_PR_SET_PDEATHSIG = 1
+
+
 class _WorkerTraceback(Exception):
     """The traceback of an exception raised in a worker, as its text."""
 
@@ -250,6 +256,7 @@ def _sweep_forked(sweep: Callable[[slice], np.ndarray], nh: int, workers: int) -
     """
     out = np.empty((4, nh))
     fds, pids, messages = [], [], []
+    parent = os.getpid()
     try:
         for i in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -257,7 +264,7 @@ def _sweep_forked(sweep: Callable[[slice], np.ndarray], nh: int, workers: int) -
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(sweep, slice(i, None, workers), write_fd, fds)
+                    _worker(sweep, slice(i, None, workers), write_fd, fds, parent)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
@@ -285,34 +292,35 @@ def _sweep_forked(sweep: Callable[[slice], np.ndarray], nh: int, workers: int) -
 
 
 def _worker(sweep: Callable[[slice], np.ndarray], rows: slice, write_fd: int,
-            fds: list[int]) -> NoReturn:
-    """In a forked child: write ``b"r"`` and the bytes of ``sweep(rows)``, or
-    ``b"e"`` and the pickled exception with its traceback text, to ``write_fd``;
-    then exit, with code 0 once the message is written.  Never returns."""
+            fds: list[int], parent: int) -> NoReturn:
+    """In a child forked from ``parent``: write ``b"r"`` and the bytes of
+    ``sweep(rows)``, or ``b"e"`` and the pickled exception with its traceback
+    text, to ``write_fd``; then exit, with code 0 once the message is written.
+    Never returns.
+
+    Where the C library has ``prctl`` (Linux), the child is killed when the
+    process that forked it dies, so a caller killed by a signal leaves no
+    worker sweeping; elsewhere the worker runs until its share is done.
+    """
     code = 1
     try:
+        try:
+            ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        except AttributeError:
+            pass
+        if os.getppid() != parent:  # it died before the prctl
+            return
         for fd in fds:
             os.close(fd)
         try:
             message = b"r" + sweep(rows).tobytes()
         except Exception as exc:
-            message = b"e" + _pickled(exc, traceback.format_exc())
+            message = b"e" + pickle.dumps((exc, traceback.format_exc()))
         with open(write_fd, "wb") as pipe:
             pipe.write(message)
         code = 0
     finally:
         os._exit(code)
-
-
-def _pickled(exc: Exception, text: str) -> bytes:
-    """``(exc, text)`` pickled, or with ``exc`` as a ``RuntimeError`` naming its
-    type and message if it does not come back from a pickle."""
-    try:
-        data = pickle.dumps((exc, text))
-        pickle.loads(data)
-        return data
-    except Exception:
-        return pickle.dumps((RuntimeError(f"{type(exc).__qualname__}: {exc}"), text))
 
 
 def _read_to_end(fd: int) -> bytes:

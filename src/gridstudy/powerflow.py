@@ -236,12 +236,13 @@ def _injections(grid: _Grid, vm: np.ndarray, va: np.ndarray):
     n = grid.n
     ef = np.concatenate([vm * np.cos(va), vm * np.sin(va)], axis=1)
     # One row would take gemv, which rounds otherwise than gemm.  More rows go
-    # in even blocks of at most GEMM_ROWS rows, so of two rows at least.
+    # in even blocks of at most GEMM_ROWS rows, so of two rows at least; no
+    # rows go in one empty block.
     if len(ef) == 1:
         cur = (np.concatenate([ef, ef]) @ grid.mix)[:1]
     else:
         cur = np.empty_like(ef)
-        blocks = -(-len(ef) // GEMM_ROWS)
+        blocks = max(1, -(-len(ef) // GEMM_ROWS))
         cuts = [len(ef) * i // blocks for i in range(blocks + 1)]
         for lo, hi in zip(cuts, cuts[1:]):
             np.matmul(ef[lo:hi], grid.mix, out=cur[lo:hi])

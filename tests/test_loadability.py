@@ -201,6 +201,26 @@ class TestPooledScan:
             assert getattr(res, name).shape == (0,)
             assert getattr(res, name).tobytes() == ref.tobytes(), name
 
+    def test_pool_that_empties_while_hours_still_scan(self, monkeypatch):
+        """With more hours than half the pool's width each hour takes one step at
+        a time; at lambda_max = 1 every base step converges, every next step is
+        above the cap, and the pool runs one iteration with no rows."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        sizes = []
+
+        class CountingPool(powerflow._NewtonPool):
+            def iterate(self):
+                sizes.append(len(self))
+                return super().iterate()
+
+        monkeypatch.setattr(loadability, "_NewtonPool", CountingPool)
+        net = two_bus_case()
+        res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}] * 1100),
+                                  lambda_max=1.0)
+        assert 0 in sizes
+        assert np.all(res.lambda_star == 1.0)
+        assert np.all(res.served_load_mw == 100.0)
+
     @pytest.mark.parametrize("nh", [23, 300])
     def test_pool_stays_within_its_width_and_refills(self, monkeypatch, nh):
         """No Newton iteration holds more than max(hours, MIN_BATCH_ROWS) rows; the
@@ -257,6 +277,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Three usable CPUs and two hours per worker at least; returns the pids of
@@ -301,25 +330,17 @@ class TestWorkers:
         for name in RESULT_ARRAYS:
             assert getattr(forked, name).tobytes() == getattr(alone, name).tobytes(), name
 
-    @pytest.mark.parametrize("picklable", [True, False])
-    def test_worker_exception_reaches_the_caller(self, forks, monkeypatch, picklable):
-        """With its type and message, and the worker's traceback as its cause; an
-        exception that does not pickle comes as a RuntimeError naming both."""
-        class LocalError(Exception):
-            pass
-
+    def test_worker_exception_reaches_the_caller(self, forks, monkeypatch):
+        """With its type and message, and the worker's traceback as its cause."""
         parent, sweep = os.getpid(), loadability._sweep
 
         def fail_in_workers(grid, region_mask, pickup, base_p, *rest):
             if os.getpid() != parent:
-                error = ZeroDivisionError if picklable else LocalError
-                raise error(f"share of {len(base_p)} hours")
+                raise ZeroDivisionError(f"share of {len(base_p)} hours")
             return sweep(grid, region_mask, pickup, base_p, *rest)
 
         monkeypatch.setattr(loadability, "_sweep", fail_in_workers)
-        want = (ZeroDivisionError, "share of 2 hours") if picklable else (
-            RuntimeError, "LocalError: share of 2 hours")
-        with pytest.raises(want[0], match=want[1]) as err:
+        with pytest.raises(ZeroDivisionError, match="share of 2 hours") as err:
             self.sweep()
         assert len(forks) == 2
         assert "fail_in_workers" in str(err.value.__cause__)
@@ -365,6 +386,57 @@ class TestWorkers:
         assert len(forks) == 2
         assert_no_child_left()
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_no_worker_outlives_a_killed_caller(self):
+        """A caller killed by SIGKILL mid-sweep takes its workers with it: in a
+        fresh interpreter whose workers would sleep for a minute, each is gone
+        (or a zombie awaiting its new parent) within seconds of the kill."""
+        code = (
+            "import os, sys, time\n"
+            "from gridstudy import loadability\n"
+            "from gridstudy.synthdata import study_network\n"
+            "loadability.MIN_WORKER_HOURS = 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "fork = os.fork\n"
+            "def announced_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = announced_fork\n"
+            "def sleep(grid, region_mask, pickup, base_p, *rest):\n"
+            "    if len(base_p) == 3:  # the caller's share\n"
+            "        print('swept', flush=True)\n"
+            "    time.sleep(60)\n"
+            "net = study_network()\n"
+            "loadability._sweep = sleep\n"
+            "hours = [[[b.p_load_mw for b in net.buses]] * 7] * 3\n"
+            "loadability.compute_loadability(net, 'QLD', {'qld_gen': 0.5, 'qld_csp': 0.5}, hours)\n")
+        src = str(Path(gridstudy.__file__).resolve().parent.parent)
+        caller = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+        workers = []
+        try:
+            for line in caller.stdout:
+                if line.strip() == "swept":
+                    break
+                workers.append(int(line))
+            assert len(workers) == 2
+            caller.kill()
+            caller.wait(timeout=30)
+            deadline = time.monotonic() + 20
+            while (alive := [pid for pid in workers if running(pid)]) and (
+                    time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert alive == []
+        finally:
+            caller.kill()
+            caller.wait(timeout=30)
+            caller.stdout.close()
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, 9)
+
     @pytest.mark.parametrize("platform", ["one CPU in the affinity mask", "one CPU counted",
                                           "no os.fork"])
     def test_one_process_without_a_second_cpu_or_fork(self, forks, monkeypatch, platform):
@@ -384,18 +456,30 @@ class TestWorkers:
 
     def test_bits_do_not_depend_on_openblas_threads(self):
         """The sweep's results, in a fresh interpreter with ``OPENBLAS_NUM_THREADS``
-        at 1 and at 2 before numpy loads, have the same bytes."""
+        at 1 and at 2 before numpy loads, have the same bytes.  The pool is
+        widened to 4,096 rows and its gemm left in one block, so at least ten
+        iterations multiply 2,048 rows or more, which OpenBLAS splits across
+        its threads (from about 1,536 rows)."""
         code = (
             "import hashlib, numpy as np\n"
-            "from gridstudy.loadability import compute_loadability\n"
+            "from gridstudy import loadability, powerflow\n"
             "from gridstudy.synthdata import study_network\n"
+            "powerflow.GEMM_ROWS = 1 << 20\n"
+            "loadability.MIN_BATCH_ROWS = 4096\n"
+            "sizes = []\n"
+            "class Pool(powerflow._NewtonPool):\n"
+            "    def iterate(self):\n"
+            "        sizes.append(len(self))\n"
+            "        return super().iterate()\n"
+            "loadability._NewtonPool = Pool\n"
             "net = study_network()\n"
             "rng = np.random.default_rng(5)\n"
             "scale = rng.uniform(0.4, 1.6, (48, len(net.buses)))\n"
             "hours = (scale * [b.p_load_mw for b in net.buses],\n"
             "         scale * [b.q_load_mvar for b in net.buses], np.zeros_like(scale))\n"
-            "res = compute_loadability(net, 'QLD', {'qld_gen': 0.5, 'qld_csp': 0.5}, hours,\n"
-            "                          step=0.05, lambda_max=4.0)\n"
+            "res = loadability.compute_loadability(net, 'QLD', {'qld_gen': 0.5, 'qld_csp': 0.5},\n"
+            "                                      hours, step=0.01, lambda_max=4.0)\n"
+            "assert sum(size >= 2048 for size in sizes) >= 10, sizes\n"
             "print(hashlib.sha256(b''.join(getattr(res, name).tobytes() for name in\n"
             "      ('lambda_star', 'served_load_mw', 'region_load_mw', 'min_voltage_pu')))"
             ".hexdigest())\n")

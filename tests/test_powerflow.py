@@ -202,6 +202,15 @@ class TestNewtonKernel:
             assert (sol.converged, sol.iterations, sol.mismatch_pu) == (conv[h], iters[h],
                                                                         mismatch[h])
 
+    def test_pool_iterates_with_no_rows(self):
+        from gridstudy.powerflow import _Grid, _injections, _NewtonPool
+        grid = _Grid(study_network())
+        ef, pqq = _injections(grid, np.empty((0, grid.n)), np.empty((0, grid.n)))
+        assert ef.shape == (0, 2 * grid.n) and pqq.shape == (0, 3 * grid.n)
+        pool = _NewtonPool(grid)
+        ended = pool.iterate()
+        assert len(pool) == 0 and [len(a) for a in ended] == [0] * 7
+
     def test_batch_of_more_rows_than_a_gemm_block_has_the_rows_bits(self):
         """A batch whose injections take two gemm blocks gives, row for row, the
         bits of batches that take one."""
