@@ -178,30 +178,33 @@ def build_lp(params: DemandParams, day: DayInputs) -> tuple[LinearProgram, float
     """
     h = HOURS_PER_DAY
     eta = params.efficiency
-    cost = eta * day.price
-    lower = np.full(h, params.discharge_rate_mw)
-    upper = np.full(h, params.charge_rate_mw)
     rows = np.zeros((2 * h + 2 * (h + 1), h))
     rhs = np.zeros(rows.shape[0])
-    resid = day.load_mw - day.pv_mw
-    for t in range(h):
-        rows[2 * t, t] = eta
-        rhs[2 * t] = params.grid_import_limit_mw - resid[t]
-        rows[2 * t + 1, t] = -eta
-        rhs[2 * t + 1] = resid[t] - params.grid_export_limit_mw
+    rows[np.arange(0, 2 * h, 2), np.arange(h)] = eta
+    rows[np.arange(1, 2 * h, 2), np.arange(h)] = -eta
     window = params.soc_max_mwh - params.soc_min_mwh
     base = 2 * h
     for s in range(h + 1):
         rows[base + 2 * s, :s] = 1.0
-        rhs[base + 2 * s] = window
         rows[base + 2 * s + 1, :s] = -1.0
-        rhs[base + 2 * s + 1] = 0.0
+    rhs[base::2] = window
+    cost, grid_rhs, base_cost = _day_vectors(params, day)
+    rhs[:base] = grid_rhs
     lp = LinearProgram(
-        cost=cost, lower=lower, upper=upper,
+        cost=cost, lower=np.full(h, params.discharge_rate_mw), upper=np.full(h, params.charge_rate_mw),
         a_eq=[], b_eq=[], a_ub=rows, b_ub=rhs,
     )
-    base_cost = float(day.price @ resid)
     return lp, base_cost
+
+
+def _day_vectors(params: DemandParams, day: DayInputs) -> tuple[np.ndarray, np.ndarray, float]:
+    """What ``build_lp``'s program changes from day to day: the cost, the
+    right-hand sides of the grid rows, and the constant cost term."""
+    resid = day.load_mw - day.pv_mw
+    grid_rhs = np.empty(2 * HOURS_PER_DAY)
+    grid_rhs[0::2] = params.grid_import_limit_mw - resid
+    grid_rhs[1::2] = resid - params.grid_export_limit_mw
+    return params.efficiency * day.price, grid_rhs, float(day.price @ resid)
 
 
 def _first_no_action_violation(params: DemandParams, day: DayInputs) -> int | None:
@@ -222,11 +225,20 @@ def solve_day(params: DemandParams, day: DayInputs) -> DemandSchedule:
 
 
 def solve_days(params: DemandParams, days: Sequence[DayInputs]) -> list[DemandSchedule]:
-    """``solve_day`` for consecutive days, each LP started from the previous day's basis."""
+    """``solve_day`` for consecutive days, each LP started from the previous day's basis.
+
+    The constraint matrix is the same every day, so it is built and checked
+    once; each later day puts in only its cost and grid-row bounds.
+    """
     out = []
-    hint = None
+    hint = template = None
     for day in days:
-        lp, base_cost = build_lp(params, day)
+        if template is None:
+            template, base_cost = build_lp(params, day)
+            lp = template
+        else:
+            cost, grid_rhs, base_cost = _day_vectors(params, day)
+            lp = template.reinstance(cost=cost, b_ub=np.concatenate([grid_rhs, template.b_ub[grid_rhs.size:]]))
         sol = solve_lp(lp, basis_hint=hint)
         if sol.status == "infeasible":
             hour = _first_no_action_violation(params, day)

@@ -166,14 +166,16 @@ def _merit_order(generators: Sequence[Generator]) -> list[Generator]:
 
 
 def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, float],
-                       availability: Mapping[str, float]) -> Commitment:
+                       availability: Mapping[str, float],
+                       merit: Sequence[Generator] | None = None) -> Commitment:
     """Priority-list commitment for one hour.
 
     Renewables are always committed (must-run at availability).
     Dispatchables join in ascending SRMC until committed capacity covers
     total demand; afterwards, units whose minimum stable levels force
     oversupply are dropped from the expensive end, but never below the
-    capacity needed to cover demand.
+    capacity needed to cover demand.  ``merit`` is ``generators``' merit
+    order when the caller already has it.
     """
     total_demand = float(sum(demand.values()))
     committed: list[Generator] = []
@@ -185,7 +187,7 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
             renewable_mw += effective_capacity(g, avail)
             units.append(_window(g, avail))
     capacity = renewable_mw
-    for g in _merit_order(generators):
+    for g in _merit_order(generators) if merit is None else merit:
         if capacity >= total_demand:
             break
         committed.append(g)
@@ -204,16 +206,55 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
 
 def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
                   lines: Sequence[Interconnector], hour: int = 0,
-                  hints: dict[tuple[str, ...], BasisHint] | None = None) -> HourDispatch:
+                  hints: dict[tuple, tuple[LinearProgram, BasisHint]] | None = None) -> HourDispatch:
     """LP dispatch of a committed fleet against per-region demand.
 
     Regional balance: generation + imports - exports + unserved =
     demand + dumped.  Marginal price per region is the balance-row dual
-    of the optimal basis.  ``hints`` is an optional cache of optimal bases
-    keyed by commitment signature: the solve starts from the basis stored
-    for this commitment, and stores its own.
+    of the optimal basis.  ``hints`` is an optional cache keyed by
+    commitment: each unit's name, region and SRMC, the region order and the
+    lines.  It holds the commitment's validated program and the optimal
+    basis of its last solve.  A cached commitment is solved from that basis
+    on its program with only this hour's bounds and demand put in; the
+    solve stores its own basis.
     """
-    regions = list(demand.keys())
+    regions = tuple(demand)
+    key = (tuple((u.name, u.region, u.srmc) for u in committed), regions, tuple(lines))
+    cached = None if hints is None else hints.get(key)
+    nu, nl, nr = len(committed), len(lines), len(regions)
+    b_eq = np.array([demand[r] for r in regions], dtype=float)
+    if cached is None:
+        lp, hint = _dispatch_lp(committed, lines, regions, b_eq), None
+    else:
+        template, hint = cached
+        lower, upper = template.lower.copy(), template.upper.copy()
+        lower[:nu] = [u.p_min_mw for u in committed]
+        upper[:nu] = [u.p_max_mw for u in committed]
+        lp = template.reinstance(lower=lower, upper=upper, b_eq=b_eq)
+    sol = solve_lp(lp, basis_hint=hint)
+    if not sol.is_optimal:
+        raise DispatchError(f"hour {hour}: dispatch LP failed with status {sol.status}")
+    if hints is not None:
+        hints[key] = (lp, sol.basis_hint)
+    x = sol.x.tolist()
+    unserved = dict(zip(regions, x[nu + nl:nu + nl + nr]))
+    dumped = dict(zip(regions, x[nu + nl + nr:]))
+    return HourDispatch(
+        hour=hour,
+        output_mw={u.name: x[j] for j, u in enumerate(committed)},
+        flow_mw={line.name: x[nu + j] for j, line in enumerate(lines)},
+        unserved_mw=unserved,
+        dumped_mw=dumped,
+        price=dict(zip(regions, sol.duals_eq.tolist())),
+        unserved_hour=any(v > _BALANCE_TOL for v in unserved.values()),
+        dumped_hour=any(v > _BALANCE_TOL for v in dumped.values()),
+        objective=float(sol.objective),
+    )
+
+
+def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector], regions: Sequence[str],
+                 b_eq: np.ndarray) -> LinearProgram:
+    """The transport LP: unit outputs, line flows, then unserved and dumped per region."""
     for line in lines:
         for r in (line.from_region, line.to_region):
             if r not in regions:
@@ -228,7 +269,6 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     lower = np.zeros(n)
     upper = np.full(n, INFINITE_BOUND)
     a_eq = np.zeros((nr, n))
-    b_eq = np.array([demand[r] for r in regions], dtype=float)
     for j, u in enumerate(committed):
         cost[j] = u.srmc
         lower[j], upper[j] = u.p_min_mw, u.p_max_mw
@@ -243,30 +283,10 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
         a_eq[i, nu + nl + i] = 1.0
         cost[nu + nl + nr + i] = DUMP_PENALTY
         a_eq[i, nu + nl + nr + i] = -1.0
-    lp = LinearProgram(cost, lower, upper, a_eq, b_eq, [], [])
-    sig = _signature(committed)
-    sol = solve_lp(lp, basis_hint=None if hints is None else hints.get(sig))
-    if not sol.is_optimal:
-        raise DispatchError(f"hour {hour}: dispatch LP failed with status {sol.status}")
-    if hints is not None:
-        hints[sig] = sol.basis_hint
-    x = sol.x
-    unserved = {r: float(x[nu + nl + i]) for i, r in enumerate(regions)}
-    dumped = {r: float(x[nu + nl + nr + i]) for i, r in enumerate(regions)}
-    return HourDispatch(
-        hour=hour,
-        output_mw={u.name: float(x[j]) for j, u in enumerate(committed)},
-        flow_mw={line.name: float(x[nu + j]) for j, line in enumerate(lines)},
-        unserved_mw=unserved,
-        dumped_mw=dumped,
-        price={r: float(sol.duals_eq[i]) for i, r in enumerate(regions)},
-        unserved_hour=any(v > _BALANCE_TOL for v in unserved.values()),
-        dumped_hour=any(v > _BALANCE_TOL for v in dumped.values()),
-        objective=float(sol.objective),
-    )
+    return LinearProgram(cost, lower, upper, a_eq, b_eq, [], [])
 
 
-def _regional_topup(generators: Sequence[Generator], demand: Mapping[str, float],
+def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],
                     lines: Sequence[Interconnector], base: Commitment) -> Commitment:
     """Commit extra in-region units where local capacity plus the import
     bound cannot cover regional demand.  The import bound sums line limits
@@ -285,7 +305,7 @@ def _regional_topup(generators: Sequence[Generator], demand: Mapping[str, float]
         cover = local[region] + import_bound.get(region, 0.0)
         if cover >= need:
             continue
-        for g in _merit_order(generators):
+        for g in merit:
             if g.region != region or g.name in committed_names:
                 continue
             extra.append(_window(g, 1.0))
@@ -299,7 +319,8 @@ def _regional_topup(generators: Sequence[Generator], demand: Mapping[str, float]
 def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, float],
                       availability: Mapping[str, float], lines: Sequence[Interconnector],
                       hour: int = 0,
-                      hints: dict[tuple[str, ...], BasisHint] | None = None
+                      hints: dict[tuple, tuple[LinearProgram, BasisHint]] | None = None,
+                      merit: Sequence[Generator] | None = None
                       ) -> tuple[Commitment, HourDispatch]:
     """Commitment used by the horizon simulation: priority list plus repair.
 
@@ -310,17 +331,20 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
     The outcome is not guaranteed least-cost, and an hour may still dump
     energy that another commitment would absorb.
 
-    ``hints`` is an optional cross-call cache of optimal bases keyed by
-    commitment signature (see ``dispatch_hour``); it only accelerates
-    re-solves.
+    ``hints`` is an optional cross-call cache of each commitment's program
+    and optimal basis (see ``dispatch_hour``); it only accelerates
+    re-solves.  ``merit`` is ``generators``' merit order when the caller
+    already has it.
     """
-    base = _regional_topup(generators, demand, lines,
-                           commit_merit_order(generators, demand, availability))
+    if merit is None:
+        merit = _merit_order(generators)
+    base = _regional_topup(merit, demand, lines,
+                           commit_merit_order(generators, demand, availability, merit))
     dispatch = dispatch_hour(base, demand, lines, hour, hints)
     if not dispatch.unserved_hour:
         return base, dispatch
     committed_names = {u.name for u in base}
-    spare = [g for g in _merit_order(generators) if g.name not in committed_names]
+    spare = [g for g in merit if g.name not in committed_names]
     while dispatch.unserved_hour and spare:
         short = {r for r, v in dispatch.unserved_mw.items() if v > _BALANCE_TOL}
         pick = next((g for g in spare if g.region in short), spare[0])
@@ -351,20 +375,17 @@ def simulate_horizon(generators: Sequence[Generator], nett_demand: Mapping[str, 
             if len(ts) != n_hours:
                 raise DispatchError(f"{g.name} availability has {len(ts)} hours, horizon is {n_hours}")
     regions = list(nett_demand.keys())
-    demand_arr = {r: nett_demand[r].values for r in regions}
-    avail_arr = {name: ts.values for name, ts in availabilities.items()}
+    demand_arr = {r: nett_demand[r].values.tolist() for r in regions}
+    avail_arr = {name: ts.values.tolist() for name, ts in availabilities.items()}
     hours: list[HourDispatch] = []
-    hints: dict[tuple[str, ...], BasisHint] = {}
+    hints: dict[tuple, tuple[LinearProgram, BasisHint]] = {}
+    merit = _merit_order(generators)
     for h in range(n_hours):
-        demand = {r: float(demand_arr[r][h]) for r in regions}
-        avail = {name: float(vals[h]) for name, vals in avail_arr.items()}
-        _, hd = choose_commitment(generators, demand, avail, lines, hour=h, hints=hints)
+        demand = {r: demand_arr[r][h] for r in regions}
+        avail = {name: vals[h] for name, vals in avail_arr.items()}
+        _, hd = choose_commitment(generators, demand, avail, lines, hour=h, hints=hints, merit=merit)
         hours.append(hd)
     return summarise(hours, generators)
-
-
-def _signature(commitment: Commitment) -> tuple[str, ...]:
-    return tuple(u.name for u in commitment)
 
 
 def summarise(hours: Sequence[HourDispatch], generators: Sequence[Generator]) -> DispatchResult:

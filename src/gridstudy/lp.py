@@ -3,20 +3,27 @@
 Solver: bounded-variable primal simplex, two phases, Bland's anti-cycling
 rule (lowest eligible index enters; lowest variable index leaves on ties).
 The basis inverse is maintained by product-form updates and refactorised
-periodically, so repeated solves of structurally identical instances are
-cheap, and a ``basis_hint`` from a previous solve can skip phase 1; a hinted
-solve that does not end optimal is solved again from scratch.  Instance data
-is finite, except that an upper bound may be absent.
+periodically.  A ``basis_hint`` from a previous optimal solve can skip
+phase 1: it carries the optimal basis, its columns of the slack-augmented
+matrix and their inverse, and a hinted solve whose basis columns equal the
+hint's bit for bit reuses that inverse instead of inverting again.  A hinted
+solve that does not end optimal is solved again from scratch.
+``LinearProgram.reinstance`` gives a program the same matrices with new
+vectors and checks only the new vectors, so a caller that solves one
+structure many times validates its matrices once.  Instance data is finite,
+except that an upper bound may be absent.
 
 Problems here have at most a few hundred variables; everything is dense
 numpy.  Results are deterministic: solving the same instance twice yields
-bitwise-identical solutions.
+bitwise-identical solutions, with or without the hint's inverse.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -41,9 +48,49 @@ _MAX_ITER = 20000
 _AT_LOWER = -1
 _AT_UPPER = 1
 
+_FIELDS = ("cost", "lower", "upper", "a_eq", "b_eq", "a_ub", "b_ub")
+
 
 class LpFormatError(ValueError):
     """Raised at construction time for dimension, bound or data inconsistencies."""
+
+
+def _vector(value) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    return arr if arr.size else np.zeros(0)
+
+
+def _validated(values: dict[str, np.ndarray], check: Iterable[str]) -> dict[str, np.ndarray]:
+    """``values`` (the seven fields as float arrays) with the fields named in
+    ``check`` checked, made contiguous and read-only; raises ``LpFormatError``."""
+    n = values["cost"].size
+    lo, hi = values["lower"], values["upper"]
+    if lo.size != n or hi.size != n:
+        raise LpFormatError(f"bounds have sizes {lo.size}/{hi.size}, expected {n}")
+    for mat, rhs in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
+        rows, cols = values[mat].shape
+        if cols != n:
+            raise LpFormatError(f"{mat} has {cols} columns but cost has {n} entries")
+        if rows != values[rhs].size:
+            raise LpFormatError(f"{mat} has {rows} rows but {rhs} has {values[rhs].size}")
+    check = set(check)
+    for key in _FIELDS:
+        if key not in check:
+            continue
+        val = values[key]
+        # max() propagates a NaN, and a NaN compares below nothing.
+        bad = np.isnan(val).any() if key == "upper" else not np.abs(val).max(initial=0.0) < INFINITE_BOUND
+        if bad:
+            raise LpFormatError(f"{key} has a NaN entry or one of magnitude >= {INFINITE_BOUND:g}")
+        arr = np.ascontiguousarray(val)
+        arr.setflags(write=False)
+        values[key] = arr
+    if "lower" in check or "upper" in check:
+        crossed = lo > hi
+        if crossed.any():
+            bad = int(np.argmax(crossed))
+            raise LpFormatError(f"variable {bad}: lower bound {lo[bad]} > upper bound {hi[bad]}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -64,31 +111,32 @@ class LinearProgram:
     b_ub: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.cost, dtype=float))
+        c = _vector(self.cost)
         n = c.size
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n) if np.size(self.a_eq) else np.zeros((0, n))
-        b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float)) if np.size(self.b_eq) else np.zeros(0)
-        a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n) if np.size(self.a_ub) else np.zeros((0, n))
-        b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=float)) if np.size(self.b_ub) else np.zeros(0)
-        if lo.size != n or hi.size != n:
-            raise LpFormatError(f"bounds have sizes {lo.size}/{hi.size}, expected {n}")
-        if a_eq.shape[0] != b_eq.size:
-            raise LpFormatError(f"a_eq has {a_eq.shape[0]} rows but b_eq has {b_eq.size}")
-        if a_ub.shape[0] != b_ub.size:
-            raise LpFormatError(f"a_ub has {a_ub.shape[0]} rows but b_ub has {b_ub.size}")
-        for key, val in (("cost", c), ("lower", lo), ("upper", hi), ("a_eq", a_eq),
-                         ("b_eq", b_eq), ("a_ub", a_ub), ("b_ub", b_ub)):
-            ok = ~np.isnan(val) if key == "upper" else np.abs(val) < INFINITE_BOUND
-            if not np.all(ok):
-                raise LpFormatError(f"{key} has a NaN entry or one of magnitude >= {INFINITE_BOUND:g}")
-            arr = np.ascontiguousarray(val)
-            arr.setflags(write=False)
+
+        def matrix(value):
+            return np.asarray(value, dtype=float).reshape(-1, n) if np.size(value) else np.zeros((0, n))
+
+        values = {"cost": c, "lower": _vector(self.lower), "upper": _vector(self.upper),
+                  "a_eq": matrix(self.a_eq), "b_eq": _vector(self.b_eq),
+                  "a_ub": matrix(self.a_ub), "b_ub": _vector(self.b_ub)}
+        for key, arr in _validated(values, _FIELDS).items():
             object.__setattr__(self, key, arr)
-        if np.any(lo > hi):
-            bad = int(np.flatnonzero(lo > hi)[0])
-            raise LpFormatError(f"variable {bad}: lower bound {lo[bad]} > upper bound {hi[bad]}")
+
+    def reinstance(self, *, cost=None, lower=None, upper=None, b_eq=None, b_ub=None) -> LinearProgram:
+        """This program with the given vectors replaced.
+
+        The matrices and every vector not given are shared, read-only, with
+        this program.  The given vectors are checked by the constructor's
+        rules and with its messages; nothing else is checked again.
+        """
+        given = {key: _vector(value) for key, value in (
+            ("cost", cost), ("lower", lower), ("upper", upper), ("b_eq", b_eq), ("b_ub", b_ub))
+            if value is not None}
+        values = _validated({**vars(self), **given}, given)
+        out = object.__new__(LinearProgram)
+        vars(out).update(values)
+        return out
 
     @property
     def n_vars(self) -> int:
@@ -97,10 +145,20 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class BasisHint:
-    """Opaque warm-start payload from a previous solve of a like-shaped instance."""
+    """Warm-start payload from a previous optimal solve of a like-shaped instance.
+
+    ``basis`` and ``nonbasic_state`` name the basis.  ``columns`` holds its
+    columns of the slack-augmented constraint matrix and ``inverse`` their
+    inverse from the solve's final factorisation, both read-only.  A solve
+    given the hint reuses ``inverse`` only when its own basis columns equal
+    ``columns`` bit for bit, and otherwise inverts them; a hint without them
+    is always inverted.
+    """
 
     basis: np.ndarray
     nonbasic_state: np.ndarray
+    columns: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -127,21 +185,41 @@ class Violation:
         return f"{self.kind} [{self.index}] violated by {self.magnitude:.3e}"
 
 
+_EXCESS_KINDS = ("lower-bound", "upper-bound", "equality", "inequality")
+
+
 def check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
     """Every violated bound/constraint, and every NaN or infinite entry of ``x``,
     with its magnitude; empty iff feasible within ``tol``."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (lp.n_vars,):
-        raise LpFormatError(f"x has shape {x.shape}, expected ({lp.n_vars},)")
-    out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~np.isfinite(x))]
-    for kind, excess in (("lower-bound", lp.lower - x), ("upper-bound", x - lp.upper),
-                         ("equality", np.abs(lp.a_eq @ x - lp.b_eq)), ("inequality", lp.a_ub @ x - lp.b_ub)):
-        out += [Violation(kind, int(i), float(excess[i])) for i in np.flatnonzero(excess > tol)]
+    n = lp.n_vars
+    if x.shape != (n,):
+        raise LpFormatError(f"x has shape {x.shape}, expected ({n},)")
+    excess = np.concatenate((lp.lower - x, x - lp.upper, np.abs(lp.a_eq @ x - lp.b_eq),
+                             lp.a_ub @ x - lp.b_ub))
+    over = np.flatnonzero(excess > tol)
+    finite = np.isfinite(x)
+    if not over.size and finite.all():
+        return []
+    out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~finite)]
+    starts = (0, n, 2 * n, 2 * n + lp.b_eq.size)
+    for i in over.tolist():
+        k = bisect.bisect_right(starts, i) - 1
+        out.append(Violation(_EXCESS_KINDS[k], i - starts[k], float(excess[i])))
     return out
 
 
+def _same_bits(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
+    return b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class _Tableau:
-    """Working state of the revised simplex on the slack-augmented system."""
+    """Working state of the revised simplex on the slack-augmented system.
+
+    ``cols`` holds the basis columns while ``binv`` is their exact inverse (no
+    product-form update since it was inverted or adopted), and is None
+    otherwise.
+    """
 
     def __init__(self, lp: LinearProgram):
         n, me, mu = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
@@ -155,22 +233,24 @@ class _Tableau:
             a[me:, n:n + mu] = np.eye(mu)
         self.a = a
         self.b = np.concatenate([lp.b_eq, lp.b_ub])
-        self.lower = np.concatenate([lp.lower, np.zeros(mu), np.zeros(m)])
-        self.upper = np.concatenate([lp.upper, np.full(mu, INFINITE_BOUND), np.full(m, INFINITE_BOUND)])
+        self.lower = np.zeros(ncols)
+        self.lower[:n] = lp.lower
+        self.upper = np.full(ncols, INFINITE_BOUND)
+        self.upper[:n] = lp.upper
         self.n, self.me, self.mu, self.m = n, me, mu, m
         self.art0 = n + mu
         self.x = np.zeros(ncols)
         self.state = np.full(ncols, _AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.intp)
         self.in_basis = np.zeros(ncols, dtype=bool)
-        self.binv = np.zeros((m, m))
+        self.binv = self.cols = None
         self.iterations = 0
 
     # -- initialisation ---------------------------------------------------
 
     def start_cold(self):
         """Nonbasics at their finite bound closest to zero; slack or artificial basis."""
-        n, mu, m = self.n, self.mu, self.m
+        n, me, mu, m = self.n, self.me, self.mu, self.m
         lo, hi = self.lower[:n + mu], self.upper[:n + mu]
         at_upper = (hi < INFINITE_BOUND) & (np.abs(hi) < np.abs(lo))
         self.state[:n + mu] = np.where(at_upper, _AT_UPPER, _AT_LOWER)
@@ -179,59 +259,61 @@ class _Tableau:
         # Slack rows whose residual is already nonnegative keep their slack
         # basic; every other row gets a signed artificial.
         use_art = np.ones(m, dtype=bool)
-        for i in range(self.me, m):
-            s = resid[i]
-            if s >= 0.0:
-                j = n + (i - self.me)
-                self.basis[i] = j
-                self.x[j] = s
-                use_art[i] = False
-        for i in np.flatnonzero(use_art):
-            j = self.art0 + i
-            sign = 1.0 if resid[i] >= 0 else -1.0
-            self.a[i, j] = sign
-            self.basis[i] = j
-            self.x[j] = abs(resid[i])
+        use_art[me:] = ~(resid[me:] >= 0.0)
+        slack_rows = np.flatnonzero(~use_art)
+        slacks = n - me + slack_rows
+        self.basis[slack_rows] = slacks
+        self.x[slacks] = resid[slack_rows]
+        art_rows = np.flatnonzero(use_art)
+        arts = self.art0 + art_rows
+        self.a[art_rows, arts] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
+        self.basis[art_rows] = arts
+        self.x[arts] = np.abs(resid[art_rows])
         self.in_basis[:] = False
         self.in_basis[self.basis] = True
         self.state[self.basis] = _AT_LOWER  # ignored while basic
         self.refactor()
-        return bool(np.any(use_art))
+        return bool(art_rows.size)
 
     def start_from_hint(self, hint: BasisHint) -> bool:
         """Adopt a previous basis if its basic solution is feasible here."""
         basis = np.asarray(hint.basis, dtype=np.intp)
         nfree = self.n + self.mu
-        if basis.size != self.m or np.any(basis >= nfree) or np.any(basis < 0):
+        if basis.size != self.m or (self.m and (basis.min() < 0 or basis.max() >= nfree)):
             return False
-        if np.unique(basis).size != self.m:
+        in_basis = np.zeros_like(self.in_basis)
+        in_basis[basis] = True
+        if np.count_nonzero(in_basis) != self.m:  # a repeated index
             return False
         state = np.asarray(hint.nonbasic_state, dtype=np.int8)
         if state.size != nfree:
             return False
-        try:
-            binv = np.linalg.inv(self.a[:, basis])
-        except np.linalg.LinAlgError:
-            return False
+        cols = self.a[:, basis]
+        if hint.inverse is not None and _same_bits(cols, hint.columns):
+            binv = hint.inverse
+        else:
+            try:
+                binv = np.linalg.inv(cols)
+            except np.linalg.LinAlgError:
+                return False
         x = np.zeros_like(self.x)
         x[:nfree] = np.where(state == _AT_UPPER, self.upper[:nfree], self.lower[:nfree])
         x[basis] = 0.0
         xb = binv @ (self.b - self.a[:, :nfree] @ x[:nfree])
-        if np.any(xb < self.lower[basis] - FEASIBILITY_TOL) or np.any(xb > self.upper[basis] + FEASIBILITY_TOL):
-            return False
-        if not np.all(np.isfinite(xb)):
+        if ((xb < self.lower[basis] - FEASIBILITY_TOL).any() or (xb > self.upper[basis] + FEASIBILITY_TOL).any()
+                or not np.isfinite(xb).all()):
             return False
         self.basis = basis.copy()
-        self.binv = binv
+        self.binv, self.cols = binv, cols
         self.x[:] = x
         self.x[basis] = xb
         self.state[:nfree] = state
-        self.in_basis[:] = False
-        self.in_basis[basis] = True
+        self.in_basis = in_basis
         return True
 
     def refactor(self):
-        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.cols = self.a[:, self.basis]
+        self.binv = np.linalg.inv(self.cols)
 
     def recompute_basics(self):
         x_nb = self.x.copy()
@@ -243,34 +325,42 @@ class _Tableau:
     def run(self, cost: np.ndarray) -> str:
         """Minimise ``cost . x`` from the current basis.  Returns a status."""
         a, lower, upper = self.a, self.lower, self.upper
-        fixed = upper - lower <= 0.0  # pinned columns never enter
+        # Nonbasic columns that may rise (not at upper) or fall (not at
+        # lower); pinned columns never enter.  Updated at each pivot and
+        # bound flip.
+        movable = ~self.in_basis & (upper - lower > 0.0)
+        may_rise = movable & (self.state != _AT_UPPER)
+        may_fall = movable & (self.state != _AT_LOWER)
+        # The basis, its costs and bounds, kept in step at each pivot.
+        basis = self.basis.tolist()
+        cost_b = cost[self.basis]
+        lo_all, up_all = lower.tolist(), upper.tolist()
+        lo_b, up_b = [lo_all[j] for j in basis], [up_all[j] for j in basis]
         since_refactor = 0
         while True:
             if self.iterations >= _MAX_ITER:
                 return "numerical"
-            y = self.binv.T @ cost[self.basis]
+            y = self.binv.T @ cost_b
             d = cost - a.T @ y
-            can_up = (~self.in_basis) & (~fixed) & (self.state != _AT_UPPER) & (d < -_REDUCED_COST_TOL)
-            can_dn = (~self.in_basis) & (~fixed) & (self.state != _AT_LOWER) & (d > _REDUCED_COST_TOL)
-            eligible = can_up | can_dn
-            if not np.any(eligible):
+            eligible = (may_rise & (d < -_REDUCED_COST_TOL)) | (may_fall & (d > _REDUCED_COST_TOL))
+            q = int(eligible.argmax())  # Bland: lowest index enters
+            if not eligible[q]:
                 return "optimal"
-            q = int(np.flatnonzero(eligible)[0])  # Bland: lowest index enters
-            direction = 1.0 if can_up[q] else -1.0
+            direction = 1.0 if d[q] < 0.0 else -1.0
             w = self.binv @ a[:, q]
             # Ratio test: basics must stay inside their bounds, the entering
             # variable may at most traverse its own range (bound flip).
-            step = upper[q] - lower[q] if upper[q] < INFINITE_BOUND else np.inf
+            step = up_all[q] - lo_all[q] if up_all[q] < INFINITE_BOUND else math.inf
             leave = -1
             dw = direction * w
             xb = self.x[self.basis]
-            for i in range(self.m):
-                if dw[i] > _PIVOT_TOL:
-                    t = (xb[i] - lower[self.basis[i]]) / dw[i]
-                elif dw[i] < -_PIVOT_TOL:
-                    if upper[self.basis[i]] >= INFINITE_BOUND:
+            for i, (dwi, xbi) in enumerate(zip(dw.tolist(), xb.tolist())):
+                if dwi > _PIVOT_TOL:
+                    t = (xbi - lo_b[i]) / dwi
+                elif dwi < -_PIVOT_TOL:
+                    if up_b[i] >= INFINITE_BOUND:
                         continue
-                    t = (upper[self.basis[i]] - xb[i]) / (-dw[i])
+                    t = (up_b[i] - xbi) / (-dwi)
                 else:
                     continue
                 if t < -FEASIBILITY_TOL:
@@ -278,10 +368,10 @@ class _Tableau:
                 # A strictly smaller ratio wins; a tie goes to the lowest basic
                 # variable index (Bland's rule).
                 if t < step - _PIVOT_TOL or (t < step + _PIVOT_TOL and
-                                             (leave < 0 or self.basis[i] < self.basis[leave])):
+                                             (leave < 0 or basis[i] < basis[leave])):
                     leave = i
                     step = min(step, max(t, 0.0))
-            if not np.isfinite(step):
+            if not math.isfinite(step):
                 return "unbounded"
             self.iterations += 1
             if leave < 0:
@@ -289,8 +379,9 @@ class _Tableau:
                 self.x[self.basis] = xb - step * dw
                 self.x[q] = upper[q] if direction > 0 else lower[q]
                 self.state[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+                may_rise[q], may_fall[q] = direction < 0, direction > 0
                 continue
-            r = self.basis[leave]
+            r = basis[leave]
             piv = w[leave]
             if abs(piv) < _PIVOT_TOL:
                 return "numerical"
@@ -302,10 +393,16 @@ class _Tableau:
             self.in_basis[r] = False
             self.in_basis[q] = True
             self.basis[leave] = q
-            # Product-form update of the basis inverse.
+            basis[leave], cost_b[leave], lo_b[leave], up_b[leave] = q, cost[q], lo_all[q], up_all[q]
+            may_rise[q] = may_fall[q] = False
+            moves = upper[r] - lower[r] > 0.0
+            may_rise[r], may_fall[r] = moves and hit_lower, moves and not hit_lower
+            # Product-form update of the basis inverse, into a new array: the
+            # old one may be a hint's read-only inverse.
             row = self.binv[leave, :] / piv
-            self.binv -= np.outer(w, row)
+            self.binv = self.binv - w[:, None] * row
             self.binv[leave, :] = row
+            self.cols = None
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 try:
@@ -321,9 +418,11 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSol
 
     Numerical breakdown is reported as status ``"numerical"``, never as a
     wrong optimum.  ``basis_hint`` (from a previous solution of an instance
-    with identical shape) skips phase 1 when still primal feasible.  A
-    hinted solve that does not end optimal is solved again from scratch;
-    ``iterations`` then counts the pivots of both attempts.
+    with identical shape) skips phase 1 when still primal feasible, and
+    skips inverting the basis when its columns are bitwise those of the
+    hint.  A hinted solve that does not end optimal is solved again from
+    scratch; ``iterations`` then counts the pivots of both attempts.  An
+    optimal solution's ``basis_hint`` carries the final basis inverse.
     """
     tab = _Tableau(lp)
     if basis_hint is not None and tab.start_from_hint(basis_hint):
@@ -358,14 +457,19 @@ def _phase2(lp: LinearProgram, tab: _Tableau) -> LpSolution:
         return LpSolution("unbounded", None, None, tab.iterations)
     if status != "optimal":
         return LpSolution("numerical", None, None, tab.iterations)
-    tab.refactor()
+    if tab.cols is None:
+        # Only an inverse with product-form updates is inverted again: an
+        # exact inverse of this basis would come out as the same bits.
+        tab.refactor()
     tab.recompute_basics()
     x = tab.x[:lp.n_vars].copy()
     bad = check_feasible(lp, x, tol=1e-6)
     if bad:
         return LpSolution("numerical", None, None, tab.iterations)
     y = tab.binv.T @ cost[tab.basis]
-    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n + tab.mu].copy())
+    for arr in (tab.cols, tab.binv):
+        arr.setflags(write=False)
+    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n + tab.mu].copy(), tab.cols, tab.binv)
     return LpSolution(
         status="optimal",
         x=x,

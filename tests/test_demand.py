@@ -370,6 +370,22 @@ class TestAggregate:
         for d, day in enumerate(days):
             assert chained[d].cost == pytest.approx(solve_day(params, day).cost, abs=1e-7)
 
+    def test_hint_chain_matches_the_reference_simplex(self, monkeypatch):
+        """Every day's LP, built once and re-instanced, comes out of ``solve_lp``
+        bit for bit as out of the reference simplex threading its own hints."""
+        from gridstudy import demand
+        from tests.oracles import PairedSolver
+
+        rng = np.random.default_rng(46)
+        paired = PairedSolver(solve_lp)
+        monkeypatch.setattr(demand, "solve_lp", paired)
+        for _ in range(4):
+            params, price, load, pv = random_instance(rng, H)
+            solve_days(params, [DayInputs(rng.permutation(price), rng.permutation(load), pv)
+                                for _ in range(8)])
+        assert paired.differences == []
+        assert (paired.calls, paired.hinted) == (32, 28)
+
 
 class TestDefaults:
     def test_default_params_policy(self):

@@ -281,14 +281,26 @@ class TestSimulateHorizon:
             for region, price in hd.price.items():
                 assert min(abs(price - a) for a in allowed) < 1e-6, (hd.hour, region, price)
 
+    @staticmethod
+    def scenario_pass0(data_dir, scenario, days=2):
+        """``simulate_horizon`` on the scenario's pass-0 inputs over ``days`` days."""
+        from gridstudy.harness import _availabilities, _load_data, apply_renewable_replacement
+        from gridstudy.scenarioconfig import scenario_from_config
+        from tests.conftest import config_path
+
+        cfg = scenario_from_config(config_path(scenario))
+        data = _load_data(cfg, data_dir, days)
+        zero = np.zeros(data.n_hours)
+        nett = {**data.demand, **{r: TimeSeries(SYNTHETIC_YEAR_START, zero, r)
+                                  for r in cfg.transit_regions}}
+        return simulate_horizon(apply_renewable_replacement(cfg.fleet, cfg), nett,
+                                cfg.interconnectors, _availabilities(cfg, data))
+
     def test_hint_cache_feeds_warm_starts(self, data_dir, monkeypatch):
         """48 hours of scenario 4's pass 0: 48 priority-list solves plus 3 repair
         trials, and 37 of the 51 start from the basis cached for their commitment."""
         from gridstudy import dispatch
-        from gridstudy.harness import _availabilities, _load_data, apply_renewable_replacement
         from gridstudy.lp import solve_lp
-        from gridstudy.scenarioconfig import scenario_from_config
-        from tests.conftest import config_path
 
         hinted = []
 
@@ -297,12 +309,51 @@ class TestSimulateHorizon:
             return solve_lp(lp, basis_hint)
 
         monkeypatch.setattr(dispatch, "solve_lp", counting)
-        cfg = scenario_from_config(config_path(4))
-        data = _load_data(cfg, data_dir, 2)
-        zero = np.zeros(data.n_hours)
-        nett = {**data.demand, **{r: TimeSeries(SYNTHETIC_YEAR_START, zero, r)
-                                  for r in cfg.transit_regions}}
-        res = simulate_horizon(apply_renewable_replacement(cfg.fleet, cfg), nett,
-                               cfg.interconnectors, _availabilities(cfg, data))
+        res = self.scenario_pass0(data_dir, 4)
         assert len(res.hours) == 48
         assert (len(hinted), sum(hinted)) == (51, 37)
+
+    @pytest.mark.parametrize("scenario", [1, 4])
+    def test_hint_chain_matches_the_reference_simplex(self, data_dir, monkeypatch, scenario):
+        """Four days of pass 0: every dispatch LP, with the hint and program the
+        cache hands it, comes out of ``solve_lp`` bit for bit as out of the
+        reference simplex threading its own hints."""
+        from gridstudy import dispatch
+        from gridstudy.lp import solve_lp
+        from tests.oracles import PairedSolver
+
+        paired = PairedSolver(solve_lp)
+        monkeypatch.setattr(dispatch, "solve_lp", paired)
+        self.scenario_pass0(data_dir, scenario, days=4)
+        assert paired.differences == []
+        assert paired.calls >= 96 and paired.hinted >= 40
+
+
+class TestHintCache:
+    """The ``hints`` cache reuses a commitment's program only for the same
+    units (name, region, SRMC), region order and lines."""
+
+    def case(self, change=None):
+        g1 = gen("g1", 20.0, 100, region="A")
+        g2 = gen("g2", 10.0 if change == "unit srmc" else 50.0, 100,
+                 region="A" if change == "unit region" else "B")
+        line = Interconnector("A-B", "A", "B", 60.0 if change == "line limit" else 30.0, -30.0)
+        demand = {"B": 80.0, "A": 40.0} if change == "region order" else {"A": 40.0, "B": 80.0}
+        return (_window(g1, 1.0), _window(g2, 1.0)), demand, [line]
+
+    @pytest.mark.parametrize("change", ["region order", "line limit", "unit region", "unit srmc"])
+    def test_same_names_other_program_is_solved_as_new(self, change):
+        hints = {}
+        dispatch_hour(*self.case(), 0, hints)
+        got = dispatch_hour(*self.case(change), 1, hints)
+        assert got == dispatch_hour(*self.case(change), 1, {})
+
+    def test_repeated_commitment_reuses_its_program(self):
+        committed, demand, lines = self.case()
+        hints = {}
+        dispatch_hour(committed, demand, lines, 0, hints)
+        (first, _), = hints.values()
+        dispatch_hour(committed, {"A": 45.0, "B": 70.0}, lines, 1, hints)
+        (again, hint), = hints.values()
+        assert again.a_eq is first.a_eq and again.cost is first.cost
+        assert again.b_eq.tolist() == [45.0, 70.0] and hint is not None

@@ -12,6 +12,7 @@ from gridstudy.lp import (
     check_feasible,
     solve_lp,
 )
+from tests.oracles import reference_solve_lp, solution_differences
 
 
 def box_lp(cost, lower, upper, a_eq=(), b_eq=(), a_ub=(), b_ub=()):
@@ -297,3 +298,129 @@ class TestWarmStart:
             assert np.array_equal(retried.x, cold.x) and retried.objective == cold.objective
             assert retried.iterations == warm.iterations + cold.iterations, trial
         assert accepted == [True] * len(cases)
+
+
+class TestReinstance:
+    DATA = dict(cost=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
+                a_ub=[[1.0, -1.0]], b_ub=[0.5])
+
+    def test_shares_matrices_and_freezes_new_vectors(self):
+        base = LinearProgram(**self.DATA)
+        new = dict(lower=np.array([-1.0, 0.0]), upper=np.array([2.0, np.inf]), b_eq=[0.5], b_ub=[0.0])
+        lp = base.reinstance(**new)
+        built = LinearProgram(**{**self.DATA, **new})
+        assert lp.a_eq is base.a_eq and lp.a_ub is base.a_ub and lp.cost is base.cost
+        for key in ("cost", "lower", "upper", "a_eq", "b_eq", "a_ub", "b_ub"):
+            got, want = getattr(lp, key), getattr(built, key)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+            assert not got.flags.writeable, key
+        assert base.b_eq.tolist() == [1.0]
+
+    @pytest.mark.parametrize("key,value", [
+        ("b_eq", [np.nan]), ("b_eq", [INFINITE_BOUND]), ("b_eq", [-INFINITE_BOUND]), ("b_eq", [np.inf]),
+        ("b_eq", [1.0, 1.0]), ("b_eq", []), ("b_ub", [np.nan]), ("b_ub", [0.5, 0.5]),
+        ("upper", [np.nan, 1.0]), ("upper", [1.0]), ("upper", [1.0, -1.0]),
+        ("lower", [2.0, 0.0]), ("lower", [-np.inf, 0.0]), ("lower", [0.0, 0.0, 0.0]),
+        ("cost", [np.nan, 1.0]), ("cost", [INFINITE_BOUND, 1.0]), ("cost", [1.0]),
+    ])
+    def test_rejects_what_the_constructor_rejects(self, key, value):
+        """Same ``LpFormatError`` message as building the program from scratch."""
+        with pytest.raises(LpFormatError) as built:
+            LinearProgram(**{**self.DATA, key: value})
+        with pytest.raises(LpFormatError) as reinstanced:
+            LinearProgram(**self.DATA).reinstance(**{key: value})
+        assert str(reinstanced.value) == str(built.value)
+
+
+def degenerate_lp(rng):
+    """Small integer data whose rows all pass through one box vertex, so the
+    ratio test ties and pivots take zero steps."""
+    n = int(rng.integers(2, 6))
+    me, mu = int(rng.integers(0, 2)), int(rng.integers(n, 2 * n + 3))
+    lower = rng.integers(-3, 1, n).astype(float)
+    upper = lower + rng.integers(1, 4, n)
+    vertex = np.where(rng.random(n) < 0.5, lower, upper)
+    a_eq = rng.integers(-2, 3, (me, n)).astype(float)
+    a_ub = rng.integers(-2, 3, (mu, n)).astype(float)
+    return LinearProgram(rng.integers(-3, 4, n).astype(float), lower, upper,
+                         a_eq, a_eq @ vertex, a_ub, a_ub @ vertex)
+
+
+def bound_flip_lp(rng):
+    """Short variable ranges under rows that mostly stay slack: entering
+    variables often cross their whole range (a bound flip) before a row binds."""
+    n = int(rng.integers(2, 8))
+    mu = int(rng.integers(1, 4))
+    lower = rng.uniform(-2, 0.5, n)
+    upper = lower + rng.uniform(0.1, 1.0, n)
+    a_ub = rng.uniform(0, 1, (mu, n))
+    reach = lower + rng.uniform(0.3, 1.2, mu)[:, None] * (upper - lower)
+    return LinearProgram(rng.normal(0, 1, n), lower, upper, [], [], a_ub, np.sum(a_ub * reach, axis=1))
+
+
+def basis_columns(lp, basis):
+    """Columns ``basis`` of the slack-augmented matrix ``[a_eq 0; a_ub I]``."""
+    me, mu = lp.a_eq.shape[0], lp.a_ub.shape[0]
+    slacks = np.vstack([np.zeros((me, mu)), np.eye(mu)])
+    return np.hstack([np.vstack([lp.a_eq, lp.a_ub]), slacks])[:, basis]
+
+
+class TestReferenceSimplex:
+    """``solve_lp`` reuses a hint's inverse, skips redundant refactors and keeps
+    its masks between pivots; none of it may change a pivot or an output bit
+    against ``reference_solve_lp``, the simplex without those shortcuts."""
+
+    @pytest.mark.parametrize("make,count", [
+        (random_lp_any_status, 300), (random_bounded_lp, 100), (degenerate_lp, 200), (bound_flip_lp, 200)])
+    def test_cold_solves(self, make, count):
+        rng = np.random.default_rng(1905)
+        seen = set()
+        for trial in range(count):
+            lp = make(rng)
+            ours, ref = solve_lp(lp), reference_solve_lp(lp)
+            assert solution_differences(ours, ref) == [], trial
+            seen.add(ours.status)
+        if make is random_lp_any_status:
+            assert seen == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize("make", [random_bounded_lp, degenerate_lp, bound_flip_lp])
+    def test_hint_chains_over_one_structure(self, make):
+        """Chains of programs with one matrix and moving vectors, each solve
+        started from the previous solve's hint, as ``solve_days`` and the
+        dispatch cache run them."""
+        rng = np.random.default_rng(1906)
+        hinted = 0
+        for chain in range(25):
+            base = make(rng)
+            ours_hint = ref_hint = None
+            for step in range(8):
+                shift = rng.uniform(-0.3, 0.3, base.n_vars)
+                lower = base.lower + shift
+                upper = np.maximum(base.upper + shift + rng.uniform(-0.2, 0.2, base.n_vars), lower)
+                lp = base.reinstance(cost=base.cost + rng.normal(0, 0.3, base.n_vars), lower=lower,
+                                     upper=upper, b_eq=base.a_eq @ ((lower + upper) / 2),
+                                     b_ub=base.b_ub + rng.uniform(-0.2, 0.5, base.b_ub.size))
+                ours, ref = solve_lp(lp, ours_hint), reference_solve_lp(lp, ref_hint)
+                assert solution_differences(ours, ref) == [], (chain, step)
+                hinted += ours_hint is not None
+                ours_hint, ref_hint = ours.basis_hint, ref.basis_hint
+        assert hinted >= 50
+
+    def test_hint_with_other_columns_is_inverted_afresh(self):
+        """Every row scaled by 1 + 1e-7 keeps the feasible set and the optimal
+        basis but changes the basis columns' bits: the hint is adopted and its
+        stored inverse must not be."""
+        rng = np.random.default_rng(1907)
+        mismatched = 0
+        for trial in range(60):
+            base = random_bounded_lp(rng)
+            first = solve_lp(base)
+            k = 1.0 + 1e-7
+            lp = LinearProgram(base.cost, base.lower, base.upper, base.a_eq * k, base.b_eq * k,
+                               base.a_ub * k, base.b_ub * k)
+            ref_first = reference_solve_lp(base)
+            ours, ref = solve_lp(lp, first.basis_hint), reference_solve_lp(lp, ref_first.basis_hint)
+            assert solution_differences(ours, ref) == [], trial
+            hint = first.basis_hint
+            mismatched += basis_columns(lp, hint.basis).tobytes() != hint.columns.tobytes()
+        assert mismatched >= 30
