@@ -149,12 +149,8 @@ def csp_profile_shift(csp_availability: TimeSeries,
                       label=csp_availability.label + f"+{delay_hours}h")
 
 
-def effective_capacity(gen: Generator, availability: float) -> float:
-    return gen.capacity_mw * availability
-
-
 def _window(gen: Generator, availability: float) -> CommittedUnit:
-    cap = effective_capacity(gen, availability)
+    cap = gen.capacity_mw * availability
     if gen.is_renewable:
         return CommittedUnit(gen.name, gen.gtype, gen.region, gen.srmc, cap, cap)
     return CommittedUnit(gen.name, gen.gtype, gen.region, gen.srmc,
@@ -184,7 +180,7 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
     for g in generators:
         if g.is_renewable:
             avail = availability.get(g.name, 0.0)
-            renewable_mw += effective_capacity(g, avail)
+            renewable_mw += g.capacity_mw * avail
             units.append(_window(g, avail))
     capacity = renewable_mw
     for g in _merit_order(generators) if merit is None else merit:

@@ -16,20 +16,25 @@ stopped run writes them in its ``emit`` stage, and a failed run writes
 them with a ``partial_`` prefix before raising ``StageError`` tagged with
 the stage that failed.
 
-Scenarios run one after another in one process share their inputs: the
-series reads of stage (0) and the pass-0 dispatch of stage (1) are looked
-up by content (file bytes, exact dispatch inputs) among the results of the
-previous ``run_scenario`` call, and only those a run used are kept for the
-next one.
+Scenarios run one after another in one process share their inputs.  Each
+run records the results of stages (0) and (1) in a dict under content keys
+(a series file's resolved path, the SHA-256 of its bytes and the horizon;
+the SHA-256 of the pickled pass-0 dispatch inputs), and the next run looks
+them up there.  Only what the last run used is kept, also when it failed.
+Equal keys mean equal inputs, so a hit is always correct; a miss (for
+example, inputs equal in value but shared differently between objects,
+which pickle tells apart) costs only time and shows in the traced
+``dispatch.hours`` and ``timeseries.read_calls``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import pickle
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -138,99 +143,35 @@ class _StudyData:
     n_hours: int
 
 
-class _LastRunStore:
-    """Content-keyed results that the most recent ``run_scenario`` call used.
-
-    A run looks results up with ``take`` and adds the ones it computes with
-    ``keep``, inside ``run()``.  When ``run()`` ends, whether or not the run
-    failed, the store keeps exactly the entries that run took or kept and
-    drops the rest, so between runs it holds one scenario's working set.
-    """
-
-    def __init__(self):
-        self._kept: dict = {}
-        self._used: dict = {}
-
-    def take(self, key):
-        """The value stored under ``key``, or None."""
-        value = self._used.get(key, self._kept.get(key))
-        if value is not None:
-            self._used[key] = value
-        return value
-
-    def keep(self, key, value) -> None:
-        self._used[key] = value
-
-    @contextmanager
-    def run(self):
-        self._used = {}
-        try:
-            yield
-        finally:
-            self._kept, self._used = self._used, {}
+_LAST_RUN: dict = {}  # content key -> result, for what the last run_scenario call used
 
 
-_REUSE = _LastRunStore()
+def _reused(used: dict, key, compute: Callable[[], object]):
+    """``key``'s result from this run or the last one, else ``compute()``; kept in ``used``."""
+    if key not in used:
+        used[key] = _LAST_RUN[key] if key in _LAST_RUN else compute()
+    return used[key]
 
 
-def _file_sha256(path: Path) -> Optional[str]:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None  # the reader reports the missing or unreadable file
+def _pickle_sha256(value) -> str:
+    """SHA-256 of ``value`` pickled: equal digests unpickle to equal values."""
+    return hashlib.sha256(pickle.dumps(value, protocol=5)).hexdigest()
 
 
-def _read_series(path: Path, n_hours: int) -> TimeSeries:
+def _read_series(path: Path, n_hours: int, used: dict) -> TimeSeries:
     """The checked series in ``path`` cut to ``n_hours``, reused for the same bytes.
 
     The digest is taken just before the parse; a file rewritten during its
     own parse is not detected.
     """
-    digest = _file_sha256(path)
-    key = ("series", str(path.resolve()), digest, n_hours)
-    series = _REUSE.take(key)
-    if series is None:
-        series = _truncate(load_timeseries_csv(path, HOURS_PER_YEAR), n_hours)
-        if digest is not None:
-            _REUSE.keep(key, series)
-    return series
+    def parse():
+        return _truncate(load_timeseries_csv(path, HOURS_PER_YEAR), n_hours)
 
-
-def _horizon_sha256(fleet: Sequence[Generator], nett: Mapping[str, TimeSeries],
-                    lines, availabilities: Mapping[str, TimeSeries]) -> str:
-    """SHA-256 over exactly the inputs of one ``simulate_horizon`` call, in order."""
-    h = hashlib.sha256()
-
-    def add(value):
-        if isinstance(value, TimeSeries):
-            h.update(f"{value.start!r}|{value.label!r}|{value.values.size}|".encode())
-            h.update(value.values.tobytes())
-        else:
-            h.update(repr(value).encode())
-        h.update(b"\0")
-
-    for section in (fleet, lines):
-        add(len(section))
-        for item in section:
-            add(type(item).__name__)
-            for f in fields(item):
-                add(getattr(item, f.name))
-    for series in (nett, availabilities):
-        add(len(series))
-        for name, ts in series.items():
-            add(name)
-            add(ts)
-    return h.hexdigest()
-
-
-def _pass0_dispatch(fleet, nett, lines, availabilities) -> DispatchResult:
-    """Dispatch of the conventional demand, reused for identical inputs."""
-    key = ("pass0", _horizon_sha256(fleet, nett, lines, availabilities))
-    result = _REUSE.take(key)
-    if result is None:
-        result = simulate_horizon(fleet, nett, lines, availabilities)
-        _REUSE.keep(key, result)
-    return result
+    try:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return parse()  # the reader reports the missing or unreadable file
+    return _reused(used, ("series", str(path.resolve()), digest, n_hours), parse)
 
 
 def _truncate(ts: TimeSeries, n_hours: int) -> TimeSeries:
@@ -239,14 +180,14 @@ def _truncate(ts: TimeSeries, n_hours: int) -> TimeSeries:
     return TimeSeries(ts.start, ts.values[:n_hours], ts.label)
 
 
-def _load_data(config: ScenarioConfig, data_dir, days: Optional[int]) -> _StudyData:
+def _load_data(config: ScenarioConfig, data_dir, days: Optional[int], used: dict) -> _StudyData:
     data_dir = Path(data_dir)
     n_hours = HOURS_PER_YEAR if days is None else days * HOURS_PER_DAY
     if not 0 < n_hours <= HOURS_PER_YEAR:
         raise ValueError(f"days must be in 1..365, got {days}")
 
     def read(key: str) -> TimeSeries:
-        return _read_series(data_dir / config.data_files[key], n_hours)
+        return _read_series(data_dir / config.data_files[key], n_hours, used)
 
     demand = {r: read(f"demand.{r}") for r in config.demand_regions}
     hist_demand = {r: read(f"historical_demand.{r}") for r in config.demand_regions}
@@ -255,8 +196,9 @@ def _load_data(config: ScenarioConfig, data_dir, days: Optional[int]) -> _StudyD
     if config.has_demand_response:
         pv = {r: read(f"pv.{r}") for r in config.demand_regions}
     traces = {}
-    for key in config.data_files:
-        if key.startswith(("wind.", "solar.")):
+    if config.replacement is not None:
+        spec = config.replacement
+        for key in (f"wind.{spec.wind_zone}", *(f"solar.{zone}" for zone in spec.csp_zones)):
             traces[key] = read(key)
     network = load_network(data_dir / config.data_files["bus"],
                            data_dir / config.data_files["branch"],
@@ -375,9 +317,10 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
     done: dict[str, object] = {}  # finished stages' results, keyed as _output_files reads them
     stage = partial(_stage, done=done, out_dir=out_dir)
 
-    with _REUSE.run():  # the stages whose results the next run may reuse
+    used: dict = {}  # content key -> result of stages 0-1, for the next run to reuse
+    try:
         with stage("load-data"):
-            data = _load_data(config, data_dir, days)
+            data = _load_data(config, data_dir, days, used)
         with stage("fleet-replacement"):
             fleet = apply_renewable_replacement(config.fleet, config)
             availabilities = _availabilities(config, data)
@@ -388,8 +331,12 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
             start = next(iter(conventional.values())).start
             zero = np.zeros(data.n_hours)
             transit = {r: TimeSeries(start, zero, r) for r in config.transit_regions}
-            pass0 = _pass0_dispatch(fleet, {**conventional, **transit},
-                                    config.interconnectors, availabilities)
+            inputs = (fleet, {**conventional, **transit}, config.interconnectors, availabilities)
+            pass0 = _reused(used, ("pass0", _pickle_sha256(inputs)),
+                            lambda: simulate_horizon(*inputs))
+    finally:
+        _LAST_RUN.clear()
+        _LAST_RUN.update(used)
 
     # (2) train one predictor per region on historical + simulated pairs;
     # the study-year feature names and rows are kept for the prediction in (3)

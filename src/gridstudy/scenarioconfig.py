@@ -375,8 +375,11 @@ def scenario_from_config(path) -> ScenarioConfig:
         for key in required_files:
             if key not in data_files:
                 errors.append(f"[data] missing file entry {key!r}")
+        # an entry whose need rests on a value that failed to read is not judged
+        undecided = ("pv.",) if uptake is _BAD else ()
+        undecided += ("wind.", "solar.") if replacement is _BAD else ()
         for key in data_files:
-            if key not in required_files and not key.startswith(("pv.", "wind.", "solar.")):
+            if key not in required_files and not key.startswith(undecided):
                 errors.append(f"[data] unknown file entry {key!r}")
 
     if errors:

@@ -71,6 +71,10 @@ class TimeSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    def __reduce__(self):
+        # copies and unpickled series go through the checks and stay read-only
+        return TimeSeries, (self.start, self.values, self.label)
+
     def __len__(self) -> int:
         return int(self.values.size)
 

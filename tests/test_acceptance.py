@@ -362,7 +362,7 @@ class TestYearProperties:
         for scenario, rep in reports.items():
             cfg = scenario_from_config(config_path(scenario))
             fleet = apply_renewable_replacement(cfg.fleet, cfg)
-            availabilities = _availabilities(cfg, _load_data(cfg, data_dir, None))
+            availabilities = _availabilities(cfg, _load_data(cfg, data_dir, None, {}))
             hints = {}
             for hour in range(0, len(rep.dispatch.hours), 37):
                 demand = {r: float(ts.values[hour]) for r, ts in rep.nett_demand.items()}
@@ -394,7 +394,7 @@ class TestYearProperties:
         reports, _, _ = year_suite
         rep = reports[1]
         cfg = scenario_from_config(config_path(1))
-        data = _load_data(cfg, data_dir, None)
+        data = _load_data(cfg, data_dir, None, {})
         fleet = apply_renewable_replacement(cfg.fleet, cfg)
         points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
         res = rep.loadability
@@ -416,7 +416,7 @@ class TestYearProperties:
         reports, _, _ = year_suite
         rep = reports[5]
         cfg = scenario_from_config(config_path(5))
-        data = _load_data(cfg, data_dir, None)
+        data = _load_data(cfg, data_dir, None, {})
         fleet = apply_renewable_replacement(cfg.fleet, cfg)
         points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
         res = rep.loadability
@@ -446,7 +446,7 @@ def test_criterion_9_determinism(data_dir, tmp_path):
     cfg = scenario_from_config(config_path(4))
     outs = [tmp_path / name for name in ("a", "b", "c")]
     for out in outs[:2]:
-        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
+        harness._LAST_RUN.clear()  # empty, as in a new process
         run_scenario(cfg, data_dir, out_dir=out, days=10)
     run_scenario(cfg, data_dir, out_dir=outs[2], days=10)
     names = sorted(p.name for p in outs[0].iterdir())

@@ -268,6 +268,16 @@ class TestViolations:
         assert len(outputs) == 1
         assert outputs.pop().count("uptake none forbids") == 4
 
+    @pytest.mark.parametrize("scenario,key", [(2, "wind.XX"), (2, "solar.NSA"), (2, "pv.QLD"),
+                                              (1, "wind.NSA"), (1, "pv.QLD")])
+    def test_data_entry_the_scenario_does_not_read(self, tmp_path, scenario, key):
+        """Only the traces ``[replacement]`` names, and PV files under uptake, are read."""
+        path = mutate(config_path(scenario).read_text(), tmp_path,
+                      lambda p: p.set("data", key, "no_such_file.csv"))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [f"  [data] unknown file entry {key!r}"]
+
     def test_missing_data_entry(self, tmp_path, scenario4_text):
         path = mutate(scenario4_text, tmp_path, lambda p: p.remove_option("data", "bus"))
         with pytest.raises(ConfigError, match="missing file entry 'bus'"):

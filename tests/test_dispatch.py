@@ -289,7 +289,7 @@ class TestSimulateHorizon:
         from tests.conftest import config_path
 
         cfg = scenario_from_config(config_path(scenario))
-        data = _load_data(cfg, data_dir, days)
+        data = _load_data(cfg, data_dir, days, {})
         zero = np.zeros(data.n_hours)
         nett = {**data.demand, **{r: TimeSeries(SYNTHETIC_YEAR_START, zero, r)
                                   for r in cfg.transit_regions}}

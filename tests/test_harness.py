@@ -1,6 +1,8 @@
 """Pipeline wiring on short horizons: replacement, stages, emission, CLI."""
 
+import copy
 import csv
+import hashlib
 import os
 import shutil
 from dataclasses import dataclass, field, replace
@@ -439,9 +441,9 @@ class TestReuseAcrossScenarios:
 
     def test_reused_run_writes_the_files_of_a_fresh_run(self, data_dir, tmp_path, counted):
         cfg2, cfg3 = (scenario_from_config(config_path(k)) for k in (2, 3))
-        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
+        harness._LAST_RUN.clear()  # empty, as in a new process
         run_scenario(cfg3, data_dir, out_dir=tmp_path / "fresh", days=2)
-        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
+        harness._LAST_RUN.clear()  # empty, as in a new process
         run_scenario(cfg2, data_dir, days=2)
         counted["parsed"].clear()
         counted["horizons"] = 0
@@ -455,7 +457,7 @@ class TestReuseAcrossScenarios:
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         cfg = scenario_from_config(config_path(1))
-        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
+        harness._LAST_RUN.clear()  # empty, as in a new process
         first = run_scenario(cfg, data, days=2, stop_after="demand")
         assert first is None
         path = data / "demand_NSW.csv"
@@ -492,10 +494,10 @@ class TestReuseAcrossScenarios:
 
     def test_store_holds_only_the_last_runs_entries(self, data_dir, counted):
         cfg1, cfg3 = (scenario_from_config(config_path(k)) for k in (1, 3))
-        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
+        harness._LAST_RUN.clear()  # empty, as in a new process
         run_scenario(cfg3, data_dir, days=2, stop_after="demand")
         run_scenario(cfg1, data_dir, days=2, stop_after="demand")
-        kinds = [key[0] for key in harness._REUSE._kept]
+        kinds = [key[0] for key in harness._LAST_RUN]
         assert kinds.count("series") == 12  # scenario 1's data files
         assert kinds.count("pass0") == 1
         counted["parsed"].clear()
@@ -507,17 +509,40 @@ class TestReuseAcrossScenarios:
              "solar_CQ.csv", "solar_NQ.csv", "wind_NSA.csv"])
         assert counted["horizons"] == 1
 
+    def test_failed_run_keeps_only_what_it_used(self, data_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "historical_price_SA.csv"  # the last series scenario 1 reads
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].split(",")[0] + ",oops\n"
+        path.write_text("".join(lines))
+        cfg1, cfg3 = (scenario_from_config(config_path(k)) for k in (1, 3))
+        harness._LAST_RUN.clear()  # empty, as in a new process
+        run_scenario(cfg3, data_dir, days=2, stop_after="demand")
+        with pytest.raises(StageError) as err:
+            run_scenario(cfg1, data, days=2)
+        assert err.value.stage == "load-data"
+        read_before = [data / cfg1.data_files[f"{kind}.{r}"]
+                       for kind in ("demand", "historical_demand", "historical_price")
+                       for r in cfg1.demand_regions][:-1]
+        assert sorted(harness._LAST_RUN) == sorted(
+            ("series", str(f.resolve()), hashlib.sha256(f.read_bytes()).hexdigest(), 48)
+            for f in read_before)
+
     def test_pass0_key_covers_every_input(self, data_dir):
         from gridstudy.timeseries import TimeSeries
         cfg = scenario_from_config(config_path(2))
-        data = harness._load_data(cfg, data_dir, 2)
+        data = harness._load_data(cfg, data_dir, 2, {})
         fleet = apply_renewable_replacement(cfg.fleet, cfg)
         lines = cfg.interconnectors
         avail = harness._availabilities(cfg, data)
         nett = dict(data.demand)
-        key = harness._horizon_sha256
+
+        def key(*inputs):
+            return harness._pickle_sha256(inputs)
+
         base = key(fleet, nett, lines, avail)
-        assert key(list(fleet), dict(nett), list(lines), dict(avail)) == base
+        assert key(*copy.deepcopy((fleet, nett, lines, avail))) == base
         qld = nett["QLD"]
         nudged = qld.values.copy()
         nudged[5] = np.nextafter(nudged[5], np.inf)
@@ -536,9 +561,20 @@ class TestReuseAcrossScenarios:
         ]
         assert len({base, *changed}) == 1 + len(changed)
 
+    def test_scenarios_2_and_5_share_their_pass0_key(self, data_dir):
+        """The study suite's pass-0 hits rest on this: scenarios 3-5 dispatch scenario 2's
+        conventional demand, and fresh reads of the same files give the same key."""
+        keys = []
+        for scenario in (2, 5):
+            harness._LAST_RUN.clear()  # empty, as in a new process
+            run_scenario(scenario_from_config(config_path(scenario)), data_dir, days=2,
+                         stop_after="demand")
+            keys += [key for key in harness._LAST_RUN if key[0] == "pass0"]
+        assert len(keys) == 2 and keys[0] == keys[1]
+
     def test_served_dispatch_cannot_be_changed_in_place(self, data_dir):
         """Scenario 2's report carries its pass-0 result, which scenario 3 reuses."""
-        harness._REUSE = harness._LastRunStore()  # empty, as in a new process
+        harness._LAST_RUN.clear()  # empty, as in a new process
         report = run_scenario(scenario_from_config(config_path(2)), data_dir, days=2)
         hd = report.dispatch.hours[0]
         for mapping in (hd.output_mw, hd.flow_mw, hd.unserved_mw, hd.dumped_mw, hd.price):

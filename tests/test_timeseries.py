@@ -1,5 +1,7 @@
 """Time-series ingestion, round trips and regional splitting."""
 
+import copy
+import pickle
 from datetime import datetime
 
 import numpy as np
@@ -125,6 +127,15 @@ class TestInvariants:
         ts = TimeSeries(datetime(2021, 1, 1), [1.0, 2.0])
         with pytest.raises(ValueError):
             ts.values[0] = 5.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda ts: pickle.loads(pickle.dumps(ts, protocol=5))])
+    def test_copies_keep_values_immutable(self, clone):
+        ts = TimeSeries(datetime(2021, 1, 1), [1.0, 2.0], "x")
+        twin = clone(ts)
+        assert (twin.start, twin.values.tolist(), twin.label) == (ts.start, [1.0, 2.0], "x")
+        with pytest.raises(ValueError):
+            twin.values[0] = 5.0
 
     def test_day_slicing(self):
         ts = TimeSeries(datetime(2021, 1, 1), np.arange(48.0))
