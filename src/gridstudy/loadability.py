@@ -1,25 +1,26 @@
 """Loadability: uniform small-step load scaling until power flow diverges.
 
 For each operating point (hour), every load bus in the target region is
-scaled by a factor that grows from 1 in fixed steps at constant power
-factor.  The active-power increment is picked up by the participating
-generator buses according to their factors (the slack absorbs losses).
-The loadability of the hour is the last factor at which the power flow
-still converges, one step before divergence.
+scaled by a factor on the grid ``1 + k * step`` at constant power factor.
+The active-power increment is picked up by the participating generator
+buses according to their factors (the slack absorbs losses).  The
+loadability of the hour is the last factor at which the power flow still
+converges, one step before divergence.
 
 The hourly operating points come as (hours x buses) arrays of load MW,
 load MVAr and injected MW, with columns in ``BusNetwork.buses`` order.
 A year of operating points is swept through one Newton pool
-(``powerflow._NewtonPool``) of ``max(hours, MIN_BATCH_ROWS)`` rows.  Each
-hour issues its grid steps in order, at most ``max(1, rows //
-hours still scanning)`` of them in the pool at once, and refills its share
-as its points leave, so the pool stays full while the hours scan at their
-own pace.  An hour's loadability is the step before its lowest failing
-step; when a step fails, the hour's steps above it leave the pool at once.
-The last converged point of each hour is then solved once more for its
-voltages.  An hour's results do not depend on the other hours or on the
-pool: any split of the hours gives the same bits, one-hour splits
-included.
+(``powerflow._NewtonPool``) that holds one probe per hour still searching
+its grid.  The base case starts flat and each later probe at the voltages
+of the hour's highest converged index, as in a continuation power flow
+(Ajjarapu & Christy, 1992).  The probes gallop (index 2 k + 4 after a
+converged k, at most the last index under ``lambda_max``) until one fails,
+then bisect until the highest converged and the lowest failing index are
+adjacent (Bentley & Yao, 1976): under 2 log2(last index + 4) probes an
+hour, where a flat scan solves every step.  The step below the lowest
+failure, solved once more from a flat start, gives the flat scan's bits on
+the study's hours.  An hour's results do not depend on the other hours or
+on the pool: any split of the hours gives the same bits.
 
 So a long horizon is split across processes: one per usable CPU while
 each gets at least ``MIN_WORKER_HOURS`` hours.  Hour ``h`` goes to share
@@ -27,10 +28,10 @@ each gets at least ``MIN_WORKER_HOURS`` hours.  Hour ``h`` goes to share
 order of its seasons.  This process sweeps share 0 and each other share
 runs in a child forked from it, which needs no re-import and no pickled
 inputs: a fork took about 2 ms, while a fresh interpreter took 0.31-0.36 s
-of CPU to import numpy and this module, about what its half of a 336-hour
-sweep costs.  The children send back their results or their exceptions
-through pipes and are reaped before the call returns, also when it fails;
-on Linux a child also dies with the process that forked it.  With one
+of CPU to import numpy and this module, about four times what its half
+of a 336-hour sweep costs.  The children send back their results or their
+exceptions through pipes and are reaped before the call returns, also when
+it fails; on Linux a child also dies with the process that forked it.  With one
 usable CPU, a short horizon or no ``os.fork`` the sweep runs here
 alone.
 """
@@ -54,17 +55,14 @@ from gridstudy.powerflow import BusNetwork, _Grid, _NewtonPool, _nr_batch
 DEFAULT_STEP = 0.005
 #: Safety cap on the scaling factor so a lightly loaded case cannot scan forever.
 DEFAULT_LAMBDA_MAX = 10.0
-#: Fewest rows of the sweep's Newton pool; a horizon of more hours gets a row
-#: per hour.  A pool iteration has a fixed cost of about 0.35 ms, some 90 rows'
-#: worth, so 1,024 rows keep it under a tenth; the Newton step's temporaries
-#: take about 2.3 kB per row, and 2,048 rows were no faster.
-MIN_BATCH_ROWS = 1024
-#: Fewest hours per worker process of a sweep.  Each extra share costs about
-#: 16-28 ms more CPU, the tail of its own pool (25-35 more iterations) and more
-#: steps in flight per hour, against about 2.3 ms per hour swept: one process
-#: sweeping two interleaved shares of 24, 48, 96, 128 and 168 hours took 1.15x,
-#: 1.09x, 1.08x, 1.06x and 1.02x the CPU of sweeping them as one (medians of 25
-#: pairs, 2-vCPU Xeon).  From 128 hours a share the split costs about 5% or less.
+#: Fewest hours per worker process of a sweep.  Each extra share costs 35-50 ms
+#: more CPU, the fixed cost of its own pool's ~120 iterations, against 0.4 ms
+#: per hour swept: on a 2-vCPU Xeon, with scenario 5 year hours, one process
+#: sweeping two interleaved shares of 48, 128 and 256 hours took 1.77x, 1.38x
+#: and 1.20x the CPU of sweeping them as one (medians of 25 pairs).  Forked in
+#: two, 2 x 128 hours took 0.87x the wall time and 1.6x the CPU of one process,
+#: and the year's 2 x 4,380 hours 0.43x and 0.84x.  From 128 hours a share a
+#: fork no longer costs wall time.
 MIN_WORKER_HOURS = 128
 
 #: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep.
@@ -97,9 +95,10 @@ class LoadabilityResult:
 
 
 def validate_scan(step: float, lambda_max: float) -> None:
-    """Fail unless the factor grid ``1 + k * step`` rises (finite step > 0) to a
-    finite ``lambda_max`` >= 1: an infinite step makes every factor above 1 NaN,
-    and an infinite ``lambda_max`` lets an hour that never collapses scan forever."""
+    """Fail unless the factor grid ``1 + k * step`` rises (1 + step > 1) to a
+    finite ``lambda_max`` >= 1 in at most 2**62 steps: an infinite step makes
+    every factor above 1 NaN, and an infinite ``lambda_max`` lets an hour that
+    never collapses scan forever; the grid's indices are int64."""
     if not step > 0:  # nan too
         raise LoadabilityError(f"step must be positive, got {step}")
     if not lambda_max >= 1:  # nan too
@@ -108,6 +107,11 @@ def validate_scan(step: float, lambda_max: float) -> None:
         raise LoadabilityError(f"step must be finite, got {step}")
     if lambda_max == math.inf:
         raise LoadabilityError(f"lambda_max must be finite, got {lambda_max}")
+    if 1.0 + step == 1.0:
+        raise LoadabilityError(f"step must be large enough that 1 + step > 1, got {step}")
+    if not (lambda_max - 1.0) / step < 2.0**62:  # inf too; probes reach 2 * index + 4
+        raise LoadabilityError(f"step must give at most 2**62 steps up to lambda_max "
+                               f"{lambda_max}, got {step}")
 
 
 def validate_shares(participation: Mapping[str, float]) -> dict[str, float]:
@@ -185,42 +189,36 @@ def _sweep(grid: _Grid, region_mask: np.ndarray, pickup: np.ndarray, base_p: np.
         p_inj = inj_p[h] + ((lam - 1.0) * region_base[h])[:, None] * pickup
         return p_load, *grid.scheduled(p_load, base_q[h] * scale, p_inj, 0.0)
 
-    # Per hour: the next grid step to issue, its steps in the pool, and its lowest
-    # failing step (the first step above lambda_max counts as failing).  An hour
-    # still scans while it has steps to issue or steps in the pool.
-    width = max(nh, MIN_BATCH_ROWS)
-    issued = np.zeros(nh, dtype=np.int64)
-    in_pool = np.zeros(nh, dtype=np.int64)
-    first_fail = np.full(nh, np.iinfo(np.int64).max)
+    # Per hour: its highest converged grid index lo with that point's voltages,
+    # and its lowest failing index hi (top + 1, the first index above lambda_max,
+    # until a probe fails).  While hi - lo > 1 its probe in the pool is, from lo,
+    # index 2 lo + 4 (at most top) until a probe fails and (lo + hi) // 2 after.
+    top = int((lambda_max - 1.0) // step)
+    while 1.0 + (top + 1) * step <= lambda_max:
+        top += 1
+    while 1.0 + top * step > lambda_max:
+        top -= 1
+    lo = np.full(nh, -1, dtype=np.int64)
+    hi = np.full(nh, top + 1, dtype=np.int64)
+    probe = np.zeros(nh, dtype=np.int64)
+    vm_lo, va_lo = np.empty((2, nh, grid.n))
     pool = _NewtonPool(grid)
-    while scanning := np.count_nonzero((issued < first_fail) | (in_pool > 0)):
-        share = max(1, width // scanning)
-        more = np.maximum(np.minimum(share - in_pool, first_fail - issued), 0)
-        hrs = np.flatnonzero(more)
-        h = np.repeat(hrs, more[hrs])  # hour hrs[i] takes its next more[hrs[i]] steps
-        k = issued[h] + np.arange(h.size) - np.repeat(np.cumsum(more[hrs]) - more[hrs], more[hrs])
-        issued += more
-        lam = 1.0 + k * step
-        over = lam > lambda_max
-        np.minimum.at(first_fail, h[over], k[over])
-        h, k, lam = h[~over], k[~over], lam[~over]
-        in_pool += np.bincount(h, minlength=nh)
-        pool.add(k * nh + h, *stressed(h, lam)[1:])
-        tag, _, _, converged = pool.iterate()[:4]
-        in_pool -= np.bincount(tag % nh, minlength=nh)
-        np.minimum.at(first_fail, tag[~converged] % nh, tag[~converged] // nh)
-        # An hour's steps above its lowest failure leave the pool at once.
-        above = pool.tag // nh > first_fail[pool.tag % nh]
-        in_pool -= np.bincount(pool.tag[above] % nh, minlength=nh)
-        pool.keep(~above)
-    # Every step below an hour's first failure converged; lambda* is the last of
-    # them, or NaN (degenerate) when the base case fails.  That point is solved
-    # once more for its voltages, which come out as the same bits: a point's
-    # results do not depend on the points solved with it.
+    pool.add(np.arange(nh), *stressed(np.arange(nh), np.ones(nh))[1:])
+    while len(pool):
+        h, vm, va, converged = pool.iterate()[:4]
+        up, down = h[converged], h[~converged]
+        lo[up], vm_lo[up], va_lo[up] = probe[up], vm[converged], va[converged]
+        hi[down] = probe[down]
+        h = h[hi[h] - lo[h] > 1]
+        probe[h] = np.where(hi[h] > top, np.minimum(2 * lo[h] + 4, top), (lo[h] + hi[h]) // 2)
+        pool.add(h, *stressed(h, 1.0 + probe[h] * step)[1:], start=(vm_lo[h], va_lo[h]))
+    # lambda* is the factor at lo = hi - 1, or NaN (degenerate) when the base
+    # case fails.  That point is solved once more from a flat start for its
+    # voltages, as the flat scan solved it.
     out = np.full((4, nh), np.nan)
     lam_star, served, region_load, min_v = out
-    ok = np.flatnonzero(first_fail > 0)
-    lam_star[ok] = 1.0 + (first_fail[ok] - 1) * step
+    ok = np.flatnonzero(hi > 0)
+    lam_star[ok] = 1.0 + (hi[ok] - 1) * step
     p_load, p_sched, q_sched = stressed(ok, lam_star[ok])
     served[ok] = np.sum(p_load, axis=1)
     region_load[ok] = np.sum(p_load[:, region_mask], axis=1)

@@ -8,11 +8,12 @@ and declares failure on iteration exhaustion (20), a singular Jacobian
 magnitude collapsing below 0.4 p.u.
 
 The Newton kernel is a pool of operating points (``_NewtonPool``), each at
-its own iteration: points join at a flat start between iterations and
-leave as soon as they end, so a loadability sweep keeps the pool full
-while its hours scan at their own pace.  The linear solve of every step
-is a sparse LU on the Jacobian's fixed pattern.  A point's results are the
-same bits whichever points share the pool with it, none included.
+its own iteration: points join between iterations, at a flat start or at
+given voltages, and leave as soon as they end, so a loadability sweep
+keeps a probe of each hour in the pool while its hours search at their
+own pace.  The linear solve of every step is a sparse LU on the
+Jacobian's fixed pattern.  A point's results are the same bits whichever
+points share the pool with it, none included.
 """
 
 from __future__ import annotations
@@ -312,16 +313,16 @@ def _newton_step(grid: _Grid, ef: np.ndarray, pqq: np.ndarray, dpq: np.ndarray,
 
 
 class _NewtonPool:
-    """Flat-start Newton-Raphson on operating points that join and leave between iterations.
+    """Newton-Raphson on operating points that join and leave between iterations.
 
-    Each point keeps its own iteration count.  ``add`` puts points in at a
-    flat start (1.0 p.u. at PQ buses, setpoints elsewhere, angles 0) under
-    integer tags; ``iterate`` takes every point one iteration further and
-    returns those that ended, as (tag, vm, va, converged, iterations,
-    mismatch, cause code) arrays.  A point ends when its mismatch is under
-    ``PF_TOLERANCE`` (cause 0) or, failing that, after
-    ``PF_MAX_ITERATIONS`` steps (cause 1), when a voltage magnitude falls
-    under ``VOLTAGE_COLLAPSE_PU`` (cause 2), or when its Newton step is
+    Each point keeps its own iteration count.  ``add`` puts points in under
+    integer tags, at a flat start (1.0 p.u. at PQ buses, setpoints
+    elsewhere, angles 0) or at given voltages; ``iterate`` takes every
+    point one iteration further and returns those that ended, as (tag, vm,
+    va, converged, iterations, mismatch, cause code) arrays.  A point ends
+    when its mismatch is under ``PF_TOLERANCE`` (cause 0) or, failing that,
+    after ``PF_MAX_ITERATIONS`` steps (cause 1), when a voltage magnitude
+    falls under ``VOLTAGE_COLLAPSE_PU`` (cause 2), or when its Newton step is
     unsound (cause 3: the Jacobian is singular or the LU lost its accuracy;
     the point keeps the voltages it had before that step).  ``iterations``
     counts the steps taken.  A point's results depend on its row alone: the
@@ -339,22 +340,21 @@ class _NewtonPool:
     def __len__(self) -> int:
         return self.tag.size
 
-    def add(self, tag: np.ndarray, p_sched: np.ndarray, q_sched: np.ndarray) -> None:
-        """Add points with scheduled injections (B, n) in p.u. at a flat start."""
+    def add(self, tag: np.ndarray, p_sched: np.ndarray, q_sched: np.ndarray,
+            start: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """Add points with scheduled injections (B, n) in p.u., at a flat start
+        or at the voltages ``start``: (vm, va) arrays (B, n)."""
         grid = self.grid
-        vm = np.tile(grid.vset, (len(tag), 1))
-        vm[:, grid.pq] = 1.0
+        if start is None:
+            vm = np.tile(grid.vset, (len(tag), 1))
+            vm[:, grid.pq] = 1.0
+            start = vm, np.zeros_like(vm)
         self.tag = np.concatenate([self.tag, tag])
         self.it = np.concatenate([self.it, np.zeros(len(tag), dtype=np.int64)])
-        self.vm = np.concatenate([self.vm, vm])
-        self.va = np.concatenate([self.va, np.zeros_like(vm)])
+        self.vm = np.concatenate([self.vm, start[0]])
+        self.va = np.concatenate([self.va, start[1]])
         sched = np.concatenate([p_sched[:, grid.pvpq], q_sched[:, grid.pq]], axis=1)
         self.sched = np.concatenate([self.sched, sched])
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the points where ``mask`` is False."""
-        self.tag, self.it, self.vm, self.va, self.sched = (
-            a[mask] for a in (self.tag, self.it, self.vm, self.va, self.sched))
 
     def iterate(self):
         """Take every point one iteration further; return the points that ended."""

@@ -31,11 +31,18 @@ from gridstudy.loadability import compute_loadability
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import study_network
 from gridstudy.timeseries import HOURS_PER_DAY
-from oracles import solve_power_flow, stressed_network, three_bus_case, two_bus_case, verify_bracket
+from oracles import (
+    reference_sweep,
+    solve_power_flow,
+    stressed_network,
+    three_bus_case,
+    two_bus_case,
+    verify_bracket,
+)
 from tests.conftest import config_path
 
 from tests.test_demand import discretized_min_cost, padded_day, random_instance
-from tests.test_loadability import points
+from tests.test_loadability import RESULT_ARRAYS, points
 
 
 def report(criterion, ok, detail=""):
@@ -408,6 +415,24 @@ class TestYearProperties:
                                        tuple(a[hour] for a in points),
                                        float(res.lambda_star[hour]), cfg.loadability.step)
             assert at and not above, f"hour {hour}"
+
+    def test_sweep_matches_the_flat_scan_on_year_hours(self, year_suite, data_dir):
+        """Every 8th hour of each scenario's year, swept by the flat one-step-per-
+        batch scan, has the lambda*, loads and minimum voltage of the run's
+        sweep, bit for bit."""
+        from gridstudy.harness import _load_data, _operating_points, apply_renewable_replacement
+        reports, _, _ = year_suite
+        for scenario, rep in reports.items():
+            cfg = scenario_from_config(config_path(scenario))
+            data = _load_data(cfg, data_dir, None, {})
+            fleet = apply_renewable_replacement(cfg.fleet, cfg)
+            points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
+            opts = cfg.loadability
+            want = reference_sweep(data.network, opts.region, opts.participation, opts.step,
+                                   tuple(a[::8] for a in points), opts.lambda_max)
+            for name, ref in zip(RESULT_ARRAYS, want):
+                got = getattr(rep.loadability, name)[::8]
+                assert got.tobytes() == ref.tobytes(), (scenario, name)
 
     def test_single_solve_reproduces_sweep_voltages(self, year_suite, data_dir):
         """The plain solver at an hour's factor returns the very minimum voltage

@@ -225,6 +225,10 @@ class TestViolations:
 
     @pytest.mark.parametrize("key,value,why", [
         ("step", "0", "step must be positive, got 0.0"),
+        ("step", "1e-17", "step must be large enough that 1 + step > 1, got 1e-17"),
+        ("step", "5e-324", "step must be large enough that 1 + step > 1, got 5e-324"),
+        ("lambda_max", "1e300", "step must give at most 2**62 steps up to lambda_max 1e+300, "
+                                "got 0.02"),
         ("lambda_max", "0.99", "lambda_max must be >= 1, got 0.99"),
         ("participation", "qld_gen:0.7,qld_csp:0.5", "participation factors sum to 1.2, expected 1"),
         ("participation", "qld_gen:1.5,qld_csp:-0.5", "participation factor for 'qld_csp' is negative"),

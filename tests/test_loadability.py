@@ -21,6 +21,7 @@ from oracles import (
     reference_sweep,
     solve_power_flow,
     stressed_network,
+    three_bus_case,
     two_bus_case,
     verify_bracket,
     with_loads,
@@ -44,6 +45,13 @@ def points(net, loads, injections=None):
 
 
 RESULT_ARRAYS = ("lambda_star", "served_load_mw", "region_load_mw", "min_voltage_pu")
+
+#: (network, loadability region, participation factors) of each test network.
+CASES = (
+    lambda: (two_bus_case(), "LOAD", {"source": 1.0}),
+    lambda: (three_bus_case(), "B", {"gen": 0.6, "slack": 0.4}),
+    lambda: (study_network(), "QLD", {"qld_gen": 0.5, "qld_csp": 0.5}),
+)
 
 
 def study_hours(net, loads_scale, rng):
@@ -111,28 +119,32 @@ class TestBatchedSweep:
             assert batch.served_load_mw[i] == single.served_load_mw[0]
             assert batch.min_voltage_pu[i] == single.min_voltage_pu[0]
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_any_split_into_chunks_gives_the_same_bits(self, data):
-        """A sweep of study-network hours equals, bit for bit, the sweeps of any
-        contiguous chunks of them, one-hour chunks included."""
-        net = study_network()
+        """A sweep of two-bus, three-bus or study-network hours equals, bit for
+        bit, the flat one-step-per-batch scan and the sweeps of any contiguous
+        chunks of the hours, one-hour chunks included."""
+        net, region, part = data.draw(st.sampled_from(CASES), label="case")()
         nh = data.draw(st.integers(1, 6), label="hours")
         cuts = sorted(data.draw(st.sets(st.integers(1, nh - 1)), label="cuts")) if nh > 1 else []
+        step = data.draw(st.sampled_from([0.01, 0.03, 0.1, 0.25]), label="step")
+        lambda_max = data.draw(st.sampled_from([1.0, 1.07, 3.0, 6.0]), label="lambda_max")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         hours = study_hours(net, rng.uniform(0.4, 1.6, (nh, len(net.buses))), rng)
-        part = {"qld_gen": 0.5, "qld_csp": 0.5}
 
         def sweep(rows):
-            return compute_loadability(net, "QLD", part, step=0.1, lambda_max=3.0,
+            return compute_loadability(net, region, part, step=step, lambda_max=lambda_max,
                                        hours=tuple(a[rows] for a in hours))
 
         whole = sweep(slice(None))
+        want = reference_sweep(net, region, part, step, hours, lambda_max)
         bounds = [0, *cuts, nh]
         chunks = [sweep(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        for name in RESULT_ARRAYS:
+        for name, ref in zip(RESULT_ARRAYS, want):
             joined = np.concatenate([getattr(c, name) for c in chunks])
-            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+            assert getattr(whole, name).tobytes() == ref.tobytes(), name
+            assert joined.tobytes() == ref.tobytes(), name
 
     def test_bracket_holds_on_array_rows(self):
         net = two_bus_case()
@@ -158,7 +170,7 @@ class TestBatchedSweep:
 
 
 class TestPooledScan:
-    """One Newton pool carries several grid steps of each hour still scanning."""
+    """One Newton pool carries one probe of each hour still searching its grid."""
 
     @staticmethod
     def mixed_hours(net):
@@ -201,69 +213,71 @@ class TestPooledScan:
             assert getattr(res, name).shape == (0,)
             assert getattr(res, name).tobytes() == ref.tobytes(), name
 
-    def test_pool_that_empties_while_hours_still_scan(self, monkeypatch):
-        """With more hours than half the pool's width each hour takes one step at
-        a time; at lambda_max = 1 every base step converges, every next step is
-        above the cap, and the pool runs one iteration with no rows."""
+    @staticmethod
+    def counted_sweep(monkeypatch, net, hours, **scan):
+        """The sweep in one process, with the rows of each Newton iteration and
+        the probes of each hour."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        sizes = []
+        sizes, probes = [], np.zeros(len(hours[0]), dtype=int)
 
         class CountingPool(powerflow._NewtonPool):
+            def add(self, tag, *args, **kwargs):
+                np.add.at(probes, tag, 1)
+                return super().add(tag, *args, **kwargs)
+
             def iterate(self):
                 sizes.append(len(self))
                 return super().iterate()
 
         monkeypatch.setattr(loadability, "_NewtonPool", CountingPool)
-        net = two_bus_case()
-        res = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}] * 1100),
-                                  lambda_max=1.0)
-        assert 0 in sizes
-        assert np.all(res.lambda_star == 1.0)
-        assert np.all(res.served_load_mw == 100.0)
+        return compute_loadability(net, "LOAD", {"source": 1.0}, hours=hours, **scan), sizes, probes
 
     @pytest.mark.parametrize("nh", [23, 300])
-    def test_pool_stays_within_its_width_and_refills(self, monkeypatch, nh):
-        """No Newton iteration holds more than max(hours, MIN_BATCH_ROWS) rows; the
-        pool starts with width // hours grid steps per hour and refills as points
-        leave, so it is on average at least half full until the last rows'
-        tail of at most PF_MAX_ITERATIONS iterations."""
-        sizes = []
-
-        class CountingPool(powerflow._NewtonPool):
-            def iterate(self):
-                sizes.append(len(self))
-                return super().iterate()
-
-        monkeypatch.setattr(loadability, "_NewtonPool", CountingPool)
+    def test_pool_holds_one_probe_per_hour(self, monkeypatch, nh):
+        """No Newton iteration holds more rows than there are hours, and an hour
+        takes at most 2 log2(top + 4) probes, where top is the last grid index
+        at or below lambda_max: about log2(top) to gallop and as many to bisect."""
         net = two_bus_case()
         if nh == 23:
             hours = self.mixed_hours(net)
         else:
             loads = np.random.default_rng(12).uniform(60, 480, nh)
             hours = points(net, [{"load": (float(p), 0.0)} for p in loads])
-        assert len(hours[0]) == nh
-        compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours,
-                            lambda_max=6.0)
-        width = max(nh, loadability.MIN_BATCH_ROWS)
-        assert sizes[0] == nh * (width // nh)
-        assert max(sizes) <= width
-        assert len(sizes) <= 2 * sum(sizes) / width + powerflow.PF_MAX_ITERATIONS
+        res, sizes, probes = self.counted_sweep(monkeypatch, net, hours, step=0.02,
+                                                lambda_max=6.0)
+        top = 250  # 1 + 250 * 0.02 == 6.0
+        assert sizes[0] == nh and max(sizes) <= nh
+        assert probes.min() >= 1 and probes.max() <= 2 * math.log2(top + 4)
+        assert probes[np.isnan(res.lambda_star)].tolist() == [1] * int(res.degenerate.sum())
 
-    def test_hours_that_stop_among_their_first_steps_in_flight(self):
-        """With several steps per hour in the pool from the start, an hour that
-        stops among them reports its last converged step, as the one-step scan
-        does: on mixed hours and on one base-load hour at the default step."""
+    def test_sweep_capped_at_the_base_case(self, monkeypatch):
+        """At lambda_max = 1 each hour solves its base case alone, and every hour
+        that converges there reports lambda* = 1, as the flat scan does."""
         net = two_bus_case()
-        # 600 MW is degenerate; 500 MW ends at lambda* = 1; the others up to
-        # 330 MW fail among their first width // 8 steps (lambda* = 500 MW / load).
+        hours = self.mixed_hours(net)
+        res, sizes, probes = self.counted_sweep(monkeypatch, net, hours, step=0.02,
+                                                lambda_max=1.0)
+        want = reference_sweep(net, "LOAD", {"source": 1.0}, 0.02, hours, 1.0)
+        for name, ref in zip(RESULT_ARRAYS, want):
+            assert getattr(res, name).tobytes() == ref.tobytes(), name
+        assert np.all(probes == 1) and res.degenerate.tolist() == [True] + [False] * 22
+        assert np.all(res.lambda_star[1:] == 1.0)
+
+    def test_hours_that_stop_among_their_first_steps(self):
+        """An hour whose limit lies below the first probe above its base case
+        (grid index 4), or between two probes, reports its last converged step,
+        as the flat scan does: on mixed hours and on one base-load hour at the
+        default step."""
+        net = two_bus_case()
+        # 600 MW is degenerate; 500 MW ends at lambda* = 1 and 480 MW at 1.04,
+        # both below index 4; the others fail between probes (lambda* = 500 MW / load).
         loads = [600.0, 500.0, 480.0, 430.0, 380.0, 330.0, 100.0, 45.0]
         hours = points(net, [{"load": (p, 0.0)} for p in loads])
         res = compute_loadability(net, "LOAD", {"source": 1.0}, step=0.02, hours=hours)
         want = reference_sweep(net, "LOAD", {"source": 1.0}, 0.02, hours, 10.0)
         for name, ref in zip(RESULT_ARRAYS, want):
             assert getattr(res, name).tobytes() == ref.tobytes(), name
-        first_steps = 1.0 + (loadability.MIN_BATCH_ROWS // len(loads)) * 0.02
-        assert res.degenerate[0] and np.all(res.lambda_star[1:6] < first_steps)
+        assert res.degenerate[0] and np.all(res.lambda_star[1:3] < 1.0 + 4 * 0.02)
 
         default = compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]))
         want = reference_sweep(net, "LOAD", {"source": 1.0}, loadability.DEFAULT_STEP,
@@ -456,8 +470,8 @@ class TestWorkers:
 
     def test_bits_do_not_depend_on_openblas_threads(self):
         """The sweep's results, in a fresh interpreter with ``OPENBLAS_NUM_THREADS``
-        at 1 and at 2 before numpy loads, have the same bytes.  The pool is
-        widened to 4,096 rows and its gemm left in one block, so at least ten
+        at 1 and at 2 before numpy loads, have the same bytes.  4,096 hours are
+        swept in one process with the gemm left in one block, so at least ten
         iterations multiply 2,048 rows or more, which OpenBLAS splits across
         its threads (from about 1,536 rows)."""
         code = (
@@ -465,7 +479,7 @@ class TestWorkers:
             "from gridstudy import loadability, powerflow\n"
             "from gridstudy.synthdata import study_network\n"
             "powerflow.GEMM_ROWS = 1 << 20\n"
-            "loadability.MIN_BATCH_ROWS = 4096\n"
+            "loadability.MIN_WORKER_HOURS = 1 << 20\n"
             "sizes = []\n"
             "class Pool(powerflow._NewtonPool):\n"
             "    def iterate(self):\n"
@@ -474,7 +488,7 @@ class TestWorkers:
             "loadability._NewtonPool = Pool\n"
             "net = study_network()\n"
             "rng = np.random.default_rng(5)\n"
-            "scale = rng.uniform(0.4, 1.6, (48, len(net.buses)))\n"
+            "scale = rng.uniform(0.4, 1.6, (4096, len(net.buses)))\n"
             "hours = (scale * [b.p_load_mw for b in net.buses],\n"
             "         scale * [b.q_load_mvar for b in net.buses], np.zeros_like(scale))\n"
             "res = loadability.compute_loadability(net, 'QLD', {'qld_gen': 0.5, 'qld_csp': 0.5},\n"
@@ -535,6 +549,17 @@ class TestValidation:
         with pytest.raises(LoadabilityError, match=f"^{name} must be"):
             compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]),
                                 **{name: value})
+
+    @pytest.mark.parametrize("step,lambda_max", [(1e-17, 10.0), (5e-324, 10.0), (5e-324, 1.0),
+                                                 (1e-10, 1e300), (0.005, 1e300)])
+    def test_grid_too_fine_rejected(self, step, lambda_max):
+        """A step that leaves 1 + step at 1 scanned a grid of 9e17 steps whose
+        first factors were all 1; a grid of more than 2**62 steps, an infinite
+        count of them included, has a last index that int64 cannot hold."""
+        net = two_bus_case()
+        with pytest.raises(LoadabilityError, match=f"^step must .*, got {step}$"):
+            compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}]), step=step,
+                                lambda_max=lambda_max)
 
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 2), (2, 2)), ((3, 3), (3, 3), (3, 3)),
                                         ((2,), (2,), (2,))])

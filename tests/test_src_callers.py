@@ -6,7 +6,9 @@ referenced (as a name, an attribute or an imported name) somewhere in
 ``src/gridstudy`` outside its own body, in the benchmark's ``perfbench/*.py``
 modules other than its tests (string constants included: the tracer names
 its targets as strings), or by the console-script entry point in
-``pyproject.toml``.  Names are matched without their class or module, so a
+``pyproject.toml``.  A method counts as called only through an attribute
+reference (``obj.name``) or a perfbench string constant; a function or class
+through any of them.  Names are matched without their class or module, so a
 definition that shares its name with a called one passes; the scan errs
 towards passing.
 """
@@ -34,19 +36,20 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.AST, strings: bool = False):
-    """(name, line) of every name, attribute and imported name in ``tree``;
-    with ``strings``, identifier-like string constants as well."""
+    """(name, line, whether it can reach a method) of every name, attribute
+    and imported name in ``tree``; with ``strings``, identifier-like string
+    constants as well.  Attributes and strings can reach a method."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value, node.lineno
+                yield node.value, node.lineno, True
 
 
 def _entry_points() -> set[str]:
@@ -60,18 +63,21 @@ def uncalled_definitions(src: Path = SRC) -> list[str]:
     """``module.name`` of each definition in ``src`` without a caller."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
     assert trees, f"no modules under {src}"
-    outside = _entry_points()
+    outside = {name: False for name in _entry_points()}  # name: whether it can reach a method
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         if not path.name.startswith("test_"):
-            outside.update(name for name, _ in _references(ast.parse(path.read_text()), True))
+            for name, _, reach in _references(ast.parse(path.read_text()), True):
+                outside[name] = outside.get(name, False) or reach
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     uncalled = []
     for path, tree in trees.items():
         for qualname, first, last in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            called = name in outside or any(
-                ref == name and not (other == path and first <= line <= last)
-                for other, found in refs.items() for ref, line in found)
+            method = "." in qualname
+            called = (name in outside and (outside[name] or not method)) or any(
+                ref == name and (reach or not method)
+                and not (other == path and first <= line <= last)
+                for other, found in refs.items() for ref, line, reach in found)
             if not called:
                 uncalled.append(f"{path.stem}.{qualname}")
     return uncalled
@@ -82,18 +88,24 @@ def test_src_holds_only_what_the_pipeline_calls():
 
 
 def test_the_scan_reports_test_only_code(tmp_path):
-    """A method and a function that nothing in the package calls are reported;
-    a function called from the package is not."""
+    """A method and a function that nothing in the package calls are reported,
+    and so is a method that shares its name with a function called by name; a
+    function called from the package is not."""
     for path in SRC.glob("*.py"):
         shutil.copy(path, tmp_path)
     (tmp_path / "extra.py").write_text(
         "class Series:\n"
         "    def timestamp_at(self, hour):\n"
         "        return hour\n\n"
+        "class Pool:\n"
+        "    def keep(self):\n"
+        "        return self\n\n"
         "def orphan():\n"
         "    return orphan()\n\n"
+        "def keep(pool):\n"
+        "    return pool\n\n"
         "def helper():\n"
-        "    return Series()\n\n"
+        "    return Series(), keep(Pool())\n\n"
         "VALUE = helper()\n")
     found = [name for name in uncalled_definitions(tmp_path) if name.startswith("extra.")]
-    assert found == ["extra.Series.timestamp_at", "extra.orphan"]
+    assert found == ["extra.Series.timestamp_at", "extra.Pool.keep", "extra.orphan"]
