@@ -1,6 +1,6 @@
 """Five-scenario study pipeline.
 
-Per scenario: (0) load data, apply the renewable fleet replacement;
+Per scenario: (0) load data, with each renewable unit's availability;
 (1) dispatch the conventional demand to simulate market prices;
 (2) train the price predictor on historical plus simulated prices;
 (3) predict the study-year price signal per region; (4) schedule the
@@ -52,7 +52,6 @@ from gridstudy.demand import (
 )
 from gridstudy.dispatch import (
     DispatchResult,
-    Generator,
     csp_profile_shift,
     simulate_horizon,
 )
@@ -109,36 +108,13 @@ class ScenarioReport:
     loadability: LoadabilityResult
 
 
-def apply_renewable_replacement(fleet: Sequence[Generator], config: ScenarioConfig
-                                ) -> tuple[Generator, ...]:
-    """Swap the named coal units for the wind farm and the solar-field pair.
-
-    Scenario 1 returns the fleet unchanged.  Availability series are
-    attached later, once the data directory is known.
-    """
-    if config.replacement is None:
-        return tuple(fleet)
-    spec = config.replacement
-    names = {g.name for g in fleet}
-    for unit in spec.remove:
-        if unit not in names:
-            raise ValueError(f"replacement removes unknown unit {unit!r}")
-    out = [g for g in fleet if g.name not in spec.remove]
-    out.append(Generator(spec.wind_name, "wind", spec.wind_zone, spec.wind_region,
-                         spec.wind_capacity_mw, 0.0, 0.0))
-    for name, zone in zip(spec.csp_names, spec.csp_zones):
-        out.append(Generator(name, "csp", zone, spec.csp_region,
-                             spec.csp_capacity_mw, 0.0, 0.0))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class _StudyData:
     demand: Mapping[str, TimeSeries]
     historical_demand: Mapping[str, TimeSeries]
     historical_price: Mapping[str, TimeSeries]
     pv_availability: Mapping[str, TimeSeries]
-    trace_availability: Mapping[str, TimeSeries]  # "wind.NSA" style keys
+    availabilities: Mapping[str, TimeSeries]  # per renewable unit of the fleet
     network: BusNetwork
     n_hours: int
 
@@ -195,16 +171,18 @@ def _load_data(config: ScenarioConfig, data_dir, days: Optional[int], used: dict
     pv = {}
     if config.has_demand_response:
         pv = {r: read(f"pv.{r}") for r in config.demand_regions}
-    traces = {}
-    if config.replacement is not None:
+    availabilities = {}
+    if config.replacement is not None:  # CSP traces are delay-shifted
         spec = config.replacement
-        for key in (f"wind.{spec.wind_zone}", *(f"solar.{zone}" for zone in spec.csp_zones)):
-            traces[key] = read(key)
+        availabilities[spec.wind_name] = read(f"wind.{spec.wind_zone}")
+        for name, zone in zip(spec.csp_names, spec.csp_zones):
+            availabilities[name] = csp_profile_shift(read(f"solar.{zone}"),
+                                                     spec.csp_delay_hours).relabel(f"csp_{zone}")
     network = load_network(data_dir / config.data_files["bus"],
                            data_dir / config.data_files["branch"],
                            base_mva=config.loadability.base_mva)
     _check_buses(config, network)
-    return _StudyData(demand, hist_demand, hist_price, pv, traces, network, n_hours)
+    return _StudyData(demand, hist_demand, hist_price, pv, availabilities, network, n_hours)
 
 
 def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
@@ -229,19 +207,7 @@ def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
                                  f"of region {region}")
 
 
-def _availabilities(config: ScenarioConfig, data: _StudyData) -> dict[str, TimeSeries]:
-    """Hourly availability per renewable unit; CSP traces are delay-shifted."""
-    if config.replacement is None:
-        return {}
-    spec = config.replacement
-    out = {spec.wind_name: data.trace_availability[f"wind.{spec.wind_zone}"]}
-    for name, zone in zip(spec.csp_names, spec.csp_zones):
-        out[name] = csp_profile_shift(data.trace_availability[f"solar.{zone}"],
-                                      spec.csp_delay_hours).relabel(f"csp_{zone}")
-    return out
-
-
-def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], network: BusNetwork,
+def _operating_points(config: ScenarioConfig, network: BusNetwork,
                       nett: Mapping[str, TimeSeries], dispatch: DispatchResult) -> Points:
     """Dispatch-consistent hourly power-flow inputs, as ``compute_loadability`` sweeps them.
 
@@ -250,10 +216,9 @@ def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], networ
     base loads.  Each demand region's nett demand splits across its pq buses
     by the configured zone weights (equal shares when none are given), at
     Q = P * ``LOAD_TAN_PHI`` (``_check_buses`` has checked those buses).  The
-    output of each unit of ``fleet`` (the replaced fleet that was dispatched)
-    lands on the bus that lists it, or else on the first non-slack generator
-    bus of its region.  Units on the slack bus, or with no such bus, are left
-    to the slack balance.
+    output of each unit of ``config.fleet`` lands on the bus that lists it,
+    or else on the first non-slack generator bus of its region.  Units on the
+    slack bus, or with no such bus, are left to the slack balance.
     """
     n_hours = len(next(iter(nett.values())))
     column = {b.bus_id: i for i, b in enumerate(network.buses)}
@@ -275,7 +240,7 @@ def _operating_points(config: ScenarioConfig, fleet: Sequence[Generator], networ
         for unit in b.gen_names:
             listed[unit] = b.bus_id
     unit_column = {}
-    for g in fleet:
+    for g in config.fleet:
         bus = listed.get(g.name) or first_pv_bus.get(g.region)
         if bus not in (None, slack_id):
             unit_column[g.name] = column[bus]
@@ -321,9 +286,6 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
     try:
         with stage("load-data"):
             data = _load_data(config, data_dir, days, used)
-        with stage("fleet-replacement"):
-            fleet = apply_renewable_replacement(config.fleet, config)
-            availabilities = _availabilities(config, data)
 
         # (1) pass-0 dispatch of the conventional demand simulates market prices
         with stage("pass0-dispatch"):
@@ -331,7 +293,8 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
             start = next(iter(conventional.values())).start
             zero = np.zeros(data.n_hours)
             transit = {r: TimeSeries(start, zero, r) for r in config.transit_regions}
-            inputs = (fleet, {**conventional, **transit}, config.interconnectors, availabilities)
+            inputs = (config.fleet, {**conventional, **transit}, config.interconnectors,
+                      data.availabilities)
             pass0 = _reused(used, ("pass0", _pickle_sha256(inputs)),
                             lambda: simulate_horizon(*inputs))
     finally:
@@ -343,10 +306,10 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
     with stage("train-predictor"):
         predictors, study_rows = {}, {}
         for region in config.demand_regions:
-            names, x_h = feature_matrix(fleet, config.interconnectors, availabilities,
-                                        data.historical_demand[region])
-            study_rows[region] = feature_matrix(fleet, config.interconnectors,
-                                                availabilities, data.demand[region])
+            names, x_h = feature_matrix(config.fleet, config.interconnectors,
+                                        data.availabilities, data.historical_demand[region])
+            study_rows[region] = feature_matrix(config.fleet, config.interconnectors,
+                                                data.availabilities, data.demand[region])
             x = np.vstack([x_h, study_rows[region][1]])
             y = np.concatenate([data.historical_price[region].values,
                                 [hd.price[region] for hd in pass0.hours]])
@@ -406,7 +369,8 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
     # re-use the conventional dispatch (identical inputs)
     with stage("nett-dispatch"):
         if config.has_demand_response:
-            dispatch = simulate_horizon(fleet, nett, config.interconnectors, availabilities)
+            dispatch = simulate_horizon(config.fleet, nett, config.interconnectors,
+                                        data.availabilities)
         else:
             dispatch = pass0
     done["dispatch"] = dispatch
@@ -422,7 +386,7 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
         load_res = compute_loadability(
             data.network, config.loadability.region, config.loadability.participation,
             step=config.loadability.step,
-            hours=_operating_points(config, fleet, data.network, nett, dispatch),
+            hours=_operating_points(config, data.network, nett, dispatch),
             lambda_max=config.loadability.lambda_max)
     done["loadability"] = load_res
 

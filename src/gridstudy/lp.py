@@ -34,9 +34,6 @@ INFINITE_BOUND = 1e18
 #: Absolute feasibility tolerance on bounds and constraint rows.
 FEASIBILITY_TOL = 1e-8
 
-#: Relative tolerance between a reported objective and c.x.
-OBJECTIVE_REL_TOL = 1e-9
-
 # Internal pivot tolerances.
 _REDUCED_COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10

@@ -5,7 +5,8 @@ has these sections:
 
 * ``[scenario]``      -- ``schema_version`` (must be 1), ``id`` 1..5,
   ``uptake`` (none | low | medium | high).
-* ``[regions]``       -- ``demand`` region list, optional ``transit`` list.
+* ``[regions]``       -- ``demand`` region list, optional ``transit`` list;
+  each region at most once across both.
 * ``[data]``          -- file names, resolved against the run's data
   directory: ``demand.<R>``, ``historical_demand.<R>`` and
   ``historical_price.<R>`` per demand region; ``pv.<R>`` when uptake is
@@ -20,7 +21,10 @@ has these sections:
 * ``[interconnector <name>]`` -- from, to, forward_mw, reverse_mw.
 * ``[replacement]``   -- scenarios 2..5 only: the coal units to remove, the
   wind farm and the CSP pair with zones and capacities, optional
-  csp_delay_hours (12).
+  csp_delay_hours (12).  ``ScenarioConfig.fleet`` is the fleet the scenario
+  dispatches: the ``[generator]`` units not removed, in file order, then the
+  wind farm and the CSP pair.  Its unit names must be unique; a removed
+  unit's name may be reused.
 * ``[loadability]``   -- region, participation (``bus:factor`` list), and
   optional step, lambda_max and base_mva.
 * ``[zone_weights <R>]`` -- optional split of demand region R over buses:
@@ -214,10 +218,14 @@ def scenario_from_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"missing scenario config: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the scenario config: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case (region names appear in keys)
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     errors: list[str] = []
@@ -249,9 +257,12 @@ def scenario_from_config(path) -> ScenarioConfig:
     if demand_regions == ():
         sec.error("demand region list is empty")
         demand_regions = _BAD
-    for region in (() if demand_regions is _BAD else demand_regions) + transit_regions:
+    listed = (() if demand_regions is _BAD else demand_regions) + transit_regions
+    for region in dict.fromkeys(listed):
         if region not in KNOWN_REGIONS:
             sec.error(f"unknown region {region!r}; expected a subset of {KNOWN_REGIONS}")
+        if listed.count(region) > 1:
+            sec.error(f"region {region!r} is listed more than once")
     # None when the demand regions could not be read: region checks are skipped.
     all_regions = None if demand_regions is _BAD else set(demand_regions) | set(transit_regions)
 
@@ -260,7 +271,7 @@ def scenario_from_config(path) -> ScenarioConfig:
     # Each section's spec by label, in file order; _BAD where it failed to build.
     batteries: dict[str, BatterySpec] = {}
     pv_capacity: dict[str, float] = {}
-    fleet: dict[str, Generator] = {}
+    generators: dict[str, Generator] = {}
     lines: dict[str, Interconnector] = {}
     zone_weights: dict[str, ZoneWeights] = {}
     for name in list(sections):
@@ -280,9 +291,9 @@ def scenario_from_config(path) -> ScenarioConfig:
                 sec.error("capacity_mw must be >= 0")
             sec.leftovers()
         elif kind == "generator":
-            fleet[label] = sec.build(Generator, label, sec.text("type"), sec.text("zone"),
-                                     sec.text("region"), sec.number("capacity_mw"),
-                                     sec.number("min_stable_mw", 0.0), sec.number("srmc"))
+            generators[label] = sec.build(Generator, label, sec.text("type"), sec.text("zone"),
+                                          sec.text("region"), sec.number("capacity_mw"),
+                                          sec.number("min_stable_mw", 0.0), sec.number("srmc"))
         elif kind == "interconnector":
             lines[label] = sec.build(Interconnector, label, sec.text("from"), sec.text("to"),
                                      sec.number("forward_mw"), sec.number("reverse_mw"))
@@ -339,13 +350,25 @@ def scenario_from_config(path) -> ScenarioConfig:
         for region in uptake_regions:
             if region not in demand_regions:
                 errors.append(f"battery/pv section names unknown region {region!r}")
+    # The dispatched fleet: the [generator] units that stay, then the replacement's.
+    fleet = dict(generators)
     if isinstance(replacement, ReplacementSpec):
-        for unit in replacement.remove:
-            if unit not in fleet:
+        spec = replacement
+        for unit in spec.remove:
+            if unit not in generators:
                 errors.append(f"[replacement] removes unknown unit {unit!r}")
-    if not fleet:
+            fleet.pop(unit, None)
+        added = [Generator(spec.wind_name, "wind", spec.wind_zone, spec.wind_region,
+                           spec.wind_capacity_mw, 0.0, 0.0)]
+        added += [Generator(name, "csp", zone, spec.csp_region, spec.csp_capacity_mw, 0.0, 0.0)
+                  for name, zone in zip(spec.csp_names, spec.csp_zones)]
+        for g in added:
+            if g.name in fleet:
+                errors.append(f"[replacement] unit name {g.name!r} is already in the fleet")
+            fleet[g.name] = g
+    if not generators:
         errors.append("no [generator ...] sections found")
-    units = [g for g in fleet.values() if g is not _BAD]
+    units = [g for g in generators.values() if g is not _BAD]
     for g in units:
         if g.is_renewable:
             errors.append(f"[generator {g.name}] type {g.gtype!r}: renewable units have no "

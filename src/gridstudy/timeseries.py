@@ -195,8 +195,7 @@ def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
     then the stamp, then the value.  So the first bad row is the one
     reported, with its row number (1-based, counting the header as row 1),
     and a tokeniser or decoding error is raised only after the rows before
-    it pass.  A stamp equal to its hour's ``hour_stamps`` text is accepted
-    as text; any other stamp is parsed and checked on its own.
+    it pass.
     """
     path = Path(path)
     if not path.exists():
@@ -214,24 +213,16 @@ def load_timeseries_csv(path, expected_hours: int) -> TimeSeries:
         if header[:2] != ["timestamp", "value"]:
             raise TimeSeriesError(f"{path}: row 1: header must be 'timestamp,value', got {header}")
         start = None
-        stamps: list[str] = []
         values: list[float] = []
         for rownum, row in enumerate(reader, 2):
             if not row:
                 continue
             if len(row) < 2:
                 raise TimeSeriesError(f"{path}: row {rownum}: expected 2 columns")
-            k = len(values)
             if start is None:
                 start = _checked_stamp(path, rownum, row[0], None, 0)
-                try:
-                    stamps = hour_stamps(start, expected_hours)
-                    if stamps and datetime.fromisoformat(stamps[0]) != start:
-                        stamps = []  # start is not a naive whole hour
-                except (OverflowError, ValueError):  # past datetime.max; %Y of a year < 1000
-                    stamps = []
-            elif k >= len(stamps) or row[0] != stamps[k]:
-                _checked_stamp(path, rownum, row[0], start, k)
+            else:
+                _checked_stamp(path, rownum, row[0], start, len(values))
             try:
                 value = float(row[1])
             except ValueError:

@@ -275,12 +275,10 @@ class TestYearProperties:
         """Peaks are met with GTs: whenever a GT runs in the unmodified
         fleet, some contiguous region group's demand exceeds its committed
         non-GT capacity plus the import capacity of its boundary."""
-        from gridstudy.harness import apply_renewable_replacement
         reports, _, _ = year_suite
         rep = reports[1]
         cfg = scenario_from_config(config_path(1))
-        fleet = apply_renewable_replacement(cfg.fleet, cfg)
-        gt_names = {g.name for g in fleet if g.gtype == "gt"}
+        gt_names = {g.name for g in cfg.fleet if g.gtype == "gt"}
 
         def import_bound(cut):
             bound = 0.0
@@ -298,7 +296,7 @@ class TestYearProperties:
             if gt_out <= 1e-6:
                 continue
             demand = {r: float(rep.nett_demand[r].values[hd.hour]) for r in rep.nett_demand}
-            commitment, _ = choose_commitment(fleet, demand, {}, cfg.interconnectors,
+            commitment, _ = choose_commitment(cfg.fleet, demand, {}, cfg.interconnectors,
                                               hour=hd.hour)
             saturated = False
             for cut in self.CUTS:
@@ -335,10 +333,11 @@ class TestYearProperties:
             assert np.allclose(got, fresh.grid_mw, atol=1e-5)
 
     def test_marginal_prices_coherent_on_year_sample(self, year_suite):
+        """Each price is the SRMC of a unit of the scenario's dispatched fleet or a penalty."""
         reports, _, _ = year_suite
-        cfg = scenario_from_config(config_path(4))
-        srmcs = {g.srmc for g in cfg.fleet} | {0.0, VALUE_OF_LOST_LOAD, -DUMP_PENALTY}
         for scenario in (1, 4):
+            cfg = scenario_from_config(config_path(scenario))
+            srmcs = {g.srmc for g in cfg.fleet} | {0.0, VALUE_OF_LOST_LOAD, -DUMP_PENALTY}
             for hd in reports[scenario].dispatch.hours[::97]:
                 for region, price in hd.price.items():
                     assert min(abs(price - s) for s in srmcs) < 1e-6, (scenario, hd.hour, price)
@@ -354,7 +353,7 @@ class TestYearProperties:
         solvers may return different vertices of it."""
         optimize = pytest.importorskip("scipy.optimize")
         from gridstudy import dispatch
-        from gridstudy.harness import _availabilities, _load_data, apply_renewable_replacement
+        from gridstudy.harness import _load_data
         from gridstudy.lp import INFINITE_BOUND, solve_lp
 
         solved = []
@@ -368,14 +367,13 @@ class TestYearProperties:
         hours = trials = 0
         for scenario, rep in reports.items():
             cfg = scenario_from_config(config_path(scenario))
-            fleet = apply_renewable_replacement(cfg.fleet, cfg)
-            availabilities = _availabilities(cfg, _load_data(cfg, data_dir, None, {}))
+            availabilities = _load_data(cfg, data_dir, None, {}).availabilities
             hints = {}
             for hour in range(0, len(rep.dispatch.hours), 37):
                 demand = {r: float(ts.values[hour]) for r, ts in rep.nett_demand.items()}
                 avail = {name: float(ts.values[hour]) for name, ts in availabilities.items()}
                 solved.clear()
-                _, hd = choose_commitment(fleet, demand, avail, cfg.interconnectors,
+                _, hd = choose_commitment(cfg.fleet, demand, avail, cfg.interconnectors,
                                           hour=hour, hints=hints)
                 hours += 1
                 trials += len(solved) - 1
@@ -397,13 +395,12 @@ class TestYearProperties:
     def test_loadability_bracket_on_year_hours(self, year_suite, data_dir):
         """Re-solve with the plain solver: converges at the hour's factor,
         fails one step above."""
-        from gridstudy.harness import _load_data, _operating_points, apply_renewable_replacement
+        from gridstudy.harness import _load_data, _operating_points
         reports, _, _ = year_suite
         rep = reports[1]
         cfg = scenario_from_config(config_path(1))
         data = _load_data(cfg, data_dir, None, {})
-        fleet = apply_renewable_replacement(cfg.fleet, cfg)
-        points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
+        points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
         res = rep.loadability
         rng = np.random.default_rng(77)
         for hour in rng.choice(len(res), size=4, replace=False):
@@ -420,13 +417,12 @@ class TestYearProperties:
         """Every 8th hour of each scenario's year, swept by the flat one-step-per-
         batch scan, has the lambda*, loads and minimum voltage of the run's
         sweep, bit for bit."""
-        from gridstudy.harness import _load_data, _operating_points, apply_renewable_replacement
+        from gridstudy.harness import _load_data, _operating_points
         reports, _, _ = year_suite
         for scenario, rep in reports.items():
             cfg = scenario_from_config(config_path(scenario))
             data = _load_data(cfg, data_dir, None, {})
-            fleet = apply_renewable_replacement(cfg.fleet, cfg)
-            points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
+            points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
             opts = cfg.loadability
             want = reference_sweep(data.network, opts.region, opts.participation, opts.step,
                                    tuple(a[::8] for a in points), opts.lambda_max)
@@ -437,13 +433,12 @@ class TestYearProperties:
     def test_single_solve_reproduces_sweep_voltages(self, year_suite, data_dir):
         """The plain solver at an hour's factor returns the very minimum voltage
         the sweep reported for that hour, bit for bit."""
-        from gridstudy.harness import _load_data, _operating_points, apply_renewable_replacement
+        from gridstudy.harness import _load_data, _operating_points
         reports, _, _ = year_suite
         rep = reports[5]
         cfg = scenario_from_config(config_path(5))
         data = _load_data(cfg, data_dir, None, {})
-        fleet = apply_renewable_replacement(cfg.fleet, cfg)
-        points = _operating_points(cfg, fleet, data.network, rep.nett_demand, rep.dispatch)
+        points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
         res = rep.loadability
         hours = np.random.default_rng(78).choice(np.flatnonzero(~res.degenerate), size=48,
                                                  replace=False)

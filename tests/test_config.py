@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gridstudy
+from gridstudy.harness import _load_data
 from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.powerflow import DEFAULT_BASE_MVA
 from gridstudy.scenarioconfig import (
@@ -65,6 +66,35 @@ class TestBundledConfigs:
 
     def test_hash_is_stable(self):
         assert config_sha256(config_path(1)) == config_sha256(config_path(1))
+
+    def test_scenario1_fleet_is_its_generator_sections(self):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(config_path(1))
+        sections = [name.split(" ", 1)[1] for name in parser.sections()
+                    if name.startswith("generator ")]
+        assert len(sections) == 14
+        assert [g.name for g in scenario_from_config(config_path(1)).fleet] == sections
+
+    def test_scenario2_swaps_units(self):
+        """The [generator] units that stay, in file order, then the wind farm and the CSP pair."""
+        cfg = scenario_from_config(config_path(2))
+        names = [g.name for g in cfg.fleet]
+        assert {"NPS_5", "SPS_4", "GPS_4"}.isdisjoint(names)
+        assert names[-3:] == ["WF_5", "CSP_4A", "CSP_4B"]
+        wind = cfg.fleet[-3]
+        assert wind.gtype == "wind" and wind.capacity_mw == 3000.0 and wind.region == "SA"
+        csps = [g for g in cfg.fleet if g.gtype == "csp"]
+        assert [g.zone for g in csps] == ["NQ", "CQ"]
+        assert all(g.capacity_mw == 4500.0 and g.region == "QLD" for g in csps)
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+    def test_fleet_and_availabilities_agree(self, data_dir, scenario):
+        """Unit names are unique, and the renewable units are the ones with availabilities."""
+        cfg = scenario_from_config(config_path(scenario))
+        names = [g.name for g in cfg.fleet]
+        assert len(set(names)) == len(names)
+        availabilities = _load_data(cfg, data_dir, 2, {}).availabilities
+        assert {g.name for g in cfg.fleet if g.is_renewable} == set(availabilities)
 
 
 def mutate(base_text, tmp_path, fn, name="mut.ini"):
@@ -152,12 +182,62 @@ class TestViolations:
         with pytest.raises(ConfigError, match=r"missing \[battery VIC\]"):
             scenario_from_config(path)
 
-    def test_removing_unknown_unit_rejected(self, tmp_path, scenario4_text):
-        def fn(p):
-            p.set("replacement", "remove", "NPS_5,GHOST_9")
+    @pytest.mark.parametrize("fn, unit", [
+        (lambda p: p.set("replacement", "remove", "NPS_5,GHOST_9"), "GHOST_9"),
+        (lambda p: p.remove_section("generator NPS_5"), "NPS_5"),
+    ], ids=["unknown-name", "section-deleted"])
+    def test_removing_unknown_unit_rejected(self, tmp_path, scenario4_text, fn, unit):
         path = mutate(scenario4_text, tmp_path, fn)
-        with pytest.raises(ConfigError, match="GHOST_9"):
+        with pytest.raises(ConfigError) as err:
             scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [f"  [replacement] removes unknown unit {unit!r}"]
+
+    @pytest.mark.parametrize("key,value,clash", [("wind_name", "BPS_2", "BPS_2"),
+                                                 ("csp_names", "CSP_4A,CSP_4A", "CSP_4A"),
+                                                 ("csp_names", "WF_5,CSP_4B", "WF_5")])
+    def test_replacement_unit_name_clash_rejected(self, tmp_path, scenario4_text, key, value,
+                                                  clash):
+        """A unit named twice would have one output in the dispatch and two in the fleet."""
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("replacement", key, value))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [
+            f"  [replacement] unit name {clash!r} is already in the fleet"]
+
+    def test_removed_unit_name_is_reusable(self, tmp_path, scenario4_text):
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("replacement", "wind_name", "NPS_5"))
+        fleet = scenario_from_config(path).fleet
+        assert [(g.name, g.gtype) for g in fleet if g.name == "NPS_5"] == [("NPS_5", "wind")]
+
+    @pytest.mark.parametrize("key,value,region", [("transit", "SH,SA", "SA"),
+                                                  ("demand", "QLD,NSW,QLD,VIC,SA", "QLD")])
+    def test_region_listed_twice_rejected(self, tmp_path, scenario4_text, key, value, region):
+        """A transit region's zero series would replace the demand region's load."""
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("regions", key, value))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [
+            f"  [regions] region {region!r} is listed more than once"]
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_is_one_error(self, tmp_path, scenario4_text, kind):
+        path = tmp_path / "scenario.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(scenario4_text.encode() + b"; \xff\n")
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        [line] = str(err.value).splitlines()
+        assert line.startswith(f"{path}: cannot read the scenario config: ")
+
+    def test_parse_error_names_the_file(self, tmp_path, scenario4_text):
+        """As a plain path, twice: once as the config's name, once as the parser's source."""
+        path = tmp_path / "scenario.ini"
+        path.write_text(scenario4_text + "\n[scenario]\nid = 4\n")
+        with pytest.raises(ConfigError, match="already exists") as err:
+            scenario_from_config(path)
+        assert str(err.value).startswith(f"{path}: While reading from {str(path)!r}")
 
     @pytest.mark.parametrize("gtype", ["wind", "csp", "utility_pv"])
     def test_renewable_generator_section_rejected(self, tmp_path, scenario4_text, gtype):

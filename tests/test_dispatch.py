@@ -284,7 +284,7 @@ class TestSimulateHorizon:
     @staticmethod
     def scenario_pass0(data_dir, scenario, days=2):
         """``simulate_horizon`` on the scenario's pass-0 inputs over ``days`` days."""
-        from gridstudy.harness import _availabilities, _load_data, apply_renewable_replacement
+        from gridstudy.harness import _load_data
         from gridstudy.scenarioconfig import scenario_from_config
         from tests.conftest import config_path
 
@@ -293,8 +293,7 @@ class TestSimulateHorizon:
         zero = np.zeros(data.n_hours)
         nett = {**data.demand, **{r: TimeSeries(SYNTHETIC_YEAR_START, zero, r)
                                   for r in cfg.transit_regions}}
-        return simulate_horizon(apply_renewable_replacement(cfg.fleet, cfg), nett,
-                                cfg.interconnectors, _availabilities(cfg, data))
+        return simulate_horizon(cfg.fleet, nett, cfg.interconnectors, data.availabilities)
 
     def test_hint_cache_feeds_warm_starts(self, data_dir, monkeypatch):
         """48 hours of scenario 4's pass 0: 48 priority-list solves plus 3 repair

@@ -16,7 +16,6 @@ import pytest
 from gridstudy import harness
 from gridstudy.harness import (
     StageError,
-    apply_renewable_replacement,
     merge_summaries,
     run_scenario,
 )
@@ -60,39 +59,13 @@ def short_reports(data_dir):
 
 
 class TestReplacement:
-    def test_scenario1_identity(self):
-        cfg = scenario_from_config(config_path(1))
-        assert apply_renewable_replacement(cfg.fleet, cfg) == cfg.fleet
-
-    def test_scenario2_swaps_units(self):
-        cfg = scenario_from_config(config_path(2))
-        fleet = apply_renewable_replacement(cfg.fleet, cfg)
-        names = {g.name for g in fleet}
-        assert {"NPS_5", "SPS_4", "GPS_4"}.isdisjoint(names)
-        wind = next(g for g in fleet if g.name == "WF_5")
-        assert wind.gtype == "wind" and wind.capacity_mw == 3000.0 and wind.region == "SA"
-        csps = [g for g in fleet if g.gtype == "csp"]
-        assert sorted(g.name for g in csps) == ["CSP_4A", "CSP_4B"]
-        assert all(g.capacity_mw == 4500.0 for g in csps)
-
-    def test_missing_unit_raises(self):
-        cfg = scenario_from_config(config_path(2))
-        slim = tuple(g for g in cfg.fleet if g.name != "NPS_5")
-        with pytest.raises(ValueError, match="NPS_5"):
-            apply_renewable_replacement(slim, cfg)
-
     def test_renewable_share_in_band(self, data_dir):
         """The swapped-in fleet serves about a fifth of annual demand."""
-        from gridstudy.timeseries import HOURS_PER_YEAR, load_timeseries_csv
-        from gridstudy.dispatch import csp_profile_shift
         cfg = scenario_from_config(config_path(2))
-        demand = sum(load_timeseries_csv(data_dir / f"demand_{r}.csv", HOURS_PER_YEAR).values.sum()
-                     for r in cfg.demand_regions)
-        wind = load_timeseries_csv(data_dir / "wind_NSA.csv", HOURS_PER_YEAR)
-        res = 3000.0 * wind.values.sum()
-        for zone in ("NQ", "CQ"):
-            solar = load_timeseries_csv(data_dir / f"solar_{zone}.csv", HOURS_PER_YEAR)
-            res += 4500.0 * csp_profile_shift(solar, 12).values.sum()
+        data = harness._load_data(cfg, data_dir, None, {})
+        demand = sum(ts.values.sum() for ts in data.demand.values())
+        res = sum(g.capacity_mw * data.availabilities[g.name].values.sum()
+                  for g in cfg.fleet if g.is_renewable)
         assert 0.18 <= res / demand <= 0.22
 
 
@@ -533,9 +506,9 @@ class TestReuseAcrossScenarios:
         from gridstudy.timeseries import TimeSeries
         cfg = scenario_from_config(config_path(2))
         data = harness._load_data(cfg, data_dir, 2, {})
-        fleet = apply_renewable_replacement(cfg.fleet, cfg)
+        fleet = cfg.fleet
         lines = cfg.interconnectors
-        avail = harness._availabilities(cfg, data)
+        avail = data.availabilities
         nett = dict(data.demand)
 
         def key(*inputs):
@@ -601,7 +574,7 @@ def _zone_weights(config, network, region) -> ZoneWeights:
     return ZoneWeights.equal(load_buses)
 
 
-def dict_operating_points(config, fleet, network, nett, dispatch) -> list[OperatingPoint]:
+def dict_operating_points(config, network, nett, dispatch) -> list[OperatingPoint]:
     """The former ``harness._operating_points``: one dict-based point per hour."""
     n_hours = len(next(iter(nett.values())))
     listed: dict[str, str] = {}
@@ -613,7 +586,7 @@ def dict_operating_points(config, fleet, network, nett, dispatch) -> list[Operat
         for unit in b.gen_names:
             listed[unit] = b.bus_id
     bus_of_unit = {}
-    for g in fleet:
+    for g in config.fleet:
         bus = listed.get(g.name) or first_pv_bus.get(g.region)
         if bus not in (None, slack_id):
             bus_of_unit[g.name] = bus
@@ -678,7 +651,7 @@ class TestOperatingPoints:
         monkeypatch.setattr(harness, "_operating_points", recorded)
         run_scenario(scenario_from_config(config_path(scenario)), data_dir, days=7)
         [(args, arrays)] = calls
-        network = args[2]
+        network = args[1]
         *oracle, inj_q = dict_points_to_arrays(network, dict_operating_points(*args))
         assert not inj_q.any()
         assert arrays[0].shape == (7 * 24, len(network.buses))

@@ -1,4 +1,5 @@
-"""Every function, class and method in ``src/gridstudy`` has a caller outside ``tests/``.
+"""Every function, class, method and module constant in ``src/gridstudy`` has
+a caller outside ``tests/``.
 
 Code that only the tests call belongs in ``tests/oracles.py`` or in the test
 module that uses it.  A definition counts as called when its name is
@@ -10,7 +11,9 @@ its targets as strings), or by the console-script entry point in
 reference (``obj.name``) or a perfbench string constant; a function or class
 through any of them.  Names are matched without their class or module, so a
 definition that shares its name with a called one passes; the scan errs
-towards passing.
+towards passing.  A module constant (a non-dunder name bound by a
+module-level assignment) counts as used by the same rules as a function,
+its own statement standing in for the function's body.
 """
 
 import ast
@@ -22,16 +25,27 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridstudy"
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each module-level function and class
-    and of each method, dunder methods left out: Python calls those itself."""
+    """(name, first line, last line) of each module-level function, class and
+    constant and of each method; dunder names are left out, as Python reads
+    those itself."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        and not _is_dunder(item.name)):
                     yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
 
 
@@ -88,9 +102,9 @@ def test_src_holds_only_what_the_pipeline_calls():
 
 
 def test_the_scan_reports_test_only_code(tmp_path):
-    """A method and a function that nothing in the package calls are reported,
-    and so is a method that shares its name with a function called by name; a
-    function called from the package is not."""
+    """A method, a function and a constant that nothing in the package uses
+    are reported, and so is a method that shares its name with a function
+    called by name; a function and a constant used in the package are not."""
     for path in SRC.glob("*.py"):
         shutil.copy(path, tmp_path)
     (tmp_path / "extra.py").write_text(
@@ -106,6 +120,9 @@ def test_the_scan_reports_test_only_code(tmp_path):
         "    return pool\n\n"
         "def helper():\n"
         "    return Series(), keep(Pool())\n\n"
-        "VALUE = helper()\n")
+        "VALUE = helper()\n"
+        "TEST_ONLY_TOL = 1e-9  # read only by tests\n"
+        "print(VALUE)\n")
     found = [name for name in uncalled_definitions(tmp_path) if name.startswith("extra.")]
-    assert found == ["extra.Series.timestamp_at", "extra.Pool.keep", "extra.orphan"]
+    assert found == ["extra.Series.timestamp_at", "extra.Pool.keep", "extra.orphan",
+                     "extra.TEST_ONLY_TOL"]
