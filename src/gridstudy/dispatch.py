@@ -10,7 +10,9 @@ Commitment is a priority list: renewables always on, dispatchables added
 in ascending SRMC until capacity covers total demand, then units whose
 minimum stable levels force oversupply are dropped from the expensive
 end.  ``simulate_horizon`` repairs the rare hours where the priority list
-strands demand by committing further dispatchables one at a time.
+strands demand by committing further dispatchables one at a time.  A
+commitment is a tuple of the fleet's own units; each hour puts its unit
+windows and demand on the commitment's LP.
 """
 
 from __future__ import annotations
@@ -89,19 +91,7 @@ class Interconnector:
                 f"{self.name}: limits [{self.reverse_limit_mw}, {self.forward_limit_mw}] must straddle 0")
 
 
-@dataclass(frozen=True)
-class CommittedUnit:
-    """One unit's dispatch window for a single hour."""
-
-    name: str
-    gtype: str
-    region: str
-    srmc: float
-    p_min_mw: float
-    p_max_mw: float
-
-
-Commitment = tuple[CommittedUnit, ...]
+Commitment = tuple[Generator, ...]
 
 
 @dataclass(frozen=True)
@@ -149,12 +139,9 @@ def csp_profile_shift(csp_availability: TimeSeries,
                       label=csp_availability.label + f"+{delay_hours}h")
 
 
-def _window(gen: Generator, availability: float) -> CommittedUnit:
-    cap = gen.capacity_mw * availability
-    if gen.is_renewable:
-        return CommittedUnit(gen.name, gen.gtype, gen.region, gen.srmc, cap, cap)
-    return CommittedUnit(gen.name, gen.gtype, gen.region, gen.srmc,
-                         min(gen.min_stable_mw, cap), cap)
+def _p_max(gen: Generator, availability: Mapping[str, float]) -> float:
+    """A unit's maximum output this hour; a renewable is pinned at it."""
+    return gen.capacity_mw * availability.get(gen.name, 0.0) if gen.is_renewable else gen.capacity_mw
 
 
 def _merit_order(generators: Sequence[Generator]) -> list[Generator]:
@@ -174,14 +161,9 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
     order when the caller already has it.
     """
     total_demand = float(sum(demand.values()))
+    renewables = [g for g in generators if g.is_renewable]
+    renewable_mw = sum(_p_max(g, availability) for g in renewables)
     committed: list[Generator] = []
-    renewable_mw = 0.0
-    units: list[CommittedUnit] = []
-    for g in generators:
-        if g.is_renewable:
-            avail = availability.get(g.name, 0.0)
-            renewable_mw += g.capacity_mw * avail
-            units.append(_window(g, avail))
     capacity = renewable_mw
     for g in _merit_order(generators) if merit is None else merit:
         if capacity >= total_demand:
@@ -196,37 +178,34 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
         committed.pop()
         capacity -= candidate.capacity_mw
         min_floor -= candidate.min_stable_mw
-    units.extend(_window(g, 1.0) for g in committed)
-    return tuple(units)
+    return tuple(renewables + committed)
 
 
 def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
-                  lines: Sequence[Interconnector], hour: int = 0,
+                  availability: Mapping[str, float], lines: Sequence[Interconnector], hour: int = 0,
                   hints: dict[tuple, tuple[LinearProgram, BasisHint]] | None = None) -> HourDispatch:
     """LP dispatch of a committed fleet against per-region demand.
 
+    A dispatchable runs from its minimum stable level to its capacity; a
+    renewable is pinned at capacity times its ``availability`` (0 if absent).
     Regional balance: generation + imports - exports + unserved =
     demand + dumped.  Marginal price per region is the balance-row dual
     of the optimal basis.  ``hints`` is an optional cache keyed by
     commitment: each unit's name, region and SRMC, the region order and the
     lines.  It holds the commitment's validated program and the optimal
-    basis of its last solve.  A cached commitment is solved from that basis
-    on its program with only this hour's bounds and demand put in; the
-    solve stores its own basis.
+    basis of its last solve, from which a cached commitment is solved.  New
+    or cached, the program gets this hour's unit bounds and demand put in.
     """
     regions = tuple(demand)
-    key = (tuple((u.name, u.region, u.srmc) for u in committed), regions, tuple(lines))
+    key = (tuple((g.name, g.region, g.srmc) for g in committed), regions, tuple(lines))
     cached = None if hints is None else hints.get(key)
+    template, hint = (_dispatch_lp(committed, lines, regions), None) if cached is None else cached
     nu, nl, nr = len(committed), len(lines), len(regions)
-    b_eq = np.array([demand[r] for r in regions], dtype=float)
-    if cached is None:
-        lp, hint = _dispatch_lp(committed, lines, regions, b_eq), None
-    else:
-        template, hint = cached
-        lower, upper = template.lower.copy(), template.upper.copy()
-        lower[:nu] = [u.p_min_mw for u in committed]
-        upper[:nu] = [u.p_max_mw for u in committed]
-        lp = template.reinstance(lower=lower, upper=upper, b_eq=b_eq)
+    p_max = [_p_max(g, availability) for g in committed]
+    lower, upper = template.lower.copy(), template.upper.copy()
+    lower[:nu] = [p if g.is_renewable else g.min_stable_mw for g, p in zip(committed, p_max)]
+    upper[:nu] = p_max
+    lp = template.reinstance(lower=lower, upper=upper, b_eq=[demand[r] for r in regions])
     sol = solve_lp(lp, basis_hint=hint)
     if not sol.is_optimal:
         raise DispatchError(f"hour {hour}: dispatch LP failed with status {sol.status}")
@@ -237,7 +216,7 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     dumped = dict(zip(regions, x[nu + nl + nr:]))
     return HourDispatch(
         hour=hour,
-        output_mw={u.name: x[j] for j, u in enumerate(committed)},
+        output_mw={g.name: x[j] for j, g in enumerate(committed)},
         flow_mw={line.name: x[nu + j] for j, line in enumerate(lines)},
         unserved_mw=unserved,
         dumped_mw=dumped,
@@ -248,16 +227,17 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     )
 
 
-def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector], regions: Sequence[str],
-                 b_eq: np.ndarray) -> LinearProgram:
-    """The transport LP: unit outputs, line flows, then unserved and dumped per region."""
+def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector],
+                 regions: Sequence[str]) -> LinearProgram:
+    """The transport LP: unit outputs, line flows, then unserved and dumped per region;
+    ``dispatch_hour`` puts in the unit bounds and demand."""
     for line in lines:
         for r in (line.from_region, line.to_region):
             if r not in regions:
                 raise DispatchError(f"line {line.name} endpoint {r} has no demand entry")
-    for u in committed:
-        if u.region not in regions:
-            raise DispatchError(f"unit {u.name} region {u.region} has no demand entry")
+    for g in committed:
+        if g.region not in regions:
+            raise DispatchError(f"unit {g.name} region {g.region} has no demand entry")
     nu, nl, nr = len(committed), len(lines), len(regions)
     ridx = {r: i for i, r in enumerate(regions)}
     n = nu + nl + 2 * nr
@@ -265,10 +245,9 @@ def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector], regions
     lower = np.zeros(n)
     upper = np.full(n, INFINITE_BOUND)
     a_eq = np.zeros((nr, n))
-    for j, u in enumerate(committed):
-        cost[j] = u.srmc
-        lower[j], upper[j] = u.p_min_mw, u.p_max_mw
-        a_eq[ridx[u.region], j] = 1.0
+    for j, g in enumerate(committed):
+        cost[j] = g.srmc
+        a_eq[ridx[g.region], j] = 1.0
     for j, line in enumerate(lines):
         col = nu + j
         lower[col], upper[col] = line.reverse_limit_mw, line.forward_limit_mw
@@ -279,11 +258,12 @@ def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector], regions
         a_eq[i, nu + nl + i] = 1.0
         cost[nu + nl + nr + i] = DUMP_PENALTY
         a_eq[i, nu + nl + nr + i] = -1.0
-    return LinearProgram(cost, lower, upper, a_eq, b_eq, [], [])
+    return LinearProgram(cost, lower, upper, a_eq, np.zeros(nr), [], [])
 
 
 def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],
-                    lines: Sequence[Interconnector], base: Commitment) -> Commitment:
+                    availability: Mapping[str, float], lines: Sequence[Interconnector],
+                    base: Commitment) -> Commitment:
     """Commit extra in-region units where local capacity plus the import
     bound cannot cover regional demand.  The import bound sums line limits
     into the region, ignoring upstream availability, so this is a cheap
@@ -293,10 +273,10 @@ def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],
         import_bound[line.to_region] = import_bound.get(line.to_region, 0.0) + line.forward_limit_mw
         import_bound[line.from_region] = import_bound.get(line.from_region, 0.0) - line.reverse_limit_mw
     local = {r: 0.0 for r in demand}
-    for u in base:
-        local[u.region] += u.p_max_mw
-    committed_names = {u.name for u in base}
-    extra: list[CommittedUnit] = []
+    for g in base:
+        local[g.region] += _p_max(g, availability)
+    committed_names = {g.name for g in base}
+    extra: list[Generator] = []
     for region, need in demand.items():
         cover = local[region] + import_bound.get(region, 0.0)
         if cover >= need:
@@ -304,7 +284,7 @@ def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],
         for g in merit:
             if g.region != region or g.name in committed_names:
                 continue
-            extra.append(_window(g, 1.0))
+            extra.append(g)
             committed_names.add(g.name)
             cover += g.capacity_mw
             if cover >= need:
@@ -334,19 +314,19 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
     """
     if merit is None:
         merit = _merit_order(generators)
-    base = _regional_topup(merit, demand, lines,
+    base = _regional_topup(merit, demand, availability, lines,
                            commit_merit_order(generators, demand, availability, merit))
-    dispatch = dispatch_hour(base, demand, lines, hour, hints)
+    dispatch = dispatch_hour(base, demand, availability, lines, hour, hints)
     if not dispatch.unserved_hour:
         return base, dispatch
-    committed_names = {u.name for u in base}
+    committed_names = {g.name for g in base}
     spare = [g for g in merit if g.name not in committed_names]
     while dispatch.unserved_hour and spare:
         short = {r for r, v in dispatch.unserved_mw.items() if v > _BALANCE_TOL}
         pick = next((g for g in spare if g.region in short), spare[0])
         spare.remove(pick)
-        trial_commitment = base + (_window(pick, 1.0),)
-        trial = dispatch_hour(trial_commitment, demand, lines, hour, hints)
+        trial_commitment = base + (pick,)
+        trial = dispatch_hour(trial_commitment, demand, availability, lines, hour, hints)
         if trial.objective < dispatch.objective:
             base, dispatch = trial_commitment, trial
     return base, dispatch

@@ -190,9 +190,16 @@ def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
 
     Participation must name generator buses; each demand region and the
     loadability region need pq (load) buses, and a demand region's zone
-    weights may name only those.
+    weights may name only those.  A fleet unit that a bus lists must be in
+    that bus's region, since its output is injected there.
     """
     validate_participation(network, config.loadability.participation)
+    unit_region = {g.name: g.region for g in config.fleet}
+    for b in network.buses:
+        for unit in b.gen_names:
+            if unit_region.get(unit, b.region) != b.region:
+                raise ValueError(f"unit {unit} of region {unit_region[unit]} is listed on bus "
+                                 f"{b.bus_id!r} of region {b.region}")
     known = {b.bus_id for b in network.buses}
     for region in (*config.demand_regions, config.loadability.region):
         pq_buses = {b.bus_id for b in network.buses if b.region == region and b.kind == "pq"}

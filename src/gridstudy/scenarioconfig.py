@@ -352,6 +352,7 @@ def scenario_from_config(path) -> ScenarioConfig:
                 errors.append(f"battery/pv section names unknown region {region!r}")
     # The dispatched fleet: the [generator] units that stay, then the replacement's.
     fleet = dict(generators)
+    added: list[Generator] = []
     if isinstance(replacement, ReplacementSpec):
         spec = replacement
         for unit in spec.remove:
@@ -377,6 +378,13 @@ def scenario_from_config(path) -> ScenarioConfig:
         for g in units:
             if g.region not in all_regions:
                 errors.append(f"[generator {g.name}] region {g.region!r} not in the region lists")
+        outside: dict[str, list[str]] = {}
+        for g in added:
+            if g.region not in all_regions:
+                outside.setdefault(g.region, []).append(g.name)
+        for region, names in outside.items():
+            errors.append(f"[replacement] {'/'.join(names)} region {region!r} "
+                          f"not in the region lists")
         for line in lines.values():
             if line is _BAD:
                 continue

@@ -24,7 +24,6 @@ from gridstudy.dispatch import (
     Interconnector,
     choose_commitment,
     dispatch_hour,
-    _window,
 )
 from gridstudy.harness import merge_summaries, run_scenario
 from gridstudy.loadability import compute_loadability
@@ -139,8 +138,8 @@ def test_criterion_4_dispatch_correctness():
         ours_clean = not hd.unserved_hour and not hd.dumped_hour
         oracle_clean = False
         for mask in range(16):
-            subset = tuple(_window(g, 1.0) for i, g in enumerate(fleet) if mask >> i & 1)
-            trial = dispatch_hour(subset, demand, lines)
+            subset = tuple(g for i, g in enumerate(fleet) if mask >> i & 1)
+            trial = dispatch_hour(subset, demand, {}, lines)
             if not trial.unserved_hour and not trial.dumped_hour:
                 oracle_clean = True
                 break
@@ -164,8 +163,7 @@ def test_criterion_4_dispatch_correctness():
     cheap = Generator("cheap", "black_coal", "Z", "A", 1000, 0, 20.0)
     dear = Generator("dear", "gt", "Z", "B", 1000, 0, 70.0)
     line = Interconnector("A-B", "A", "B", 100.0, -100.0)
-    hd = dispatch_hour((_window(cheap, 1.0), _window(dear, 1.0)),
-                       {"A": 50.0, "B": 200.0}, [line])
+    hd = dispatch_hour((cheap, dear), {"A": 50.0, "B": 200.0}, {}, [line])
     assert hd.output_mw["cheap"] == 150.0
     assert hd.output_mw["dear"] == 100.0
     assert hd.flow_mw["A-B"] == 100.0
@@ -301,7 +299,7 @@ class TestYearProperties:
             saturated = False
             for cut in self.CUTS:
                 cut_demand = sum(demand[r] for r in cut)
-                cut_non_gt = sum(u.p_max_mw for u in commitment
+                cut_non_gt = sum(u.capacity_mw for u in commitment
                                  if u.region in cut and u.gtype != "gt")
                 if cut_demand > cut_non_gt + import_bound(cut) - 1e-6:
                     saturated = True

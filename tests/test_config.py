@@ -209,6 +209,16 @@ class TestViolations:
         fleet = scenario_from_config(path).fleet
         assert [(g.name, g.gtype) for g in fleet if g.name == "NPS_5"] == [("NPS_5", "wind")]
 
+    @pytest.mark.parametrize("key,units", [("wind_region", "WF_5"), ("csp_region", "CSP_4A/CSP_4B")])
+    def test_replacement_region_outside_the_region_lists(self, tmp_path, scenario4_text, key,
+                                                         units):
+        """Such a unit used to fail the dispatch on a bare KeyError."""
+        path = mutate(scenario4_text, tmp_path, lambda p: p.set("replacement", key, "TAS"))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [
+            f"  [replacement] {units} region 'TAS' not in the region lists"]
+
     @pytest.mark.parametrize("key,value,region", [("transit", "SH,SA", "SA"),
                                                   ("demand", "QLD,NSW,QLD,VIC,SA", "QLD")])
     def test_region_listed_twice_rejected(self, tmp_path, scenario4_text, key, value, region):

@@ -16,7 +16,6 @@ from gridstudy.dispatch import (
     csp_profile_shift,
     dispatch_hour,
     simulate_horizon,
-    _window,
 )
 from gridstudy.timeseries import SYNTHETIC_YEAR_START, TimeSeries
 
@@ -88,10 +87,9 @@ class TestCommitment:
     def test_renewables_always_committed(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
         units = commit_merit_order([wind, gen("coal", 20, 100)], {"R": 10.0}, {"w": 0.4})
-        names = {u.name for u in units}
-        assert "w" in names
-        w = next(u for u in units if u.name == "w")
-        assert w.p_min_mw == w.p_max_mw == pytest.approx(40.0)
+        assert units == (wind,)
+        # pinned at its availability, though the 10 MW demand would take less
+        assert dispatch_hour(units, {"R": 10.0}, {"w": 0.4}, []).output_mw["w"] == 40.0
 
     def test_min_stable_oversupply_decommits_expensive_end(self):
         a = gen("a", 10.0, 100, min_stable=40)
@@ -101,11 +99,33 @@ class TestCommitment:
         units2 = commit_merit_order([a, b], {"R": 60.0}, {})
         assert [u.name for u in units2] == ["a"]
 
+    @pytest.mark.parametrize("path", ["regional top-up", "repair"])
+    def test_commitment_holds_the_fleets_own_units(self, path):
+        """The priority list, the regional top-up and the repair loop each
+        commit the fleet's own objects."""
+        if path == "regional top-up":
+            wind = Generator("w", "wind", "Z", "A", 100, 0, 0.0)
+            a, b, c = gen("a", 10.0, 50, "A"), gen("b", 20.0, 300, "B"), gen("c", 30.0, 300, "A")
+            fleet, expected = [c, wind, b, a], (wind, a, b, c)
+            demand, availability = {"A": 200.0, "B": 100.0}, {"w": 0.5}
+            lines = [Interconnector("A-B", "A", "B", 20.0, -20.0)]
+        else:
+            # The import bound counts both of B's lines, but A can send only 100 MW.
+            a1, a2, c1 = gen("a1", 10.0, 150, "A"), gen("a2", 15.0, 100, "A"), gen("c1", 50.0, 200, "C")
+            fleet, expected = [c1, a2, a1], (a1, a2, c1)
+            demand, availability = {"A": 0.0, "B": 100.0, "C": 100.0}, {}
+            lines = [Interconnector("A-B", "A", "B", 100.0, -100.0),
+                     Interconnector("B-C", "B", "C", 100.0, -100.0)]
+        committed, hd = choose_commitment(fleet, demand, availability, lines)
+        assert len(committed) == len(expected)
+        assert all(u is g for u, g in zip(committed, expected))
+        assert not hd.unserved_hour
+
 
 class TestDispatchHour:
     def test_capacity_deficit_flags_unserved(self):
         units = commit_merit_order([gen("only", 25.0, 100)], {"R": 150.0}, {})
-        hd = dispatch_hour(units, {"R": 150.0}, [])
+        hd = dispatch_hour(units, {"R": 150.0}, {}, [])
         assert hd.unserved_mw["R"] == pytest.approx(50.0, abs=1e-9)
         assert hd.unserved_hour
         assert hd.price["R"] == pytest.approx(VALUE_OF_LOST_LOAD)
@@ -113,7 +133,7 @@ class TestDispatchHour:
     def test_renewable_surplus_flags_dumped(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
         units = commit_merit_order([wind, gen("coal", 25.0, 100)], {"R": 30.0}, {"w": 0.9})
-        hd = dispatch_hour(units, {"R": 30.0}, [])
+        hd = dispatch_hour(units, {"R": 30.0}, {"w": 0.9}, [])
         assert hd.dumped_mw["R"] == pytest.approx(60.0, abs=1e-9)
         assert hd.dumped_hour
         assert hd.price["R"] == pytest.approx(-DUMP_PENALTY)
@@ -123,8 +143,7 @@ class TestDispatchHour:
         cheap = gen("cheap", 20.0, 1000, region="A")
         dear = gen("dear", 70.0, 1000, region="B", gtype="gt")
         line = Interconnector("A-B", "A", "B", 100.0, -100.0)
-        committed = (_window(cheap, 1.0), _window(dear, 1.0))
-        hd = dispatch_hour(committed, {"A": 50.0, "B": 200.0}, [line])
+        hd = dispatch_hour((cheap, dear), {"A": 50.0, "B": 200.0}, {}, [line])
         assert hd.output_mw["cheap"] == 150.0
         assert hd.output_mw["dear"] == 100.0
         assert hd.flow_mw["A-B"] == 100.0
@@ -133,32 +152,30 @@ class TestDispatchHour:
 
     def test_unknown_region_rejected(self):
         with pytest.raises(DispatchError, match="no demand entry"):
-            dispatch_hour((_window(gen("g", 10, 10, region="X"), 1.0),), {"R": 5.0}, [])
+            dispatch_hour((gen("g", 10, 10, region="X"),), {"R": 5.0}, {}, [])
 
     def test_failed_warm_start_is_solved_cold(self, failing_warm_phase):
         """A cached basis whose warm phase fails costs pivots, not the hour."""
         cheap = gen("cheap", 20.0, 1000, region="A")
         dear = gen("dear", 70.0, 1000, region="B", gtype="gt")
         line = Interconnector("A-B", "A", "B", 100.0, -100.0)
-        committed = (_window(cheap, 1.0), _window(dear, 1.0))
+        committed = (cheap, dear)
         hints = {}
-        dispatch_hour(committed, {"A": 50.0, "B": 200.0}, [line], 0, hints)
-        hd = dispatch_hour(committed, {"A": 60.0, "B": 190.0}, [line], 1, hints)
+        dispatch_hour(committed, {"A": 50.0, "B": 200.0}, {}, [line], 0, hints)
+        hd = dispatch_hour(committed, {"A": 60.0, "B": 190.0}, {}, [line], 1, hints)
         assert failing_warm_phase == [True]
-        assert hd == dispatch_hour(committed, {"A": 60.0, "B": 190.0}, [line], 1)
+        assert hd == dispatch_hour(committed, {"A": 60.0, "B": 190.0}, {}, [line], 1)
 
 
 def enumerate_commitments(generators, demand, availability, lines):
     """Oracle: dispatch every dispatchable subset; renewables always on."""
     dispatchables = sorted((g for g in generators if not g.is_renewable),
                            key=lambda g: (g.srmc, g.name))
-    renewables = tuple(_window(g, availability.get(g.name, 0.0))
-                       for g in generators if g.is_renewable)
+    renewables = tuple(g for g in generators if g.is_renewable)
     results = []
     for mask in range(1 << len(dispatchables)):
-        subset = renewables + tuple(_window(g, 1.0)
-                                    for i, g in enumerate(dispatchables) if mask >> i & 1)
-        hd = dispatch_hour(subset, demand, lines)
+        subset = renewables + tuple(g for i, g in enumerate(dispatchables) if mask >> i & 1)
+        hd = dispatch_hour(subset, demand, availability, lines)
         clean = not hd.unserved_hour and not hd.dumped_hour
         results.append((clean, hd.objective, subset))
     return results
@@ -338,7 +355,7 @@ class TestHintCache:
                  region="A" if change == "unit region" else "B")
         line = Interconnector("A-B", "A", "B", 60.0 if change == "line limit" else 30.0, -30.0)
         demand = {"B": 80.0, "A": 40.0} if change == "region order" else {"A": 40.0, "B": 80.0}
-        return (_window(g1, 1.0), _window(g2, 1.0)), demand, [line]
+        return (g1, g2), demand, {}, [line]
 
     @pytest.mark.parametrize("change", ["region order", "line limit", "unit region", "unit srmc"])
     def test_same_names_other_program_is_solved_as_new(self, change):
@@ -348,11 +365,22 @@ class TestHintCache:
         assert got == dispatch_hour(*self.case(change), 1, {})
 
     def test_repeated_commitment_reuses_its_program(self):
-        committed, demand, lines = self.case()
+        committed, demand, availability, lines = self.case()
         hints = {}
-        dispatch_hour(committed, demand, lines, 0, hints)
+        dispatch_hour(committed, demand, availability, lines, 0, hints)
         (first, _), = hints.values()
-        dispatch_hour(committed, {"A": 45.0, "B": 70.0}, lines, 1, hints)
+        dispatch_hour(committed, {"A": 45.0, "B": 70.0}, availability, lines, 1, hints)
         (again, hint), = hints.values()
         assert again.a_eq is first.a_eq and again.cost is first.cost
         assert again.b_eq.tolist() == [45.0, 70.0] and hint is not None
+
+    def test_cached_commitment_takes_this_hours_availability(self):
+        """A cached program gets this hour's renewable window put in, as a new one does."""
+        committed, demand, _, lines = self.case()
+        committed = (Generator("w", "wind", "Z", "A", 100, 0, 0.0),) + committed
+        hints = {}
+        dispatch_hour(committed, demand, {"w": 0.2}, lines, 0, hints)
+        got = dispatch_hour(committed, demand, {"w": 0.6}, lines, 1, hints)
+        assert len(hints) == 1
+        assert got == dispatch_hour(committed, demand, {"w": 0.6}, lines, 1, {})
+        assert got.output_mw["w"] == 60.0

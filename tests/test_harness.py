@@ -683,3 +683,15 @@ class TestOperatingPoints:
             run_scenario(cfg, data_dir, days=2)
         assert err.value.stage == "load-data"
         assert no_dispatch == []
+
+    def test_unit_listed_on_another_regions_bus_fails_in_load_data(self, tmp_path, data_dir,
+                                                                     no_dispatch):
+        """The dispatch would count the CSP pair as VIC supply, but its output
+        would be injected at qld_csp, a QLD bus."""
+        path = tmp_path / "scenario2.ini"
+        path.write_text(config_path(2).read_text().replace("csp_region = QLD", "csp_region = VIC"))
+        with pytest.raises(StageError) as err:
+            run_scenario(scenario_from_config(path), data_dir, days=1)
+        assert err.value.stage == "load-data"
+        assert str(err.value.cause) == "unit CSP_4A of region VIC is listed on bus 'qld_csp' of region QLD"
+        assert no_dispatch == []
