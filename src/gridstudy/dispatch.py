@@ -337,7 +337,9 @@ def simulate_horizon(generators: Sequence[Generator], nett_demand: Mapping[str, 
                      availabilities: Mapping[str, TimeSeries]) -> DispatchResult:
     """Commit and dispatch every hour of the horizon, then aggregate totals.
 
-    Spilled-hour percentages are taken over all hours of the horizon.
+    Every renewable needs an availability series of the horizon's length
+    with values in [0, 1].  Spilled-hour percentages are taken over all
+    hours of the horizon.
     """
     horizons = {r: len(ts) for r, ts in nett_demand.items()}
     if len(set(horizons.values())) != 1:
@@ -350,6 +352,10 @@ def simulate_horizon(generators: Sequence[Generator], nett_demand: Mapping[str, 
                 raise DispatchError(f"renewable {g.name} has no availability series")
             if len(ts) != n_hours:
                 raise DispatchError(f"{g.name} availability has {len(ts)} hours, horizon is {n_hours}")
+            outside = np.flatnonzero(~((ts.values >= 0.0) & (ts.values <= 1.0)))
+            if outside.size:
+                h = int(outside[0])
+                raise DispatchError(f"{g.name} availability {float(ts.values[h])!r} at hour {h} is outside [0, 1]")
     regions = list(nett_demand.keys())
     demand_arr = {r: nett_demand[r].values.tolist() for r in regions}
     avail_arr = {name: ts.values.tolist() for name, ts in availabilities.items()}

@@ -7,7 +7,15 @@ periodically.  A ``basis_hint`` from a previous optimal solve can skip
 phase 1: it carries the optimal basis, its columns of the slack-augmented
 matrix and their inverse, and a hinted solve whose basis columns equal the
 hint's bit for bit reuses that inverse instead of inverting again.  A hinted
-solve that does not end optimal is solved again from scratch.
+basis whose basic solution leaves its bounds is restarted by a bounded dual
+simplex when its reduced costs still have the signs that its nonbasics'
+bound states call for, as they do when only bounds and right-hand sides
+moved since the hint's solve; the primal simplex then finishes from the
+primal-feasible basis the dual simplex reaches.  A hint that is not dual
+feasible, or whose dual simplex finds no entering column or runs out of
+pivots, is dropped for phase 1 from scratch, so "infeasible" is always
+phase 1's verdict.  A hinted solve that does not end optimal is solved
+again from scratch.  Each solution names how it started.
 ``LinearProgram.reinstance`` gives a program the same matrices with new
 vectors and checks only the new vectors, so a caller that solves one
 structure many times validates its matrices once.  Instance data is finite,
@@ -164,6 +172,10 @@ class LpSolution:
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int
+    #: How the attempt that gave this result started: "cold" (phase 1 from a
+    #: slack or artificial basis), "hint" (the hint's basis as it came) or
+    #: "dual" (the hint's basis after the dual simplex).
+    start: str
     duals_eq: Optional[np.ndarray] = None
     basis_hint: Optional[BasisHint] = None
 
@@ -236,12 +248,15 @@ class _Tableau:
         self.upper[:n] = lp.upper
         self.n, self.me, self.mu, self.m = n, me, mu, m
         self.art0 = n + mu
+        self.cost = np.zeros(ncols)  # the program's cost; slacks and artificials cost nothing
+        self.cost[:n] = lp.cost
         self.x = np.zeros(ncols)
         self.state = np.full(ncols, _AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.intp)
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.binv = self.cols = None
         self.iterations = 0
+        self.updates = 0  # product-form updates since the last refactor
 
     # -- initialisation ---------------------------------------------------
 
@@ -273,7 +288,9 @@ class _Tableau:
         return bool(art_rows.size)
 
     def start_from_hint(self, hint: BasisHint) -> bool:
-        """Adopt a previous basis if its basic solution is feasible here."""
+        """Adopt a previous basis, its nonbasics at the bounds that its states
+        name, if it fits this program, its columns are nonsingular here and its
+        basic solution is finite.  The basic solution may leave its bounds."""
         basis = np.asarray(hint.basis, dtype=np.intp)
         nfree = self.n + self.mu
         if basis.size != self.m or (self.m and (basis.min() < 0 or basis.max() >= nfree)):
@@ -297,8 +314,7 @@ class _Tableau:
         x[:nfree] = np.where(state == _AT_UPPER, self.upper[:nfree], self.lower[:nfree])
         x[basis] = 0.0
         xb = binv @ (self.b - self.a[:, :nfree] @ x[:nfree])
-        if ((xb < self.lower[basis] - FEASIBILITY_TOL).any() or (xb > self.upper[basis] + FEASIBILITY_TOL).any()
-                or not np.isfinite(xb).all()):
+        if not np.isfinite(xb).all():
             return False
         self.basis = basis.copy()
         self.binv, self.cols = binv, cols
@@ -307,6 +323,11 @@ class _Tableau:
         self.state[:nfree] = state
         self.in_basis = in_basis
         return True
+
+    def basics_out_of_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks over basis rows: basic variables below / above their bounds."""
+        xb = self.x[self.basis]
+        return (xb < self.lower[self.basis] - FEASIBILITY_TOL), (xb > self.upper[self.basis] + FEASIBILITY_TOL)
 
     def refactor(self):
         self.cols = self.a[:, self.basis]
@@ -319,9 +340,100 @@ class _Tableau:
 
     # -- simplex ----------------------------------------------------------
 
+    def exchange(self, leave: int, q: int, w: np.ndarray, theta: float, to_lower: bool) -> bool:
+        """Column ``q`` enters the basis at row ``leave`` after moving by ``theta``.
+
+        ``w`` is the inverse times column ``q``; the basics move by
+        ``-theta * w``, and the leaving variable is set on its lower bound if
+        ``to_lower``, else on its upper.  The basis inverse gets a product-form
+        update and is inverted afresh after every ``_REFACTOR_EVERY`` updates.
+        False on a numerical breakdown.
+        """
+        piv = w[leave]
+        if abs(piv) < _PIVOT_TOL:
+            return False
+        r = self.basis[leave]
+        self.x[self.basis] = self.x[self.basis] - theta * w
+        self.x[q] = self.x[q] + theta
+        self.x[r] = self.lower[r] if to_lower else self.upper[r]
+        self.state[r] = _AT_LOWER if to_lower else _AT_UPPER
+        self.in_basis[r] = False
+        self.in_basis[q] = True
+        self.basis[leave] = q
+        # Into a new array: the old inverse may be a hint's read-only one.
+        row = self.binv[leave, :] / piv
+        self.binv = self.binv - w[:, None] * row
+        self.binv[leave, :] = row
+        self.cols = None
+        self.updates += 1
+        if self.updates >= _REFACTOR_EVERY:
+            try:
+                self.refactor()
+            except np.linalg.LinAlgError:
+                return False
+            self.recompute_basics()
+            self.updates = 0
+        return True
+
+    def dual_run(self) -> bool:
+        """Bounded dual simplex under ``self.cost`` from the adopted basis until
+        its basic solution is within bounds.
+
+        False, leaving the tableau to be thrown away, if the basis is not dual
+        feasible (a movable nonbasic's reduced cost has the wrong sign for its
+        bound state, or a nonbasic sits at an absent upper bound), if a ratio
+        test finds no entering column (the program is then infeasible, which
+        phase 1 is left to say), on a numerical breakdown, or at ``_MAX_ITER``.
+        The lowest-indexed variable outside its bounds leaves, and the entering
+        column is the lowest-indexed one with the least ratio of reduced cost
+        to pivot-row entry (Bland's rule on the dual).
+        """
+        a, lower, upper, cost = self.a, self.lower, self.upper, self.cost
+        self.updates = 0
+        movable_range = upper - lower > 0.0
+        at_upper = self.state == _AT_UPPER
+        if (~self.in_basis & at_upper & (upper >= INFINITE_BOUND)).any():
+            return False
+        d = cost - a.T @ (self.binv.T @ cost[self.basis])
+        if (~self.in_basis & movable_range & np.where(at_upper, d > _REDUCED_COST_TOL,
+                                                       d < -_REDUCED_COST_TOL)).any():
+            return False
+        while True:
+            below, above = self.basics_out_of_bounds()
+            out = np.flatnonzero(below | above)
+            if not out.size:
+                return True
+            if self.iterations >= _MAX_ITER:
+                return False
+            leave = int(out[np.argmin(self.basis[out])])
+            # The leaving variable goes to the bound it violates, where its
+            # reduced cost must take that bound's sign.  Every reduced cost
+            # moves by step * g, g the pivot row signed by the bound, and the
+            # step stops where the first nonbasic's would change sign.
+            to_lower = bool(below[leave])
+            g = self.binv[leave] @ a
+            if not to_lower:
+                g = -g
+            blocks = ~self.in_basis & movable_range & np.where(at_upper, g > _PIVOT_TOL, g < -_PIVOT_TOL)
+            cand = np.flatnonzero(blocks)
+            if not cand.size:
+                return False
+            ratio = np.maximum(d[cand] / -g[cand], 0.0)
+            k = int(np.argmax(ratio <= ratio.min() + _PIVOT_TOL))
+            q = int(cand[k])
+            w = self.binv @ a[:, q]
+            r = self.basis[leave]
+            target = lower[r] if to_lower else upper[r]
+            self.iterations += 1
+            if not self.exchange(leave, q, w, (self.x[r] - target) / w[leave], to_lower):
+                return False
+            d = d + ratio[k] * g
+            at_upper[r] = not to_lower
+
     def run(self, cost: np.ndarray) -> str:
         """Minimise ``cost . x`` from the current basis.  Returns a status."""
         a, lower, upper = self.a, self.lower, self.upper
+        self.updates = 0
         # Nonbasic columns that may rise (not at upper) or fall (not at
         # lower); pinned columns never enter.  Updated at each pivot and
         # bound flip.
@@ -333,7 +445,6 @@ class _Tableau:
         cost_b = cost[self.basis]
         lo_all, up_all = lower.tolist(), upper.tolist()
         lo_b, up_b = [lo_all[j] for j in basis], [up_all[j] for j in basis]
-        since_refactor = 0
         while True:
             if self.iterations >= _MAX_ITER:
                 return "numerical"
@@ -379,35 +490,13 @@ class _Tableau:
                 may_rise[q], may_fall[q] = direction < 0, direction > 0
                 continue
             r = basis[leave]
-            piv = w[leave]
-            if abs(piv) < _PIVOT_TOL:
-                return "numerical"
-            self.x[self.basis] = xb - step * dw
-            self.x[q] = self.x[q] + direction * step
             hit_lower = dw[leave] > 0
-            self.x[r] = lower[r] if hit_lower else upper[r]
-            self.state[r] = _AT_LOWER if hit_lower else _AT_UPPER
-            self.in_basis[r] = False
-            self.in_basis[q] = True
-            self.basis[leave] = q
+            if not self.exchange(leave, q, w, direction * step, hit_lower):
+                return "numerical"
             basis[leave], cost_b[leave], lo_b[leave], up_b[leave] = q, cost[q], lo_all[q], up_all[q]
             may_rise[q] = may_fall[q] = False
             moves = upper[r] - lower[r] > 0.0
             may_rise[r], may_fall[r] = moves and hit_lower, moves and not hit_lower
-            # Product-form update of the basis inverse, into a new array: the
-            # old one may be a hint's read-only inverse.
-            row = self.binv[leave, :] / piv
-            self.binv = self.binv - w[:, None] * row
-            self.binv[leave, :] = row
-            self.cols = None
-            since_refactor += 1
-            if since_refactor >= _REFACTOR_EVERY:
-                try:
-                    self.refactor()
-                except np.linalg.LinAlgError:
-                    return "numerical"
-                self.recompute_basics()
-                since_refactor = 0
 
 
 def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSolution:
@@ -415,45 +504,53 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSol
 
     Numerical breakdown is reported as status ``"numerical"``, never as a
     wrong optimum.  ``basis_hint`` (from a previous solution of an instance
-    with identical shape) skips phase 1 when still primal feasible, and
-    skips inverting the basis when its columns are bitwise those of the
-    hint.  A hinted solve that does not end optimal is solved again from
-    scratch; ``iterations`` then counts the pivots of both attempts.  An
-    optimal solution's ``basis_hint`` carries the final basis inverse.
+    with identical shape) skips phase 1, and skips inverting the basis when
+    its columns are bitwise those of the hint.  A hinted basis that is
+    primal feasible here goes straight to phase 2 (``start`` "hint").  One
+    that is not, but is dual feasible under ``lp.cost``, is first made
+    primal feasible by the dual simplex (``start`` "dual").  Otherwise, and
+    when the dual simplex finds no entering column or reaches ``_MAX_ITER``,
+    the hint is dropped for phase 1 from scratch (``start`` "cold").  A
+    hinted solve that does not end optimal is solved again from scratch;
+    ``iterations`` then counts the pivots of both attempts.  An optimal
+    solution's ``basis_hint`` carries the final basis inverse.
     """
     tab = _Tableau(lp)
     if basis_hint is not None and tab.start_from_hint(basis_hint):
-        sol = _phase2(lp, tab)
-        if sol.is_optimal:
-            return sol
+        below, above = tab.basics_out_of_bounds()
+        start = "dual" if below.any() or above.any() else "hint"
+        if start == "hint" or tab.dual_run():
+            sol = _phase2(lp, tab, start)
+            if sol.is_optimal:
+                return sol
+        iterations = tab.iterations
         tab = _Tableau(lp)
-        tab.iterations = sol.iterations
+        tab.iterations = iterations
     if tab.start_cold():
         phase1_cost = np.zeros(tab.a.shape[1])
         phase1_cost[tab.art0:] = 1.0
         if tab.run(phase1_cost) != "optimal":
             # Phase 1 is bounded below by zero, so anything but an
             # optimum is a numerical breakdown.
-            return LpSolution("numerical", None, None, tab.iterations)
+            return LpSolution("numerical", None, None, tab.iterations, "cold")
         infeas = float(np.sum(tab.x[tab.art0:]))
         if infeas > _PHASE1_TOL:
-            return LpSolution("infeasible", None, None, tab.iterations)
+            return LpSolution("infeasible", None, None, tab.iterations, "cold")
         # Pin artificials at zero; they may stay basic but cannot move.
         tab.lower[tab.art0:] = 0.0
         tab.upper[tab.art0:] = 0.0
         tab.x[tab.art0:] = 0.0
-    return _phase2(lp, tab)
+    return _phase2(lp, tab, "cold")
 
 
-def _phase2(lp: LinearProgram, tab: _Tableau) -> LpSolution:
+def _phase2(lp: LinearProgram, tab: _Tableau, start: str) -> LpSolution:
     """Minimise the true cost from the tableau's primal-feasible basis."""
-    cost = np.zeros(tab.a.shape[1])
-    cost[:lp.n_vars] = lp.cost
+    cost = tab.cost
     status = tab.run(cost)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, tab.iterations)
+        return LpSolution("unbounded", None, None, tab.iterations, start)
     if status != "optimal":
-        return LpSolution("numerical", None, None, tab.iterations)
+        return LpSolution("numerical", None, None, tab.iterations, start)
     if tab.cols is None:
         # Only an inverse with product-form updates is inverted again: an
         # exact inverse of this basis would come out as the same bits.
@@ -462,7 +559,7 @@ def _phase2(lp: LinearProgram, tab: _Tableau) -> LpSolution:
     x = tab.x[:lp.n_vars].copy()
     bad = check_feasible(lp, x, tol=1e-6)
     if bad:
-        return LpSolution("numerical", None, None, tab.iterations)
+        return LpSolution("numerical", None, None, tab.iterations, start)
     y = tab.binv.T @ cost[tab.basis]
     for arr in (tab.cols, tab.binv):
         arr.setflags(write=False)
@@ -472,6 +569,7 @@ def _phase2(lp: LinearProgram, tab: _Tableau) -> LpSolution:
         x=x,
         objective=float(lp.cost @ x),
         iterations=tab.iterations,
+        start=start,
         duals_eq=y[:tab.me].copy(),
         basis_hint=hint,
     )

@@ -29,22 +29,20 @@ def config_path(scenario: int) -> Path:
 def failing_warm_phase(monkeypatch):
     """Every warm-started LP solve ends its warm phase non-optimal, after its pivots.
 
-    Returns the list of ``start_from_hint`` outcomes, one per hinted solve.
+    Returns how each failed warm phase started ("hint" or "dual"), one entry
+    per hinted solve whose hint was not dropped for phase 1 at once.
     """
-    from gridstudy.lp import _Tableau
+    from gridstudy import lp
 
-    accepted = []
-    start, run = _Tableau.start_from_hint, _Tableau.run
+    starts = []
+    phase2 = lp._phase2
 
-    def start_and_mark(self, hint):
-        self.warm = start(self, hint)
-        accepted.append(self.warm)
-        return self.warm
+    def failing_when_warm(program, tab, start):
+        sol = phase2(program, tab, start)
+        if start == "cold":
+            return sol
+        starts.append(start)
+        return lp.LpSolution("numerical", None, None, sol.iterations, start)
 
-    def run_and_fail_warm(self, cost):
-        status = run(self, cost)
-        return "numerical" if getattr(self, "warm", False) else status
-
-    monkeypatch.setattr(_Tableau, "start_from_hint", start_and_mark)
-    monkeypatch.setattr(_Tableau, "run", run_and_fail_warm)
-    return accepted
+    monkeypatch.setattr(lp, "_phase2", failing_when_warm)
+    return starts

@@ -9,8 +9,9 @@ and the test-only code that the pipeline never calls.
   ``dSbus_dV`` tensors.
 * ``reference_sweep``: the loadability scan with one grid step per Newton
   batch.
-* ``reference_solve_lp``: the dense simplex that inverts every starting
-  basis and rebuilds its entering masks at every pivot, and
+* ``reference_solve_lp``: the dense primal simplex that inverts every
+  starting basis, rebuilds its entering masks at every pivot and has no dual
+  restart; ``restart_differences``, which holds a solve to it; and
   ``PairedSolver``, which runs it beside ``solve_lp`` on a hint chain.
 * ``solve_power_flow`` and its helpers: one operating point on a
   ``BusNetwork`` whose bus loads hold the point, solved as a batch of one
@@ -596,7 +597,7 @@ def reference_solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None
     """
     tab = _ReferenceTableau(lp)
     if basis_hint is not None and tab.start_from_hint(basis_hint):
-        sol = _reference_phase2(lp, tab)
+        sol = _reference_phase2(lp, tab, "hint")
         if sol.is_optimal:
             return sol
         tab = _ReferenceTableau(lp)
@@ -607,32 +608,32 @@ def reference_solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None
         if tab.run(phase1_cost) != "optimal":
             # Phase 1 is bounded below by zero, so anything but an
             # optimum is a numerical breakdown.
-            return LpSolution("numerical", None, None, tab.iterations)
+            return LpSolution("numerical", None, None, tab.iterations, "cold")
         infeas = float(np.sum(tab.x[tab.art0:]))
         if infeas > _PHASE1_TOL:
-            return LpSolution("infeasible", None, None, tab.iterations)
+            return LpSolution("infeasible", None, None, tab.iterations, "cold")
         # Pin artificials at zero; they may stay basic but cannot move.
         tab.lower[tab.art0:] = 0.0
         tab.upper[tab.art0:] = 0.0
         tab.x[tab.art0:] = 0.0
-    return _reference_phase2(lp, tab)
+    return _reference_phase2(lp, tab, "cold")
 
 
-def _reference_phase2(lp: LinearProgram, tab: _ReferenceTableau) -> LpSolution:
+def _reference_phase2(lp: LinearProgram, tab: _ReferenceTableau, start: str) -> LpSolution:
     """Minimise the true cost from the tableau's primal-feasible basis."""
     cost = np.zeros(tab.a.shape[1])
     cost[:lp.n_vars] = lp.cost
     status = tab.run(cost)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, tab.iterations)
+        return LpSolution("unbounded", None, None, tab.iterations, start)
     if status != "optimal":
-        return LpSolution("numerical", None, None, tab.iterations)
+        return LpSolution("numerical", None, None, tab.iterations, start)
     tab.refactor()
     tab.recompute_basics()
     x = tab.x[:lp.n_vars].copy()
     bad = _reference_check_feasible(lp, x, tol=1e-6)
     if bad:
-        return LpSolution("numerical", None, None, tab.iterations)
+        return LpSolution("numerical", None, None, tab.iterations, start)
     y = tab.binv.T @ cost[tab.basis]
     hint = BasisHint(tab.basis.copy(), tab.state[:tab.n + tab.mu].copy())
     return LpSolution(
@@ -640,45 +641,72 @@ def _reference_phase2(lp: LinearProgram, tab: _ReferenceTableau) -> LpSolution:
         x=x,
         objective=float(lp.cost @ x),
         iterations=tab.iterations,
+        start=start,
         duals_eq=y[:tab.me].copy(),
         basis_hint=hint,
     )
 
 
 def solution_differences(ours: LpSolution, ref: LpSolution) -> list[str]:
-    """Fields in which two solutions differ: ``status`` and ``iterations`` by
-    value; ``x``, ``duals_eq``, ``objective`` and the hint's ``basis`` and
+    """Fields in which two solutions differ: ``status``, ``iterations`` and
+    ``start`` by value; ``x``, ``duals_eq``, ``objective`` and the hint's ``basis`` and
     ``nonbasic_state`` by dtype and bytes."""
     def raw(sol, key):
         owner = sol.basis_hint if key in ("basis", "nonbasic_state") else sol
         value = None if owner is None else getattr(owner, key)
         return None if value is None else (np.asarray(value).dtype.str, np.asarray(value).tobytes())
 
-    out = [key for key in ("status", "iterations") if getattr(ours, key) != getattr(ref, key)]
+    out = [key for key in ("status", "iterations", "start") if getattr(ours, key) != getattr(ref, key)]
     return out + [key for key in ("x", "duals_eq", "objective", "basis", "nonbasic_state")
                   if raw(ours, key) != raw(ref, key)]
 
 
+def restart_differences(lp: LinearProgram, ours: LpSolution, ref: LpSolution) -> list[str]:
+    """Where ``ours`` departs from ``ref``, ``reference_solve_lp``'s solve of
+    ``lp`` from the same hint, beyond what ``ours.start`` allows.
+
+    A solve that started cold or from the hint as it came must match bit for
+    bit (``solution_differences``), except that a cold solve's
+    ``iterations`` may exceed the reference's: they also count the pivots of
+    a dual restart that gave up.  A dual-restarted solve (the reference then
+    started cold) may end at another optimal basis: it must give the
+    reference's status, an objective and ``duals_eq`` within 1e-9 relative,
+    and an ``x`` that ``check_feasible`` passes.
+    """
+    if ours.start != "dual":
+        out = solution_differences(ours, ref)
+        if ours.start == "cold" and ours.iterations > ref.iterations:
+            out.remove("iterations")
+        return out
+    out = [] if ours.status == ref.status else ["status"]
+    if ours.is_optimal and ref.is_optimal:
+        if not np.isclose(ours.objective, ref.objective, rtol=1e-9, atol=1e-9):
+            out.append("objective")
+        if not np.allclose(ours.duals_eq, ref.duals_eq, rtol=1e-9, atol=1e-9):
+            out.append("duals_eq")
+        if _reference_check_feasible(lp, ours.x):
+            out.append("x")
+    return out
+
+
 class PairedSolver:
     """``solve_lp`` stand-in that solves each LP with ``solve`` and with
-    ``reference_solve_lp``, returns ``solve``'s solution and records every
-    difference.  Each solver threads its own hints: a hint that ``solve``
-    returned is answered by the reference's hint from the same LP."""
+    ``reference_solve_lp`` from the same hint, returns ``solve``'s solution and
+    records every difference that ``restart_differences`` reports, and how
+    many solves started each way."""
 
     def __init__(self, solve):
         self.solve = solve
         self.calls = self.hinted = 0
+        self.starts = {"cold": 0, "hint": 0, "dual": 0}
         self.differences: list[tuple[int, list[str]]] = []
-        self._hints = {}  # id(our hint) -> (our hint, kept so the id stays unique; reference's hint)
 
     def __call__(self, lp, basis_hint=None):
-        ref_hint = None if basis_hint is None else self._hints[id(basis_hint)][1]
-        ours, ref = self.solve(lp, basis_hint), reference_solve_lp(lp, ref_hint)
-        diff = solution_differences(ours, ref)
+        ours, ref = self.solve(lp, basis_hint), reference_solve_lp(lp, basis_hint)
+        diff = restart_differences(lp, ours, ref)
         if diff:
             self.differences.append((self.calls, diff))
         self.calls += 1
         self.hinted += basis_hint is not None
-        if ours.basis_hint is not None:
-            self._hints[id(ours.basis_hint)] = (ours.basis_hint, ref.basis_hint)
+        self.starts[ours.start] += 1
         return ours

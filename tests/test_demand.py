@@ -366,13 +366,14 @@ class TestAggregate:
         monkeypatch.setattr(demand, "solve_lp", recording)
         chained = solve_days(params, days)
         assert passed[0] is None and all(passed[d] is returned[d - 1] for d in (1, 2, 3))
-        assert any(failing_warm_phase)
+        assert failing_warm_phase == ["hint"] * 3
         for d, day in enumerate(days):
             assert chained[d].cost == pytest.approx(solve_day(params, day).cost, abs=1e-7)
 
     def test_hint_chain_matches_the_reference_simplex(self, monkeypatch):
         """Every day's LP, built once and re-instanced, comes out of ``solve_lp``
-        bit for bit as out of the reference simplex threading its own hints."""
+        bit for bit as out of the reference simplex from the same hint: each
+        day changes the costs, and every hint is primal feasible as it comes."""
         from gridstudy import demand
         from tests.oracles import PairedSolver
 
@@ -385,6 +386,7 @@ class TestAggregate:
                                 for _ in range(8)])
         assert paired.differences == []
         assert (paired.calls, paired.hinted) == (32, 28)
+        assert paired.starts == {"cold": 4, "hint": 28, "dual": 0}
 
 
 class TestDefaults:

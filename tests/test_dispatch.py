@@ -1,6 +1,8 @@
 """Commitment heuristic and transport dispatch against enumeration oracles."""
 
 import itertools
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -154,17 +156,20 @@ class TestDispatchHour:
         with pytest.raises(DispatchError, match="no demand entry"):
             dispatch_hour((gen("g", 10, 10, region="X"),), {"R": 5.0}, {}, [])
 
-    def test_failed_warm_start_is_solved_cold(self, failing_warm_phase):
-        """A cached basis whose warm phase fails costs pivots, not the hour."""
+    @pytest.mark.parametrize("demand_b,start", [(190.0, "hint"), (40.0, "dual")])
+    def test_failed_warm_start_is_solved_cold(self, failing_warm_phase, demand_b, start):
+        """A cached basis whose warm phase fails costs pivots, not the hour.  At
+        B = 40 MW the cached import of 100 MW would drive "dear" negative, so
+        the warm phase starts with the dual simplex."""
         cheap = gen("cheap", 20.0, 1000, region="A")
         dear = gen("dear", 70.0, 1000, region="B", gtype="gt")
         line = Interconnector("A-B", "A", "B", 100.0, -100.0)
         committed = (cheap, dear)
         hints = {}
         dispatch_hour(committed, {"A": 50.0, "B": 200.0}, {}, [line], 0, hints)
-        hd = dispatch_hour(committed, {"A": 60.0, "B": 190.0}, {}, [line], 1, hints)
-        assert failing_warm_phase == [True]
-        assert hd == dispatch_hour(committed, {"A": 60.0, "B": 190.0}, {}, [line], 1)
+        hd = dispatch_hour(committed, {"A": 60.0, "B": demand_b}, {}, [line], 1, hints)
+        assert failing_warm_phase == [start]
+        assert hd == dispatch_hour(committed, {"A": 60.0, "B": demand_b}, {}, [line], 1)
 
 
 def enumerate_commitments(generators, demand, availability, lines):
@@ -267,6 +272,19 @@ class TestSimulateHorizon:
         with pytest.raises(DispatchError, match="availability"):
             simulate_horizon([wind], demand, [], {})
 
+    @pytest.mark.parametrize("hour,value", [(0, -0.5), (1, 1.7), (2, 1.0000000000000002)])
+    def test_availability_outside_unit_interval_rejected(self, hour, value):
+        """A farm cannot draw power or exceed its capacity: the first value
+        outside [0, 1] is named with its unit and hour."""
+        wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
+        demand = {"R": TimeSeries(SYNTHETIC_YEAR_START, np.full(24, 50.0), "R")}
+        values = np.linspace(0.0, 1.0, 24)
+        values[hour] = value
+        avail = {"w": TimeSeries(SYNTHETIC_YEAR_START, values, "aw")}
+        message = f"w availability {value!r} at hour {hour} is outside [0, 1]"
+        with pytest.raises(DispatchError, match=f"^{re.escape(message)}$"):
+            simulate_horizon(self.small_fleet() + [wind], demand, [], avail)
+
     def test_totals_rederivable_from_hours(self):
         rng = np.random.default_rng(14)
         demand = {"R": TimeSeries(SYNTHETIC_YEAR_START, rng.uniform(20, 280, 96), "R")}
@@ -332,8 +350,10 @@ class TestSimulateHorizon:
     @pytest.mark.parametrize("scenario", [1, 4])
     def test_hint_chain_matches_the_reference_simplex(self, data_dir, monkeypatch, scenario):
         """Four days of pass 0: every dispatch LP, with the hint and program the
-        cache hands it, comes out of ``solve_lp`` bit for bit as out of the
-        reference simplex threading its own hints."""
+        cache hands it, is solved by ``solve_lp`` and by the reference simplex
+        from the same hint.  Cold and accepted-hint solves match it bit for
+        bit; dual-restarted ones, a third or more of the hinted solves, match
+        its status, objective and prices (``restart_differences``)."""
         from gridstudy import dispatch
         from gridstudy.lp import solve_lp
         from tests.oracles import PairedSolver
@@ -343,6 +363,41 @@ class TestSimulateHorizon:
         self.scenario_pass0(data_dir, scenario, days=4)
         assert paired.differences == []
         assert paired.calls >= 96 and paired.hinted >= 40
+        assert 3 * paired.starts["dual"] >= paired.hinted
+
+
+    def test_sampled_fortnight_restarts_hints_with_the_dual_simplex(self, data_dir, tmp_path, monkeypatch):
+        """Scenario 5's pass-0 and nett dispatch over 14 days spread across the
+        year (every 26th day moved to the front of each series): at least 300
+        of its 708 dispatch solves start from a cached basis that the dual
+        simplex makes primal feasible."""
+        from gridstudy import dispatch
+        from gridstudy.harness import run_scenario
+        from gridstudy.scenarioconfig import scenario_from_config
+        from tests.conftest import config_path
+
+        days = 14
+        first = list(range(0, 365 // days * days, 365 // days))
+        order = first + [d for d in range(365) if d not in first]
+        sampled = shutil.copytree(data_dir, tmp_path / "data")
+        for path in sorted(sampled.glob("*.csv")):
+            lines = path.read_text().splitlines()
+            if lines[0] == "timestamp,value" and len(lines) == 1 + 365 * 24:
+                stamps, values = zip(*(line.split(",", 1) for line in lines[1:]))
+                moved = [values[d * 24 + h] for d in order for h in range(24)]
+                path.write_text("timestamp,value\n" + "".join(f"{t},{v}\n" for t, v in zip(stamps, moved)))
+        starts = []
+
+        def recording(lp, basis_hint=None):
+            sol = dispatch_solve(lp, basis_hint)
+            starts.append(sol.start)
+            return sol
+
+        dispatch_solve = dispatch.solve_lp
+        monkeypatch.setattr(dispatch, "solve_lp", recording)
+        run_scenario(scenario_from_config(config_path(5)), sampled, days=days, stop_after="dispatch")
+        assert len(starts) == 708
+        assert starts.count("dual") >= 300
 
 
 class TestHintCache:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridstudy.lp import (
     INFINITE_BOUND,
@@ -12,7 +14,7 @@ from gridstudy.lp import (
     check_feasible,
     solve_lp,
 )
-from tests.oracles import reference_solve_lp, solution_differences
+from tests.oracles import reference_solve_lp, restart_differences, solution_differences
 
 
 def box_lp(cost, lower, upper, a_eq=(), b_eq=(), a_ub=(), b_ub=()):
@@ -290,14 +292,14 @@ class TestWarmStart:
                                base.a_ub, base.b_ub)
             hint = solve_lp(base).basis_hint  # primal feasible for lp, not optimal
             cases.append((lp, hint, solve_lp(lp, hint), solve_lp(lp)))
-        accepted = request.getfixturevalue("failing_warm_phase")
+        warm_starts = request.getfixturevalue("failing_warm_phase")
         for trial, (lp, hint, warm, cold) in enumerate(cases):
             assert warm.is_optimal and warm.iterations > 0, trial
             retried = solve_lp(lp, hint)
-            assert retried.status == "optimal", trial
+            assert retried.status == "optimal" and retried.start == "cold", trial
             assert np.array_equal(retried.x, cold.x) and retried.objective == cold.objective
             assert retried.iterations == warm.iterations + cold.iterations, trial
-        assert accepted == [True] * len(cases)
+        assert warm_starts == ["hint"] * len(cases)
 
 
 class TestReinstance:
@@ -387,12 +389,14 @@ class TestReferenceSimplex:
     def test_hint_chains_over_one_structure(self, make):
         """Chains of programs with one matrix and moving vectors, each solve
         started from the previous solve's hint, as ``solve_days`` and the
-        dispatch cache run them."""
+        dispatch cache run them.  The reference solves each program from the
+        same hint: cold and accepted-hint solves match it bit for bit, and
+        dual-restarted ones match it as ``restart_differences`` says."""
         rng = np.random.default_rng(1906)
-        hinted = 0
+        starts = []
         for chain in range(25):
             base = make(rng)
-            ours_hint = ref_hint = None
+            hint = None
             for step in range(8):
                 shift = rng.uniform(-0.3, 0.3, base.n_vars)
                 lower = base.lower + shift
@@ -400,11 +404,12 @@ class TestReferenceSimplex:
                 lp = base.reinstance(cost=base.cost + rng.normal(0, 0.3, base.n_vars), lower=lower,
                                      upper=upper, b_eq=base.a_eq @ ((lower + upper) / 2),
                                      b_ub=base.b_ub + rng.uniform(-0.2, 0.5, base.b_ub.size))
-                ours, ref = solve_lp(lp, ours_hint), reference_solve_lp(lp, ref_hint)
-                assert solution_differences(ours, ref) == [], (chain, step)
-                hinted += ours_hint is not None
-                ours_hint, ref_hint = ours.basis_hint, ref.basis_hint
-        assert hinted >= 50
+                ours, ref = solve_lp(lp, hint), reference_solve_lp(lp, hint)
+                assert restart_differences(lp, ours, ref) == [], (chain, step)
+                if hint is not None:
+                    starts.append(ours.start)
+                hint = ours.basis_hint
+        assert len(starts) >= 50 and {"cold", "hint", "dual"} <= set(starts)
 
     def test_hint_with_other_columns_is_inverted_afresh(self):
         """Every row scaled by 1 + 1e-7 keeps the feasible set and the optimal
@@ -424,3 +429,81 @@ class TestReferenceSimplex:
             hint = first.basis_hint
             mismatched += basis_columns(lp, hint.basis).tobytes() != hint.columns.tobytes()
         assert mismatched >= 30
+
+
+def dual_infeasible(lp, hint, tol=1e-6):
+    """Whether a movable nonbasic of ``hint``'s basis has a reduced cost under
+    ``lp.cost`` of the wrong sign for its bound state by more than ``tol``."""
+    mu = lp.a_ub.shape[0]
+    full = basis_columns(lp, np.arange(lp.n_vars + mu))
+    cost = np.concatenate([lp.cost, np.zeros(mu)])
+    d = cost - full.T @ np.linalg.solve(full[:, hint.basis].T, cost[hint.basis])
+    nonbasic = np.ones(d.size, dtype=bool)
+    nonbasic[hint.basis] = False
+    movable = nonbasic & (np.concatenate([lp.upper, np.full(mu, np.inf)]) > np.concatenate([lp.lower, np.zeros(mu)]))
+    return bool((movable & np.where(hint.nonbasic_state == 1, d > tol, d < -tol)).any())
+
+
+@st.composite
+def restart_chains(draw):
+    """A family, a seed, and a chain of steps that moves bounds and right-hand
+    sides, with one infeasible step, one step that takes away the upper bound
+    of a nonbasic sitting on it, and one cost flip in some order."""
+    make = draw(st.sampled_from([random_bounded_lp, degenerate_lp, bound_flip_lp]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    moves = draw(st.integers(2, 6))
+    steps = draw(st.permutations(["infeasible", "absent upper", "cost flip"] + ["move"] * moves))
+    return make, seed, steps
+
+
+class TestDualRestart:
+    """Hinted solves whose basis leaves its bounds restart with the dual simplex
+    when the basis is dual feasible, and otherwise keep phase 1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(chain=restart_chains())
+    def test_chains_that_move_bounds_and_right_hand_sides(self, chain):
+        """A dual-restarted solve gives the cold solve's status and objective;
+        every other solve matches the reference simplex from the same hint bit
+        for bit.  The infeasible step ends "infeasible" from phase 1, and the
+        steps whose hint is not dual feasible keep today's path."""
+        make, seed, steps = chain
+        rng = np.random.default_rng(seed)
+        base = make(rng)
+        assume(base.a_eq.size + base.a_ub.size)  # a program without rows cannot be infeasible
+        hint = solve_lp(base).basis_hint
+        for step, kind in enumerate(steps):
+            shift = rng.uniform(-0.3, 0.3, base.n_vars)
+            lower = base.lower + shift
+            upper = np.maximum(base.upper + shift + rng.uniform(-0.2, 0.2, base.n_vars), lower)
+            b_eq = base.a_eq @ ((lower + upper) / 2)
+            b_ub = base.b_ub + rng.uniform(-0.2, 0.5, base.b_ub.size)
+            if kind == "infeasible":
+                # One row out of the reach of every point in the box.
+                if base.a_ub.size:
+                    row = base.a_ub[0]
+                    b_ub[0] = np.minimum(row * lower, row * upper).sum() - 1.0
+                else:
+                    row = base.a_eq[0]
+                    b_eq[0] = np.maximum(row * lower, row * upper).sum() + 1.0
+            elif kind == "absent upper":
+                at_upper = [j for j in range(base.n_vars)
+                            if hint.nonbasic_state[j] == 1 and j not in hint.basis]
+                assume(at_upper)
+                upper[at_upper[0]] = INFINITE_BOUND
+            lp = base.reinstance(cost=-base.cost if kind == "cost flip" else None, lower=lower,
+                                 upper=upper, b_eq=b_eq, b_ub=b_ub)
+            if kind == "cost flip" and hint.basis.max() < hint.nonbasic_state.size:
+                # (A hint with a basic artificial is dropped for phase 1 anyway.)
+                assume(dual_infeasible(lp, hint))
+            ours, ref = solve_lp(lp, hint), reference_solve_lp(lp, hint)
+            assert restart_differences(lp, ours, ref) == [], (step, kind)
+            if ours.start == "dual":
+                cold = solve_lp(lp)
+                assert ours.status == cold.status, (step, kind)
+                assert ours.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9), (step, kind)
+            if kind == "infeasible":
+                assert (ours.status, ours.start) == ("infeasible", "cold"), step
+            elif kind != "move":
+                assert ours.start != "dual", (step, kind)
+            hint = ours.basis_hint or hint
