@@ -3,12 +3,13 @@
 Each 24-hour window is scheduled by a cost-minimising LP in ``solve_days``,
 the one day loop: each day's LP starts from the basis of the day before
 (``lp.solve_lp`` retries from scratch a warm start that does not end
-optimal).  Battery power is the only decision vector: grid power follows
-from the balance ``grid = load + efficiency * battery - pv`` and the state
-of charge from the running sum of battery power, starting each day at the
-minimum SOC.  The stored-energy window is enforced for every state
-including the end-of-horizon one, so the final hour cannot discharge
-energy the battery never held.
+optimal).  Its variables are each hour's battery power and the energy
+stored above the minimum SOC after it, linked by one equality row per hour
+(each day starts at the minimum); grid power follows from the balance
+``grid = load + efficiency * battery - pv``, so the grid window bounds
+battery power.  The stored-energy window bounds every state including the
+end-of-horizon one, so the final hour cannot discharge energy the battery
+never held.
 
 Sign conventions: grid power >= 0 imports, < 0 exports; battery power
 >= 0 charges, < 0 discharges.
@@ -168,50 +169,48 @@ def schedule_violations(schedule: DemandSchedule, params: DemandParams, day: Day
 
 
 def build_lp(params: DemandParams, day: DayInputs) -> tuple[LinearProgram, float]:
-    """Assemble the daily LP over the 24 battery-power variables.
+    """Assemble the daily LP over battery power ``b_0..b_23``, then stored
+    energy above the minimum SOC ``s_1..s_24``.
 
-    Grid power and SOC are eliminated by substitution, which leaves
-    24 two-sided grid rows (one per hour) and 25 two-sided cumulative-sum
-    rows (one per stored state, end-of-horizon included); each two-sided
-    row is a pair of inequality rows.  Returns the LP and the constant
-    cost term ``sum(price * (load - pv))`` that the LP objective omits.
+    24 equality rows ``s_t - s_(t-1) - b_(t-1) = 0`` (``s_0 = 0``) carry the
+    state.  Grid power is eliminated by the balance, so each hour's grid
+    window is a bound on its battery power beside the rate window; each state
+    runs from 0 to the SOC window.  Returns the LP and the constant cost term
+    ``sum(price * (load - pv))`` that the LP objective omits.
     """
     h = HOURS_PER_DAY
-    eta = params.efficiency
-    rows = np.zeros((2 * h + 2 * (h + 1), h))
-    rhs = np.zeros(rows.shape[0])
-    rows[np.arange(0, 2 * h, 2), np.arange(h)] = eta
-    rows[np.arange(1, 2 * h, 2), np.arange(h)] = -eta
-    window = params.soc_max_mwh - params.soc_min_mwh
-    base = 2 * h
-    for s in range(h + 1):
-        rows[base + 2 * s, :s] = 1.0
-        rows[base + 2 * s + 1, :s] = -1.0
-    rhs[base::2] = window
-    cost, grid_rhs, base_cost = _day_vectors(params, day)
-    rhs[:base] = grid_rhs
-    lp = LinearProgram(
-        cost=cost, lower=np.full(h, params.discharge_rate_mw), upper=np.full(h, params.charge_rate_mw),
-        a_eq=[], b_eq=[], a_ub=rows, b_ub=rhs,
-    )
-    return lp, base_cost
+    rows = np.zeros((h, 2 * h))
+    rows[np.arange(h), np.arange(h)] = -1.0
+    rows[np.arange(h), h + np.arange(h)] = 1.0
+    rows[np.arange(1, h), h + np.arange(h - 1)] = -1.0
+    cost, lower, upper, base_cost = _day_vectors(params, day)
+    return LinearProgram(cost=cost, lower=lower, upper=upper, a_eq=rows, b_eq=np.zeros(h)), base_cost
 
 
-def _day_vectors(params: DemandParams, day: DayInputs) -> tuple[np.ndarray, np.ndarray, float]:
+def _day_vectors(params: DemandParams, day: DayInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """What ``build_lp``'s program changes from day to day: the cost, the
-    right-hand sides of the grid rows, and the constant cost term."""
+    bounds, and the constant cost term.  Raises the infeasible-day error when
+    an hour's grid and rate windows do not meet."""
+    h = HOURS_PER_DAY
+    eta = params.efficiency
     resid = day.load_mw - day.pv_mw
-    grid_rhs = np.empty(2 * HOURS_PER_DAY)
-    grid_rhs[0::2] = params.grid_import_limit_mw - resid
-    grid_rhs[1::2] = resid - params.grid_export_limit_mw
-    return params.efficiency * day.price, grid_rhs, float(day.price @ resid)
+    lower = np.zeros(2 * h)
+    upper = np.full(2 * h, params.soc_max_mwh - params.soc_min_mwh)
+    lower[:h] = np.maximum(params.discharge_rate_mw, (params.grid_export_limit_mw - resid) / eta)
+    upper[:h] = np.minimum(params.charge_rate_mw, (params.grid_import_limit_mw - resid) / eta)
+    if (lower > upper).any():
+        raise _infeasible(params, day)
+    cost = np.zeros(2 * h)
+    cost[:h] = eta * day.price
+    return cost, lower, upper, float(day.price @ resid)
 
 
-def _first_no_action_violation(params: DemandParams, day: DayInputs) -> int | None:
+def _infeasible(params: DemandParams, day: DayInputs) -> DemandModelError:
     resid = day.load_mw - day.pv_mw
-    bad = (resid > params.grid_import_limit_mw + 1e-9) | (resid < params.grid_export_limit_mw - 1e-9)
-    idx = np.flatnonzero(bad)
-    return int(idx[0]) if idx.size else None
+    idx = np.flatnonzero((resid > params.grid_import_limit_mw + 1e-9) |
+                         (resid < params.grid_export_limit_mw - 1e-9))
+    detail = f"; no-action grid power first leaves the window at hour {idx[0]}" if idx.size else ""
+    return DemandModelError(f"day schedule infeasible{detail}")
 
 
 def solve_day(params: DemandParams, day: DayInputs) -> DemandSchedule:
@@ -228,7 +227,7 @@ def solve_days(params: DemandParams, days: Sequence[DayInputs]) -> list[DemandSc
     """``solve_day`` for consecutive days, each LP started from the previous day's basis.
 
     The constraint matrix is the same every day, so it is built and checked
-    once; each later day puts in only its cost and grid-row bounds.
+    once; each later day puts in only its cost and bounds.
     """
     out = []
     hint = template = None
@@ -237,17 +236,15 @@ def solve_days(params: DemandParams, days: Sequence[DayInputs]) -> list[DemandSc
             template, base_cost = build_lp(params, day)
             lp = template
         else:
-            cost, grid_rhs, base_cost = _day_vectors(params, day)
-            lp = template.reinstance(cost=cost, b_ub=np.concatenate([grid_rhs, template.b_ub[grid_rhs.size:]]))
+            cost, lower, upper, base_cost = _day_vectors(params, day)
+            lp = template.reinstance(cost=cost, lower=lower, upper=upper)
         sol = solve_lp(lp, basis_hint=hint)
         if sol.status == "infeasible":
-            hour = _first_no_action_violation(params, day)
-            detail = f"; no-action grid power first leaves the window at hour {hour}" if hour is not None else ""
-            raise DemandModelError(f"day schedule infeasible{detail}")
+            raise _infeasible(params, day)
         if not sol.is_optimal:
             raise DemandModelError(f"day schedule solver failure: status {sol.status}")
         hint = sol.basis_hint
-        battery = sol.x
+        battery = sol.x[:HOURS_PER_DAY]
         # SOC and grid power are reconstructed from battery power, so the
         # recursion and balance identities hold exactly; the bounds hold to
         # solver feasibility tolerance.

@@ -258,7 +258,7 @@ def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector],
         a_eq[i, nu + nl + i] = 1.0
         cost[nu + nl + nr + i] = DUMP_PENALTY
         a_eq[i, nu + nl + nr + i] = -1.0
-    return LinearProgram(cost, lower, upper, a_eq, np.zeros(nr), [], [])
+    return LinearProgram(cost, lower, upper, a_eq, np.zeros(nr))
 
 
 def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],

@@ -19,8 +19,9 @@ then bisect until the highest converged and the lowest failing index are
 adjacent (Bentley & Yao, 1976): under 2 log2(last index + 4) probes an
 hour, where a flat scan solves every step.  The step below the lowest
 failure, solved once more from a flat start, gives the flat scan's bits on
-the study's hours.  An hour's results do not depend on the other hours or
-on the pool: any split of the hours gives the same bits.
+the study's hours; a re-solve that does not converge fails the sweep.  An
+hour's results do not depend on the other hours or on the pool: any split
+of the hours gives the same bits.
 
 So a long horizon is split across processes: one per usable CPU while
 each gets at least ``MIN_WORKER_HOURS`` hours.  Hour ``h`` goes to share
@@ -166,7 +167,7 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
 
     def sweep(rows):
         return _sweep(grid, region_mask, pickup, base_p[rows], base_q[rows], inj_p[rows],
-                      step, lambda_max)
+                      step, lambda_max, np.arange(nh)[rows])
 
     workers = _worker_count(nh)
     out = sweep(slice(None)) if workers <= 1 else _sweep_forked(sweep, nh, workers)
@@ -174,8 +175,10 @@ def compute_loadability(net: BusNetwork, region: str, participation: Mapping[str
 
 
 def _sweep(grid: _Grid, region_mask: np.ndarray, pickup: np.ndarray, base_p: np.ndarray,
-           base_q: np.ndarray, inj_p: np.ndarray, step: float, lambda_max: float) -> np.ndarray:
-    """The scan of ``compute_loadability`` over the given hours, in this process.
+           base_q: np.ndarray, inj_p: np.ndarray, step: float, lambda_max: float,
+           hour_ids: np.ndarray) -> np.ndarray:
+    """The scan of ``compute_loadability`` over the given hours (``hour_ids``
+    in the horizon), in this process.
 
     Returns a (4 x hours) array: lambda*, served load, region load and minimum voltage.
     """
@@ -222,7 +225,12 @@ def _sweep(grid: _Grid, region_mask: np.ndarray, pickup: np.ndarray, base_p: np.
     p_load, p_sched, q_sched = stressed(ok, lam_star[ok])
     served[ok] = np.sum(p_load, axis=1)
     region_load[ok] = np.sum(p_load[:, region_mask], axis=1)
-    min_v[ok] = np.min(_nr_batch(grid, p_sched, q_sched)[0], axis=1)
+    vm, _, converged, _, _, cause = _nr_batch(grid, p_sched, q_sched)
+    if not converged.all():
+        k = int(np.argmin(converged))
+        raise LoadabilityError(f"hour {hour_ids[ok[k]]}: the flat-start re-solve at lambda* "
+                               f"{float(lam_star[ok[k]])!r} did not converge (cause {cause[k]})")
+    min_v[ok] = np.min(vm, axis=1)
     return out
 
 

@@ -1,21 +1,25 @@
 """Dense linear programming for small instances with bounded variables.
 
-Solver: bounded-variable primal simplex, two phases, Bland's anti-cycling
-rule (lowest eligible index enters; lowest variable index leaves on ties).
-The basis inverse is maintained by product-form updates and refactorised
-periodically.  A ``basis_hint`` from a previous optimal solve can skip
-phase 1: it carries the optimal basis, its columns of the slack-augmented
-matrix and their inverse, and a hinted solve whose basis columns equal the
-hint's bit for bit reuses that inverse instead of inverting again.  A hinted
-basis whose basic solution leaves its bounds is restarted by a bounded dual
-simplex when its reduced costs still have the signs that its nonbasics'
-bound states call for, as they do when only bounds and right-hand sides
-moved since the hint's solve; the primal simplex then finishes from the
-primal-feasible basis the dual simplex reaches.  A hint that is not dual
-feasible, or whose dual simplex finds no entering column or runs out of
-pivots, is dropped for phase 1 from scratch, so "infeasible" is always
-phase 1's verdict.  A hinted solve that does not end optimal is solved
-again from scratch.  Each solution names how it started.
+A program is equality rows over bounded variables; bounds stay out of the
+basis, kept by the ratio test and bound flips (Maros, *Computational
+Techniques of the Simplex Method*, 2003).  Solver: bounded-variable primal
+simplex, two phases, Bland's anti-cycling rule (lowest eligible index
+enters; lowest variable index leaves on ties), phase 1 from one artificial
+per row.  The basis inverse is
+maintained by product-form updates and refactorised periodically.  A
+``basis_hint`` from a previous optimal solve can skip phase 1: it carries
+the optimal basis, its columns of the constraint matrix and their inverse,
+and a hinted solve whose basis columns equal the hint's bit for bit reuses
+that inverse instead of inverting again.  A hinted basis whose basic
+solution leaves its bounds is restarted by a bounded dual simplex when its
+reduced costs still have the signs that its nonbasics' bound states call
+for, as they do when only bounds and right-hand sides moved since the
+hint's solve; the primal simplex then finishes from the primal-feasible
+basis the dual simplex reaches.  A hint that is not dual feasible, or
+whose dual simplex finds no entering column or runs out of pivots, is
+dropped for phase 1 from scratch, so "infeasible" is always phase 1's
+verdict.  A hinted solve that does not end optimal is solved again from
+scratch.  Each solution names how it started.
 ``LinearProgram.reinstance`` gives a program the same matrices with new
 vectors and checks only the new vectors, so a caller that solves one
 structure many times validates its matrices once.  Instance data is finite,
@@ -53,7 +57,7 @@ _MAX_ITER = 20000
 _AT_LOWER = -1
 _AT_UPPER = 1
 
-_FIELDS = ("cost", "lower", "upper", "a_eq", "b_eq", "a_ub", "b_ub")
+_FIELDS = ("cost", "lower", "upper", "a_eq", "b_eq")
 
 
 class LpFormatError(ValueError):
@@ -66,18 +70,17 @@ def _vector(value) -> np.ndarray:
 
 
 def _validated(values: dict[str, np.ndarray], check: Iterable[str]) -> dict[str, np.ndarray]:
-    """``values`` (the seven fields as float arrays) with the fields named in
+    """``values`` (the five fields as float arrays) with the fields named in
     ``check`` checked, made contiguous and read-only; raises ``LpFormatError``."""
     n = values["cost"].size
     lo, hi = values["lower"], values["upper"]
     if lo.size != n or hi.size != n:
         raise LpFormatError(f"bounds have sizes {lo.size}/{hi.size}, expected {n}")
-    for mat, rhs in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
-        rows, cols = values[mat].shape
-        if cols != n:
-            raise LpFormatError(f"{mat} has {cols} columns but cost has {n} entries")
-        if rows != values[rhs].size:
-            raise LpFormatError(f"{mat} has {rows} rows but {rhs} has {values[rhs].size}")
+    rows, cols = values["a_eq"].shape
+    if cols != n:
+        raise LpFormatError(f"a_eq has {cols} columns but cost has {n} entries")
+    if rows != values["b_eq"].size:
+        raise LpFormatError(f"a_eq has {rows} rows but b_eq has {values['b_eq'].size}")
     check = set(check)
     for key in _FIELDS:
         if key not in check:
@@ -100,11 +103,12 @@ def _validated(values: dict[str, np.ndarray], check: Iterable[str]) -> dict[str,
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min ``cost . x`` s.t. ``a_eq x = b_eq``, ``a_ub x <= b_ub``, ``lower <= x <= upper``.
+    """min ``cost . x`` s.t. ``a_eq x = b_eq``, ``lower <= x <= upper``.
 
     Entries are below ``INFINITE_BOUND`` in magnitude, except an upper bound
-    of ``INFINITE_BOUND`` or more (``inf`` too), which is absent.  Two-sided
-    rows are expressed as a pair of ``a_ub`` rows.
+    of ``INFINITE_BOUND`` or more (``inf`` too), which is absent.  A row
+    ``a x <= b`` is written as the equality ``a x + s = b`` over a slack
+    column ``s`` in ``[0, inf)``.
     """
 
     cost: np.ndarray
@@ -112,23 +116,17 @@ class LinearProgram:
     upper: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
 
     def __post_init__(self):
         c = _vector(self.cost)
-        n = c.size
-
-        def matrix(value):
-            return np.asarray(value, dtype=float).reshape(-1, n) if np.size(value) else np.zeros((0, n))
-
+        a_eq = (np.asarray(self.a_eq, dtype=float).reshape(-1, c.size) if np.size(self.a_eq)
+                else np.zeros((0, c.size)))
         values = {"cost": c, "lower": _vector(self.lower), "upper": _vector(self.upper),
-                  "a_eq": matrix(self.a_eq), "b_eq": _vector(self.b_eq),
-                  "a_ub": matrix(self.a_ub), "b_ub": _vector(self.b_ub)}
+                  "a_eq": a_eq, "b_eq": _vector(self.b_eq)}
         for key, arr in _validated(values, _FIELDS).items():
             object.__setattr__(self, key, arr)
 
-    def reinstance(self, *, cost=None, lower=None, upper=None, b_eq=None, b_ub=None) -> LinearProgram:
+    def reinstance(self, *, cost=None, lower=None, upper=None, b_eq=None) -> LinearProgram:
         """This program with the given vectors replaced.
 
         The matrices and every vector not given are shared, read-only, with
@@ -136,7 +134,7 @@ class LinearProgram:
         rules and with its messages; nothing else is checked again.
         """
         given = {key: _vector(value) for key, value in (
-            ("cost", cost), ("lower", lower), ("upper", upper), ("b_eq", b_eq), ("b_ub", b_ub))
+            ("cost", cost), ("lower", lower), ("upper", upper), ("b_eq", b_eq))
             if value is not None}
         values = _validated({**vars(self), **given}, given)
         out = object.__new__(LinearProgram)
@@ -153,7 +151,7 @@ class BasisHint:
     """Warm-start payload from a previous optimal solve of a like-shaped instance.
 
     ``basis`` and ``nonbasic_state`` name the basis.  ``columns`` holds its
-    columns of the slack-augmented constraint matrix and ``inverse`` their
+    columns of the constraint matrix and ``inverse`` their
     inverse from the solve's final factorisation, both read-only.  A solve
     given the hint reuses ``inverse`` only when its own basis columns equal
     ``columns`` bit for bit, and otherwise inverts them; a hint without them
@@ -172,9 +170,9 @@ class LpSolution:
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int
-    #: How the attempt that gave this result started: "cold" (phase 1 from a
-    #: slack or artificial basis), "hint" (the hint's basis as it came) or
-    #: "dual" (the hint's basis after the dual simplex).
+    #: How the attempt that gave this result started: "cold" (phase 1 from an
+    #: artificial basis, if the program has rows), "hint" (the hint's basis
+    #: as it came) or "dual" (the hint's basis after the dual simplex).
     start: str
     duals_eq: Optional[np.ndarray] = None
     basis_hint: Optional[BasisHint] = None
@@ -186,7 +184,7 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # non-finite | lower-bound | upper-bound | equality | inequality
+    kind: str  # non-finite | lower-bound | upper-bound | equality
     index: int
     magnitude: float
 
@@ -194,7 +192,7 @@ class Violation:
         return f"{self.kind} [{self.index}] violated by {self.magnitude:.3e}"
 
 
-_EXCESS_KINDS = ("lower-bound", "upper-bound", "equality", "inequality")
+_EXCESS_KINDS = ("lower-bound", "upper-bound", "equality")
 
 
 def check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
@@ -204,14 +202,13 @@ def check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[V
     n = lp.n_vars
     if x.shape != (n,):
         raise LpFormatError(f"x has shape {x.shape}, expected ({n},)")
-    excess = np.concatenate((lp.lower - x, x - lp.upper, np.abs(lp.a_eq @ x - lp.b_eq),
-                             lp.a_ub @ x - lp.b_ub))
+    excess = np.concatenate((lp.lower - x, x - lp.upper, np.abs(lp.a_eq @ x - lp.b_eq)))
     over = np.flatnonzero(excess > tol)
     finite = np.isfinite(x)
     if not over.size and finite.all():
         return []
     out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~finite)]
-    starts = (0, n, 2 * n, 2 * n + lp.b_eq.size)
+    starts = (0, n, 2 * n)
     for i in over.tolist():
         k = bisect.bisect_right(starts, i) - 1
         out.append(Violation(_EXCESS_KINDS[k], i - starts[k], float(excess[i])))
@@ -223,7 +220,8 @@ def _same_bits(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
 
 
 class _Tableau:
-    """Working state of the revised simplex on the slack-augmented system.
+    """Working state of the revised simplex on the program's columns and one
+    artificial column per row.
 
     ``cols`` holds the basis columns while ``binv`` is their exact inverse (no
     product-form update since it was inverted or adopted), and is None
@@ -231,24 +229,17 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
-        n, me, mu = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
-        m = me + mu
-        ncols = n + mu + m  # structural + slacks + artificials
-        a = np.zeros((m, ncols))
-        if me:
-            a[:me, :n] = lp.a_eq
-        if mu:
-            a[me:, :n] = lp.a_ub
-            a[me:, n:n + mu] = np.eye(mu)
-        self.a = a
-        self.b = np.concatenate([lp.b_eq, lp.b_ub])
+        n, m = lp.n_vars, lp.b_eq.size
+        ncols = n + m  # the program's columns, then the artificials
+        self.a = np.zeros((m, ncols))
+        self.a[:, :n] = lp.a_eq
+        self.b = lp.b_eq
         self.lower = np.zeros(ncols)
         self.lower[:n] = lp.lower
         self.upper = np.full(ncols, INFINITE_BOUND)
         self.upper[:n] = lp.upper
-        self.n, self.me, self.mu, self.m = n, me, mu, m
-        self.art0 = n + mu
-        self.cost = np.zeros(ncols)  # the program's cost; slacks and artificials cost nothing
+        self.n, self.m = n, m
+        self.cost = np.zeros(ncols)  # the program's cost; artificials cost nothing
         self.cost[:n] = lp.cost
         self.x = np.zeros(ncols)
         self.state = np.full(ncols, _AT_LOWER, dtype=np.int8)
@@ -261,46 +252,39 @@ class _Tableau:
     # -- initialisation ---------------------------------------------------
 
     def start_cold(self):
-        """Nonbasics at their finite bound closest to zero; slack or artificial basis."""
-        n, me, mu, m = self.n, self.me, self.mu, self.m
-        lo, hi = self.lower[:n + mu], self.upper[:n + mu]
+        """Nonbasics at their finite bound closest to zero; a basis of one
+        artificial per row, signed so that it starts nonnegative.  False if
+        there is no row, so no phase 1."""
+        n, m = self.n, self.m
+        lo, hi = self.lower[:n], self.upper[:n]
         at_upper = (hi < INFINITE_BOUND) & (np.abs(hi) < np.abs(lo))
-        self.state[:n + mu] = np.where(at_upper, _AT_UPPER, _AT_LOWER)
-        self.x[:n + mu] = np.where(at_upper, hi, lo)
+        self.state[:n] = np.where(at_upper, _AT_UPPER, _AT_LOWER)
+        self.x[:n] = np.where(at_upper, hi, lo)
         resid = self.b - self.a[:, :n] @ self.x[:n]
-        # Slack rows whose residual is already nonnegative keep their slack
-        # basic; every other row gets a signed artificial.
-        use_art = np.ones(m, dtype=bool)
-        use_art[me:] = ~(resid[me:] >= 0.0)
-        slack_rows = np.flatnonzero(~use_art)
-        slacks = n - me + slack_rows
-        self.basis[slack_rows] = slacks
-        self.x[slacks] = resid[slack_rows]
-        art_rows = np.flatnonzero(use_art)
-        arts = self.art0 + art_rows
-        self.a[art_rows, arts] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
-        self.basis[art_rows] = arts
-        self.x[arts] = np.abs(resid[art_rows])
+        arts = n + np.arange(m)
+        self.a[np.arange(m), arts] = np.where(resid >= 0, 1.0, -1.0)
+        self.basis[:] = arts
+        self.x[arts] = np.abs(resid)
         self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.state[self.basis] = _AT_LOWER  # ignored while basic
+        self.in_basis[arts] = True
+        self.state[arts] = _AT_LOWER  # ignored while basic
         self.refactor()
-        return bool(art_rows.size)
+        return bool(m)
 
     def start_from_hint(self, hint: BasisHint) -> bool:
         """Adopt a previous basis, its nonbasics at the bounds that its states
         name, if it fits this program, its columns are nonsingular here and its
         basic solution is finite.  The basic solution may leave its bounds."""
         basis = np.asarray(hint.basis, dtype=np.intp)
-        nfree = self.n + self.mu
-        if basis.size != self.m or (self.m and (basis.min() < 0 or basis.max() >= nfree)):
+        n = self.n
+        if basis.size != self.m or (self.m and (basis.min() < 0 or basis.max() >= n)):
             return False
         in_basis = np.zeros_like(self.in_basis)
         in_basis[basis] = True
         if np.count_nonzero(in_basis) != self.m:  # a repeated index
             return False
         state = np.asarray(hint.nonbasic_state, dtype=np.int8)
-        if state.size != nfree:
+        if state.size != n:
             return False
         cols = self.a[:, basis]
         if hint.inverse is not None and _same_bits(cols, hint.columns):
@@ -311,16 +295,16 @@ class _Tableau:
             except np.linalg.LinAlgError:
                 return False
         x = np.zeros_like(self.x)
-        x[:nfree] = np.where(state == _AT_UPPER, self.upper[:nfree], self.lower[:nfree])
+        x[:n] = np.where(state == _AT_UPPER, self.upper[:n], self.lower[:n])
         x[basis] = 0.0
-        xb = binv @ (self.b - self.a[:, :nfree] @ x[:nfree])
+        xb = binv @ (self.b - self.a[:, :n] @ x[:n])
         if not np.isfinite(xb).all():
             return False
         self.basis = basis.copy()
         self.binv, self.cols = binv, cols
         self.x[:] = x
         self.x[basis] = xb
-        self.state[:nfree] = state
+        self.state[:n] = state
         self.in_basis = in_basis
         return True
 
@@ -528,18 +512,18 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSol
         tab.iterations = iterations
     if tab.start_cold():
         phase1_cost = np.zeros(tab.a.shape[1])
-        phase1_cost[tab.art0:] = 1.0
+        phase1_cost[tab.n:] = 1.0
         if tab.run(phase1_cost) != "optimal":
             # Phase 1 is bounded below by zero, so anything but an
             # optimum is a numerical breakdown.
             return LpSolution("numerical", None, None, tab.iterations, "cold")
-        infeas = float(np.sum(tab.x[tab.art0:]))
+        infeas = float(np.sum(tab.x[tab.n:]))
         if infeas > _PHASE1_TOL:
             return LpSolution("infeasible", None, None, tab.iterations, "cold")
         # Pin artificials at zero; they may stay basic but cannot move.
-        tab.lower[tab.art0:] = 0.0
-        tab.upper[tab.art0:] = 0.0
-        tab.x[tab.art0:] = 0.0
+        tab.lower[tab.n:] = 0.0
+        tab.upper[tab.n:] = 0.0
+        tab.x[tab.n:] = 0.0
     return _phase2(lp, tab, "cold")
 
 
@@ -563,13 +547,13 @@ def _phase2(lp: LinearProgram, tab: _Tableau, start: str) -> LpSolution:
     y = tab.binv.T @ cost[tab.basis]
     for arr in (tab.cols, tab.binv):
         arr.setflags(write=False)
-    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n + tab.mu].copy(), tab.cols, tab.binv)
+    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n].copy(), tab.cols, tab.binv)
     return LpSolution(
         status="optimal",
         x=x,
         objective=float(lp.cost @ x),
         iterations=tab.iterations,
         start=start,
-        duals_eq=y[:tab.me].copy(),
+        duals_eq=y,
         basis_hint=hint,
     )

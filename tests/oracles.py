@@ -8,7 +8,11 @@ and the test-only code that the pipeline never calls.
 * ``reference_nr_batch``: the Newton kernel with the full complex MATPOWER
   ``dSbus_dV`` tensors.
 * ``reference_sweep``: the loadability scan with one grid step per Newton
-  batch.
+  batch; ``flat_start_converges``: one flat-start solve per hour at a
+  factor of its own.
+* ``inequality_day_lp`` and ``no_action_error``: the demand day LP as
+  battery power under 98 inequality rows, in ``scipy.optimize.linprog``'s
+  terms, and the error text of a day without a schedule.
 * ``reference_solve_lp``: the dense primal simplex that inverts every
   starting basis, rebuilds its entering masks at every pivot and has no dual
   restart; ``restart_differences``, which holds a solve to it; and
@@ -28,6 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from gridstudy.demand import DayInputs, DemandParams
 from gridstudy.loadability import Points, validate_participation
 from gridstudy.lp import (
     _AT_LOWER,
@@ -359,18 +364,24 @@ def reference_nr_batch(grid, p_sched, q_sched):
     return vm, va, converged, iters, mismatch, cause
 
 
-def reference_sweep(net, region, participation, step, hours, lambda_max):
-    """The scan as it was with one grid step per Newton batch: every hour
-    still scanning solves factor 1 + k * step in the k-th batch."""
+def _scan_setup(net, region, participation, hours):
+    """The sweep's grid, hour arrays, scaled buses and pickup shares."""
     grid = _Grid(net)
-    n = grid.n
     base_p, base_q, inj_p = (np.asarray(a, dtype=float) for a in hours)
-    nh = len(base_p)
     region_ids = {b.bus_id for b in net.region_buses(region)}
     region_mask = np.array([b.bus_id in region_ids for b in net.buses])
     region_mask &= (base_p != 0).any(axis=0) | (base_q != 0).any(axis=0)
     pickup = np.array([0.0 if b.kind == "slack" else participation.get(b.bus_id, 0.0)
                        for b in net.buses])
+    return grid, base_p, base_q, inj_p, region_mask, pickup
+
+
+def reference_sweep(net, region, participation, step, hours, lambda_max):
+    """The scan as it was with one grid step per Newton batch: every hour
+    still scanning solves factor 1 + k * step in the k-th batch."""
+    grid, base_p, base_q, inj_p, region_mask, pickup = _scan_setup(net, region, participation, hours)
+    n = grid.n
+    nh = len(base_p)
     lam_star, served, region_load, min_v = np.full((4, nh), np.nan)
     active = np.arange(nh)
     k = 0
@@ -392,6 +403,57 @@ def reference_sweep(net, region, participation, step, hours, lambda_max):
     return lam_star, served, region_load, min_v
 
 
+def flat_start_converges(net, region, participation, hours, lam):
+    """Whether each hour of ``hours`` converges from a flat start at its own
+    factor ``lam``, under the sweep's loads and injections, in one batch."""
+    grid, base_p, base_q, inj_p, region_mask, pickup = _scan_setup(net, region, participation, hours)
+    scale = np.where(region_mask, lam[:, None], 1.0)
+    increment = (lam - 1.0) * np.sum(base_p[:, region_mask], axis=1)
+    p_sched, q_sched = grid.scheduled(base_p * scale, base_q * scale,
+                                      inj_p + increment[:, None] * pickup, 0.0)
+    return _nr_batch(grid, p_sched, q_sched)[2]
+
+
+# -- the demand day LP as it was -------------------------------------------------
+
+def inequality_day_lp(params: DemandParams, day: DayInputs):
+    """The day LP over the 24 battery-power variables alone.
+
+    Grid power and SOC are eliminated by substitution, which leaves 24
+    two-sided grid rows (one per hour) and 25 two-sided cumulative-sum rows
+    (one per stored state, end-of-horizon included), each a pair of
+    inequality rows.  Returns ``(cost, a_ub, b_ub, bounds, base_cost)``:
+    ``scipy.optimize.linprog``'s arguments, and the constant cost term
+    ``sum(price * (load - pv))`` that the LP objective omits.
+    """
+    h = day.price.size
+    eta = params.efficiency
+    resid = day.load_mw - day.pv_mw
+    rows = np.zeros((2 * h + 2 * (h + 1), h))
+    rhs = np.zeros(rows.shape[0])
+    rows[np.arange(0, 2 * h, 2), np.arange(h)] = eta
+    rows[np.arange(1, 2 * h, 2), np.arange(h)] = -eta
+    rhs[0:2 * h:2] = params.grid_import_limit_mw - resid
+    rhs[1:2 * h:2] = resid - params.grid_export_limit_mw
+    for state in range(h + 1):
+        rows[2 * h + 2 * state, :state] = 1.0
+        rows[2 * h + 2 * state + 1, :state] = -1.0
+    rhs[2 * h::2] = params.soc_max_mwh - params.soc_min_mwh
+    bounds = [(params.discharge_rate_mw, params.charge_rate_mw)] * h
+    return eta * day.price, rows, rhs, bounds, float(day.price @ resid)
+
+
+def no_action_error(params: DemandParams, day: DayInputs) -> str:
+    """The text of the error that a day without a schedule raises: it names the
+    first hour whose grid power without the battery leaves the grid window
+    by more than 1e-9, if there is one."""
+    resid = day.load_mw - day.pv_mw
+    bad = np.flatnonzero((resid > params.grid_import_limit_mw + 1e-9) |
+                         (resid < params.grid_export_limit_mw - 1e-9))
+    detail = f"; no-action grid power first leaves the window at hour {bad[0]}" if bad.size else ""
+    return f"day schedule infeasible{detail}"
+
+
 # -- the dense simplex as it was -------------------------------------------------
 
 def _reference_check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
@@ -402,30 +464,26 @@ def _reference_check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL
         raise LpFormatError(f"x has shape {x.shape}, expected ({lp.n_vars},)")
     out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~np.isfinite(x))]
     for kind, excess in (("lower-bound", lp.lower - x), ("upper-bound", x - lp.upper),
-                         ("equality", np.abs(lp.a_eq @ x - lp.b_eq)), ("inequality", lp.a_ub @ x - lp.b_ub)):
+                         ("equality", np.abs(lp.a_eq @ x - lp.b_eq))):
         out += [Violation(kind, int(i), float(excess[i])) for i in np.flatnonzero(excess > tol)]
     return out
 
 
 class _ReferenceTableau:
-    """Working state of the revised simplex on the slack-augmented system."""
+    """Working state of the revised simplex on the program's columns and one
+    artificial column per row."""
 
     def __init__(self, lp: LinearProgram):
-        n, me, mu = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
-        m = me + mu
-        ncols = n + mu + m  # structural + slacks + artificials
+        n, m = lp.n_vars, lp.b_eq.size
+        ncols = n + m  # structural + artificials
         a = np.zeros((m, ncols))
-        if me:
-            a[:me, :n] = lp.a_eq
-        if mu:
-            a[me:, :n] = lp.a_ub
-            a[me:, n:n + mu] = np.eye(mu)
+        a[:, :n] = lp.a_eq
         self.a = a
-        self.b = np.concatenate([lp.b_eq, lp.b_ub])
-        self.lower = np.concatenate([lp.lower, np.zeros(mu), np.zeros(m)])
-        self.upper = np.concatenate([lp.upper, np.full(mu, INFINITE_BOUND), np.full(m, INFINITE_BOUND)])
-        self.n, self.me, self.mu, self.m = n, me, mu, m
-        self.art0 = n + mu
+        self.b = lp.b_eq.copy()
+        self.lower = np.concatenate([lp.lower, np.zeros(m)])
+        self.upper = np.concatenate([lp.upper, np.full(m, INFINITE_BOUND)])
+        self.n, self.m = n, m
+        self.art0 = n
         self.x = np.zeros(ncols)
         self.state = np.full(ncols, _AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.intp)
@@ -436,24 +494,14 @@ class _ReferenceTableau:
     # -- initialisation ---------------------------------------------------
 
     def start_cold(self):
-        """Nonbasics at their finite bound closest to zero; slack or artificial basis."""
-        n, mu, m = self.n, self.mu, self.m
-        lo, hi = self.lower[:n + mu], self.upper[:n + mu]
+        """Nonbasics at their finite bound closest to zero; artificial basis."""
+        n, m = self.n, self.m
+        lo, hi = self.lower[:n], self.upper[:n]
         at_upper = (hi < INFINITE_BOUND) & (np.abs(hi) < np.abs(lo))
-        self.state[:n + mu] = np.where(at_upper, _AT_UPPER, _AT_LOWER)
-        self.x[:n + mu] = np.where(at_upper, hi, lo)
+        self.state[:n] = np.where(at_upper, _AT_UPPER, _AT_LOWER)
+        self.x[:n] = np.where(at_upper, hi, lo)
         resid = self.b - self.a[:, :n] @ self.x[:n]
-        # Slack rows whose residual is already nonnegative keep their slack
-        # basic; every other row gets a signed artificial.
-        use_art = np.ones(m, dtype=bool)
-        for i in range(self.me, m):
-            s = resid[i]
-            if s >= 0.0:
-                j = n + (i - self.me)
-                self.basis[i] = j
-                self.x[j] = s
-                use_art[i] = False
-        for i in np.flatnonzero(use_art):
+        for i in range(m):
             j = self.art0 + i
             sign = 1.0 if resid[i] >= 0 else -1.0
             self.a[i, j] = sign
@@ -463,12 +511,12 @@ class _ReferenceTableau:
         self.in_basis[self.basis] = True
         self.state[self.basis] = _AT_LOWER  # ignored while basic
         self.refactor()
-        return bool(np.any(use_art))
+        return m > 0
 
     def start_from_hint(self, hint: BasisHint) -> bool:
         """Adopt a previous basis if its basic solution is feasible here."""
         basis = np.asarray(hint.basis, dtype=np.intp)
-        nfree = self.n + self.mu
+        nfree = self.n
         if basis.size != self.m or np.any(basis >= nfree) or np.any(basis < 0):
             return False
         if np.unique(basis).size != self.m:
@@ -635,14 +683,14 @@ def _reference_phase2(lp: LinearProgram, tab: _ReferenceTableau, start: str) -> 
     if bad:
         return LpSolution("numerical", None, None, tab.iterations, start)
     y = tab.binv.T @ cost[tab.basis]
-    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n + tab.mu].copy())
+    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n].copy())
     return LpSolution(
         status="optimal",
         x=x,
         objective=float(lp.cost @ x),
         iterations=tab.iterations,
         start=start,
-        duals_eq=y[:tab.me].copy(),
+        duals_eq=y.copy(),
         basis_hint=hint,
     )
 

@@ -31,6 +31,7 @@ from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import study_network
 from gridstudy.timeseries import HOURS_PER_DAY
 from oracles import (
+    flat_start_converges,
     reference_sweep,
     solve_power_flow,
     stressed_network,
@@ -427,6 +428,29 @@ class TestYearProperties:
             for name, ref in zip(RESULT_ARRAYS, want):
                 got = getattr(rep.loadability, name)[::8]
                 assert got.tobytes() == ref.tobytes(), (scenario, name)
+
+    def test_flat_start_fails_at_every_hours_lowest_failing_step(self, year_suite, data_dir):
+        """Every hour of each scenario's year whose lowest failing grid step
+        lies under lambda_max (so not capped) fails there from a flat start
+        too, as it failed in the flat scan.  The sweep found that step from a
+        start at a converged step's voltages."""
+        from gridstudy.harness import _load_data, _operating_points
+        reports, _, _ = year_suite
+        for scenario, rep in reports.items():
+            cfg = scenario_from_config(config_path(scenario))
+            data = _load_data(cfg, data_dir, None, {})
+            points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
+            opts = cfg.loadability
+            lam_star = rep.loadability.lambda_star
+            defined = np.flatnonzero(np.isfinite(lam_star))
+            hi = np.rint((lam_star[defined] - 1.0) / opts.step).astype(np.int64) + 1
+            assert np.array_equal(1.0 + (hi - 1) * opts.step, lam_star[defined]), scenario
+            lam_hi = 1.0 + hi * opts.step
+            uncapped = lam_hi <= opts.lambda_max
+            rows = defined[uncapped]
+            converged = flat_start_converges(data.network, opts.region, opts.participation,
+                                             tuple(a[rows] for a in points), lam_hi[uncapped])
+            assert rows.size > 8000 and not converged.any(), (scenario, rows[converged][:10])
 
     def test_single_solve_reproduces_sweep_voltages(self, year_suite, data_dir):
         """The plain solver at an hour's factor returns the very minimum voltage

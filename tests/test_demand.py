@@ -1,10 +1,13 @@
 """Daily scheduling LP against exhaustive discretized-search oracles."""
 
 import itertools
+from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstudy.demand import (
     DayInputs,
@@ -20,6 +23,7 @@ from gridstudy.demand import (
     solve_days,
 )
 from gridstudy.lp import solve_lp
+from tests.oracles import inequality_day_lp, no_action_error
 
 H = 24
 
@@ -121,15 +125,15 @@ class TestBuildLp:
         params = DemandParams(100, -50, 5, -5, 0, 10)
         day = DayInputs(np.full(H, 10.0), np.full(H, 20.0), np.zeros(H))
         lp, base = build_lp(params, day)
-        assert lp.n_vars == H
-        assert lp.a_ub.shape[0] == 2 * (24 + 25)  # two-sided grid + SOC rows
-        assert lp.a_eq.shape[0] == 0
+        assert lp.n_vars == 2 * H  # battery power, then stored energy
+        assert lp.a_eq.shape == (H, 2 * H) and lp.b_eq.shape == (H,)  # one SOC recursion row per hour
+        assert [f.name for f in fields(lp)] == ["cost", "lower", "upper", "a_eq", "b_eq"]
 
     def test_flat_price_unit_efficiency_coefficients(self):
         params = DemandParams(100, -50, 5, -5, 0, 10, efficiency=1.0)
         day = DayInputs(np.full(H, 10.0), np.full(H, 20.0), np.zeros(H))
         lp, _ = build_lp(params, day)
-        assert np.all(lp.cost == 10.0)
+        assert np.all(lp.cost[:H] == 10.0) and np.all(lp.cost[H:] == 0.0)
 
     def test_feasible_point_objective_matches_reevaluation(self):
         rng = np.random.default_rng(21)
@@ -138,7 +142,7 @@ class TestBuildLp:
             day = DayInputs(price, load, pv)
             lp, base = build_lp(params, day)
             battery = rng.uniform(params.discharge_rate_mw / 4, params.charge_rate_mw / 4, H)
-            lp_obj = float(lp.cost @ battery) + base
+            lp_obj = float(lp.cost @ np.concatenate([battery, np.cumsum(battery)])) + base
             grid = load + params.efficiency * battery - pv
             direct = float(price @ grid)
             assert lp_obj == pytest.approx(direct, abs=1e-9 * max(1, abs(direct)))
@@ -251,6 +255,72 @@ class TestSolveDay:
         dear = slice(12, 24)
         assert sched.grid_mw[dear].sum() < base.grid_mw[dear].sum()
         assert sched.cost < base.cost
+
+
+def random_demand_day(rng):
+    """``DemandParams`` and a day whose grid power without the battery stays in
+    the grid window, with limits close enough to it that the grid window often
+    binds before the rate window; prices may be negative."""
+    eta = float(rng.choice([1.0, 0.9, rng.uniform(0.5, 1.0)]))
+    charge, discharge = float(rng.uniform(0.5, 10)), -float(rng.uniform(0.5, 10))
+    soc_min = float(rng.uniform(0, 5))
+    price = rng.uniform(-5, 100, H)
+    load = rng.uniform(0, 50, H)
+    pv = rng.uniform(0, 30, H) * (rng.random(H) < 0.6)
+    resid = load - pv
+    params = DemandParams(
+        grid_import_limit_mw=float(max(resid.max(), 0.0) + rng.uniform(0, 1.5 * eta * charge)),
+        grid_export_limit_mw=float(min(resid.min(), 0.0) - rng.uniform(0, -1.5 * eta * discharge)),
+        charge_rate_mw=charge, discharge_rate_mw=discharge,
+        soc_min_mwh=soc_min, soc_max_mwh=soc_min + float(rng.uniform(0.5, 30)), efficiency=eta)
+    return params, DayInputs(price, load, pv)
+
+
+class TestInequalityFormOracle:
+    """The day LP over battery power and stored energy against HiGHS on the
+    form it replaced: battery power alone under 98 inequality rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cost_matches_highs(self, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        params, day = random_demand_day(np.random.default_rng(seed))
+        cost, a_ub, b_ub, bounds, base = inequality_day_lp(params, day)
+        ref = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert ref.status == 0, ref.message
+        sched = solve_day(params, day)
+        assert schedule_violations(sched, params, day, tol=1e-6) == []
+        scale = float(np.abs(day.price) @ (day.load_mw + day.pv_mw + params.charge_rate_mw))
+        assert sched.cost == pytest.approx(base + ref.fun, rel=1e-9, abs=1e-9 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["import", "export", "storage"]),
+           hour=st.integers(0, H - 1))
+    def test_day_without_a_schedule_raises_the_no_action_error(self, seed, kind, hour):
+        """Bounds that cross at the import side or at the export side, and a
+        storage window that cannot give what an hour must discharge, raise the
+        error that names the hour, on a first day and on a later one."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        params, good = random_demand_day(rng)
+        p, eta = params, params.efficiency
+        load, pv = good.load_mw.copy(), good.pv_mw.copy()
+        if kind == "import":  # full discharge still leaves grid power above the import limit
+            load[hour] = pv[hour] + p.grid_import_limit_mw - eta * p.discharge_rate_mw + rng.uniform(0.01, 5)
+        elif kind == "export":  # full charge still leaves it below the export limit
+            pv[hour] = load[hour] - p.grid_export_limit_mw + eta * p.charge_rate_mw + rng.uniform(0.01, 5)
+        else:  # no earlier hour may charge, and this one must discharge
+            load[:hour] = pv[:hour] + p.grid_import_limit_mw
+            load[hour] = pv[hour] + p.grid_import_limit_mw - eta * p.discharge_rate_mw * rng.uniform(0.1, 0.9)
+        bad = DayInputs(good.price, load, pv)
+        cost, a_ub, b_ub, bounds, _ = inequality_day_lp(params, bad)
+        assert optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs").status == 2
+        message = no_action_error(params, bad)
+        assert message.endswith(f"at hour {hour}")
+        for days in ([bad], [good, bad]):
+            with pytest.raises(DemandModelError) as err:
+                solve_days(params, days)
+            assert str(err.value) == message
 
 
 class TestAggregateMarketDay:

@@ -286,6 +286,35 @@ class TestPooledScan:
             assert getattr(default, name).tobytes() == ref.tobytes(), name
 
 
+class TestFlatStartResolve:
+    """The re-solve of each hour's lambda* from a flat start must converge: a
+    failure names the hour, where the minimum voltage of a failed iterate
+    would otherwise be reported."""
+
+    @staticmethod
+    def fail_row(monkeypatch, row, parent=None):
+        """Row ``row`` of every ``loadability._nr_batch`` call ends in a voltage
+        collapse (cause 2); only in forked children if ``parent`` is given."""
+        real = loadability._nr_batch
+
+        def failing(grid, p_sched, q_sched):
+            out = [a.copy() for a in real(grid, p_sched, q_sched)]
+            if parent is None or os.getpid() != parent:
+                out[2][row], out[5][row] = False, 2
+            return tuple(out)
+
+        monkeypatch.setattr(loadability, "_nr_batch", failing)
+
+    def test_failed_resolve_names_its_hour(self, monkeypatch):
+        net = two_bus_case()
+        # Hour 0 (600 MW) is degenerate, so the re-solve's row 1 is hour 2.
+        hours = points(net, [{"load": (p, 0.0)} for p in (600.0, 430.0, 380.0, 100.0)])
+        self.fail_row(monkeypatch, 1)
+        with pytest.raises(LoadabilityError, match=r"^hour 2: the flat-start re-solve at lambda\* "
+                                                   r"1\.\d+ did not converge \(cause 2\)$"):
+            compute_loadability(net, "LOAD", {"source": 1.0}, hours, step=0.02)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -358,6 +387,14 @@ class TestWorkers:
             self.sweep()
         assert len(forks) == 2
         assert "fail_in_workers" in str(err.value.__cause__)
+        assert_no_child_left()
+
+    def test_failed_resolve_in_a_worker_names_its_hour(self, forks, monkeypatch):
+        """The first worker sweeps hours 1 and 4; its re-solve's row 1 is hour 4."""
+        TestFlatStartResolve.fail_row(monkeypatch, 1, parent=os.getpid())
+        with pytest.raises(LoadabilityError, match=r"^hour 4: .* \(cause 2\)$"):
+            self.sweep()
+        assert len(forks) == 2
         assert_no_child_left()
 
     def test_shares_larger_than_a_pipe_buffer_come_back_in_place(self, forks, monkeypatch):

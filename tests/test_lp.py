@@ -1,6 +1,7 @@
 """Solver checks against exhaustive vertex enumeration, HiGHS and re-evaluation oracles."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,12 +18,54 @@ from gridstudy.lp import (
 from tests.oracles import reference_solve_lp, restart_differences, solution_differences
 
 
+class Rows(NamedTuple):
+    """min ``cost . x`` s.t. ``a_eq x = b_eq``, ``a_ub x <= b_ub``,
+    ``lower <= x <= upper``: a program with inequality rows, the form the
+    random families draw.  ``slacked`` makes it a ``LinearProgram``."""
+
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.cost)
+
+
+def slack_vectors(rows):
+    """The vectors of ``slacked(rows)``; each slack costs nothing and runs over [0, inf)."""
+    mu = len(rows.b_ub)
+    return dict(cost=np.r_[rows.cost, np.zeros(mu)], lower=np.r_[rows.lower, np.zeros(mu)],
+                upper=np.r_[rows.upper, np.full(mu, np.inf)], b_eq=np.r_[rows.b_eq, rows.b_ub])
+
+
+def slacked(rows):
+    """``rows`` as a ``LinearProgram``: each inequality row becomes the equality
+    row ``a_ub x + s = b_ub``, after the equality rows, over a slack column of
+    its own, after the structural columns."""
+    n, me, mu = rows.n_vars, len(rows.b_eq), len(rows.b_ub)
+    a_eq = np.asarray(rows.a_eq, dtype=float).reshape(me, n)
+    a_ub = np.asarray(rows.a_ub, dtype=float).reshape(mu, n)
+    a = np.block([[a_eq, np.zeros((me, mu))], [a_ub, np.eye(mu)]])
+    return LinearProgram(a_eq=a, **slack_vectors(rows))
+
+
+def rows_violated(rows, x, tol):
+    """Whether ``x`` breaks a bound or row of ``rows`` by more than ``tol``."""
+    return bool(np.any(rows.lower - x > tol) or np.any(x - rows.upper > tol)
+                or np.any(np.abs(rows.a_eq @ x - rows.b_eq) > tol) or np.any(rows.a_ub @ x - rows.b_ub > tol))
+
+
 def box_lp(cost, lower, upper, a_eq=(), b_eq=(), a_ub=(), b_ub=()):
-    return LinearProgram(cost, lower, upper, a_eq, b_eq, a_ub, b_ub)
+    return slacked(Rows(cost, lower, upper, a_eq, b_eq, a_ub, b_ub))
 
 
 def random_bounded_lp(rng, n=None):
-    """Feasible bounded LP: the box midpoint satisfies every row strictly."""
+    """Feasible bounded ``Rows``: the box midpoint satisfies every row strictly."""
     n = int(rng.integers(2, 7)) if n is None else n
     lower = rng.uniform(-4, 0, n)
     upper = lower + rng.uniform(0.5, 6, n)
@@ -34,11 +77,12 @@ def random_bounded_lp(rng, n=None):
     a_ub = rng.normal(0, 1, (mu, n))
     b_ub = a_ub @ mid + rng.uniform(0.2, 3, mu)
     cost = rng.normal(0, 2, n)
-    return LinearProgram(cost, lower, upper, a_eq, b_eq, a_ub, b_ub)
+    return Rows(cost, lower, upper, a_eq, b_eq, a_ub, b_ub)
 
 
 def enumerate_vertices_min(lp, tol=1e-8):
-    """Independent oracle: minimum objective over all basic feasible points.
+    """Independent oracle: minimum objective over all basic feasible points
+    of the ``Rows`` ``lp``.
 
     Collects every bounding hyperplane (finite variable bounds, equality
     rows, inequality rows taken as equalities), solves each n-subset and
@@ -67,7 +111,7 @@ def enumerate_vertices_min(lp, tol=1e-8):
             x = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
             continue
-        if not check_feasible(lp, x, tol=tol):
+        if not rows_violated(lp, x, tol):
             best = min(best, float(lp.cost @ x))
     return best
 
@@ -84,7 +128,7 @@ class TestExamples:
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-1.0, abs=1e-12)
-        assert sol.x.sum() == pytest.approx(1.0, abs=1e-10)
+        assert sol.x[:2].sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_infeasible_and_unbounded_classified(self):
         bad = box_lp([1.0], [0.0], [1.0], a_ub=[[1.0], [-1.0]], b_ub=[0.2, -0.5])
@@ -94,7 +138,7 @@ class TestExamples:
 
     def test_dimension_mismatch_raises_at_construction(self):
         with pytest.raises(LpFormatError):
-            LinearProgram([1.0, 2.0], [0.0], [1.0], [], [], [], [])
+            LinearProgram([1.0, 2.0], [0.0], [1.0], [], [])
         with pytest.raises(LpFormatError, match="lower bound"):
             box_lp([1.0], [2.0], [1.0])
 
@@ -102,12 +146,12 @@ class TestExamples:
         ("cost", [np.inf, 1.0]), ("cost", [-np.inf, 1.0]), ("cost", [np.nan, 1.0]),
         ("cost", [INFINITE_BOUND, 1.0]), ("lower", [-np.inf, 0.0]), ("lower", [-INFINITE_BOUND, 0.0]),
         ("upper", [np.nan, 1.0]), ("a_eq", [[1.0, np.inf]]), ("b_eq", [-INFINITE_BOUND]),
-        ("a_ub", [[np.nan, 1.0]]), ("b_ub", [np.inf]),
+        ("a_eq", [[np.nan, 1.0]]), ("b_eq", [np.inf]),
     ])
     def test_non_finite_data_rejected(self, key, value):
         """Only an upper bound may be infinite (absent); NaN is rejected everywhere."""
         data = dict(cost=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]],
-                    b_eq=[1.0], a_ub=[[1.0, -1.0]], b_ub=[0.5])
+                    b_eq=[1.0])
         LinearProgram(**data)
         with pytest.raises(LpFormatError, match=key):
             LinearProgram(**{**data, key: value})
@@ -117,11 +161,12 @@ class TestVertexOracle:
     def test_fifty_random_instances_match_enumeration(self):
         rng = np.random.default_rng(42)
         for trial in range(50):
-            lp = random_bounded_lp(rng)
+            rows = random_bounded_lp(rng)
+            lp = slacked(rows)
             sol = solve_lp(lp)
             assert sol.status == "optimal", f"trial {trial}: {sol.status}"
             assert not check_feasible(lp, sol.x), f"trial {trial}: infeasible solution"
-            best = enumerate_vertices_min(lp)
+            best = enumerate_vertices_min(rows)
             assert sol.objective <= best + 1e-8, f"trial {trial}"
             assert sol.objective >= best - 1e-8, f"trial {trial}: beat every vertex?"
 
@@ -130,7 +175,7 @@ class TestVertexOracle:
         rng = np.random.default_rng(3)
         for _ in range(10):
             lp = random_bounded_lp(rng)
-            sol = solve_lp(lp)
+            sol = solve_lp(slacked(lp))
             assert sol.status == "optimal"
             kept = 0
             for _ in range(40):
@@ -159,51 +204,41 @@ class TestVertexOracle:
         rng = np.random.default_rng(7)
         for _ in range(100):
             lp = random_bounded_lp(rng)
-            base = solve_lp(lp)
-            widened = LinearProgram(lp.cost, lp.lower - rng.uniform(0, 2, lp.n_vars),
-                                    lp.upper + rng.uniform(0, 2, lp.n_vars),
-                                    lp.a_eq, lp.b_eq, lp.a_ub,
-                                    lp.b_ub + rng.uniform(0, 1, lp.b_ub.size))
-            relaxed = solve_lp(widened)
+            base = solve_lp(slacked(lp))
+            widened = lp._replace(lower=lp.lower - rng.uniform(0, 2, lp.n_vars),
+                                  upper=lp.upper + rng.uniform(0, 2, lp.n_vars),
+                                  b_ub=lp.b_ub + rng.uniform(0, 1, lp.b_ub.size))
+            relaxed = solve_lp(slacked(widened))
             assert base.status == relaxed.status == "optimal"
             assert relaxed.objective <= base.objective + 1e-8
 
 
 def random_lp_any_status(rng):
-    """Bounded-below LP with up to 3 equality and 5 inequality rows; a quarter
+    """Bounded-below ``Rows`` with up to 3 equality and 5 inequality rows; a quarter
     of the upper bounds are absent, so it may be optimal, infeasible or unbounded."""
     n = int(rng.integers(1, 9))
     me, mu = int(rng.integers(0, 4)), int(rng.integers(0, 6))
     lower = rng.uniform(-5, 5, n)
     upper = lower + rng.uniform(0, 10, n)
     upper[rng.random(n) < 0.25] = np.inf
-    return LinearProgram(rng.normal(0, 1, n), lower, upper, rng.normal(0, 1, (me, n)),
-                         rng.normal(0, 3, me), rng.normal(0, 1, (mu, n)), rng.normal(0, 3, mu))
+    return Rows(rng.normal(0, 1, n), lower, upper, rng.normal(0, 1, (me, n)),
+                rng.normal(0, 3, me), rng.normal(0, 1, (mu, n)), rng.normal(0, 3, mu))
 
 
-def dual_violation(lp, x, duals_eq, optimize, tol=1e-7):
-    """How far ``duals_eq`` is from the equality part of an optimal dual at ``x``.
+def dual_violation(lp, x, duals_eq, tol=1e-7):
+    """How far ``duals_eq`` is from an optimal dual at ``x``.
 
-    The reduced costs are ``d = cost - a_eq.T @ duals_eq - a_ub.T @ z``. HiGHS
-    looks for inequality duals ``z <= 0``, zero on rows slack at ``x`` by more
-    than ``tol`` (complementary slackness), that keep ``d >= 0`` unless the
-    variable is at its upper bound and ``d <= 0`` unless it is at its lower
-    bound (dual feasibility), both within ``tol``.  Returns the largest sign
-    violation of ``d``, recomputed here for the ``z`` HiGHS found.
+    The reduced costs ``d = cost - a_eq.T @ duals_eq`` must be ``>= 0`` unless
+    the variable is at its upper bound and ``<= 0`` unless it is at its lower
+    bound (dual feasibility), both within ``tol``.  A slack column's reduced
+    cost is minus its row's dual, so on a ``slacked`` program this asks for
+    inequality duals ``<= 0``, zero on rows slack at ``x`` by more than
+    ``tol`` (complementary slackness).  Returns the largest sign violation of
+    ``d``.
     """
-    r = lp.cost - lp.a_eq.T @ duals_eq
+    d = lp.cost - lp.a_eq.T @ duals_eq
     need_ge = lp.upper - x > tol
     need_le = x - lp.lower > tol
-    # Variables (z, t): minimise the largest violation t.
-    a = lp.a_ub.T
-    rows = np.vstack([np.c_[a[need_ge], -np.ones(need_ge.sum())],
-                      np.c_[-a[need_le], -np.ones(need_le.sum())]])
-    slack = lp.b_ub - lp.a_ub @ x
-    bounds = [(None, 0.0) if s <= tol else (0.0, 0.0) for s in slack] + [(0.0, None)]
-    res = optimize.linprog(np.r_[np.zeros(slack.size), 1.0], A_ub=rows,
-                           b_ub=np.r_[r[need_ge], -r[need_le]], bounds=bounds, method="highs")
-    assert res.status == 0, res.message
-    d = r - lp.a_ub.T @ res.x[:-1]
     return float(np.max(np.r_[0.0, -d[need_ge], d[need_le]]))
 
 
@@ -217,19 +252,21 @@ class TestHighsOracle:
         rng = np.random.default_rng(2018)
         seen = set()
         for trial in range(400):
-            lp = random_lp_any_status(rng)
+            rows = random_lp_any_status(rng)
+            lp = slacked(rows)
             ours = solve_lp(lp)
             ref = optimize.linprog(
-                lp.cost, A_ub=lp.a_ub if lp.a_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
-                A_eq=lp.a_eq if lp.a_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
-                bounds=[(lo, None if np.isinf(hi) else hi) for lo, hi in zip(lp.lower, lp.upper)],
+                rows.cost, A_ub=rows.a_ub if rows.a_ub.size else None,
+                b_ub=rows.b_ub if rows.b_ub.size else None,
+                A_eq=rows.a_eq if rows.a_eq.size else None, b_eq=rows.b_eq if rows.b_eq.size else None,
+                bounds=[(lo, None if np.isinf(hi) else hi) for lo, hi in zip(rows.lower, rows.upper)],
                 method="highs")
             assert ours.status == statuses[ref.status], (trial, ours.status, ref.message)
             seen.add(ours.status)
             if ours.is_optimal:
                 assert ours.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9), trial
                 assert check_feasible(lp, ours.x) == [], trial
-                assert dual_violation(lp, ours.x, ours.duals_eq, optimize) <= 1e-7, trial
+                assert dual_violation(lp, ours.x, ours.duals_eq) <= 1e-7, trial
         assert seen == {"optimal", "infeasible", "unbounded"}
 
 
@@ -237,7 +274,7 @@ class TestDeterminism:
     def test_identical_solves_bitwise(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            lp = random_bounded_lp(rng)
+            lp = slacked(random_bounded_lp(rng))
             a, b = solve_lp(lp), solve_lp(lp)
             assert np.array_equal(a.x, b.x)
             assert a.objective == b.objective
@@ -247,7 +284,7 @@ class TestDeterminism:
 class TestCheckFeasible:
     def test_solver_solution_is_clean(self):
         rng = np.random.default_rng(9)
-        lp = random_bounded_lp(rng)
+        lp = slacked(random_bounded_lp(rng))
         sol = solve_lp(lp)
         assert check_feasible(lp, sol.x) == []
 
@@ -268,16 +305,15 @@ class TestCheckFeasible:
     def test_report_matches_row_by_row_recomputation(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            lp = random_bounded_lp(rng)
-            x = rng.uniform(lp.lower - 1, lp.upper + 1)
+            lp = slacked(random_bounded_lp(rng))
+            # A slack has no upper bound: it is drawn up to 8 above its lower one.
+            x = rng.uniform(lp.lower - 1, np.minimum(lp.upper, lp.lower + 8) + 1)
             report = check_feasible(lp, x)
             expected = 0
             expected += int(np.sum(lp.lower - x > 1e-8))
             expected += int(np.sum(x - lp.upper > 1e-8))
             if lp.a_eq.shape[0]:
                 expected += int(np.sum(np.abs(lp.a_eq @ x - lp.b_eq) > 1e-8))
-            if lp.a_ub.shape[0]:
-                expected += int(np.sum(lp.a_ub @ x - lp.b_ub > 1e-8))
             assert len(report) == expected
 
 
@@ -288,9 +324,8 @@ class TestWarmStart:
         cases = []
         for _ in range(10):
             base = random_bounded_lp(rng)
-            lp = LinearProgram(-base.cost, base.lower, base.upper, base.a_eq, base.b_eq,
-                               base.a_ub, base.b_ub)
-            hint = solve_lp(base).basis_hint  # primal feasible for lp, not optimal
+            lp = slacked(base._replace(cost=-base.cost))
+            hint = solve_lp(slacked(base)).basis_hint  # primal feasible for lp, not optimal
             cases.append((lp, hint, solve_lp(lp, hint), solve_lp(lp)))
         warm_starts = request.getfixturevalue("failing_warm_phase")
         for trial, (lp, hint, warm, cold) in enumerate(cases):
@@ -303,27 +338,28 @@ class TestWarmStart:
 
 
 class TestReinstance:
-    DATA = dict(cost=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                a_ub=[[1.0, -1.0]], b_ub=[0.5])
+    # x0 + x1 = 1 and x0 - x1 + s = 0.5, s the slack of x0 - x1 <= 0.5.
+    DATA = dict(cost=[1.0, 2.0, 0.0], lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, np.inf],
+                a_eq=[[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], b_eq=[1.0, 0.5])
 
     def test_shares_matrices_and_freezes_new_vectors(self):
         base = LinearProgram(**self.DATA)
-        new = dict(lower=np.array([-1.0, 0.0]), upper=np.array([2.0, np.inf]), b_eq=[0.5], b_ub=[0.0])
+        new = dict(lower=np.array([-1.0, 0.0, 0.0]), upper=np.array([2.0, np.inf, np.inf]), b_eq=[0.5, 0.0])
         lp = base.reinstance(**new)
         built = LinearProgram(**{**self.DATA, **new})
-        assert lp.a_eq is base.a_eq and lp.a_ub is base.a_ub and lp.cost is base.cost
-        for key in ("cost", "lower", "upper", "a_eq", "b_eq", "a_ub", "b_ub"):
+        assert lp.a_eq is base.a_eq and lp.cost is base.cost
+        for key in ("cost", "lower", "upper", "a_eq", "b_eq"):
             got, want = getattr(lp, key), getattr(built, key)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
             assert not got.flags.writeable, key
-        assert base.b_eq.tolist() == [1.0]
+        assert base.b_eq.tolist() == [1.0, 0.5]
 
     @pytest.mark.parametrize("key,value", [
-        ("b_eq", [np.nan]), ("b_eq", [INFINITE_BOUND]), ("b_eq", [-INFINITE_BOUND]), ("b_eq", [np.inf]),
-        ("b_eq", [1.0, 1.0]), ("b_eq", []), ("b_ub", [np.nan]), ("b_ub", [0.5, 0.5]),
-        ("upper", [np.nan, 1.0]), ("upper", [1.0]), ("upper", [1.0, -1.0]),
-        ("lower", [2.0, 0.0]), ("lower", [-np.inf, 0.0]), ("lower", [0.0, 0.0, 0.0]),
-        ("cost", [np.nan, 1.0]), ("cost", [INFINITE_BOUND, 1.0]), ("cost", [1.0]),
+        ("b_eq", [np.nan, 0.5]), ("b_eq", [INFINITE_BOUND, 0.5]), ("b_eq", [-INFINITE_BOUND, 0.5]),
+        ("b_eq", [np.inf, 0.5]), ("b_eq", [1.0, 1.0, 1.0]), ("b_eq", []), ("b_eq", [1.0, np.nan]),
+        ("b_eq", [0.5]), ("upper", [np.nan, 1.0, np.inf]), ("upper", [1.0]), ("upper", [1.0, -1.0, np.inf]),
+        ("lower", [2.0, 0.0, 0.0]), ("lower", [-np.inf, 0.0, 0.0]), ("lower", [0.0, 0.0, 0.0, 0.0]),
+        ("cost", [np.nan, 1.0, 0.0]), ("cost", [INFINITE_BOUND, 1.0, 0.0]), ("cost", [1.0]),
     ])
     def test_rejects_what_the_constructor_rejects(self, key, value):
         """Same ``LpFormatError`` message as building the program from scratch."""
@@ -335,8 +371,8 @@ class TestReinstance:
 
 
 def degenerate_lp(rng):
-    """Small integer data whose rows all pass through one box vertex, so the
-    ratio test ties and pivots take zero steps."""
+    """Small integer ``Rows`` whose rows all pass through one box vertex, so
+    the ratio test ties and pivots take zero steps."""
     n = int(rng.integers(2, 6))
     me, mu = int(rng.integers(0, 2)), int(rng.integers(n, 2 * n + 3))
     lower = rng.integers(-3, 1, n).astype(float)
@@ -344,12 +380,12 @@ def degenerate_lp(rng):
     vertex = np.where(rng.random(n) < 0.5, lower, upper)
     a_eq = rng.integers(-2, 3, (me, n)).astype(float)
     a_ub = rng.integers(-2, 3, (mu, n)).astype(float)
-    return LinearProgram(rng.integers(-3, 4, n).astype(float), lower, upper,
-                         a_eq, a_eq @ vertex, a_ub, a_ub @ vertex)
+    return Rows(rng.integers(-3, 4, n).astype(float), lower, upper,
+                a_eq, a_eq @ vertex, a_ub, a_ub @ vertex)
 
 
 def bound_flip_lp(rng):
-    """Short variable ranges under rows that mostly stay slack: entering
+    """Short variable ranges under ``Rows`` that mostly stay slack: entering
     variables often cross their whole range (a bound flip) before a row binds."""
     n = int(rng.integers(2, 8))
     mu = int(rng.integers(1, 4))
@@ -357,14 +393,8 @@ def bound_flip_lp(rng):
     upper = lower + rng.uniform(0.1, 1.0, n)
     a_ub = rng.uniform(0, 1, (mu, n))
     reach = lower + rng.uniform(0.3, 1.2, mu)[:, None] * (upper - lower)
-    return LinearProgram(rng.normal(0, 1, n), lower, upper, [], [], a_ub, np.sum(a_ub * reach, axis=1))
-
-
-def basis_columns(lp, basis):
-    """Columns ``basis`` of the slack-augmented matrix ``[a_eq 0; a_ub I]``."""
-    me, mu = lp.a_eq.shape[0], lp.a_ub.shape[0]
-    slacks = np.vstack([np.zeros((me, mu)), np.eye(mu)])
-    return np.hstack([np.vstack([lp.a_eq, lp.a_ub]), slacks])[:, basis]
+    return Rows(rng.normal(0, 1, n), lower, upper, np.zeros((0, n)), np.zeros(0), a_ub,
+                np.sum(a_ub * reach, axis=1))
 
 
 class TestReferenceSimplex:
@@ -378,7 +408,7 @@ class TestReferenceSimplex:
         rng = np.random.default_rng(1905)
         seen = set()
         for trial in range(count):
-            lp = make(rng)
+            lp = slacked(make(rng))
             ours, ref = solve_lp(lp), reference_solve_lp(lp)
             assert solution_differences(ours, ref) == [], trial
             seen.add(ours.status)
@@ -396,14 +426,16 @@ class TestReferenceSimplex:
         starts = []
         for chain in range(25):
             base = make(rng)
+            structure = slacked(base)
             hint = None
             for step in range(8):
                 shift = rng.uniform(-0.3, 0.3, base.n_vars)
                 lower = base.lower + shift
                 upper = np.maximum(base.upper + shift + rng.uniform(-0.2, 0.2, base.n_vars), lower)
-                lp = base.reinstance(cost=base.cost + rng.normal(0, 0.3, base.n_vars), lower=lower,
-                                     upper=upper, b_eq=base.a_eq @ ((lower + upper) / 2),
-                                     b_ub=base.b_ub + rng.uniform(-0.2, 0.5, base.b_ub.size))
+                lp = structure.reinstance(**slack_vectors(base._replace(
+                    cost=base.cost + rng.normal(0, 0.3, base.n_vars), lower=lower, upper=upper,
+                    b_eq=base.a_eq @ ((lower + upper) / 2),
+                    b_ub=base.b_ub + rng.uniform(-0.2, 0.5, base.b_ub.size))))
                 ours, ref = solve_lp(lp, hint), reference_solve_lp(lp, hint)
                 assert restart_differences(lp, ours, ref) == [], (chain, step)
                 if hint is not None:
@@ -418,29 +450,26 @@ class TestReferenceSimplex:
         rng = np.random.default_rng(1907)
         mismatched = 0
         for trial in range(60):
-            base = random_bounded_lp(rng)
+            base = slacked(random_bounded_lp(rng))
             first = solve_lp(base)
             k = 1.0 + 1e-7
-            lp = LinearProgram(base.cost, base.lower, base.upper, base.a_eq * k, base.b_eq * k,
-                               base.a_ub * k, base.b_ub * k)
+            lp = LinearProgram(base.cost, base.lower, base.upper, base.a_eq * k, base.b_eq * k)
             ref_first = reference_solve_lp(base)
             ours, ref = solve_lp(lp, first.basis_hint), reference_solve_lp(lp, ref_first.basis_hint)
             assert solution_differences(ours, ref) == [], trial
             hint = first.basis_hint
-            mismatched += basis_columns(lp, hint.basis).tobytes() != hint.columns.tobytes()
+            mismatched += lp.a_eq[:, hint.basis].tobytes() != hint.columns.tobytes()
         assert mismatched >= 30
 
 
 def dual_infeasible(lp, hint, tol=1e-6):
     """Whether a movable nonbasic of ``hint``'s basis has a reduced cost under
     ``lp.cost`` of the wrong sign for its bound state by more than ``tol``."""
-    mu = lp.a_ub.shape[0]
-    full = basis_columns(lp, np.arange(lp.n_vars + mu))
-    cost = np.concatenate([lp.cost, np.zeros(mu)])
-    d = cost - full.T @ np.linalg.solve(full[:, hint.basis].T, cost[hint.basis])
+    a, cost = lp.a_eq, lp.cost
+    d = cost - a.T @ np.linalg.solve(a[:, hint.basis].T, cost[hint.basis])
     nonbasic = np.ones(d.size, dtype=bool)
     nonbasic[hint.basis] = False
-    movable = nonbasic & (np.concatenate([lp.upper, np.full(mu, np.inf)]) > np.concatenate([lp.lower, np.zeros(mu)]))
+    movable = nonbasic & (lp.upper > lp.lower)
     return bool((movable & np.where(hint.nonbasic_state == 1, d > tol, d < -tol)).any())
 
 
@@ -471,7 +500,8 @@ class TestDualRestart:
         rng = np.random.default_rng(seed)
         base = make(rng)
         assume(base.a_eq.size + base.a_ub.size)  # a program without rows cannot be infeasible
-        hint = solve_lp(base).basis_hint
+        structure = slacked(base)
+        hint = solve_lp(structure).basis_hint
         for step, kind in enumerate(steps):
             shift = rng.uniform(-0.3, 0.3, base.n_vars)
             lower = base.lower + shift
@@ -491,8 +521,9 @@ class TestDualRestart:
                             if hint.nonbasic_state[j] == 1 and j not in hint.basis]
                 assume(at_upper)
                 upper[at_upper[0]] = INFINITE_BOUND
-            lp = base.reinstance(cost=-base.cost if kind == "cost flip" else None, lower=lower,
-                                 upper=upper, b_eq=b_eq, b_ub=b_ub)
+            lp = structure.reinstance(**slack_vectors(base._replace(
+                cost=-base.cost if kind == "cost flip" else base.cost, lower=lower, upper=upper,
+                b_eq=b_eq, b_ub=b_ub)))
             if kind == "cost flip" and hint.basis.max() < hint.nonbasic_state.size:
                 # (A hint with a basic artificial is dropped for phase 1 anyway.)
                 assume(dual_infeasible(lp, hint))
