@@ -149,8 +149,7 @@ def _merit_order(generators: Sequence[Generator]) -> list[Generator]:
 
 
 def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, float],
-                       availability: Mapping[str, float],
-                       merit: Sequence[Generator] | None = None) -> Commitment:
+                       availability: Mapping[str, float], merit: Sequence[Generator]) -> Commitment:
     """Priority-list commitment for one hour.
 
     Renewables are always committed (must-run at availability).
@@ -158,14 +157,14 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
     total demand; afterwards, units whose minimum stable levels force
     oversupply are dropped from the expensive end, but never below the
     capacity needed to cover demand.  ``merit`` is ``generators``' merit
-    order when the caller already has it.
+    order (``_merit_order``).
     """
     total_demand = float(sum(demand.values()))
     renewables = [g for g in generators if g.is_renewable]
     renewable_mw = sum(_p_max(g, availability) for g in renewables)
     committed: list[Generator] = []
     capacity = renewable_mw
-    for g in _merit_order(generators) if merit is None else merit:
+    for g in merit:
         if capacity >= total_demand:
             break
         committed.append(g)
@@ -182,15 +181,15 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
 
 
 def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
-                  availability: Mapping[str, float], lines: Sequence[Interconnector], hour: int = 0,
-                  hints: dict[tuple, tuple[LinearProgram, BasisHint]] | None = None) -> HourDispatch:
+                  availability: Mapping[str, float], lines: Sequence[Interconnector], hour: int,
+                  hints: dict[tuple, tuple[LinearProgram, BasisHint]]) -> HourDispatch:
     """LP dispatch of a committed fleet against per-region demand.
 
     A dispatchable runs from its minimum stable level to its capacity; a
     renewable is pinned at capacity times its ``availability`` (0 if absent).
     Regional balance: generation + imports - exports + unserved =
     demand + dumped.  Marginal price per region is the balance-row dual
-    of the optimal basis.  ``hints`` is an optional cache keyed by
+    of the optimal basis.  ``hints`` is a cache keyed by
     commitment: each unit's name, region and SRMC, the region order and the
     lines.  It holds the commitment's validated program and the optimal
     basis of its last solve, from which a cached commitment is solved.  New
@@ -198,7 +197,7 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     """
     regions = tuple(demand)
     key = (tuple((g.name, g.region, g.srmc) for g in committed), regions, tuple(lines))
-    cached = None if hints is None else hints.get(key)
+    cached = hints.get(key)
     template, hint = (_dispatch_lp(committed, lines, regions), None) if cached is None else cached
     nu, nl, nr = len(committed), len(lines), len(regions)
     p_max = [_p_max(g, availability) for g in committed]
@@ -209,8 +208,7 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     sol = solve_lp(lp, basis_hint=hint)
     if not sol.is_optimal:
         raise DispatchError(f"hour {hour}: dispatch LP failed with status {sol.status}")
-    if hints is not None:
-        hints[key] = (lp, sol.basis_hint)
+    hints[key] = (lp, sol.basis_hint)
     x = sol.x.tolist()
     unserved = dict(zip(regions, x[nu + nl:nu + nl + nr]))
     dumped = dict(zip(regions, x[nu + nl + nr:]))
@@ -294,10 +292,8 @@ def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],
 
 def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, float],
                       availability: Mapping[str, float], lines: Sequence[Interconnector],
-                      hour: int = 0,
-                      hints: dict[tuple, tuple[LinearProgram, BasisHint]] | None = None,
-                      merit: Sequence[Generator] | None = None
-                      ) -> tuple[Commitment, HourDispatch]:
+                      hour: int, hints: dict[tuple, tuple[LinearProgram, BasisHint]],
+                      merit: Sequence[Generator]) -> tuple[Commitment, HourDispatch]:
     """Commitment used by the horizon simulation: priority list plus repair.
 
     The priority list is topped up for regional adequacy against the line
@@ -307,13 +303,10 @@ def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, floa
     The outcome is not guaranteed least-cost, and an hour may still dump
     energy that another commitment would absorb.
 
-    ``hints`` is an optional cross-call cache of each commitment's program
-    and optimal basis (see ``dispatch_hour``); it only accelerates
-    re-solves.  ``merit`` is ``generators``' merit order when the caller
-    already has it.
+    ``hints`` is a cross-call cache of each commitment's program and
+    optimal basis (see ``dispatch_hour``); it only accelerates re-solves.
+    ``merit`` is ``generators``' merit order (``_merit_order``).
     """
-    if merit is None:
-        merit = _merit_order(generators)
     base = _regional_topup(merit, demand, availability, lines,
                            commit_merit_order(generators, demand, availability, merit))
     dispatch = dispatch_hour(base, demand, availability, lines, hour, hints)

@@ -65,7 +65,7 @@ from gridstudy.loadability import (
 from gridstudy.powerflow import BusNetwork, load_network
 from gridstudy.pricing import (TrainedPredictor, feature_matrix, predict_rows, save_predictor,
                                train_matrix)
-from gridstudy.scenarioconfig import SCHEMA_VERSION, ScenarioConfig, config_sha256
+from gridstudy.scenarioconfig import SCHEMA_VERSION, ScenarioConfig
 from gridstudy.synthdata import LOAD_TAN_PHI
 from gridstudy.timeseries import (
     HOURS_PER_DAY,
@@ -401,7 +401,7 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
         report = done["report"] = ScenarioReport(
             scenario_id=config.scenario_id,
             uptake=config.uptake,
-            config_hash=config_sha256(config.source_path) if config.source_path else "",
+            config_hash=config.sha256,
             spilled_energy_twh=dispatch.spilled_energy_twh,
             spilled_hours_pct=dispatch.spilled_hours_pct,
             gt_energy_twh=dispatch.gt_energy_twh,

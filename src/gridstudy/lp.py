@@ -8,9 +8,10 @@ enters; lowest variable index leaves on ties), phase 1 from one artificial
 per row.  The basis inverse is
 maintained by product-form updates and refactorised periodically.  A
 ``basis_hint`` from a previous optimal solve can skip phase 1: it carries
-the optimal basis, its columns of the constraint matrix and their inverse,
-and a hinted solve whose basis columns equal the hint's bit for bit reuses
-that inverse instead of inverting again.  A hinted basis whose basic
+the optimal basis, its inverse and the constraint matrix it was solved on.
+A program that holds that same matrix object, as every ``reinstance`` of
+the hint's program does, adopts the basis and its inverse as they are; any
+other program starts from scratch.  A hinted basis whose basic
 solution leaves its bounds is restarted by a bounded dual simplex when its
 reduced costs still have the signs that its nonbasics' bound states call
 for, as they do when only bounds and right-hand sides moved since the
@@ -22,17 +23,17 @@ verdict.  A hinted solve that does not end optimal is solved again from
 scratch.  Each solution names how it started.
 ``LinearProgram.reinstance`` gives a program the same matrices with new
 vectors and checks only the new vectors, so a caller that solves one
-structure many times validates its matrices once.  Instance data is finite,
-except that an upper bound may be absent.
+structure many times validates its matrices once.  A program owns its
+arrays: the constructor and ``reinstance`` copy what they are given.
+Instance data is finite, except that an upper bound may be absent.
 
 Problems here have at most a few hundred variables; everything is dense
-numpy.  Results are deterministic: solving the same instance twice yields
-bitwise-identical solutions, with or without the hint's inverse.
+numpy.  Results are deterministic: solving the same instance from the
+same hint, or from none, twice yields bitwise-identical solutions.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -65,7 +66,7 @@ class LpFormatError(ValueError):
 
 
 def _vector(value) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    arr = np.array(value, dtype=float, ndmin=1)
     return arr if arr.size else np.zeros(0)
 
 
@@ -119,7 +120,7 @@ class LinearProgram:
 
     def __post_init__(self):
         c = _vector(self.cost)
-        a_eq = (np.asarray(self.a_eq, dtype=float).reshape(-1, c.size) if np.size(self.a_eq)
+        a_eq = (np.array(self.a_eq, dtype=float).reshape(-1, c.size) if np.size(self.a_eq)
                 else np.zeros((0, c.size)))
         values = {"cost": c, "lower": _vector(self.lower), "upper": _vector(self.upper),
                   "a_eq": a_eq, "b_eq": _vector(self.b_eq)}
@@ -130,8 +131,9 @@ class LinearProgram:
         """This program with the given vectors replaced.
 
         The matrices and every vector not given are shared, read-only, with
-        this program.  The given vectors are checked by the constructor's
-        rules and with its messages; nothing else is checked again.
+        this program, so a hint from either program fits the other.  The
+        given vectors are copied and checked by the constructor's rules and
+        with its messages; nothing else is checked again.
         """
         given = {key: _vector(value) for key, value in (
             ("cost", cost), ("lower", lower), ("upper", upper), ("b_eq", b_eq))
@@ -148,20 +150,20 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class BasisHint:
-    """Warm-start payload from a previous optimal solve of a like-shaped instance.
+    """Warm-start payload from a previous optimal solve, bound to its program.
 
-    ``basis`` and ``nonbasic_state`` name the basis.  ``columns`` holds its
-    columns of the constraint matrix and ``inverse`` their
-    inverse from the solve's final factorisation, both read-only.  A solve
-    given the hint reuses ``inverse`` only when its own basis columns equal
-    ``columns`` bit for bit, and otherwise inverts them; a hint without them
-    is always inverted.
+    ``basis`` and ``nonbasic_state`` name the basis, ``a_eq`` is the
+    read-only constraint matrix of the program that was solved and
+    ``inverse`` the read-only inverse of the basis columns from the solve's
+    final factorisation.  A solve adopts the hint only when its program
+    holds that same matrix object (``hint.a_eq is lp.a_eq``), and then
+    takes ``inverse`` as it is.
     """
 
     basis: np.ndarray
     nonbasic_state: np.ndarray
-    columns: Optional[np.ndarray] = None
-    inverse: Optional[np.ndarray] = None
+    a_eq: np.ndarray
+    inverse: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -182,50 +184,18 @@ class LpSolution:
         return self.status == "optimal"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # non-finite | lower-bound | upper-bound | equality
-    index: int
-    magnitude: float
-
-    def __str__(self):
-        return f"{self.kind} [{self.index}] violated by {self.magnitude:.3e}"
-
-
-_EXCESS_KINDS = ("lower-bound", "upper-bound", "equality")
-
-
-def check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
-    """Every violated bound/constraint, and every NaN or infinite entry of ``x``,
-    with its magnitude; empty iff feasible within ``tol``."""
-    x = np.asarray(x, dtype=float)
-    n = lp.n_vars
-    if x.shape != (n,):
-        raise LpFormatError(f"x has shape {x.shape}, expected ({n},)")
+def _feasible(lp: LinearProgram, x: np.ndarray, tol: float) -> bool:
+    """Whether ``x`` is finite and within ``tol`` of every bound and row."""
     excess = np.concatenate((lp.lower - x, x - lp.upper, np.abs(lp.a_eq @ x - lp.b_eq)))
-    over = np.flatnonzero(excess > tol)
-    finite = np.isfinite(x)
-    if not over.size and finite.all():
-        return []
-    out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~finite)]
-    starts = (0, n, 2 * n)
-    for i in over.tolist():
-        k = bisect.bisect_right(starts, i) - 1
-        out.append(Violation(_EXCESS_KINDS[k], i - starts[k], float(excess[i])))
-    return out
-
-
-def _same_bits(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
-    return b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return bool(np.isfinite(x).all() and not (excess > tol).any())
 
 
 class _Tableau:
     """Working state of the revised simplex on the program's columns and one
     artificial column per row.
 
-    ``cols`` holds the basis columns while ``binv`` is their exact inverse (no
-    product-form update since it was inverted or adopted), and is None
-    otherwise.
+    ``exact`` says whether ``binv`` is the exact inverse of the basis columns
+    (no product-form update since it was inverted or adopted).
     """
 
     def __init__(self, lp: LinearProgram):
@@ -245,7 +215,7 @@ class _Tableau:
         self.state = np.full(ncols, _AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.intp)
         self.in_basis = np.zeros(ncols, dtype=bool)
-        self.binv = self.cols = None
+        self.binv, self.exact = None, False
         self.iterations = 0
         self.updates = 0  # product-form updates since the last refactor
 
@@ -272,36 +242,23 @@ class _Tableau:
         return bool(m)
 
     def start_from_hint(self, hint: BasisHint) -> bool:
-        """Adopt a previous basis, its nonbasics at the bounds that its states
-        name, if it fits this program, its columns are nonsingular here and its
-        basic solution is finite.  The basic solution may leave its bounds."""
-        basis = np.asarray(hint.basis, dtype=np.intp)
-        n = self.n
-        if basis.size != self.m or (self.m and (basis.min() < 0 or basis.max() >= n)):
+        """Adopt the basis and inverse of a hint from this program's matrix, its
+        nonbasics at the bounds that its states name, if no artificial column
+        is basic and its basic solution is finite.  The basic solution may
+        leave its bounds."""
+        basis, state, n = hint.basis, hint.nonbasic_state, self.n
+        if self.m and basis.max() >= n:
             return False
         in_basis = np.zeros_like(self.in_basis)
         in_basis[basis] = True
-        if np.count_nonzero(in_basis) != self.m:  # a repeated index
-            return False
-        state = np.asarray(hint.nonbasic_state, dtype=np.int8)
-        if state.size != n:
-            return False
-        cols = self.a[:, basis]
-        if hint.inverse is not None and _same_bits(cols, hint.columns):
-            binv = hint.inverse
-        else:
-            try:
-                binv = np.linalg.inv(cols)
-            except np.linalg.LinAlgError:
-                return False
         x = np.zeros_like(self.x)
         x[:n] = np.where(state == _AT_UPPER, self.upper[:n], self.lower[:n])
         x[basis] = 0.0
-        xb = binv @ (self.b - self.a[:, :n] @ x[:n])
+        xb = hint.inverse @ (self.b - self.a[:, :n] @ x[:n])
         if not np.isfinite(xb).all():
             return False
         self.basis = basis.copy()
-        self.binv, self.cols = binv, cols
+        self.binv, self.exact = hint.inverse, True
         self.x[:] = x
         self.x[basis] = xb
         self.state[:n] = state
@@ -314,8 +271,8 @@ class _Tableau:
         return (xb < self.lower[self.basis] - FEASIBILITY_TOL), (xb > self.upper[self.basis] + FEASIBILITY_TOL)
 
     def refactor(self):
-        self.cols = self.a[:, self.basis]
-        self.binv = np.linalg.inv(self.cols)
+        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.exact = True
 
     def recompute_basics(self):
         x_nb = self.x.copy()
@@ -348,7 +305,7 @@ class _Tableau:
         row = self.binv[leave, :] / piv
         self.binv = self.binv - w[:, None] * row
         self.binv[leave, :] = row
-        self.cols = None
+        self.exact = False
         self.updates += 1
         if self.updates >= _REFACTOR_EVERY:
             try:
@@ -487,9 +444,10 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSol
     """Solve ``lp``; classify as optimal / infeasible / unbounded.
 
     Numerical breakdown is reported as status ``"numerical"``, never as a
-    wrong optimum.  ``basis_hint`` (from a previous solution of an instance
-    with identical shape) skips phase 1, and skips inverting the basis when
-    its columns are bitwise those of the hint.  A hinted basis that is
+    wrong optimum.  ``basis_hint`` (from a previous solution of a program
+    that holds ``lp.a_eq`` itself, such as ``lp`` or another ``reinstance``
+    of the same program) skips phase 1 and inverting the basis; a hint from
+    any other program is not used (``start`` "cold").  A hinted basis that is
     primal feasible here goes straight to phase 2 (``start`` "hint").  One
     that is not, but is dual feasible under ``lp.cost``, is first made
     primal feasible by the dual simplex (``start`` "dual").  Otherwise, and
@@ -500,7 +458,7 @@ def solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None) -> LpSol
     solution's ``basis_hint`` carries the final basis inverse.
     """
     tab = _Tableau(lp)
-    if basis_hint is not None and tab.start_from_hint(basis_hint):
+    if basis_hint is not None and basis_hint.a_eq is lp.a_eq and tab.start_from_hint(basis_hint):
         below, above = tab.basics_out_of_bounds()
         start = "dual" if below.any() or above.any() else "hint"
         if start == "hint" or tab.dual_run():
@@ -535,19 +493,17 @@ def _phase2(lp: LinearProgram, tab: _Tableau, start: str) -> LpSolution:
         return LpSolution("unbounded", None, None, tab.iterations, start)
     if status != "optimal":
         return LpSolution("numerical", None, None, tab.iterations, start)
-    if tab.cols is None:
+    if not tab.exact:
         # Only an inverse with product-form updates is inverted again: an
         # exact inverse of this basis would come out as the same bits.
         tab.refactor()
     tab.recompute_basics()
     x = tab.x[:lp.n_vars].copy()
-    bad = check_feasible(lp, x, tol=1e-6)
-    if bad:
+    if not _feasible(lp, x, 1e-6):
         return LpSolution("numerical", None, None, tab.iterations, start)
     y = tab.binv.T @ cost[tab.basis]
-    for arr in (tab.cols, tab.binv):
-        arr.setflags(write=False)
-    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n].copy(), tab.cols, tab.binv)
+    tab.binv.setflags(write=False)
+    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n].copy(), lp.a_eq, tab.binv)
     return LpSolution(
         status="optimal",
         x=x,

@@ -38,13 +38,15 @@ value under its section's name, then the checks across sections.  A check
 across sections skips a value that itself failed, so one mistake gives one
 line.  Values that name network buses (participation, zone weights) and
 the loadability region, which needs a load bus, are checked against the
-network once it is loaded, before any dispatch runs.
+network once it is loaded, before any dispatch runs.  ``ScenarioConfig.sha256``
+is the digest of the bytes that were parsed, so the file is not read again.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,7 +134,7 @@ class ScenarioConfig:
     replacement: Optional[ReplacementSpec]
     loadability: LoadabilityOptions
     zone_weights: Mapping[str, ZoneWeights]
-    source_path: Optional[str] = None
+    sha256: str
 
     @property
     def regions(self) -> tuple[str, ...]:
@@ -219,7 +221,9 @@ def scenario_from_config(path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"missing scenario config: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        # decoded as read_text would: UTF-8 with universal newlines
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read the scenario config: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
@@ -428,9 +432,5 @@ def scenario_from_config(path) -> ScenarioConfig:
         replacement=replacement,
         loadability=load_opts,
         zone_weights=zone_weights,
-        source_path=str(path),
+        sha256=hashlib.sha256(data).hexdigest(),
     )
-
-
-def config_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -13,6 +13,8 @@ and the test-only code that the pipeline never calls.
 * ``inequality_day_lp`` and ``no_action_error``: the demand day LP as
   battery power under 98 inequality rows, in ``scipy.optimize.linprog``'s
   terms, and the error text of a day without a schedule.
+* ``check_feasible``: every violated bound and row of a point, with its
+  magnitude, where ``lp`` only asks whether there is one.
 * ``reference_solve_lp``: the dense primal simplex that inverts every
   starting basis, rebuilds its entering masks at every pivot and has no dual
   restart; ``restart_differences``, which holds a solve to it; and
@@ -48,7 +50,6 @@ from gridstudy.lp import (
     LinearProgram,
     LpFormatError,
     LpSolution,
-    Violation,
 )
 from gridstudy.powerflow import (
     PF_MAX_ITERATIONS,
@@ -456,15 +457,27 @@ def no_action_error(params: DemandParams, day: DayInputs) -> str:
 
 # -- the dense simplex as it was -------------------------------------------------
 
-def _reference_check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
+@dataclass(frozen=True)
+class Violation:
+    kind: str  # non-finite | lower-bound | upper-bound | equality
+    index: int
+    magnitude: float
+
+    def __str__(self):
+        return f"{self.kind} [{self.index}] violated by {self.magnitude:.3e}"
+
+
+_EXCESS_KINDS = ("lower-bound", "upper-bound", "equality")
+
+
+def check_feasible(lp: LinearProgram, x, tol: float = FEASIBILITY_TOL) -> list[Violation]:
     """Every violated bound/constraint, and every NaN or infinite entry of ``x``,
     with its magnitude; empty iff feasible within ``tol``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpFormatError(f"x has shape {x.shape}, expected ({lp.n_vars},)")
     out = [Violation("non-finite", int(j), abs(float(x[j]))) for j in np.flatnonzero(~np.isfinite(x))]
-    for kind, excess in (("lower-bound", lp.lower - x), ("upper-bound", x - lp.upper),
-                         ("equality", np.abs(lp.a_eq @ x - lp.b_eq))):
+    for kind, excess in zip(_EXCESS_KINDS, (lp.lower - x, x - lp.upper, np.abs(lp.a_eq @ x - lp.b_eq))):
         out += [Violation(kind, int(i), float(excess[i])) for i in np.flatnonzero(excess > tol)]
     return out
 
@@ -638,13 +651,13 @@ def reference_solve_lp(lp: LinearProgram, basis_hint: Optional[BasisHint] = None
     Solve ``lp``; classify as optimal / infeasible / unbounded.
 
     Numerical breakdown is reported as status ``"numerical"``, never as a
-    wrong optimum.  ``basis_hint`` (from a previous solution of an instance
-    with identical shape) skips phase 1 when still primal feasible.  A
+    wrong optimum.  ``basis_hint`` (from a previous solution of a program
+    that holds ``lp.a_eq`` itself) skips phase 1 when still primal feasible.  A
     hinted solve that does not end optimal is solved again from scratch;
     ``iterations`` then counts the pivots of both attempts.
     """
     tab = _ReferenceTableau(lp)
-    if basis_hint is not None and tab.start_from_hint(basis_hint):
+    if basis_hint is not None and basis_hint.a_eq is lp.a_eq and tab.start_from_hint(basis_hint):
         sol = _reference_phase2(lp, tab, "hint")
         if sol.is_optimal:
             return sol
@@ -679,11 +692,11 @@ def _reference_phase2(lp: LinearProgram, tab: _ReferenceTableau, start: str) -> 
     tab.refactor()
     tab.recompute_basics()
     x = tab.x[:lp.n_vars].copy()
-    bad = _reference_check_feasible(lp, x, tol=1e-6)
+    bad = check_feasible(lp, x, tol=1e-6)
     if bad:
         return LpSolution("numerical", None, None, tab.iterations, start)
     y = tab.binv.T @ cost[tab.basis]
-    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n].copy())
+    hint = BasisHint(tab.basis.copy(), tab.state[:tab.n].copy(), lp.a_eq, tab.binv)
     return LpSolution(
         status="optimal",
         x=x,
@@ -732,7 +745,7 @@ def restart_differences(lp: LinearProgram, ours: LpSolution, ref: LpSolution) ->
             out.append("objective")
         if not np.allclose(ours.duals_eq, ref.duals_eq, rtol=1e-9, atol=1e-9):
             out.append("duals_eq")
-        if _reference_check_feasible(lp, ours.x):
+        if check_feasible(lp, ours.x):
             out.append("x")
     return out
 

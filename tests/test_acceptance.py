@@ -22,6 +22,7 @@ from gridstudy.dispatch import (
     VALUE_OF_LOST_LOAD,
     Generator,
     Interconnector,
+    _merit_order,
     choose_commitment,
     dispatch_hour,
 )
@@ -135,12 +136,12 @@ def test_criterion_4_dispatch_correctness():
     for _ in range(80):
         fleet = random_fleet()
         demand = {"A": float(rng.uniform(0, 350)), "B": float(rng.uniform(0, 350))}
-        _, hd = choose_commitment(fleet, demand, {}, lines)
+        _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
         ours_clean = not hd.unserved_hour and not hd.dumped_hour
         oracle_clean = False
         for mask in range(16):
             subset = tuple(g for i, g in enumerate(fleet) if mask >> i & 1)
-            trial = dispatch_hour(subset, demand, {}, lines)
+            trial = dispatch_hour(subset, demand, {}, lines, 0, {})
             if not trial.unserved_hour and not trial.dumped_hour:
                 oracle_clean = True
                 break
@@ -151,7 +152,7 @@ def test_criterion_4_dispatch_correctness():
     for _ in range(1000):
         fleet = random_fleet()
         demand = {"A": float(rng.uniform(0, 400)), "B": float(rng.uniform(0, 400))}
-        _, hd = choose_commitment(fleet, demand, {}, lines)
+        _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
         for region in demand:
             gen_mw = sum(mw for u, mw in hd.output_mw.items() if u.startswith(region))
             flows = sum(f if line.to_region == region else -f
@@ -164,7 +165,7 @@ def test_criterion_4_dispatch_correctness():
     cheap = Generator("cheap", "black_coal", "Z", "A", 1000, 0, 20.0)
     dear = Generator("dear", "gt", "Z", "B", 1000, 0, 70.0)
     line = Interconnector("A-B", "A", "B", 100.0, -100.0)
-    hd = dispatch_hour((cheap, dear), {"A": 50.0, "B": 200.0}, {}, [line])
+    hd = dispatch_hour((cheap, dear), {"A": 50.0, "B": 200.0}, {}, [line], 0, {})
     assert hd.output_mw["cheap"] == 150.0
     assert hd.output_mw["dear"] == 100.0
     assert hd.flow_mw["A-B"] == 100.0
@@ -295,8 +296,8 @@ class TestYearProperties:
             if gt_out <= 1e-6:
                 continue
             demand = {r: float(rep.nett_demand[r].values[hd.hour]) for r in rep.nett_demand}
-            commitment, _ = choose_commitment(cfg.fleet, demand, {}, cfg.interconnectors,
-                                              hour=hd.hour)
+            commitment, _ = choose_commitment(cfg.fleet, demand, {}, cfg.interconnectors, hd.hour,
+                                              {}, _merit_order(cfg.fleet))
             saturated = False
             for cut in self.CUTS:
                 cut_demand = sum(demand[r] for r in cut)
@@ -372,8 +373,8 @@ class TestYearProperties:
                 demand = {r: float(ts.values[hour]) for r, ts in rep.nett_demand.items()}
                 avail = {name: float(ts.values[hour]) for name, ts in availabilities.items()}
                 solved.clear()
-                _, hd = choose_commitment(cfg.fleet, demand, avail, cfg.interconnectors,
-                                          hour=hour, hints=hints)
+                _, hd = choose_commitment(cfg.fleet, demand, avail, cfg.interconnectors, hour,
+                                          hints, _merit_order(cfg.fleet))
                 hours += 1
                 trials += len(solved) - 1
                 for lp, sol in solved:

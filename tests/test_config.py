@@ -1,6 +1,7 @@
 """Scenario configuration schema: bundled files, violations and fuzzing."""
 
 import configparser
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from gridstudy.loadability import DEFAULT_LAMBDA_MAX, DEFAULT_STEP
 from gridstudy.powerflow import DEFAULT_BASE_MVA
 from gridstudy.scenarioconfig import (
     ConfigError,
-    config_sha256,
     scenario_from_config,
 )
 from gridstudy.timeseries import ZoneWeights
@@ -65,7 +65,9 @@ class TestBundledConfigs:
                                                               DEFAULT_BASE_MVA)
 
     def test_hash_is_stable(self):
-        assert config_sha256(config_path(1)) == config_sha256(config_path(1))
+        want = hashlib.sha256(config_path(1).read_bytes()).hexdigest()
+        assert scenario_from_config(config_path(1)).sha256 == want
+        assert scenario_from_config(config_path(1)).sha256 == want
 
     def test_scenario1_fleet_is_its_generator_sections(self):
         parser = configparser.ConfigParser(interpolation=None)

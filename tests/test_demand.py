@@ -387,14 +387,25 @@ class TestAggregate:
                 {"A": [self.make_schedule(1.0)], "B": [self.make_schedule(1.0)] * 2},
                 datetime(2021, 1, 1))
 
-    def test_solve_days_matches_independent_resolve(self):
+    def test_solve_days_matches_independent_resolve(self, monkeypatch):
+        """Every day after the first is solved from the previous day's basis."""
+        from gridstudy import demand
         rng = np.random.default_rng(43)
         params, price, load, pv = random_instance(rng, H)
         days = []
         for _ in range(6):
             p2 = rng.permutation(price)
             days.append(DayInputs(p2, load, pv))
+        starts = []
+
+        def recording(lp, basis_hint=None):
+            sol = solve_lp(lp, basis_hint=basis_hint)
+            starts.append(sol.start)
+            return sol
+
+        monkeypatch.setattr(demand, "solve_lp", recording)
         chained = solve_days(params, days)
+        assert starts[0] == "cold" and set(starts[1:]) <= {"hint", "dual"}
         for d in (0, 3, 5):
             fresh = solve_day(params, days[d])
             assert chained[d].cost == pytest.approx(fresh.cost, abs=1e-7)

@@ -13,6 +13,7 @@ from gridstudy.dispatch import (
     DispatchError,
     Generator,
     Interconnector,
+    _merit_order,
     choose_commitment,
     commit_merit_order,
     csp_profile_shift,
@@ -77,28 +78,30 @@ class TestCspShift:
 
 class TestCommitment:
     def test_single_unit(self):
-        units = commit_merit_order([gen("only", 25.0, 500)], {"R": 100.0}, {})
+        fleet = [gen("only", 25.0, 500)]
+        units = commit_merit_order(fleet, {"R": 100.0}, {}, _merit_order(fleet))
         assert [u.name for u in units] == ["only"]
 
     def test_merit_order_skips_expensive_unit(self):
         cheap = gen("YPS_3", 21.88, 800, region="VIC", gtype="brown_coal")
         dear = gen("TPS_4", 73.84, 500, region="QLD", gtype="gt")
-        units = commit_merit_order([dear, cheap], {"VIC": 400.0, "QLD": 0.0}, {})
+        units = commit_merit_order([dear, cheap], {"VIC": 400.0, "QLD": 0.0}, {}, [cheap, dear])
         assert [u.name for u in units] == ["YPS_3"]
 
     def test_renewables_always_committed(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
-        units = commit_merit_order([wind, gen("coal", 20, 100)], {"R": 10.0}, {"w": 0.4})
+        fleet = [wind, gen("coal", 20, 100)]
+        units = commit_merit_order(fleet, {"R": 10.0}, {"w": 0.4}, _merit_order(fleet))
         assert units == (wind,)
         # pinned at its availability, though the 10 MW demand would take less
-        assert dispatch_hour(units, {"R": 10.0}, {"w": 0.4}, []).output_mw["w"] == 40.0
+        assert dispatch_hour(units, {"R": 10.0}, {"w": 0.4}, [], 0, {}).output_mw["w"] == 40.0
 
     def test_min_stable_oversupply_decommits_expensive_end(self):
         a = gen("a", 10.0, 100, min_stable=40)
         b = gen("b", 50.0, 100, min_stable=40)
-        units = commit_merit_order([a, b], {"R": 150.0}, {})
+        units = commit_merit_order([a, b], {"R": 150.0}, {}, [a, b])
         assert [u.name for u in units] == ["a", "b"]
-        units2 = commit_merit_order([a, b], {"R": 60.0}, {})
+        units2 = commit_merit_order([a, b], {"R": 60.0}, {}, [a, b])
         assert [u.name for u in units2] == ["a"]
 
     @pytest.mark.parametrize("path", ["regional top-up", "repair"])
@@ -118,7 +121,7 @@ class TestCommitment:
             demand, availability = {"A": 0.0, "B": 100.0, "C": 100.0}, {}
             lines = [Interconnector("A-B", "A", "B", 100.0, -100.0),
                      Interconnector("B-C", "B", "C", 100.0, -100.0)]
-        committed, hd = choose_commitment(fleet, demand, availability, lines)
+        committed, hd = choose_commitment(fleet, demand, availability, lines, 0, {}, _merit_order(fleet))
         assert len(committed) == len(expected)
         assert all(u is g for u, g in zip(committed, expected))
         assert not hd.unserved_hour
@@ -126,16 +129,18 @@ class TestCommitment:
 
 class TestDispatchHour:
     def test_capacity_deficit_flags_unserved(self):
-        units = commit_merit_order([gen("only", 25.0, 100)], {"R": 150.0}, {})
-        hd = dispatch_hour(units, {"R": 150.0}, {}, [])
+        fleet = [gen("only", 25.0, 100)]
+        units = commit_merit_order(fleet, {"R": 150.0}, {}, _merit_order(fleet))
+        hd = dispatch_hour(units, {"R": 150.0}, {}, [], 0, {})
         assert hd.unserved_mw["R"] == pytest.approx(50.0, abs=1e-9)
         assert hd.unserved_hour
         assert hd.price["R"] == pytest.approx(VALUE_OF_LOST_LOAD)
 
     def test_renewable_surplus_flags_dumped(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
-        units = commit_merit_order([wind, gen("coal", 25.0, 100)], {"R": 30.0}, {"w": 0.9})
-        hd = dispatch_hour(units, {"R": 30.0}, {"w": 0.9}, [])
+        fleet = [wind, gen("coal", 25.0, 100)]
+        units = commit_merit_order(fleet, {"R": 30.0}, {"w": 0.9}, _merit_order(fleet))
+        hd = dispatch_hour(units, {"R": 30.0}, {"w": 0.9}, [], 0, {})
         assert hd.dumped_mw["R"] == pytest.approx(60.0, abs=1e-9)
         assert hd.dumped_hour
         assert hd.price["R"] == pytest.approx(-DUMP_PENALTY)
@@ -145,7 +150,7 @@ class TestDispatchHour:
         cheap = gen("cheap", 20.0, 1000, region="A")
         dear = gen("dear", 70.0, 1000, region="B", gtype="gt")
         line = Interconnector("A-B", "A", "B", 100.0, -100.0)
-        hd = dispatch_hour((cheap, dear), {"A": 50.0, "B": 200.0}, {}, [line])
+        hd = dispatch_hour((cheap, dear), {"A": 50.0, "B": 200.0}, {}, [line], 0, {})
         assert hd.output_mw["cheap"] == 150.0
         assert hd.output_mw["dear"] == 100.0
         assert hd.flow_mw["A-B"] == 100.0
@@ -154,7 +159,7 @@ class TestDispatchHour:
 
     def test_unknown_region_rejected(self):
         with pytest.raises(DispatchError, match="no demand entry"):
-            dispatch_hour((gen("g", 10, 10, region="X"),), {"R": 5.0}, {}, [])
+            dispatch_hour((gen("g", 10, 10, region="X"),), {"R": 5.0}, {}, [], 0, {})
 
     @pytest.mark.parametrize("demand_b,start", [(190.0, "hint"), (40.0, "dual")])
     def test_failed_warm_start_is_solved_cold(self, failing_warm_phase, demand_b, start):
@@ -169,7 +174,7 @@ class TestDispatchHour:
         dispatch_hour(committed, {"A": 50.0, "B": 200.0}, {}, [line], 0, hints)
         hd = dispatch_hour(committed, {"A": 60.0, "B": demand_b}, {}, [line], 1, hints)
         assert failing_warm_phase == [start]
-        assert hd == dispatch_hour(committed, {"A": 60.0, "B": demand_b}, {}, [line], 1)
+        assert hd == dispatch_hour(committed, {"A": 60.0, "B": demand_b}, {}, [line], 1, {})
 
 
 def enumerate_commitments(generators, demand, availability, lines):
@@ -180,7 +185,7 @@ def enumerate_commitments(generators, demand, availability, lines):
     results = []
     for mask in range(1 << len(dispatchables)):
         subset = renewables + tuple(g for i, g in enumerate(dispatchables) if mask >> i & 1)
-        hd = dispatch_hour(subset, demand, availability, lines)
+        hd = dispatch_hour(subset, demand, availability, lines, 0, {})
         clean = not hd.unserved_hour and not hd.dumped_hour
         results.append((clean, hd.objective, subset))
     return results
@@ -207,7 +212,7 @@ class TestCommitmentOracle:
         for _ in range(trials):
             fleet = self.random_fleet(rng)
             demand = {"A": float(rng.uniform(0, 350)), "B": float(rng.uniform(0, 350))}
-            _, hd = choose_commitment(fleet, demand, {}, lines)
+            _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
             ours_clean = not hd.unserved_hour and not hd.dumped_hour
             outcomes = enumerate_commitments(fleet, demand, {}, lines)
             best_clean = [obj for clean, obj, _ in outcomes if clean]
@@ -224,7 +229,7 @@ class TestCommitmentOracle:
         for _ in range(1000):
             fleet = self.random_fleet(rng)
             demand = {"A": float(rng.uniform(0, 400)), "B": float(rng.uniform(0, 400))}
-            _, hd = choose_commitment(fleet, demand, {}, lines)
+            _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
             resid = balance_residual(hd, demand, lines)
             assert max(abs(v) for v in resid.values()) < BALANCE_TOL
 
@@ -236,7 +241,7 @@ class TestMeritOrderProperty:
             fleet = [gen(f"u{i}", float(rng.uniform(5, 90)), float(rng.uniform(50, 200)))
                      for i in range(4)]
             demand = {"R": float(rng.uniform(10, 500))}
-            _, hd = choose_commitment(fleet, demand, {}, [])
+            _, hd = choose_commitment(fleet, demand, {}, [], 0, {}, _merit_order(fleet))
             by_cost = sorted(fleet, key=lambda g: g.srmc)
             for cheap, dear in itertools.combinations(by_cost, 2):
                 cheap_out = hd.output_mw.get(cheap.name)
@@ -370,7 +375,8 @@ class TestSimulateHorizon:
         """Scenario 5's pass-0 and nett dispatch over 14 days spread across the
         year (every 26th day moved to the front of each series): at least 300
         of its 708 dispatch solves start from a cached basis that the dual
-        simplex makes primal feasible."""
+        simplex makes primal feasible, and no solve given a cached basis
+        starts cold, as one would if the cache lost track of its program."""
         from gridstudy import dispatch
         from gridstudy.harness import run_scenario
         from gridstudy.scenarioconfig import scenario_from_config
@@ -390,14 +396,15 @@ class TestSimulateHorizon:
 
         def recording(lp, basis_hint=None):
             sol = dispatch_solve(lp, basis_hint)
-            starts.append(sol.start)
+            starts.append((basis_hint is not None, sol.start))
             return sol
 
         dispatch_solve = dispatch.solve_lp
         monkeypatch.setattr(dispatch, "solve_lp", recording)
         run_scenario(scenario_from_config(config_path(5)), sampled, days=days, stop_after="dispatch")
         assert len(starts) == 708
-        assert starts.count("dual") >= 300
+        assert [start for _, start in starts].count("dual") >= 300
+        assert (True, "cold") not in starts
 
 
 class TestHintCache:

@@ -242,6 +242,20 @@ class TestEmission:
         for path in written:
             assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
 
+    @pytest.mark.parametrize("change", ["delete", "rewrite"])
+    def test_manifest_hashes_the_parsed_config(self, data_dir, tmp_path, change):
+        """The manifest records the digest of the config bytes that were parsed,
+        also when the file is removed or rewritten before the run ends."""
+        path = shutil.copyfile(config_path(1), tmp_path / "scenario1.ini")
+        cfg = scenario_from_config(path)
+        if change == "delete":
+            path.unlink()
+        else:
+            path.write_text(path.read_text() + "# edited during the run\n")
+        run_scenario(cfg, data_dir, out_dir=tmp_path / "run", days=1)
+        want = hashlib.sha256(config_path(1).read_bytes()).hexdigest()
+        assert f"config_sha256 {want}\n" in (tmp_path / "run" / "manifest.txt").read_text()
+
     def test_emitted_dispatch_serves_emitted_nett_demand(self, short_reports, tmp_path):
         """Each hour of dispatch_hourly.csv balances the nett_demand files.
 

@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridstudy.lp import (
+    FEASIBILITY_TOL,
     INFINITE_BOUND,
     LinearProgram,
     LpFormatError,
-    check_feasible,
+    _feasible,
     solve_lp,
 )
-from tests.oracles import reference_solve_lp, restart_differences, solution_differences
+from tests.oracles import check_feasible, reference_solve_lp, restart_differences, solution_differences
 
 
 class Rows(NamedTuple):
@@ -282,11 +283,15 @@ class TestDeterminism:
 
 
 class TestCheckFeasible:
+    """The oracles' violation report, and ``lp._feasible``, the solver's yes/no
+    check, which must say no exactly when the report is not empty."""
+
     def test_solver_solution_is_clean(self):
         rng = np.random.default_rng(9)
         lp = slacked(random_bounded_lp(rng))
         sol = solve_lp(lp)
         assert check_feasible(lp, sol.x) == []
+        assert _feasible(lp, sol.x, FEASIBILITY_TOL)
 
     def test_non_finite_entries_reported(self):
         lp = box_lp([1.0, 1.0], [0.0, 0.0], [2.0, 2.0])
@@ -294,6 +299,8 @@ class TestCheckFeasible:
             ("non-finite", 0), ("non-finite", 1)]
         report = check_feasible(lp, [1.0, np.inf])
         assert ("non-finite", 1) in [(v.kind, v.index) for v in report]
+        for x in ([np.nan, np.nan], [1.0, np.inf], [np.nan, 1.0]):
+            assert not _feasible(lp, np.array(x), FEASIBILITY_TOL), x
 
     def test_single_bound_violation_magnitude(self):
         lp = box_lp([1.0, 1.0], [0.0, 0.0], [2.0, 2.0])
@@ -301,6 +308,7 @@ class TestCheckFeasible:
         assert len(report) == 1
         assert report[0].kind == "upper-bound"
         assert report[0].magnitude == pytest.approx(1.0)
+        assert not _feasible(lp, np.array([3.0, 1.0]), FEASIBILITY_TOL)
 
     def test_report_matches_row_by_row_recomputation(self):
         rng = np.random.default_rng(13)
@@ -315,6 +323,7 @@ class TestCheckFeasible:
             if lp.a_eq.shape[0]:
                 expected += int(np.sum(np.abs(lp.a_eq @ x - lp.b_eq) > 1e-8))
             assert len(report) == expected
+            assert _feasible(lp, x, 1e-8) == (expected == 0)
 
 
 class TestWarmStart:
@@ -323,9 +332,9 @@ class TestWarmStart:
         rng = np.random.default_rng(21)
         cases = []
         for _ in range(10):
-            base = random_bounded_lp(rng)
-            lp = slacked(base._replace(cost=-base.cost))
-            hint = solve_lp(slacked(base)).basis_hint  # primal feasible for lp, not optimal
+            structure = slacked(random_bounded_lp(rng))
+            lp = structure.reinstance(cost=-structure.cost)
+            hint = solve_lp(structure).basis_hint  # primal feasible for lp, not optimal
             cases.append((lp, hint, solve_lp(lp, hint), solve_lp(lp)))
         warm_starts = request.getfixturevalue("failing_warm_phase")
         for trial, (lp, hint, warm, cold) in enumerate(cases):
@@ -353,6 +362,18 @@ class TestReinstance:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
             assert not got.flags.writeable, key
         assert base.b_eq.tolist() == [1.0, 0.5]
+
+    def test_keeps_copies_of_the_callers_arrays(self):
+        """Neither the constructor nor ``reinstance`` shares or freezes an array
+        that the caller passed in."""
+        data = {key: np.array(value, dtype=float) for key, value in self.DATA.items()}
+        lp = LinearProgram(**data)
+        cost = np.array([3.0, 2.0, 0.0])
+        again = lp.reinstance(cost=cost)
+        for key, arr in [*data.items(), ("reinstance cost", cost)]:
+            assert arr.flags.writeable, key
+        data["a_eq"][0, 0] = data["cost"][0] = cost[0] = 7.0
+        assert (lp.a_eq[0, 0], lp.cost[0], again.cost[0]) == (1.0, 1.0, 3.0)
 
     @pytest.mark.parametrize("key,value", [
         ("b_eq", [np.nan, 0.5]), ("b_eq", [INFINITE_BOUND, 0.5]), ("b_eq", [-INFINITE_BOUND, 0.5]),
@@ -443,23 +464,22 @@ class TestReferenceSimplex:
                 hint = ours.basis_hint
         assert len(starts) >= 50 and {"cold", "hint", "dual"} <= set(starts)
 
-    def test_hint_with_other_columns_is_inverted_afresh(self):
-        """Every row scaled by 1 + 1e-7 keeps the feasible set and the optimal
-        basis but changes the basis columns' bits: the hint is adopted and its
-        stored inverse must not be."""
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-7])
+    def test_hint_from_another_matrix_starts_cold(self, scale):
+        """A hint is bound to the matrix object it was solved on.  A program
+        built afresh from the same rows, bit for bit or with every row scaled
+        by 1 + 1e-7 (the same feasible set and optimal basis in other bits),
+        solves from it exactly as from no hint, while a ``reinstance`` of the
+        hint's own program adopts it."""
         rng = np.random.default_rng(1907)
-        mismatched = 0
         for trial in range(60):
             base = slacked(random_bounded_lp(rng))
-            first = solve_lp(base)
-            k = 1.0 + 1e-7
-            lp = LinearProgram(base.cost, base.lower, base.upper, base.a_eq * k, base.b_eq * k)
-            ref_first = reference_solve_lp(base)
-            ours, ref = solve_lp(lp, first.basis_hint), reference_solve_lp(lp, ref_first.basis_hint)
-            assert solution_differences(ours, ref) == [], trial
-            hint = first.basis_hint
-            mismatched += lp.a_eq[:, hint.basis].tobytes() != hint.columns.tobytes()
-        assert mismatched >= 30
+            hint = solve_lp(base).basis_hint
+            assert solve_lp(base.reinstance(), hint).start == "hint", trial
+            lp = LinearProgram(base.cost, base.lower, base.upper, base.a_eq * scale, base.b_eq * scale)
+            ours = solve_lp(lp, hint)
+            assert ours.start == "cold", trial
+            assert solution_differences(ours, solve_lp(lp)) == [], trial
 
 
 def dual_infeasible(lp, hint, tol=1e-6):
