@@ -7,9 +7,8 @@ LP minimises ``srmc . generation + VoLL * unserved + eps * dumped`` and
 regional marginal prices are read off the optimal basis duals.
 
 Commitment is a priority list: renewables always on, dispatchables added
-in ascending SRMC until capacity covers total demand, then units whose
-minimum stable levels force oversupply are dropped from the expensive
-end.  ``simulate_horizon`` repairs the rare hours where the priority list
+in ascending SRMC until capacity covers total demand.
+``simulate_horizon`` repairs the rare hours where the priority list
 strands demand by committing further dispatchables one at a time.  A
 commitment is a tuple of the fleet's own units; each hour puts its unit
 windows and demand on the commitment's LP.
@@ -153,30 +152,20 @@ def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, flo
     """Priority-list commitment for one hour.
 
     Renewables are always committed (must-run at availability).
-    Dispatchables join in ascending SRMC until committed capacity covers
-    total demand; afterwards, units whose minimum stable levels force
-    oversupply are dropped from the expensive end, but never below the
-    capacity needed to cover demand.  ``merit`` is ``generators``' merit
-    order (``_merit_order``).
+    Dispatchables join in ascending SRMC until committed capacity, the
+    renewables' at this hour's availability included, covers total demand;
+    the list stops at the first unit that covers it, or commits the whole
+    merit order.  ``merit`` is ``generators``' merit order (``_merit_order``).
     """
     total_demand = float(sum(demand.values()))
     renewables = [g for g in generators if g.is_renewable]
-    renewable_mw = sum(_p_max(g, availability) for g in renewables)
+    capacity = sum(_p_max(g, availability) for g in renewables)
     committed: list[Generator] = []
-    capacity = renewable_mw
     for g in merit:
         if capacity >= total_demand:
             break
         committed.append(g)
         capacity += g.capacity_mw
-    min_floor = renewable_mw + sum(g.min_stable_mw for g in committed)
-    while committed and min_floor > total_demand:
-        candidate = committed[-1]
-        if capacity - candidate.capacity_mw < total_demand and renewable_mw < total_demand:
-            break  # dropping it would strand demand
-        committed.pop()
-        capacity -= candidate.capacity_mw
-        min_floor -= candidate.min_stable_mw
     return tuple(renewables + committed)
 
 

@@ -190,16 +190,20 @@ def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
 
     Participation must name generator buses; each demand region and the
     loadability region need pq (load) buses, and a demand region's zone
-    weights may name only those.  A fleet unit that a bus lists must be in
-    that bus's region, since its output is injected there.
+    weights may name only those.  A fleet unit may be listed on one bus at
+    most, of its own region, since its output is injected there.
     """
     validate_participation(network, config.loadability.participation)
     unit_region = {g.name: g.region for g in config.fleet}
+    listed: dict[str, str] = {}
     for b in network.buses:
         for unit in b.gen_names:
             if unit_region.get(unit, b.region) != b.region:
                 raise ValueError(f"unit {unit} of region {unit_region[unit]} is listed on bus "
                                  f"{b.bus_id!r} of region {b.region}")
+            if unit in listed and unit in unit_region:
+                raise ValueError(f"unit {unit} is listed on buses {listed[unit]!r} and {b.bus_id!r}")
+            listed[unit] = b.bus_id
     known = {b.bus_id for b in network.buses}
     for region in (*config.demand_regions, config.loadability.region):
         pq_buses = {b.bus_id for b in network.buses if b.region == region and b.kind == "pq"}
@@ -408,14 +412,7 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
             unserved_energy_twh=dispatch.unserved_energy_twh,
             unserved_hours=dispatch.unserved_hours,
             loadability_gw=average_loadability(load_res),
-            predictors=predictors,
-            conventional_demand=conventional,
-            nett_demand=nett,
-            prices=prices,
-            demand_schedules=schedules,
-            pv_power=pv_power,
-            dispatch=dispatch,
-            loadability=load_res,
+            **done,
         )
         _emit(done, out_dir)
     return report
@@ -491,27 +488,16 @@ def _write_partial(done: Mapping[str, object], out_dir) -> None:
 
 
 def _write_rows(path: Path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and ``rows``; each cell is the ``repr`` of a Python int or float."""
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_summary_csv(report: ScenarioReport, path: Path) -> None:
     _write_rows(path, SUMMARY_COLUMNS, [[
-        report.scenario_id,
-        float(report.spilled_energy_twh),
-        float(report.spilled_hours_pct),
-        float(report.gt_energy_twh),
-        float(report.loadability_gw),
-        float(report.unserved_energy_twh),
-    ]])
+        report.scenario_id, report.spilled_energy_twh, report.spilled_hours_pct,
+        report.gt_energy_twh, report.loadability_gw, report.unserved_energy_twh]])
 
 
 def _write_manifest(report: ScenarioReport, path: Path) -> None:
@@ -533,39 +519,28 @@ def _write_dispatch_csv(dispatch: DispatchResult, priced: Sequence[str], path: P
     header = (["hour"] + [f"gen_{u}" for u in units] + [f"flow_{l}" for l in lines]
               + [f"unserved_{r}" for r in regions] + [f"dumped_{r}" for r in regions]
               + [f"price_{r}" for r in priced] + ["unserved_hour", "dumped_hour"])
-
-    def rows():
-        for hd in dispatch.hours:
-            yield ([hd.hour]
-                   + [float(hd.output_mw.get(u, 0.0)) for u in units]
-                   + [float(hd.flow_mw[l]) for l in lines]
-                   + [float(hd.unserved_mw[r]) for r in regions]
-                   + [float(hd.dumped_mw[r]) for r in regions]
-                   + [float(hd.price[r]) for r in priced]
-                   + [int(hd.unserved_hour), int(hd.dumped_hour)])
-
-    _write_rows(path, header, rows())
+    _write_rows(path, header, (
+        [hd.hour, *[hd.output_mw.get(u, 0.0) for u in units], *[hd.flow_mw[l] for l in lines],
+         *[hd.unserved_mw[r] for r in regions], *[hd.dumped_mw[r] for r in regions],
+         *[hd.price[r] for r in priced], int(hd.unserved_hour), int(hd.dumped_hour)]
+        for hd in dispatch.hours))
 
 
 def _write_loadability_csv(res: LoadabilityResult, path: Path) -> None:
     _write_rows(path,
                 ["hour", "lambda_star", "served_load_MW", "region_load_MW", "min_voltage_pu"],
-                ([h, float(res.lambda_star[h]), float(res.served_load_mw[h]),
-                  float(res.region_load_mw[h]), float(res.min_voltage_pu[h])]
-                 for h in range(len(res))))
+                zip(range(len(res)), res.lambda_star.tolist(), res.served_load_mw.tolist(),
+                    res.region_load_mw.tolist(), res.min_voltage_pu.tolist()))
 
 
 def _write_schedule_csv(days: Sequence[DemandSchedule], price: TimeSeries, load: TimeSeries,
                         pv: TimeSeries, path: Path) -> None:
-    def rows():
-        for d, sched in enumerate(days):
-            for h in range(HOURS_PER_DAY):
-                hour = d * HOURS_PER_DAY + h
-                yield [hour, float(price.values[hour]), float(load.values[hour]),
-                       float(pv.values[hour]), float(sched.battery_mw[h]),
-                       float(sched.grid_mw[h]), float(sched.soc_mwh[h + 1])]
-
-    _write_rows(path, ["hour", "price", "load", "pv", "p_b", "p_g", "soc"], rows())
+    battery = np.concatenate([sched.battery_mw for sched in days]).tolist()
+    grid = np.concatenate([sched.grid_mw for sched in days]).tolist()
+    soc = np.concatenate([sched.soc_mwh[1:] for sched in days]).tolist()
+    _write_rows(path, ["hour", "price", "load", "pv", "p_b", "p_g", "soc"],
+                zip(range(len(soc)), price.values.tolist(), load.values.tolist(),
+                    pv.values.tolist(), battery, grid, soc))
 
 
 def merge_summaries(run_dirs: Sequence, out_path) -> Path:
@@ -599,5 +574,6 @@ def merge_summaries(run_dirs: Sequence, out_path) -> Path:
                                      f"in {found[scenario][0]}")
                 found[scenario] = (path, row)
     out_path = Path(out_path)
-    _write_rows(out_path, SUMMARY_COLUMNS, [found[k][1] for k in sorted(found)])
+    rows = [SUMMARY_COLUMNS, *(found[k][1] for k in sorted(found))]
+    out_path.write_text("".join(",".join(row) + "\n" for row in rows), newline="")
     return out_path

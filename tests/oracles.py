@@ -13,6 +13,8 @@ and the test-only code that the pipeline never calls.
 * ``inequality_day_lp`` and ``no_action_error``: the demand day LP as
   battery power under 98 inequality rows, in ``scipy.optimize.linprog``'s
   terms, and the error text of a day without a schedule.
+* ``milp_commitment``: one dispatch hour's least-cost commitment, a binary
+  per dispatchable, solved by ``scipy.optimize.milp``.
 * ``check_feasible``: every violated bound and row of a point, with its
   magnitude, where ``lp`` only asks whether there is one.
 * ``reference_solve_lp``: the dense primal simplex that inverts every
@@ -35,6 +37,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from gridstudy.demand import DayInputs, DemandParams
+from gridstudy.dispatch import DUMP_PENALTY, VALUE_OF_LOST_LOAD
 from gridstudy.loadability import Points, validate_participation
 from gridstudy.lp import (
     _AT_LOWER,
@@ -453,6 +456,55 @@ def no_action_error(params: DemandParams, day: DayInputs) -> str:
                          (resid < params.grid_export_limit_mw - 1e-9))
     detail = f"; no-action grid power first leaves the window at hour {bad[0]}" if bad.size else ""
     return f"day schedule infeasible{detail}"
+
+
+# -- the commitment as a MILP ----------------------------------------------------
+
+def milp_commitment(fleet, lines, demand, availability):
+    """(objective, dumped MW) of one hour's least-cost commitment and dispatch.
+
+    A dispatchable has a binary ``u`` with ``min_stable u <= p <= capacity u``;
+    a renewable is pinned at capacity times its availability.  Line flows,
+    unserved and dumped energy are priced as in ``dispatch_hour``'s LP.
+    Solved by ``scipy.optimize.milp`` (HiGHS) to a relative gap of 1e-9.
+    """
+    from scipy import optimize
+
+    regions = {r: i for i, r in enumerate(demand)}
+    units = [g for g in fleet if not g.is_renewable]
+    nf, nu, nl, nr = len(fleet), len(units), len(lines), len(regions)
+    n = nf + nu + nl + 2 * nr
+    cost, lower, upper = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    a_eq = np.zeros((nr, n))
+    for j, g in enumerate(fleet):
+        cost[j] = g.srmc
+        a_eq[regions[g.region], j] = 1.0
+        upper[j] = g.capacity_mw * availability.get(g.name, 0.0) if g.is_renewable else g.capacity_mw
+        lower[j] = upper[j] if g.is_renewable else 0.0
+    column = {g.name: j for j, g in enumerate(fleet)}
+    at_most, at_least = np.zeros((nu, n)), np.zeros((nu, n))
+    for k, g in enumerate(units):
+        upper[nf + k] = 1.0
+        at_most[k, column[g.name]] = at_least[k, column[g.name]] = 1.0
+        at_most[k, nf + k], at_least[k, nf + k] = -g.capacity_mw, -g.min_stable_mw
+    for k, line in enumerate(lines):
+        col = nf + nu + k
+        lower[col], upper[col] = line.reverse_limit_mw, line.forward_limit_mw
+        a_eq[regions[line.from_region], col] = -1.0
+        a_eq[regions[line.to_region], col] = 1.0
+    for i in range(nr):
+        cost[nf + nu + nl + i], a_eq[i, nf + nu + nl + i] = VALUE_OF_LOST_LOAD, 1.0
+        cost[nf + nu + nl + nr + i], a_eq[i, nf + nu + nl + nr + i] = DUMP_PENALTY, -1.0
+    b_eq = list(demand.values())
+    res = optimize.milp(
+        cost, integrality=[0] * nf + [1] * nu + [0] * (nl + 2 * nr),
+        bounds=optimize.Bounds(lower, upper),
+        constraints=[optimize.LinearConstraint(a_eq, b_eq, b_eq),
+                     optimize.LinearConstraint(at_most, -np.inf, 0.0),
+                     optimize.LinearConstraint(at_least, 0.0, np.inf)],
+        options={"mip_rel_gap": 1e-9})
+    assert res.status == 0, res.message
+    return res.fun, float(res.x[nf + nu + nl + nr:].sum())
 
 
 # -- the dense simplex as it was -------------------------------------------------

@@ -33,6 +33,7 @@ from gridstudy.synthdata import study_network
 from gridstudy.timeseries import HOURS_PER_DAY
 from oracles import (
     flat_start_converges,
+    milp_commitment,
     reference_sweep,
     solve_power_flow,
     stressed_network,
@@ -391,6 +392,32 @@ class TestYearProperties:
                     assert abs(hd.price[region] - rep.dispatch.hours[hour].price[region]) <= 1e-6, (
                         scenario, hour, region)
         assert hours == 5 * 237 and trials > 0, (hours, trials)
+
+    def test_commitment_is_never_cheaper_than_the_milp(self, year_suite, data_dir):
+        """Every 47th hour of each scenario's dispatched horizon (pass 0 for s1
+        and s2, the nett dispatch for s3-s5) is committed again by
+        ``scipy.optimize.milp``, a binary per dispatchable.  The MILP's optimum
+        is at most the run's objective, 1e-6 relative; the hours where the
+        priority list costs more, or dumps more, are counted and printed."""
+        pytest.importorskip("scipy.optimize")
+        from gridstudy.harness import _load_data
+        reports, _, _ = year_suite
+        for scenario, rep in reports.items():
+            cfg = scenario_from_config(config_path(scenario))
+            availabilities = _load_data(cfg, data_dir, None, {}).availabilities
+            cost_gaps, dump_gaps = [], []
+            for hd in rep.dispatch.hours[::47]:
+                demand = {r: float(ts.values[hd.hour]) for r, ts in rep.nett_demand.items()}
+                avail = {name: float(ts.values[hd.hour]) for name, ts in availabilities.items()}
+                objective, dumped = milp_commitment(cfg.fleet, cfg.interconnectors, demand, avail)
+                assert objective <= hd.objective + 1e-6 * abs(hd.objective), (
+                    scenario, hd.hour, objective, hd.objective)
+                cost_gaps.append((hd.objective - objective) / abs(hd.objective))
+                dump_gaps.append(sum(hd.dumped_mw.values()) - dumped)
+            for name, gaps in (("cost", cost_gaps), ("dump MW", dump_gaps)):
+                above = [g for g in gaps if g > 1e-6]
+                print(f"s{scenario} {name} gap: {len(above)} of {len(gaps)} hours"
+                      + (f", median {np.median(above):.4g}, max {max(above):.4g}" if above else ""))
 
     def test_loadability_bracket_on_year_hours(self, year_suite, data_dir):
         """Re-solve with the plain solver: converges at the hour's factor,

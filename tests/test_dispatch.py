@@ -21,6 +21,7 @@ from gridstudy.dispatch import (
     simulate_horizon,
 )
 from gridstudy.timeseries import SYNTHETIC_YEAR_START, TimeSeries
+from oracles import milp_commitment
 
 BALANCE_TOL = 1e-6
 
@@ -96,7 +97,8 @@ class TestCommitment:
         # pinned at its availability, though the 10 MW demand would take less
         assert dispatch_hour(units, {"R": 10.0}, {"w": 0.4}, [], 0, {}).output_mw["w"] == 40.0
 
-    def test_min_stable_oversupply_decommits_expensive_end(self):
+    def test_priority_list_stops_at_the_first_unit_covering_demand(self):
+        """Minimum stable levels (80 MW together) do not take a unit off the list."""
         a = gen("a", 10.0, 100, min_stable=40)
         b = gen("b", 50.0, 100, min_stable=40)
         units = commit_merit_order([a, b], {"R": 150.0}, {}, [a, b])
@@ -222,6 +224,37 @@ class TestCommitmentOracle:
             if hd.objective <= best_obj + 1e-6:
                 matches += 1
         assert matches / trials >= 0.90
+
+    def test_priority_list_is_the_shortest_covering_merit_prefix(self):
+        """The renewables, then the shortest prefix of the merit order whose
+        capacity with the renewables' hourly maximum covers total demand, or
+        the whole merit order."""
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            wind = Generator("w", "wind", "Z", "A", float(rng.uniform(0, 300)), 0, 0.0)
+            fleet = [*self.random_fleet(rng), wind]
+            demand = {"A": float(rng.uniform(0, 600)), "B": float(rng.uniform(0, 600))}
+            availability = {"w": float(rng.uniform(0, 1))}
+            merit = _merit_order(fleet)
+            covered = itertools.accumulate((g.capacity_mw for g in merit),
+                                           initial=wind.capacity_mw * availability["w"])
+            total = sum(demand.values())
+            k = next((k for k, mw in enumerate(covered) if mw >= total), len(merit))
+            got = commit_merit_order(fleet, demand, availability, merit)
+            assert got == (wind, *merit[:k]), (demand, availability)
+
+    def test_milp_oracle_matches_enumeration(self):
+        """The MILP that the year's commitment test trusts finds the enumerated
+        least cost."""
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(6)
+        lines = [Interconnector("A-B", "A", "B", 120.0, -120.0)]
+        for _ in range(60):
+            fleet = self.random_fleet(rng)
+            demand = {"A": float(rng.uniform(0, 350)), "B": float(rng.uniform(0, 350))}
+            best = min(obj for _, obj, _ in enumerate_commitments(fleet, demand, {}, lines))
+            objective, _ = milp_commitment(fleet, lines, demand, {})
+            assert objective == pytest.approx(best, rel=1e-9, abs=1e-9), demand
 
     def test_hourly_balance_on_random_hours(self):
         rng = np.random.default_rng(8)

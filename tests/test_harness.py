@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from gridstudy import harness
+from gridstudy.dispatch import DispatchResult, HourDispatch
 from gridstudy.harness import (
     StageError,
     merge_summaries,
     run_scenario,
 )
+from gridstudy.loadability import LoadabilityResult
 from gridstudy.powerflow import PowerFlowError
 from gridstudy.pricing import feature_matrix
 from gridstudy.scenarioconfig import scenario_from_config
@@ -288,6 +290,29 @@ class TestEmission:
             "price_NSW", "price_QLD", "price_SA", "price_VIC"]
         assert "unserved_SH" in header and "dumped_SH" in header
         assert "SH" in rep.dispatch.hours[0].price
+
+    def test_each_cell_is_the_repr_of_a_python_number(self, tmp_path):
+        """NaN, -0.0 and 1e-300 keep their repr, and the hour and both flags
+        are ints; a numpy scalar would be written as ``np.float64(...)``."""
+        nan = float("nan")
+        res = LoadabilityResult(np.array([1.5, nan]), np.array([-0.0, nan]),
+                                np.array([1e-300, nan]), np.array([0.1, nan]))
+        harness._write_loadability_csv(res, tmp_path / "loadability.csv")
+        assert (tmp_path / "loadability.csv").read_text() == (
+            "hour,lambda_star,served_load_MW,region_load_MW,min_voltage_pu\n"
+            "0,1.5,-0.0,1e-300,0.1\n"
+            "1,nan,nan,nan,nan\n")
+        hours = (HourDispatch(0, {"b": 1e-300, "a": -0.0}, {"L": 0.1}, {"A": 0.0, "B": 2.5},
+                              {"A": 0.0, "B": 0.0}, {"A": 30.0, "B": -0.01}, True, False),
+                 HourDispatch(1, {"a": nan}, {"L": -100.0}, {"A": 0.0, "B": 0.0},
+                              {"A": 7.0, "B": 0.0}, {"A": 1e-300, "B": 0.0}, False, True))
+        dispatch = DispatchResult(hours, 7e-6, 50.0, 0.0, 2.5e-6, 1)
+        harness._write_dispatch_csv(dispatch, ["A"], tmp_path / "dispatch.csv")
+        assert (tmp_path / "dispatch.csv").read_text() == (
+            "hour,gen_a,gen_b,flow_L,unserved_A,unserved_B,dumped_A,dumped_B,price_A,"
+            "unserved_hour,dumped_hour\n"
+            "0,-0.0,1e-300,0.1,0.0,2.5,0.0,0.0,30.0,1,0\n"
+            "1,nan,0.0,-100.0,0.0,0.0,7.0,0.0,1e-300,0,1\n")
 
     def test_demand_csv_columns(self, short_reports, tmp_path):
         emit_report(short_reports[4], tmp_path / "r4")
@@ -708,4 +733,17 @@ class TestOperatingPoints:
             run_scenario(scenario_from_config(path), data_dir, days=1)
         assert err.value.stage == "load-data"
         assert str(err.value.cause) == "unit CSP_4A of region VIC is listed on bus 'qld_csp' of region QLD"
+        assert no_dispatch == []
+
+    def test_unit_listed_on_two_buses_fails_in_load_data(self, tmp_path, data_dir, no_dispatch):
+        """CPS_4 listed on qld_csp as well as qld_gen: its output would be
+        injected at whichever bus came last."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        bus_csv = data / "bus.csv"
+        bus_csv.write_text(bus_csv.read_text().replace("QLD,CSP_4A;CSP_4B", "QLD,CSP_4A;CSP_4B;CPS_4"))
+        with pytest.raises(StageError) as err:
+            run_scenario(scenario_from_config(config_path(1)), data, days=1)
+        assert err.value.stage == "load-data"
+        assert str(err.value.cause) == "unit CPS_4 is listed on buses 'qld_gen' and 'qld_csp'"
         assert no_dispatch == []
