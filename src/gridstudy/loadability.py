@@ -45,7 +45,6 @@ import os
 import pickle
 import signal
 import traceback
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, NoReturn
 
@@ -269,17 +268,10 @@ def _sweep_forked(sweep: Callable[[slice], np.ndarray], nh: int, workers: int) -
             read_fd, write_fd = os.pipe()
             fds.append(read_fd)
             try:
-                # A warning from the fork (Python 3.12 warns when threads
-                # exist) is issued again once the child is recorded: as an
-                # error it must not leave the child unreaped.
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    pid = os.fork()
+                pid = os.fork()
                 if pid == 0:
                     _worker(sweep, slice(i, None, workers), write_fd, fds, parent)
                 pids.append(pid)
-                for w in caught:
-                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
             finally:
                 os.close(write_fd)
         out[:, ::workers] = sweep(slice(0, None, workers))

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,26 +435,6 @@ class TestWorkers:
             compute_loadability(net, "LOAD", {"source": 1.0}, points(net, [{}] * 3 * 4096))
         assert time.monotonic() - start < 30
         assert len(forks) == 2
-        assert_no_child_left()
-
-    def test_no_child_outlives_a_warning_from_fork(self, forks, monkeypatch):
-        """Python 3.12 warns in the parent, from inside ``os.fork``, when other
-        threads exist.  Turned into an error, that warning reaches the caller
-        after the child exists, and the child is killed and reaped."""
-        counted_fork = os.fork
-
-        def warning_fork():
-            pid = counted_fork()
-            if pid:
-                warnings.warn("forking a process with threads", DeprecationWarning)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning, match="forking a process with threads"):
-                self.sweep()
-        assert len(forks) == 1
         assert_no_child_left()
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
