@@ -56,14 +56,14 @@ from gridstudy.powerflow import BusNetwork, _Grid, _NewtonPool, _nr_batch
 DEFAULT_STEP = 0.005
 #: Safety cap on the scaling factor so a lightly loaded case cannot scan forever.
 DEFAULT_LAMBDA_MAX = 10.0
-#: Fewest hours per worker process of a sweep.  Each extra share costs 35-50 ms
-#: more CPU, the fixed cost of its own pool's ~120 iterations, against 0.4 ms
-#: per hour swept: on a 2-vCPU Xeon, with scenario 5 year hours, one process
-#: sweeping two interleaved shares of 48, 128 and 256 hours took 1.77x, 1.38x
-#: and 1.20x the CPU of sweeping them as one (medians of 25 pairs).  Forked in
-#: two, 2 x 128 hours took 0.87x the wall time and 1.6x the CPU of one process,
-#: and the year's 2 x 4,380 hours 0.43x and 0.84x.  From 128 hours a share a
-#: fork no longer costs wall time.
+#: Fewest hours per worker process of a sweep.  Each extra share costs 20-50 ms
+#: more CPU, the fixed cost of its own pool's ~120 iterations at ~0.25 ms,
+#: against 0.25 ms per hour swept: on a 2-vCPU Xeon, with scenario 5 year
+#: hours, one process sweeping two interleaved shares of 48, 128 and 256 hours
+#: took 1.78x, 1.39-1.52x and 1.13x the CPU of sweeping them as one (medians of
+#: 11 rounds).  Forked in two, 2 x 128 hours took 0.94x the wall time and 1.7x
+#: the CPU of one process, and the year's 2 x 4,380 hours 0.44x and 0.86x.
+#: From 128 hours a share a fork no longer costs wall time.
 MIN_WORKER_HOURS = 128
 
 #: ``(load_mw, load_mvar, injection_mw)``: (hours x buses) arrays for a sweep.
@@ -188,9 +188,9 @@ def _sweep(grid: _Grid, region_mask: np.ndarray, pickup: np.ndarray, base_p: np.
     def stressed(h, lam):
         """Load MW and scheduled injections (p.u.) of hours ``h`` at factors ``lam``."""
         scale = np.where(region_mask, lam[:, None], 1.0)
-        p_load = base_p[h] * scale
-        p_inj = inj_p[h] + ((lam - 1.0) * region_base[h])[:, None] * pickup
-        return p_load, *grid.scheduled(p_load, base_q[h] * scale, p_inj, 0.0)
+        p_load = base_p.take(h, axis=0) * scale
+        p_inj = inj_p.take(h, axis=0) + ((lam - 1.0) * region_base[h])[:, None] * pickup
+        return p_load, *grid.scheduled(p_load, base_q.take(h, axis=0) * scale, p_inj, 0.0)
 
     # Per hour: its highest converged grid index lo with that point's voltages,
     # and its lowest failing index hi (top + 1, the first index above lambda_max,
@@ -209,12 +209,18 @@ def _sweep(grid: _Grid, region_mask: np.ndarray, pickup: np.ndarray, base_p: np.
     pool.add(np.arange(nh), *stressed(np.arange(nh), np.ones(nh))[1:])
     while len(pool):
         h, vm, va, converged = pool.iterate()[:4]
+        if not h.size:
+            continue
         up, down = h[converged], h[~converged]
-        lo[up], vm_lo[up], va_lo[up] = probe[up], vm[converged], va[converged]
+        at = converged.nonzero()[0]
+        lo[up], vm_lo[up], va_lo[up] = probe[up], vm.take(at, axis=0), va.take(at, axis=0)
         hi[down] = probe[down]
         h = h[hi[h] - lo[h] > 1]
+        if not h.size:
+            continue
         probe[h] = np.where(hi[h] > top, np.minimum(2 * lo[h] + 4, top), (lo[h] + hi[h]) // 2)
-        pool.add(h, *stressed(h, 1.0 + probe[h] * step)[1:], start=(vm_lo[h], va_lo[h]))
+        pool.add(h, *stressed(h, 1.0 + probe[h] * step)[1:],
+                 start=(vm_lo.take(h, axis=0), va_lo.take(h, axis=0)))
     # lambda* is the factor at lo = hi - 1, or NaN (degenerate) when the base
     # case fails.  That point is solved once more from a flat start for its
     # voltages, as the flat scan solved it.

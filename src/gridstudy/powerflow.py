@@ -138,8 +138,15 @@ class _Grid:
     ``[e f] @ mix`` gives the bus currents ``[Re I, Im I]`` of voltages e + jf.
     Jacobian rows are P at pvpq then Q at pq, columns Va at pvpq then ΔVm/Vm
     at pq: both index the buses ``jbus``.  Only the entries on the bus
-    diagonal or where Ybus is nonzero are computed, row by row at flat
-    positions ``jac_at``.  These are MATPOWER's polar ``dSbus_dV`` expressions
+    diagonal or where Ybus is nonzero are computed, at flat positions
+    ``jac_at`` in residual order: for k = 0, 1, ..., entry k (in column
+    order) of every row with more than k entries, rows longest first
+    (``res_rows``); ``res_cut`` ends the run of each k.  The residual
+    J dx + F of a step then takes one slice add per k and adds each row's
+    entries left to right, the bits of a sum row by row.  ``np.add.reduceat``
+    rounds otherwise on rows of three entries or more, and a gather into a
+    zero-padded (rows x longest row) block keeps the bits but costs more at
+    large pools.  These are MATPOWER's polar ``dSbus_dV`` expressions
     in real arithmetic: with v + ju = conj(Y_ij) V_i conj(V_j), dS_i/dVa_j is
     -j (v + ju) and dS_i/dVm_j * Vm_j is v + ju, and the bus diagonal adds
     S_i terms.  Up to four entries (P or Q row, angle or magnitude column)
@@ -177,6 +184,14 @@ class _Grid:
         p_row = np.arange(jbus.size) < self.pvpq.size  # also the angle columns
         y = self.ybus[np.ix_(jbus, jbus)]
         rows, cols = np.nonzero((y != 0) | (jbus[:, None] == jbus[None, :]))
+        # Residual order: entry k of every row with more than k entries, longest rows first.
+        count = np.bincount(rows, minlength=jbus.size)
+        self.res_rows = np.argsort(-count, kind="stable")
+        first = np.searchsorted(rows, self.res_rows)
+        depth = [np.sum(count > k) for k in range(count.max())]
+        order = np.concatenate([first[:m] + k for k, m in enumerate(depth)])
+        rows, cols = rows[order], cols[order]
+        self.res_cut = np.cumsum(depth).tolist()
         self.jac_at = rows * jbus.size + cols
         pairs, pair_of = np.unique(jbus[rows] * n + jbus[cols], return_inverse=True)
         bus_i, bus_j = pairs // n, pairs % n
@@ -193,7 +208,6 @@ class _Grid:
         self.diag_from = np.where(p_row[c], 2 * p_row[r], ~p_row[r]) * n + jbus[c]
         self.mismatch_from = np.concatenate([self.pvpq, n + self.pq])
         self.jac_col = cols
-        self.jac_rows = [slice(*np.searchsorted(rows, [i, i + 1])) for i in range(jbus.size)]
         self._factor_symbolically(rows.tolist(), cols.tolist())
 
     def _factor_symbolically(self, rows, cols):
@@ -256,10 +270,11 @@ def _jacobian(grid: _Grid, ef: np.ndarray, pqq: np.ndarray) -> np.ndarray:
     """Jacobian entries (nnz, B), in ``jac_at`` order, at voltages ``[e f]`` and powers
     ``[P, Q, -Q]`` (B rows each)."""
     nb, npair = len(ef), grid.pair_g.size
-    e_i, f_i, e_j, f_j = np.ascontiguousarray(ef.T)[grid.pair_ef].reshape(4, npair, nb)
+    gathered = np.ascontiguousarray(ef.T).take(grid.pair_ef, axis=0)
+    e_i, f_i, e_j, f_j = gathered.reshape(4, npair, nb)
     c = e_i * e_j + f_i * f_j  # c + js = V_i conj(V_j)
     s = f_i * e_j - e_i * f_j
-    del e_i, f_i, e_j, f_j  # free the gathered voltages first: peak memory
+    del gathered, e_i, f_i, e_j, f_j  # free the gathered voltages first: peak memory
     uv = np.empty((3, npair, nb))  # [u; v; -v]
     np.multiply(grid.pair_g, s, out=uv[0])
     uv[0] -= grid.pair_b * c
@@ -267,7 +282,7 @@ def _jacobian(grid: _Grid, ef: np.ndarray, pqq: np.ndarray) -> np.ndarray:
     uv[1] += grid.pair_b * s
     np.negative(uv[1], out=uv[2])
     del c, s
-    val = uv.reshape(3 * npair, nb)[grid.jac_from]
+    val = uv.reshape(3 * npair, nb).take(grid.jac_from, axis=0)
     val[grid.diag_at] += pqq.T[grid.diag_from]
     return val
 
@@ -292,24 +307,37 @@ def _newton_step(grid: _Grid, ef: np.ndarray, pqq: np.ndarray, dpq: np.ndarray,
         for pivot, lo, mid, hi, target in grid.lu_forward:
             low = lu[lo:mid]
             low /= lu[pivot]
-            lu[target] -= (low[:, None] * lu[mid:hi]).reshape(target.size, nb)
+            update = lu.take(target, axis=0)
+            update -= (low[:, None] * lu[mid:hi]).reshape(target.size, nb)
+            lu[target] = update
         for pivot, xk, above, above_x in grid.lu_back:
             lu[xk] /= lu[pivot]
             if above.size:
-                lu[above_x] -= lu[above] * lu[xk]
-        x = lu[grid.rhs_slot]
+                update = lu.take(above_x, axis=0)
+                update -= lu.take(above, axis=0) * lu[xk]
+                lu[above_x] = update
+        x = lu.take(grid.rhs_slot, axis=0)
         del lu  # before the residual's arrays: peak memory
-        jdx = x[grid.jac_col]
+        jdx = x.take(grid.jac_col, axis=0)
         jdx *= val
-        residual = np.empty((nj, nb))
-        for i, entries in enumerate(grid.jac_rows):
-            np.sum(jdx[entries], axis=0, out=residual[i])
-        residual += dpq.T
+        residual = _residual(grid, jdx, dpq)
         size = np.maximum(val.max(axis=0), -val.min(axis=0)) * np.abs(x).max(axis=0) + norm
         sound = np.isfinite(x).all(axis=0) & (np.abs(residual).max(axis=0)
                                               <= SOLVE_BACKWARD_ERROR * size)
     x[:, ~sound] = 0.0
     return x.T, sound
+
+
+def _residual(grid: _Grid, jdx: np.ndarray, dpq: np.ndarray) -> np.ndarray:
+    """J dx + F (nj, B) with rows in ``res_rows`` order, from the products
+    J_ij dx_j (nnz, B) in ``jac_at`` order, which it overwrites, and the
+    mismatches F (B, nj).  Each row adds its entries left to right, then F:
+    the bits of ``np.sum`` over the row's entries, plus F."""
+    residual = jdx[:grid.jbus.size]
+    for lo, hi in zip(grid.res_cut, grid.res_cut[1:]):
+        residual[:hi - lo] += jdx[lo:hi]
+    residual += dpq.T[grid.res_rows]
+    return residual
 
 
 class _NewtonPool:
@@ -360,25 +388,34 @@ class _NewtonPool:
         """Take every point one iteration further; return the points that ended."""
         grid = self.grid
         ef, pqq = _injections(grid, self.vm, self.va)
-        dpq = pqq[:, grid.mismatch_from] - self.sched
+        dpq = pqq.take(grid.mismatch_from, axis=1)
+        dpq -= self.sched
         norm = np.abs(dpq).max(axis=1)
         converged = norm < PF_TOLERANCE
         stop = converged | (self.it == PF_MAX_ITERATIONS)
-        stopped = (self.tag[stop], self.vm[stop], self.va[stop], converged[stop],
-                   self.it[stop], norm[stop], np.where(converged[stop], np.int8(0), np.int8(1)))
-        rows = np.flatnonzero(~stop)
-        ef, pqq, dpq = ef[rows], pqq[rows], dpq[rows]  # the full arrays go: peak memory
-        dx, sound = _newton_step(grid, ef, pqq, dpq, norm[rows])
-        vm, va, it = self.vm[rows], self.va[rows], self.it[rows] + 1
+        # Rows are gathered by index with take, several times faster than a[index].
+        at = stop.nonzero()[0]
+        done = converged.take(at)
+        stopped = (self.tag.take(at), self.vm.take(at, axis=0), self.va.take(at, axis=0), done,
+                   self.it.take(at), norm.take(at), np.where(done, np.int8(0), np.int8(1)))
+        rows = (~stop).nonzero()[0]
+        # the full arrays go: peak memory
+        ef, pqq, dpq = ef.take(rows, axis=0), pqq.take(rows, axis=0), dpq.take(rows, axis=0)
+        dx, sound = _newton_step(grid, ef, pqq, dpq, norm.take(rows))
+        vm, va = self.vm.take(rows, axis=0), self.va.take(rows, axis=0)
+        it = self.it.take(rows) + 1
         npvpq = grid.pvpq.size
         va[:, grid.pvpq] += dx[:, :npvpq]
         vm[:, grid.pq] *= 1.0 + dx[:, npvpq:]  # dx holds dVm/Vm there
         fail = ~sound | (vm.min(axis=1) < VOLTAGE_COLLAPSE_PU)
-        failed = (self.tag[rows[fail]], vm[fail], va[fail], np.zeros(fail.sum(), dtype=bool),
-                  it[fail], norm[rows[fail]], np.where(sound[fail], np.int8(2), np.int8(3)))
-        stay = ~fail
-        self.tag, self.sched = self.tag[rows[stay]], self.sched[rows[stay]]
-        self.it, self.vm, self.va = it[stay], vm[stay], va[stay]
+        at, stay = fail.nonzero()[0], (~fail).nonzero()[0]
+        gone = rows.take(at)
+        failed = (self.tag.take(gone), vm.take(at, axis=0), va.take(at, axis=0),
+                  np.zeros(at.size, dtype=bool), it.take(at), norm.take(gone),
+                  np.where(sound.take(at), np.int8(2), np.int8(3)))
+        kept = rows.take(stay)
+        self.tag, self.sched = self.tag.take(kept), self.sched.take(kept, axis=0)
+        self.it, self.vm, self.va = it.take(stay), vm.take(stay, axis=0), va.take(stay, axis=0)
         return tuple(np.concatenate(pair) for pair in zip(stopped, failed))
 
 

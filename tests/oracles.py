@@ -6,7 +6,9 @@ and the test-only code that the pipeline never calls.
 * ``load_predictor``: the reader of ``pricing.save_predictor``'s files, the
   oracle of its round trip.
 * ``reference_nr_batch``: the Newton kernel with the full complex MATPOWER
-  ``dSbus_dV`` tensors.
+  ``dSbus_dV`` tensors; ``reference_newton_step``: one Newton step with a
+  row-by-row residual and one indexed update per LU pivot, the bits that
+  ``_newton_step`` keeps.
 * ``reference_sweep``: the loadability scan with one grid step per Newton
   batch; ``flat_start_converges``: one flat-start solve per hour at a
   factor of its own.
@@ -57,12 +59,14 @@ from gridstudy.lp import (
 from gridstudy.powerflow import (
     PF_MAX_ITERATIONS,
     PF_TOLERANCE,
+    SOLVE_BACKWARD_ERROR,
     VOLTAGE_COLLAPSE_PU,
     Branch,
     Bus,
     BusNetwork,
     PowerFlowError,
     _Grid,
+    _jacobian,
     _nr_batch,
 )
 from gridstudy.pricing import _KIND, _MAGIC, PricingError, TrainedPredictor
@@ -366,6 +370,44 @@ def reference_nr_batch(grid, p_sched, q_sched):
             iters[active[fail]] = it + 1
             active = active[~fail]
     return vm, va, converged, iters, mismatch, cause
+
+
+def reference_newton_step(grid, ef, pqq, dpq, norm):
+    """``_newton_step`` as it was with row-major Jacobian entries: a per-row
+    ``np.sum`` for the backward-error residual and a fancy-indexed ``-=`` for
+    every LU update.  It takes the row-major order from ``grid.jac_at``, so
+    it runs on any entry order of ``_Grid``; its bits are the ones to keep."""
+    nb, nj = len(ef), grid.jbus.size
+    row_major = np.argsort(grid.jac_at)
+    val = _jacobian(grid, ef, pqq)[row_major]
+    jac_slot = grid.jac_slot[row_major]
+    rows, jac_col = np.divmod(grid.jac_at[row_major], nj)
+    jac_rows = [slice(*np.searchsorted(rows, [i, i + 1])) for i in range(nj)]
+    lu = np.zeros((grid.lu_slots, nb))
+    lu[jac_slot] = val
+    lu[grid.rhs_slot] = -dpq.T
+    with np.errstate(all="ignore"):  # unsound steps are flagged below
+        for pivot, lo, mid, hi, target in grid.lu_forward:
+            low = lu[lo:mid]
+            low /= lu[pivot]
+            lu[target] -= (low[:, None] * lu[mid:hi]).reshape(target.size, nb)
+        for pivot, xk, above, above_x in grid.lu_back:
+            lu[xk] /= lu[pivot]
+            if above.size:
+                lu[above_x] -= lu[above] * lu[xk]
+        x = lu[grid.rhs_slot]
+        del lu  # before the residual's arrays: peak memory
+        jdx = x[jac_col]
+        jdx *= val
+        residual = np.empty((nj, nb))
+        for i, entries in enumerate(jac_rows):
+            np.sum(jdx[entries], axis=0, out=residual[i])
+        residual += dpq.T
+        size = np.maximum(val.max(axis=0), -val.min(axis=0)) * np.abs(x).max(axis=0) + norm
+        sound = np.isfinite(x).all(axis=0) & (np.abs(residual).max(axis=0)
+                                              <= SOLVE_BACKWARD_ERROR * size)
+    x[:, ~sound] = 0.0
+    return x.T, sound
 
 
 def _scan_setup(net, region, participation, hours):

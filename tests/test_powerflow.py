@@ -15,6 +15,7 @@ from gridstudy.synthdata import study_network
 from oracles import (
     bus_injections_pu,
     has_load,
+    reference_newton_step,
     reference_nr_batch,
     scale_loads,
     solve_power_flow,
@@ -295,3 +296,81 @@ class TestSlotLU:
         assert not conv.any() and cause.tolist() == [3, 3] and iters.tolist() == [1, 1]
         flat = np.where([b.kind == "pq" for b in net.buses], 1.0, grid.vset)
         assert vm.tolist() == [flat.tolist()] * 2 and not va.any()
+
+    @pytest.mark.parametrize("hand", [None, "zero", "inf"])
+    @pytest.mark.parametrize("rows", [1, 2, 35, 213, 1100])
+    def test_step_has_the_reference_bits(self, rows, hand):
+        """dx and soundness bit for bit as in the row-major kernel (compared as
+        uint64, so -0.0 and NaN count) at random voltages and loads, past a gemm
+        block at 1,100 rows; a hand-made point goes first: one whose voltages are
+        all zero, so every Jacobian entry and pivot is zero, or one with an
+        infinite mismatch, each unsound."""
+        from gridstudy import powerflow
+        net = study_network()
+        grid = powerflow._Grid(net)
+        rng = np.random.default_rng(rows)
+        vm = np.where([b.kind == "pq" for b in net.buses], rng.uniform(0.5, 1.2, (rows, grid.n)),
+                      grid.vset)
+        va = np.where([b.kind == "slack" for b in net.buses], 0.0,
+                      rng.uniform(-0.6, 0.6, (rows, grid.n)))
+        if hand == "zero":
+            vm[0] = 0.0
+        scale = rng.uniform(0.2, 4.0, (rows, 1))
+        p_sched, q_sched = grid.scheduled(scale * [b.p_load_mw for b in net.buses],
+                                          scale * [b.q_load_mvar for b in net.buses], 0.0, 0.0)
+        ef, pqq = powerflow._injections(grid, vm, va)
+        dpq = pqq[:, grid.mismatch_from] - np.concatenate([p_sched[:, grid.pvpq],
+                                                           q_sched[:, grid.pq]], axis=1)
+        if hand == "inf":
+            dpq[0, 3] = np.inf
+        norm = np.abs(dpq).max(axis=1)
+        dx, sound = powerflow._newton_step(grid, ef, pqq, dpq, norm)
+        ref_dx, ref_sound = reference_newton_step(grid, ef, pqq, dpq, norm)
+        assert dx.shape == ref_dx.shape == (rows, grid.jbus.size)
+        assert np.array_equal(dx.view(np.uint64), ref_dx.view(np.uint64))
+        assert np.array_equal(sound, ref_sound)
+        assert sound[0] == (hand is None)
+
+    def test_residual_sums_each_row_left_to_right(self):
+        """Each row of J dx + F has the bits of np.sum over its entries, in column
+        order, plus F, where the products span 24 orders of magnitude, so that
+        another order of additions rounds otherwise (np.add.reduceat does)."""
+        from gridstudy import powerflow
+        grid = powerflow._Grid(study_network())
+        nj, nb = grid.jbus.size, 500
+        rng = np.random.default_rng(11)
+        scale = 10.0 ** rng.integers(-12, 12, (grid.jac_at.size, nb))
+        jdx = rng.standard_normal(scale.shape) * scale
+        dpq = rng.standard_normal((nb, nj))
+        row_major = np.argsort(grid.jac_at)
+        rows = grid.jac_at[row_major] // nj
+        want = np.array([np.sum(jdx[row_major][rows == i], axis=0) for i in range(nj)]) + dpq.T
+        got = powerflow._residual(grid, jdx.copy(), dpq)
+        assert np.array_equal(got.view(np.uint64), want[grid.res_rows].view(np.uint64))
+
+
+class TestGrid:
+    def test_study_network_pattern_and_residual_order(self):
+        """The study network's Jacobian has 73 entries; its LU has 81 Jacobian
+        slots, 15 right-hand-side slots and 101 updates of Jacobian slots.  The
+        residual order lists every entry once: entry k of each row with more
+        than k entries, rows longest first, each row's entries in column order."""
+        from gridstudy.powerflow import _Grid
+        grid = _Grid(study_network())
+        nj = grid.jbus.size
+        rows, cols = np.divmod(grid.jac_at, nj)
+        assert (rows.size, nj) == (73, 15)
+        assert np.array_equal(np.sort(grid.jac_at), np.unique(grid.jac_at))
+        assert grid.lu_slots == 81 + nj and np.unique(grid.jac_slot).size == 73
+        assert set(grid.rhs_slot.tolist()).isdisjoint(grid.jac_slot.tolist())
+        rhs = set(grid.rhs_slot.tolist())
+        assert sum(t not in rhs for *_, target in grid.lu_forward for t in target) == 101
+        count = np.bincount(rows, minlength=nj)
+        assert np.all(np.diff(count[grid.res_rows]) <= 0)
+        assert grid.res_cut == np.cumsum([np.sum(count > k) for k in range(7)]).tolist()
+        lo = 0
+        for hi in grid.res_cut:
+            assert np.array_equal(rows[lo:hi], grid.res_rows[:hi - lo])
+            lo = hi
+        for i in range(nj):
+            assert np.all(np.diff(cols[rows == i]) > 0)
