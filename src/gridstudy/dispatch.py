@@ -6,12 +6,11 @@ that no region can absorb is dumped, shortfall is unserved.  Each hour's
 LP minimises ``srmc . generation + VoLL * unserved + eps * dumped`` and
 regional marginal prices are read off the optimal basis duals.
 
-Commitment is a priority list: renewables always on, dispatchables added
-in ascending SRMC until capacity covers total demand.
-``simulate_horizon`` repairs the rare hours where the priority list
-strands demand by committing further dispatchables one at a time.  A
-commitment is a tuple of the fleet's own units; each hour puts its unit
-windows and demand on the commitment's LP.
+Commitment is a priority list with a regional top-up, decided for every
+hour of a horizon at once by ``base_commitments``; ``choose_commitment``
+repairs the rare hours where it strands demand by committing further
+dispatchables one at a time.  A commitment is a tuple of the fleet's own
+units; each hour puts its unit windows and demand on the commitment's LP.
 """
 
 from __future__ import annotations
@@ -138,35 +137,49 @@ def csp_profile_shift(csp_availability: TimeSeries,
                       label=csp_availability.label + f"+{delay_hours}h")
 
 
-def _p_max(gen: Generator, availability: Mapping[str, float]) -> float:
-    """A unit's maximum output this hour; a renewable is pinned at it."""
-    return gen.capacity_mw * availability.get(gen.name, 0.0) if gen.is_renewable else gen.capacity_mw
-
-
 def _merit_order(generators: Sequence[Generator]) -> list[Generator]:
     return sorted((g for g in generators if not g.is_renewable), key=lambda g: (g.srmc, g.name))
 
 
-def commit_merit_order(generators: Sequence[Generator], demand: Mapping[str, float],
-                       availability: Mapping[str, float], merit: Sequence[Generator]) -> Commitment:
-    """Priority-list commitment for one hour.
-
-    Renewables are always committed (must-run at availability).
-    Dispatchables join in ascending SRMC until committed capacity, the
-    renewables' at this hour's availability included, covers total demand;
-    the list stops at the first unit that covers it, or commits the whole
-    merit order.  ``merit`` is ``generators``' merit order (``_merit_order``).
-    """
-    total_demand = float(sum(demand.values()))
+def base_commitments(generators: Sequence[Generator], demand: Mapping[str, np.ndarray],
+                     availability: Mapping[str, np.ndarray],
+                     lines: Sequence[Interconnector]) -> list[Commitment]:
+    """Each hour's commitment, from per-region ``demand`` and per-renewable
+    ``availability`` arrays: the renewables (must-run) in fleet order, then
+    dispatchables in ascending SRMC until the committed maximum output covers
+    total demand, then, region by region in ``demand`` order, spare units of
+    the region while its committed maximum plus the line limits into it is
+    short of its demand.  Every sum adds one term at a time in that order, as
+    an hour-by-hour loop would, so each comparison sees the same bits."""
+    merit = _merit_order(generators)
     renewables = [g for g in generators if g.is_renewable]
-    capacity = sum(_p_max(g, availability) for g in renewables)
-    committed: list[Generator] = []
+    p_max = [g.capacity_mw * availability[g.name] for g in renewables]
+    total = sum(demand.values())
+    zero = np.zeros_like(total, dtype=float)
+    capacity, count = sum(p_max, zero), np.zeros_like(total, dtype=int)  # count: merit units committed
     for g in merit:
-        if capacity >= total_demand:
-            break
-        committed.append(g)
-        capacity += g.capacity_mw
-    return tuple(renewables + committed)
+        short = capacity < total
+        count += short
+        capacity = np.where(short, capacity + g.capacity_mw, capacity)
+    import_bound: dict[str, float] = {}
+    for line in lines:
+        import_bound[line.to_region] = import_bound.get(line.to_region, 0.0) + line.forward_limit_mw
+        import_bound[line.from_region] = import_bound.get(line.from_region, 0.0) - line.reverse_limit_mw
+    extra = []  # (unit, hours it tops its region up)
+    for region, need in demand.items():
+        in_region = [(j, g) for j, g in enumerate(merit) if g.region == region]
+        cover = sum((p for g, p in zip(renewables, p_max) if g.region == region), zero)
+        for j, g in in_region:
+            cover = np.where(j < count, cover + g.capacity_mw, cover)
+        cover = cover + import_bound.get(region, 0.0)
+        for j, g in in_region:
+            take = (j >= count) & (cover < need)
+            cover = np.where(take, cover + g.capacity_mw, cover)
+            extra.append((g, take))
+    keys = list(zip(count.tolist(), *(take.tolist() for _, take in extra)))
+    made = {key: (*renewables, *merit[:key[0]], *(g for (g, _), t in zip(extra, key[1:]) if t))
+            for key in dict.fromkeys(keys)}
+    return [made[key] for key in keys]
 
 
 def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
@@ -175,7 +188,7 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     """LP dispatch of a committed fleet against per-region demand.
 
     A dispatchable runs from its minimum stable level to its capacity; a
-    renewable is pinned at capacity times its ``availability`` (0 if absent).
+    renewable is pinned at capacity times its ``availability`` (required).
     Regional balance: generation + imports - exports + unserved =
     demand + dumped.  Marginal price per region is the balance-row dual
     of the optimal basis.  ``hints`` is a cache keyed by
@@ -189,7 +202,11 @@ def dispatch_hour(committed: Commitment, demand: Mapping[str, float],
     cached = hints.get(key)
     template, hint = (_dispatch_lp(committed, lines, regions), None) if cached is None else cached
     nu, nl, nr = len(committed), len(lines), len(regions)
-    p_max = [_p_max(g, availability) for g in committed]
+    try:
+        p_max = [g.capacity_mw * availability[g.name] if g.is_renewable else g.capacity_mw
+                 for g in committed]
+    except KeyError as missing:
+        raise DispatchError(f"hour {hour}: renewable {missing.args[0]} has no availability") from None
     lower, upper = template.lower.copy(), template.upper.copy()
     lower[:nu] = [p if g.is_renewable else g.min_stable_mw for g, p in zip(committed, p_max)]
     upper[:nu] = p_max
@@ -248,56 +265,21 @@ def _dispatch_lp(committed: Commitment, lines: Sequence[Interconnector],
     return LinearProgram(cost, lower, upper, a_eq, np.zeros(nr))
 
 
-def _regional_topup(merit: Sequence[Generator], demand: Mapping[str, float],
-                    availability: Mapping[str, float], lines: Sequence[Interconnector],
-                    base: Commitment) -> Commitment:
-    """Commit extra in-region units where local capacity plus the import
-    bound cannot cover regional demand.  The import bound sums line limits
-    into the region, ignoring upstream availability, so this is a cheap
-    sufficient top-up; the LP repair loop remains the backstop."""
-    import_bound: dict[str, float] = {}
-    for line in lines:
-        import_bound[line.to_region] = import_bound.get(line.to_region, 0.0) + line.forward_limit_mw
-        import_bound[line.from_region] = import_bound.get(line.from_region, 0.0) - line.reverse_limit_mw
-    local = {r: 0.0 for r in demand}
-    for g in base:
-        local[g.region] += _p_max(g, availability)
-    committed_names = {g.name for g in base}
-    extra: list[Generator] = []
-    for region, need in demand.items():
-        cover = local[region] + import_bound.get(region, 0.0)
-        if cover >= need:
-            continue
-        for g in merit:
-            if g.region != region or g.name in committed_names:
-                continue
-            extra.append(g)
-            committed_names.add(g.name)
-            cover += g.capacity_mw
-            if cover >= need:
-                break
-    return base + tuple(extra)
+def choose_commitment(base: Commitment, merit: Sequence[Generator], demand: Mapping[str, float],
+                      availability: Mapping[str, float], lines: Sequence[Interconnector], hour: int,
+                      hints: dict[tuple, tuple[LinearProgram, BasisHint]]) -> tuple[Commitment, HourDispatch]:
+    """Dispatch the hour's base commitment (``base_commitments``), repaired.
 
-
-def choose_commitment(generators: Sequence[Generator], demand: Mapping[str, float],
-                      availability: Mapping[str, float], lines: Sequence[Interconnector],
-                      hour: int, hints: dict[tuple, tuple[LinearProgram, BasisHint]],
-                      merit: Sequence[Generator]) -> tuple[Commitment, HourDispatch]:
-    """Commitment used by the horizon simulation: priority list plus repair.
-
-    The priority list is topped up for regional adequacy against the line
-    limits; if the dispatch still leaves unserved demand, dispatchables
-    are committed one by one (cheapest first, regions in shortfall
-    preferred); a unit stays committed only if it lowers the objective.
-    The outcome is not guaranteed least-cost, and an hour may still dump
-    energy that another commitment would absorb.
+    If the dispatch leaves unserved demand, the spare dispatchables of
+    ``merit``, the fleet's merit order (``_merit_order``), are committed one
+    by one (cheapest first, regions in shortfall preferred); a unit stays
+    committed only if it lowers the objective.  The outcome is not
+    guaranteed least-cost, and an hour may still dump energy that another
+    commitment would absorb.
 
     ``hints`` is a cross-call cache of each commitment's program and
     optimal basis (see ``dispatch_hour``); it only accelerates re-solves.
-    ``merit`` is ``generators``' merit order (``_merit_order``).
     """
-    base = _regional_topup(merit, demand, availability, lines,
-                           commit_merit_order(generators, demand, availability, merit))
     dispatch = dispatch_hour(base, demand, availability, lines, hour, hints)
     if not dispatch.unserved_hour:
         return base, dispatch
@@ -328,6 +310,8 @@ def simulate_horizon(generators: Sequence[Generator], nett_demand: Mapping[str, 
         raise DispatchError(f"demand horizon mismatch: {horizons}")
     n_hours = next(iter(horizons.values()))
     for g in generators:
+        if g.region not in nett_demand:
+            raise DispatchError(f"unit {g.name} region {g.region} has no demand series")
         if g.is_renewable:
             ts = availabilities.get(g.name)
             if ts is None:
@@ -338,16 +322,17 @@ def simulate_horizon(generators: Sequence[Generator], nett_demand: Mapping[str, 
             if outside.size:
                 h = int(outside[0])
                 raise DispatchError(f"{g.name} availability {float(ts.values[h])!r} at hour {h} is outside [0, 1]")
-    regions = list(nett_demand.keys())
-    demand_arr = {r: nett_demand[r].values.tolist() for r in regions}
+    bases = base_commitments(generators, {r: ts.values for r, ts in nett_demand.items()},
+                             {name: ts.values for name, ts in availabilities.items()}, lines)
+    demand_arr = {r: ts.values.tolist() for r, ts in nett_demand.items()}
     avail_arr = {name: ts.values.tolist() for name, ts in availabilities.items()}
     hours: list[HourDispatch] = []
     hints: dict[tuple, tuple[LinearProgram, BasisHint]] = {}
     merit = _merit_order(generators)
-    for h in range(n_hours):
-        demand = {r: demand_arr[r][h] for r in regions}
+    for h, base in enumerate(bases):
+        demand = {r: vals[h] for r, vals in demand_arr.items()}
         avail = {name: vals[h] for name, vals in avail_arr.items()}
-        _, hd = choose_commitment(generators, demand, avail, lines, hour=h, hints=hints, merit=merit)
+        _, hd = choose_commitment(base, merit, demand, avail, lines, h, hints)
         hours.append(hd)
     return summarise(hours, generators)
 

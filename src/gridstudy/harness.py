@@ -190,8 +190,9 @@ def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
 
     Participation must name generator buses; each demand region and the
     loadability region need pq (load) buses, and a demand region's zone
-    weights may name only those.  A fleet unit may be listed on one bus at
-    most, of its own region, since its output is injected there.
+    weights must name each of those and nothing else.  A fleet unit may be
+    listed on one bus at most, of its own region, since its output is
+    injected there.
     """
     validate_participation(network, config.loadability.participation)
     unit_region = {g.name: g.region for g in config.fleet}
@@ -216,6 +217,9 @@ def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
             if bus_id not in pq_buses:
                 raise ValueError(f"[zone_weights {region}] bus {bus_id!r} is not a pq bus "
                                  f"of region {region}")
+        if weights and pq_buses - set(weights.weights):
+            raise ValueError(f"[zone_weights {region}] leaves out {region} load buses "
+                             f"{sorted(pq_buses - set(weights.weights))}")
 
 
 def _operating_points(config: ScenarioConfig, network: BusNetwork,

@@ -462,10 +462,17 @@ def load_network(bus_csv, branch_csv, base_mva: float = DEFAULT_BASE_MVA) -> Bus
 
 
 def _read_rows(path, what: str, make) -> tuple:
-    """``make(row)`` for each CSV row of ``path``; a row it rejects names the file."""
+    """``make(row)`` for each non-blank CSV row of ``path``, keyed by the header; a row
+    that it rejects, or whose cell count differs from the header's, names the file."""
     out = []
     with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for cells in filter(None, reader):
+            if len(cells) != len(header):
+                raise PowerFlowError(f"{path}: row {reader.line_num}: {what} row has {len(cells)} "
+                                     f"cells, header has {len(header)}")
+            row = dict(zip(header, cells))
             try:
                 out.append(make(row))
             except (KeyError, ValueError) as exc:

@@ -27,9 +27,10 @@ has these sections:
   unit's name may be reused.
 * ``[loadability]``   -- region, participation (``bus:factor`` list), and
   optional step, lambda_max and base_mva.
-* ``[zone_weights <R>]`` -- optional split of demand region R over buses:
-  finite shares >= 0 summing to 1, one key per bus.  Without it, R's demand
-  splits equally over R's load buses.
+* ``[zone_weights <R>]`` -- optional split of demand region R over its load
+  buses: finite shares >= 0 summing to 1, one key for each of R's load buses
+  (checked against the network when the run loads its data).  Without it,
+  R's demand splits equally over R's load buses.
 
 ``scenario_from_config`` reads every section before it gives up, so one
 ``ConfigError`` lists every violation in the file, one line each: a

@@ -15,8 +15,10 @@ and the test-only code that the pipeline never calls.
 * ``inequality_day_lp`` and ``no_action_error``: the demand day LP as
   battery power under 98 inequality rows, in ``scipy.optimize.linprog``'s
   terms, and the error text of a day without a schedule.
-* ``milp_commitment``: one dispatch hour's least-cost commitment, a binary
-  per dispatchable, solved by ``scipy.optimize.milp``.
+* ``reference_base_commitment``: one hour's priority list and regional
+  top-up, worked out from that hour's dicts, as ``base_commitments`` does
+  for a whole horizon; ``milp_commitment``: one dispatch hour's least-cost
+  commitment, a binary per dispatchable, solved by ``scipy.optimize.milp``.
 * ``check_feasible``: every violated bound and row of a point, with its
   magnitude, where ``lp`` only asks whether there is one.
 * ``reference_solve_lp``: the dense primal simplex that inverts every
@@ -500,7 +502,62 @@ def no_action_error(params: DemandParams, day: DayInputs) -> str:
     return f"day schedule infeasible{detail}"
 
 
-# -- the commitment as a MILP ----------------------------------------------------
+# -- the commitment, hour by hour and as a MILP ---------------------------------
+
+def reference_base_commitment(generators, demand, availability, lines):
+    """One hour's base commitment from that hour's ``demand`` and
+    ``availability`` dicts.
+
+    The renewables in fleet order; then dispatchables in merit order
+    (SRMC, then name) while committed maximum output is short of total
+    demand; then, region by region in ``demand`` order, the region's spare
+    units in merit order while its committed maximum plus the line limits
+    into it is short of its demand.  Each float sum adds one term at a
+    time: Python 3.12's built-in ``sum`` compensates float rounding.
+    """
+    merit = sorted((g for g in generators if not g.is_renewable), key=lambda g: (g.srmc, g.name))
+    renewables = [g for g in generators if g.is_renewable]
+
+    def p_max(g):
+        return g.capacity_mw * availability[g.name] if g.is_renewable else g.capacity_mw
+
+    total_demand = 0.0
+    for need in demand.values():
+        total_demand += need
+    capacity = 0.0
+    for g in renewables:
+        capacity += p_max(g)
+    committed = []
+    for g in merit:
+        if capacity >= total_demand:
+            break
+        committed.append(g)
+        capacity += g.capacity_mw
+    base = renewables + committed
+
+    import_bound = {}
+    for line in lines:
+        import_bound[line.to_region] = import_bound.get(line.to_region, 0.0) + line.forward_limit_mw
+        import_bound[line.from_region] = import_bound.get(line.from_region, 0.0) - line.reverse_limit_mw
+    local = {r: 0.0 for r in demand}
+    for g in base:
+        local[g.region] += p_max(g)
+    committed_names = {g.name for g in base}
+    extra = []
+    for region, need in demand.items():
+        cover = local[region] + import_bound.get(region, 0.0)
+        if cover >= need:
+            continue
+        for g in merit:
+            if g.region != region or g.name in committed_names:
+                continue
+            extra.append(g)
+            committed_names.add(g.name)
+            cover += g.capacity_mw
+            if cover >= need:
+                break
+    return tuple(base + extra)
+
 
 def milp_commitment(fleet, lines, demand, availability):
     """(objective, dumped MW) of one hour's least-cost commitment and dispatch.

@@ -22,8 +22,7 @@ from gridstudy.dispatch import (
     VALUE_OF_LOST_LOAD,
     Generator,
     Interconnector,
-    _merit_order,
-    choose_commitment,
+    base_commitments,
     dispatch_hour,
 )
 from gridstudy.harness import merge_summaries, run_scenario
@@ -34,6 +33,7 @@ from gridstudy.timeseries import HOURS_PER_DAY
 from oracles import (
     flat_start_converges,
     milp_commitment,
+    reference_base_commitment,
     reference_sweep,
     solve_power_flow,
     stressed_network,
@@ -44,6 +44,7 @@ from oracles import (
 from tests.conftest import config_path
 
 from tests.test_demand import discretized_min_cost, padded_day, random_instance
+from tests.test_dispatch import commit
 from tests.test_loadability import RESULT_ARRAYS, points
 
 
@@ -137,7 +138,7 @@ def test_criterion_4_dispatch_correctness():
     for _ in range(80):
         fleet = random_fleet()
         demand = {"A": float(rng.uniform(0, 350)), "B": float(rng.uniform(0, 350))}
-        _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
+        _, hd = commit(fleet, demand, {}, lines)
         ours_clean = not hd.unserved_hour and not hd.dumped_hour
         oracle_clean = False
         for mask in range(16):
@@ -153,7 +154,7 @@ def test_criterion_4_dispatch_correctness():
     for _ in range(1000):
         fleet = random_fleet()
         demand = {"A": float(rng.uniform(0, 400)), "B": float(rng.uniform(0, 400))}
-        _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
+        _, hd = commit(fleet, demand, {}, lines)
         for region in demand:
             gen_mw = sum(mw for u, mw in hd.output_mw.items() if u.startswith(region))
             flows = sum(f if line.to_region == region else -f
@@ -280,6 +281,7 @@ class TestYearProperties:
         rep = reports[1]
         cfg = scenario_from_config(config_path(1))
         gt_names = {g.name for g in cfg.fleet if g.gtype == "gt"}
+        no_renewables = {g.name: 0.0 for g in cfg.fleet if g.is_renewable}  # re-committed at 0 MW
 
         def import_bound(cut):
             bound = 0.0
@@ -297,8 +299,7 @@ class TestYearProperties:
             if gt_out <= 1e-6:
                 continue
             demand = {r: float(rep.nett_demand[r].values[hd.hour]) for r in rep.nett_demand}
-            commitment, _ = choose_commitment(cfg.fleet, demand, {}, cfg.interconnectors, hd.hour,
-                                              {}, _merit_order(cfg.fleet))
+            commitment, _ = commit(cfg.fleet, demand, no_renewables, cfg.interconnectors, hd.hour)
             saturated = False
             for cut in self.CUTS:
                 cut_demand = sum(demand[r] for r in cut)
@@ -308,6 +309,31 @@ class TestYearProperties:
                     saturated = True
                     break
             assert saturated, f"hour {hd.hour}: GT ran with no saturated cut"
+
+    def test_base_commitments_match_the_hour_by_hour_reference(self, year_suite, data_dir):
+        """Every hour of each scenario's pass-0 and nett horizons: the base
+        commitment of ``base_commitments`` is the reference's tuple, unit for
+        unit and in order."""
+        from gridstudy.harness import _load_data
+        reports, _, _ = year_suite
+        for scenario, rep in reports.items():
+            cfg = scenario_from_config(config_path(scenario))
+            availability = {name: ts.values for name, ts in
+                            _load_data(cfg, data_dir, None, {}).availabilities.items()}
+            zero = np.zeros(len(rep.dispatch.hours))
+            pass0 = {**{r: ts.values for r, ts in rep.conventional_demand.items()},
+                     **{r: zero for r in cfg.transit_regions}}
+            nett = {r: ts.values for r, ts in rep.nett_demand.items()}
+            as_lists = {name: a.tolist() for name, a in availability.items()}
+            for demand in (pass0, nett):
+                got = base_commitments(cfg.fleet, demand, availability, cfg.interconnectors)
+                rows = zip(*(mw.tolist() for mw in demand.values()))
+                for h, (base, row) in enumerate(zip(got, rows, strict=True)):
+                    want = reference_base_commitment(
+                        cfg.fleet, dict(zip(demand, row)),
+                        {name: a[h] for name, a in as_lists.items()}, cfg.interconnectors)
+                    assert len(base) == len(want), (scenario, h)
+                    assert all(u is g for u, g in zip(base, want)), (scenario, h)
 
     def test_gt_energy_present_in_unmodified_fleet(self, year_suite):
         reports, _, _ = year_suite
@@ -374,8 +400,7 @@ class TestYearProperties:
                 demand = {r: float(ts.values[hour]) for r, ts in rep.nett_demand.items()}
                 avail = {name: float(ts.values[hour]) for name, ts in availabilities.items()}
                 solved.clear()
-                _, hd = choose_commitment(cfg.fleet, demand, avail, cfg.interconnectors, hour,
-                                          hints, _merit_order(cfg.fleet))
+                _, hd = commit(cfg.fleet, demand, avail, cfg.interconnectors, hour, hints)
                 hours += 1
                 trials += len(solved) - 1
                 for lp, sol in solved:

@@ -14,20 +14,33 @@ from gridstudy.dispatch import (
     Generator,
     Interconnector,
     _merit_order,
+    base_commitments,
     choose_commitment,
-    commit_merit_order,
     csp_profile_shift,
     dispatch_hour,
     simulate_horizon,
 )
 from gridstudy.timeseries import SYNTHETIC_YEAR_START, TimeSeries
-from oracles import milp_commitment
+from oracles import milp_commitment, reference_base_commitment
 
 BALANCE_TOL = 1e-6
 
 
 def gen(name, srmc, cap, region="R", min_stable=0.0, gtype="black_coal", zone="Z"):
     return Generator(name, gtype, zone, region, cap, min_stable, srmc)
+
+
+def one_hour_base(fleet, demand, availability, lines=()):
+    """``base_commitments`` over a horizon of one hour, given as that hour's dicts."""
+    [base] = base_commitments(fleet, {r: np.array([mw]) for r, mw in demand.items()},
+                              {name: np.array([a]) for name, a in availability.items()}, lines)
+    return base
+
+
+def commit(fleet, demand, availability, lines, hour=0, hints=None):
+    """``choose_commitment`` of one hour, from its ``base_commitments`` base."""
+    return choose_commitment(one_hour_base(fleet, demand, availability, lines), _merit_order(fleet),
+                             demand, availability, lines, hour, {} if hints is None else hints)
 
 
 def balance_residual(hd, demand, lines):
@@ -80,20 +93,20 @@ class TestCspShift:
 class TestCommitment:
     def test_single_unit(self):
         fleet = [gen("only", 25.0, 500)]
-        units = commit_merit_order(fleet, {"R": 100.0}, {}, _merit_order(fleet))
+        units = one_hour_base(fleet, {"R": 100.0}, {})
         assert [u.name for u in units] == ["only"]
 
     def test_merit_order_skips_expensive_unit(self):
         cheap = gen("YPS_3", 21.88, 800, region="VIC", gtype="brown_coal")
         dear = gen("TPS_4", 73.84, 500, region="QLD", gtype="gt")
-        units = commit_merit_order([dear, cheap], {"VIC": 400.0, "QLD": 0.0}, {}, [cheap, dear])
+        units = one_hour_base([dear, cheap], {"VIC": 400.0, "QLD": 0.0}, {})
         assert [u.name for u in units] == ["YPS_3"]
 
     def test_renewables_always_committed(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
         fleet = [wind, gen("coal", 20, 100)]
-        units = commit_merit_order(fleet, {"R": 10.0}, {"w": 0.4}, _merit_order(fleet))
-        assert units == (wind,)
+        units = one_hour_base(fleet, {"R": 10.0}, {"w": 0.4})
+        assert units == (wind,) and units[0] is wind
         # pinned at its availability, though the 10 MW demand would take less
         assert dispatch_hour(units, {"R": 10.0}, {"w": 0.4}, [], 0, {}).output_mw["w"] == 40.0
 
@@ -101,9 +114,9 @@ class TestCommitment:
         """Minimum stable levels (80 MW together) do not take a unit off the list."""
         a = gen("a", 10.0, 100, min_stable=40)
         b = gen("b", 50.0, 100, min_stable=40)
-        units = commit_merit_order([a, b], {"R": 150.0}, {}, [a, b])
+        units = one_hour_base([a, b], {"R": 150.0}, {})
         assert [u.name for u in units] == ["a", "b"]
-        units2 = commit_merit_order([a, b], {"R": 60.0}, {}, [a, b])
+        units2 = one_hour_base([a, b], {"R": 60.0}, {})
         assert [u.name for u in units2] == ["a"]
 
     @pytest.mark.parametrize("path", ["regional top-up", "repair"])
@@ -123,16 +136,63 @@ class TestCommitment:
             demand, availability = {"A": 0.0, "B": 100.0, "C": 100.0}, {}
             lines = [Interconnector("A-B", "A", "B", 100.0, -100.0),
                      Interconnector("B-C", "B", "C", 100.0, -100.0)]
-        committed, hd = choose_commitment(fleet, demand, availability, lines, 0, {}, _merit_order(fleet))
+        committed, hd = commit(fleet, demand, availability, lines)
         assert len(committed) == len(expected)
         assert all(u is g for u, g in zip(committed, expected))
         assert not hd.unserved_hour
 
 
+class TestBaseCommitments:
+    def test_matches_the_hour_by_hour_reference(self):
+        """Random fleets over 1-4 regions and 0-3 lines, 48 hours each, with
+        renewables at availability 0, 1 and in between and SRMC ties broken
+        by name: every hour's base commitment is the reference's tuple, unit
+        for unit and in order.  Demand is scaled so that some hours run
+        through the whole merit order and some take regional top-ups."""
+        rng = np.random.default_rng(30)
+        hours, exhausted, topped_up = 48, 0, 0
+        for _ in range(80):
+            regions = [f"R{i}" for i in range(int(rng.integers(1, 5)))]
+            fleet = []
+            for i in range(int(rng.integers(2, 10))):
+                gtype = str(rng.choice(["black_coal", "gt", "wind", "utility_pv"]))
+                srmc = 0.0 if gtype in ("wind", "utility_pv") else 5.0 * int(rng.integers(1, 5))
+                fleet.append(Generator(f"u{i}", gtype, "Z", str(rng.choice(regions)),
+                                       float(rng.uniform(10, 300)), 0.0, srmc))
+            lines = []
+            for k in range(int(rng.integers(0, 4)) if len(regions) > 1 else 0):
+                a, b = rng.choice(regions, size=2, replace=False).tolist()
+                lines.append(Interconnector(f"L{k}", a, b, float(rng.uniform(0, 150)),
+                                            -float(rng.uniform(0, 150))))
+            availability = {}
+            for g in fleet:
+                if g.is_renewable:
+                    a = rng.uniform(0, 1, hours)
+                    a[rng.uniform(size=hours) < 0.3] = 0.0
+                    a[rng.uniform(size=hours) < 0.3] = 1.0
+                    availability[g.name] = a
+            scale = sum(g.capacity_mw for g in fleet) * rng.uniform(0.3, 2.5) / len(regions)
+            demand = {r: rng.uniform(-0.1, 1.0, hours) * scale for r in regions}
+            merit = _merit_order(fleet)
+            n_renewable = len(fleet) - len(merit)
+            most = sum(g.capacity_mw * availability[g.name] if g.is_renewable else g.capacity_mw
+                       for g in fleet)
+            exhausted += int(np.sum(sum(demand.values()) > most))
+            got = base_commitments(fleet, demand, availability, lines)
+            assert len(got) == hours
+            for h, base in enumerate(got):
+                want = reference_base_commitment(
+                    fleet, {r: float(mw[h]) for r, mw in demand.items()},
+                    {name: float(a[h]) for name, a in availability.items()}, lines)
+                assert len(base) == len(want) and all(u is g for u, g in zip(base, want)), h
+                topped_up += want[n_renewable:] != tuple(merit[:len(want) - n_renewable])
+        assert exhausted > 0 and topped_up > 0, (exhausted, topped_up)
+
+
 class TestDispatchHour:
     def test_capacity_deficit_flags_unserved(self):
         fleet = [gen("only", 25.0, 100)]
-        units = commit_merit_order(fleet, {"R": 150.0}, {}, _merit_order(fleet))
+        units = one_hour_base(fleet, {"R": 150.0}, {})
         hd = dispatch_hour(units, {"R": 150.0}, {}, [], 0, {})
         assert hd.unserved_mw["R"] == pytest.approx(50.0, abs=1e-9)
         assert hd.unserved_hour
@@ -141,7 +201,7 @@ class TestDispatchHour:
     def test_renewable_surplus_flags_dumped(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
         fleet = [wind, gen("coal", 25.0, 100)]
-        units = commit_merit_order(fleet, {"R": 30.0}, {"w": 0.9}, _merit_order(fleet))
+        units = one_hour_base(fleet, {"R": 30.0}, {"w": 0.9})
         hd = dispatch_hour(units, {"R": 30.0}, {"w": 0.9}, [], 0, {})
         assert hd.dumped_mw["R"] == pytest.approx(60.0, abs=1e-9)
         assert hd.dumped_hour
@@ -162,6 +222,12 @@ class TestDispatchHour:
     def test_unknown_region_rejected(self):
         with pytest.raises(DispatchError, match="no demand entry"):
             dispatch_hour((gen("g", 10, 10, region="X"),), {"R": 5.0}, {}, [], 0, {})
+
+    def test_committed_renewable_without_availability_rejected(self):
+        """A committed renewable needs this hour's availability; it is not pinned at 0 MW."""
+        wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)
+        with pytest.raises(DispatchError, match="^hour 7: renewable w has no availability$"):
+            dispatch_hour((wind, gen("coal", 20, 100)), {"R": 50.0}, {"v": 0.5}, [], 7, {})
 
     @pytest.mark.parametrize("demand_b,start", [(190.0, "hint"), (40.0, "dual")])
     def test_failed_warm_start_is_solved_cold(self, failing_warm_phase, demand_b, start):
@@ -214,7 +280,7 @@ class TestCommitmentOracle:
         for _ in range(trials):
             fleet = self.random_fleet(rng)
             demand = {"A": float(rng.uniform(0, 350)), "B": float(rng.uniform(0, 350))}
-            _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
+            _, hd = commit(fleet, demand, {}, lines)
             ours_clean = not hd.unserved_hour and not hd.dumped_hour
             outcomes = enumerate_commitments(fleet, demand, {}, lines)
             best_clean = [obj for clean, obj, _ in outcomes if clean]
@@ -228,8 +294,10 @@ class TestCommitmentOracle:
     def test_priority_list_is_the_shortest_covering_merit_prefix(self):
         """The renewables, then the shortest prefix of the merit order whose
         capacity with the renewables' hourly maximum covers total demand, or
-        the whole merit order."""
+        the whole merit order.  A line larger than any demand keeps the
+        regional top-up out."""
         rng = np.random.default_rng(21)
+        lines = [Interconnector("A-B", "A", "B", 1e4, -1e4)]
         for _ in range(500):
             wind = Generator("w", "wind", "Z", "A", float(rng.uniform(0, 300)), 0, 0.0)
             fleet = [*self.random_fleet(rng), wind]
@@ -240,7 +308,7 @@ class TestCommitmentOracle:
                                            initial=wind.capacity_mw * availability["w"])
             total = sum(demand.values())
             k = next((k for k, mw in enumerate(covered) if mw >= total), len(merit))
-            got = commit_merit_order(fleet, demand, availability, merit)
+            got = one_hour_base(fleet, demand, availability, lines)
             assert got == (wind, *merit[:k]), (demand, availability)
 
     def test_milp_oracle_matches_enumeration(self):
@@ -262,7 +330,7 @@ class TestCommitmentOracle:
         for _ in range(1000):
             fleet = self.random_fleet(rng)
             demand = {"A": float(rng.uniform(0, 400)), "B": float(rng.uniform(0, 400))}
-            _, hd = choose_commitment(fleet, demand, {}, lines, 0, {}, _merit_order(fleet))
+            _, hd = commit(fleet, demand, {}, lines)
             resid = balance_residual(hd, demand, lines)
             assert max(abs(v) for v in resid.values()) < BALANCE_TOL
 
@@ -274,7 +342,7 @@ class TestMeritOrderProperty:
             fleet = [gen(f"u{i}", float(rng.uniform(5, 90)), float(rng.uniform(50, 200)))
                      for i in range(4)]
             demand = {"R": float(rng.uniform(10, 500))}
-            _, hd = choose_commitment(fleet, demand, {}, [], 0, {}, _merit_order(fleet))
+            _, hd = commit(fleet, demand, {}, [])
             by_cost = sorted(fleet, key=lambda g: g.srmc)
             for cheap, dear in itertools.combinations(by_cost, 2):
                 cheap_out = hd.output_mw.get(cheap.name)
@@ -303,6 +371,18 @@ class TestSimulateHorizon:
                   "B": TimeSeries(SYNTHETIC_YEAR_START, np.ones(48), "B")}
         with pytest.raises(DispatchError, match="horizon mismatch"):
             simulate_horizon([gen("g", 10, 10)], demand, [], {})
+
+    @pytest.mark.parametrize("peak", [50.0, 150.0])
+    def test_unit_outside_the_demand_regions_rejected(self, peak):
+        """x's region X has no demand series: the horizon is rejected before
+        hour 0, whether or not the priority list would ever reach x (at a
+        peak of 150 MW in hour 5 it would)."""
+        values = np.full(24, 50.0)
+        values[5] = peak
+        demand = {"R": TimeSeries(SYNTHETIC_YEAR_START, values, "R")}
+        fleet = [gen("a", 10.0, 100), gen("x", 20.0, 100, region="X")]
+        with pytest.raises(DispatchError, match="^unit x region X has no demand series$"):
+            simulate_horizon(fleet, demand, [], {})
 
     def test_missing_availability_rejected(self):
         wind = Generator("w", "wind", "Z", "R", 100, 0, 0.0)

@@ -710,6 +710,24 @@ class TestOperatingPoints:
         assert bus in str(err.value)
         assert no_dispatch == []
 
+    def test_zone_weights_that_leave_out_a_load_bus_fail(self, data_dir, no_dispatch):
+        """Naming nsw_load_n alone would put all of NSW's nett demand on it,
+        while nsw_load_s kept only its network base load."""
+        cfg = scenario_from_config(config_path(1))
+        cfg = replace(cfg, zone_weights={**cfg.zone_weights, "NSW": ZoneWeights({"nsw_load_n": 1.0})})
+        with pytest.raises(StageError) as err:
+            run_scenario(cfg, data_dir, days=1)
+        assert err.value.stage == "load-data"
+        assert str(err.value.cause) == "[zone_weights NSW] leaves out NSW load buses ['nsw_load_s']"
+        assert no_dispatch == []
+
+    def test_zone_weight_of_zero_names_a_load_bus(self, data_dir):
+        """A share of 0 is allowed: that bus carries none of the region's demand."""
+        cfg = scenario_from_config(config_path(1))
+        weights = ZoneWeights({"nsw_load_n": 1.0, "nsw_load_s": 0.0})
+        cfg = replace(cfg, zone_weights={**cfg.zone_weights, "NSW": weights})
+        assert run_scenario(cfg, data_dir, days=1) is not None
+
     @pytest.mark.parametrize("change, why", [
         ({"participation": {"ghost": 0.5, "qld_csp": 0.5}}, "unknown participation bus 'ghost'"),
         # SH's only bus is the slack: every hour would be capped at lambda_max
@@ -733,6 +751,19 @@ class TestOperatingPoints:
             run_scenario(scenario_from_config(path), data_dir, days=1)
         assert err.value.stage == "load-data"
         assert str(err.value.cause) == "unit CSP_4A of region VIC is listed on bus 'qld_csp' of region QLD"
+        assert no_dispatch == []
+
+    def test_short_bus_row_fails_in_load_data_naming_the_file(self, tmp_path, data_dir, no_dispatch):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        bus_csv = data / "bus.csv"
+        lines = bus_csv.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        bus_csv.write_text("".join(lines))
+        with pytest.raises(StageError) as err:
+            run_scenario(scenario_from_config(config_path(1)), data, days=1)
+        assert err.value.stage == "load-data"
+        assert str(err.value.cause) == f"{bus_csv}: row 3: bus row has 6 cells, header has 7"
         assert no_dispatch == []
 
     def test_unit_listed_on_two_buses_fails_in_load_data(self, tmp_path, data_dir, no_dispatch):

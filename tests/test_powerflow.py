@@ -1,5 +1,7 @@
 """Newton-Raphson power flow against closed-form and re-injection checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ class TestNetworkModel:
         write_network(net, tmp_path / "bus.csv", tmp_path / "branch.csv")
         back = load_network(tmp_path / "bus.csv", tmp_path / "branch.csv", net.base_mva)
         assert back == net
+
+    @pytest.mark.parametrize("which", ["bus", "branch"])
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_row_whose_cell_count_is_not_the_headers_rejected(self, tmp_path, which, change):
+        """A short row is not read as missing values, nor a long one cut down."""
+        net = study_network()
+        write_network(net, tmp_path / "bus.csv", tmp_path / "branch.csv")
+        path = tmp_path / f"{which}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[3].rstrip("\n").split(",")
+        cells = cells[:-1] if change == "short" else [*cells, "0.5"]
+        lines[3] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        header = len(lines[0].split(","))
+        message = f"{path}: row 4: {which} row has {len(cells)} cells, header has {header}"
+        with pytest.raises(PowerFlowError, match=f"^{re.escape(message)}$"):
+            load_network(tmp_path / "bus.csv", tmp_path / "branch.csv", net.base_mva)
 
 
 class TestSolve:
