@@ -12,12 +12,11 @@ interchangeable.
 
 __version__ = "0.1.0"
 
-from gridstudy.timeseries import TimeSeries, ZoneWeights, load_timeseries_csv, split_regional_demand
+from gridstudy.timeseries import TimeSeries, ZoneWeights, load_timeseries_csv
 
 __all__ = [
     "TimeSeries",
     "ZoneWeights",
     "load_timeseries_csv",
-    "split_regional_demand",
     "__version__",
 ]

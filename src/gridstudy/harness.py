@@ -1,13 +1,14 @@
 """Five-scenario study pipeline.
 
-Per scenario: (0) load data, with each renewable unit's availability;
+Per scenario: (0) load data, with each renewable unit's availability, and
+decide where the loads and units sit on the network (``_placement``);
 (1) dispatch the conventional demand to simulate market prices;
 (2) train the price predictor on historical plus simulated prices;
 (3) predict the study-year price signal per region; (4) schedule the
 price-responsive demand day by day (scenarios 1 and 2 keep the
 conventional load); (5) dispatch the resulting nett demand; (6) build the
-power-flow operating points from the dispatch and sweep hourly loadability;
-(7) report.
+power-flow operating points from the dispatch on that placement and sweep
+hourly loadability; (7) report.
 
 Prices are predicted once and demand responds once: the loop is open,
 users are price takers.  Every stage is deterministic for a fixed data set.
@@ -73,7 +74,6 @@ from gridstudy.timeseries import (
     TimeSeries,
     ZoneWeights,
     load_timeseries_csv,
-    split_regional_demand,
     write_timeseries_csv,
 )
 
@@ -116,6 +116,8 @@ class _StudyData:
     pv_availability: Mapping[str, TimeSeries]
     availabilities: Mapping[str, TimeSeries]  # per renewable unit of the fleet
     network: BusNetwork
+    load_shares: Mapping[str, tuple[tuple[int, float], ...]]  # region -> (bus column, share)
+    unit_column: Mapping[str, int]  # fleet unit -> injection column, see _placement
     n_hours: int
 
 
@@ -181,23 +183,32 @@ def _load_data(config: ScenarioConfig, data_dir, days: Optional[int], used: dict
     network = load_network(data_dir / config.data_files["bus"],
                            data_dir / config.data_files["branch"],
                            base_mva=config.loadability.base_mva)
-    _check_buses(config, network)
-    return _StudyData(demand, hist_demand, hist_price, pv, availabilities, network, n_hours)
+    return _StudyData(demand, hist_demand, hist_price, pv, availabilities, network,
+                      *_placement(config, network), n_hours)
 
 
-def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
-    """Fail unless the buses the config names fit ``network``, before any dispatch runs.
+def _placement(config: ScenarioConfig, network: BusNetwork) -> tuple[dict, dict]:
+    """Where the scenario's loads and units sit on ``network``, as columns in
+    ``network.buses`` order; it fails, before any dispatch runs, unless the
+    buses the config names fit ``network``.
 
     Participation must name generator buses; each demand region and the
     loadability region need pq (load) buses, and a demand region's zone
     weights must name each of those and nothing else.  A fleet unit may be
-    listed on one bus at most, of its own region, since its output is
-    injected there.
+    listed on one bus at most, of its own region.  Returns each demand
+    region's (bus column, share) pairs, by its zone weights or else equal
+    over its pq buses, and each fleet unit's injection column: its listed
+    bus, else its region's first non-slack generator bus.  Units on the
+    slack, or with no such bus, are absent: the slack balance takes them.
     """
     validate_participation(network, config.loadability.participation)
     unit_region = {g.name: g.region for g in config.fleet}
+    column = {b.bus_id: i for i, b in enumerate(network.buses)}
     listed: dict[str, str] = {}
+    first_pv_bus: dict[str, str] = {}
     for b in network.buses:
+        if b.kind == "pv":
+            first_pv_bus.setdefault(b.region, b.bus_id)
         for unit in b.gen_names:
             if unit_region.get(unit, b.region) != b.region:
                 raise ValueError(f"unit {unit} of region {unit_region[unit]} is listed on bus "
@@ -205,67 +216,55 @@ def _check_buses(config: ScenarioConfig, network: BusNetwork) -> None:
             if unit in listed and unit in unit_region:
                 raise ValueError(f"unit {unit} is listed on buses {listed[unit]!r} and {b.bus_id!r}")
             listed[unit] = b.bus_id
-    known = {b.bus_id for b in network.buses}
+    load_shares = {}
     for region in (*config.demand_regions, config.loadability.region):
-        pq_buses = {b.bus_id for b in network.buses if b.region == region and b.kind == "pq"}
+        pq_buses = [b.bus_id for b in network.buses if b.region == region and b.kind == "pq"]
         if not pq_buses:
             raise ValueError(f"region {region} has no load buses in the network")
         weights = config.zone_weights.get(region)
         for bus_id in weights.weights if weights else ():
-            if bus_id not in known:
+            if bus_id not in column:
                 raise ValueError(f"[zone_weights {region}] names unknown bus {bus_id!r}")
             if bus_id not in pq_buses:
                 raise ValueError(f"[zone_weights {region}] bus {bus_id!r} is not a pq bus "
                                  f"of region {region}")
-        if weights and pq_buses - set(weights.weights):
+        if weights and set(pq_buses) - set(weights.weights):
             raise ValueError(f"[zone_weights {region}] leaves out {region} load buses "
-                             f"{sorted(pq_buses - set(weights.weights))}")
-
-
-def _operating_points(config: ScenarioConfig, network: BusNetwork,
-                      nett: Mapping[str, TimeSeries], dispatch: DispatchResult) -> Points:
-    """Dispatch-consistent hourly power-flow inputs, as ``compute_loadability`` sweeps them.
-
-    Returns (hours x buses) arrays of load MW, load MVAr and injected MW,
-    with columns in ``network.buses`` order.  Loads start from the network's
-    base loads.  Each demand region's nett demand splits across its pq buses
-    by the configured zone weights (equal shares when none are given), at
-    Q = P * ``LOAD_TAN_PHI`` (``_check_buses`` has checked those buses).  The
-    output of each unit of ``config.fleet`` lands on the bus that lists it,
-    or else on the first non-slack generator bus of its region.  Units on the
-    slack bus, or with no such bus, are left to the slack balance.
-    """
-    n_hours = len(next(iter(nett.values())))
-    column = {b.bus_id: i for i, b in enumerate(network.buses)}
-    load_mw = np.tile([b.p_load_mw for b in network.buses], (n_hours, 1))
-    load_mvar = np.tile([b.q_load_mvar for b in network.buses], (n_hours, 1))
-    for region in config.demand_regions:
-        pq_buses = [b.bus_id for b in network.buses if b.region == region and b.kind == "pq"]
-        weights = config.zone_weights.get(region) or ZoneWeights.equal(pq_buses)
-        for bus_id, ts in split_regional_demand(nett[region], weights).items():
-            load_mw[:, column[bus_id]] = ts.values
-            load_mvar[:, column[bus_id]] = ts.values * LOAD_TAN_PHI
-
-    listed: dict[str, str] = {}
-    first_pv_bus: dict[str, str] = {}
+                             f"{sorted(set(pq_buses) - set(weights.weights))}")
+        if region in config.demand_regions:
+            shares = (weights or ZoneWeights.equal(pq_buses)).weights
+            load_shares[region] = tuple((column[bus_id], s) for bus_id, s in shares.items())
     slack_id = next(b.bus_id for b in network.buses if b.kind == "slack")
-    for b in network.buses:
-        if b.kind == "pv":
-            first_pv_bus.setdefault(b.region, b.bus_id)
-        for unit in b.gen_names:
-            listed[unit] = b.bus_id
     unit_column = {}
     for g in config.fleet:
         bus = listed.get(g.name) or first_pv_bus.get(g.region)
         if bus not in (None, slack_id):
             unit_column[g.name] = column[bus]
-    injection_mw = np.zeros((n_hours, len(column)))
+    return load_shares, unit_column
+
+
+def _operating_points(data: _StudyData, nett: Mapping[str, TimeSeries],
+                      dispatch: DispatchResult) -> Points:
+    """The (hours x buses) load MW, load MVAr and injected MW arrays that
+    ``compute_loadability`` sweeps, on the placement in ``data``.
+
+    Loads start from the network's base loads; a demand region's load
+    columns take their shares of its nett demand at Q = P * ``LOAD_TAN_PHI``.
+    """
+    n_hours = len(next(iter(nett.values())))
+    load_mw = np.tile([b.p_load_mw for b in data.network.buses], (n_hours, 1))
+    load_mvar = np.tile([b.q_load_mvar for b in data.network.buses], (n_hours, 1))
+    for region, shares in data.load_shares.items():
+        for col, share in shares:
+            load_mw[:, col] = share * nett[region].values
+            load_mvar[:, col] = load_mw[:, col] * LOAD_TAN_PHI
+    injection_mw = np.zeros_like(load_mw)
     # Added one unit at a time in dispatch order: units that share a bus
     # must sum in the same order on every run.
     for row, hd in zip(injection_mw, dispatch.hours, strict=True):
         for unit, mw in hd.output_mw.items():
-            if unit in unit_column:
-                row[unit_column[unit]] += mw
+            if unit in data.unit_column:
+                row[data.unit_column[unit]] += mw
     return load_mw, load_mvar, injection_mw
 
 
@@ -401,7 +400,7 @@ def run_scenario(config: ScenarioConfig, data_dir, out_dir=None,
         load_res = compute_loadability(
             data.network, config.loadability.region, config.loadability.participation,
             step=config.loadability.step,
-            hours=_operating_points(config, data.network, nett, dispatch),
+            hours=_operating_points(data, nett, dispatch),
             lambda_max=config.loadability.lambda_max)
     done["loadability"] = load_res
 

@@ -117,8 +117,9 @@ class LoadabilityOptions:
         validate_scan(self.step, self.lambda_max)
         if self.base_mva <= 0:
             raise ConfigError("base_mva must be positive")
-        if self.participation:
-            validate_shares(self.participation)
+        if not self.participation:
+            raise ConfigError("participation names no bus")
+        validate_shares(self.participation)
 
 
 @dataclass(frozen=True)
@@ -321,15 +322,17 @@ def scenario_from_config(path) -> ScenarioConfig:
 
     sec = section("loadability", required=True)
     region = sec.text("region")
+    parts = _names(sec.text("participation"))
     participation = {}
-    for part in _names(sec.text("participation", "")):
+    for part in () if parts is _BAD else parts:
         bus, colon, factor = part.partition(":")
         if not colon:
             sec.error(f"participation entry {part!r} must be bus:factor")
         participation[bus.strip()] = sec.convert("participation", factor) if colon else _BAD
     load_opts = sec.build(LoadabilityOptions, region, sec.number("step", DEFAULT_STEP),
                           sec.number("lambda_max", DEFAULT_LAMBDA_MAX),
-                          _read_all(participation), sec.number("base_mva", DEFAULT_BASE_MVA))
+                          _BAD if parts is _BAD else _read_all(participation),
+                          sec.number("base_mva", DEFAULT_BASE_MVA))
 
     for name in sections:
         errors.append(f"unknown section [{name}]")

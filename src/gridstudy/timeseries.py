@@ -1,4 +1,4 @@
-"""Hourly time-series model, CSV ingestion and regional demand splitting.
+"""Hourly time-series model, CSV ingestion and the zone weights of a region.
 
 The on-disk format is ``timestamp,value`` with ISO-8601 hourly timestamps,
 one file per (region, quantity).  Values are written with ``repr`` so a
@@ -270,15 +270,3 @@ class ZoneWeights:
     def equal(zones: Iterable[str]) -> "ZoneWeights":
         zones = list(zones)
         return ZoneWeights({z: 1.0 / len(zones) for z in zones})
-
-
-def split_regional_demand(regional: TimeSeries, weights: ZoneWeights) -> dict[str, TimeSeries]:
-    """Split a regional series into per-zone series, ``zone = weight * regional``.
-
-    The zone series sum back to the input pointwise (within 1e-9).
-    """
-    out = {}
-    for zone, share in weights.weights.items():
-        label = f"{regional.label}:{zone}" if regional.label else zone
-        out[zone] = TimeSeries(regional.start, share * regional.values, label)
-    return out

@@ -452,7 +452,7 @@ class TestYearProperties:
         rep = reports[1]
         cfg = scenario_from_config(config_path(1))
         data = _load_data(cfg, data_dir, None, {})
-        points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
+        points = _operating_points(data, rep.nett_demand, rep.dispatch)
         res = rep.loadability
         rng = np.random.default_rng(77)
         for hour in rng.choice(len(res), size=4, replace=False):
@@ -474,7 +474,7 @@ class TestYearProperties:
         for scenario, rep in reports.items():
             cfg = scenario_from_config(config_path(scenario))
             data = _load_data(cfg, data_dir, None, {})
-            points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
+            points = _operating_points(data, rep.nett_demand, rep.dispatch)
             opts = cfg.loadability
             want = reference_sweep(data.network, opts.region, opts.participation, opts.step,
                                    tuple(a[::8] for a in points), opts.lambda_max)
@@ -492,7 +492,7 @@ class TestYearProperties:
         for scenario, rep in reports.items():
             cfg = scenario_from_config(config_path(scenario))
             data = _load_data(cfg, data_dir, None, {})
-            points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
+            points = _operating_points(data, rep.nett_demand, rep.dispatch)
             opts = cfg.loadability
             lam_star = rep.loadability.lambda_star
             defined = np.flatnonzero(np.isfinite(lam_star))
@@ -513,7 +513,7 @@ class TestYearProperties:
         rep = reports[5]
         cfg = scenario_from_config(config_path(5))
         data = _load_data(cfg, data_dir, None, {})
-        points = _operating_points(cfg, data.network, rep.nett_demand, rep.dispatch)
+        points = _operating_points(data, rep.nett_demand, rep.dispatch)
         res = rep.loadability
         hours = np.random.default_rng(78).choice(np.flatnonzero(~res.degenerate), size=48,
                                                  replace=False)

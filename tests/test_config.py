@@ -332,6 +332,23 @@ class TestViolations:
             scenario_from_config(path)
         assert str(err.value).splitlines()[1:] == [f"  [loadability] {why}"]
 
+    def test_missing_participation_is_one_error(self, tmp_path, scenario4_text):
+        """Found when the config is read, not after the run has read its series."""
+        path = mutate(scenario4_text, tmp_path,
+                      lambda p: p.remove_option("loadability", "participation"))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == [
+            "  [loadability] missing required key 'participation'"]
+
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_participation_that_names_no_bus_is_one_error(self, tmp_path, scenario4_text, value):
+        path = mutate(scenario4_text, tmp_path,
+                      lambda p: p.set("loadability", "participation", value))
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config(path)
+        assert str(err.value).splitlines()[1:] == ["  [loadability] participation names no bus"]
+
     @pytest.mark.parametrize("section,key,value,what", [
         ("pv QLD", "capacity_mw", "nan", "capacity_mw"),
         ("replacement", "csp_capacity_mw", "inf", "csp_capacity_mw"),

@@ -8,6 +8,7 @@ import shutil
 from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -25,7 +26,8 @@ from gridstudy.powerflow import PowerFlowError
 from gridstudy.pricing import feature_matrix
 from gridstudy.scenarioconfig import scenario_from_config
 from gridstudy.synthdata import LOAD_TAN_PHI
-from gridstudy.timeseries import ZoneWeights, load_timeseries_csv, split_regional_demand
+from gridstudy.timeseries import (SYNTHETIC_YEAR_START, TimeSeries, ZoneWeights,
+                                  load_timeseries_csv)
 from tests.conftest import config_path
 
 DAYS = 4
@@ -436,9 +438,18 @@ def counted(monkeypatch):
 
 @pytest.fixture
 def no_dispatch(monkeypatch):
-    """The dispatch horizons the harness starts from now on (a failing run should start none)."""
+    """The dispatch horizons the harness starts from now on (a failing run should start none).
+
+    Each one is recorded and then fails, so a run that does start one stores
+    no pass-0 result for the next run to reuse.
+    """
     started = []
-    monkeypatch.setattr(harness, "simulate_horizon", lambda *args: started.append(args))
+
+    def refuse(*args):
+        started.append(args)
+        raise AssertionError("a dispatch horizon was started")
+
+    monkeypatch.setattr(harness, "simulate_horizon", refuse)
     return started
 
 
@@ -542,7 +553,6 @@ class TestReuseAcrossScenarios:
             for f in read_before)
 
     def test_pass0_key_covers_every_input(self, data_dir):
-        from gridstudy.timeseries import TimeSeries
         cfg = scenario_from_config(config_path(2))
         data = harness._load_data(cfg, data_dir, 2, {})
         fleet = cfg.fleet
@@ -583,6 +593,13 @@ class TestReuseAcrossScenarios:
                          stop_after="demand")
             keys += [key for key in harness._LAST_RUN if key[0] == "pass0"]
         assert len(keys) == 2 and keys[0] == keys[1]
+
+    def test_failed_pass0_stores_nothing_for_the_next_run(self, data_dir, no_dispatch):
+        harness._LAST_RUN.clear()  # empty, as in a new process
+        with pytest.raises(StageError) as err:
+            run_scenario(scenario_from_config(config_path(2)), data_dir, days=2)
+        assert err.value.stage == "pass0-dispatch" and len(no_dispatch) == 1
+        assert [key for key in harness._LAST_RUN if key[0] == "pass0"] == []
 
     def test_served_dispatch_cannot_be_changed_in_place(self, data_dir):
         """Scenario 2's report carries its pass-0 result, which scenario 3 reuses."""
@@ -632,8 +649,8 @@ def dict_operating_points(config, network, nett, dispatch) -> list[OperatingPoin
     splits: dict[str, dict[str, np.ndarray]] = {}
     for region in config.demand_regions:
         weights = _zone_weights(config, network, region)
-        splits[region] = {zone: ts.values for zone, ts
-                          in split_regional_demand(nett[region], weights).items()}
+        splits[region] = {zone: share * nett[region].values
+                          for zone, share in weights.weights.items()}
     points = []
     for h in range(n_hours):
         hd = dispatch.hours[h]
@@ -688,10 +705,12 @@ class TestOperatingPoints:
 
         build = harness._operating_points
         monkeypatch.setattr(harness, "_operating_points", recorded)
-        run_scenario(scenario_from_config(config_path(scenario)), data_dir, days=7)
-        [(args, arrays)] = calls
-        network = args[1]
-        *oracle, inj_q = dict_points_to_arrays(network, dict_operating_points(*args))
+        cfg = scenario_from_config(config_path(scenario))
+        run_scenario(cfg, data_dir, days=7)
+        [((data, nett, dispatch), arrays)] = calls
+        network = data.network
+        *oracle, inj_q = dict_points_to_arrays(
+            network, dict_operating_points(cfg, network, nett, dispatch))
         assert not inj_q.any()
         assert arrays[0].shape == (7 * 24, len(network.buses))
         for got, want in zip(arrays, oracle, strict=True):
@@ -778,3 +797,82 @@ class TestOperatingPoints:
         assert err.value.stage == "load-data"
         assert str(err.value.cause) == "unit CPS_4 is listed on buses 'qld_gen' and 'qld_csp'"
         assert no_dispatch == []
+
+
+# -- placement: which bus columns carry a region's load and a unit's output ----
+
+def relisted(tmp_path, data_dir, old: str, new: str) -> Path:
+    """A copy of the bundled data whose ``bus.csv`` reads ``new`` in place of ``old``."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    bus_csv = data / "bus.csv"
+    assert old in bus_csv.read_text()
+    bus_csv.write_text(bus_csv.read_text().replace(old, new))
+    return data
+
+
+def operating_points(cfg, data_dir, days=1, nett=None, output_mw=None):
+    """``cfg``'s operating points for ``nett`` (the conventional demand when
+    None), every hour dispatching ``output_mw``; and each bus's column."""
+    data = harness._load_data(cfg, data_dir, days, {})
+    nett = data.demand if nett is None else nett
+    hour = SimpleNamespace(output_mw=output_mw or {})
+    dispatch = SimpleNamespace(hours=[hour] * len(next(iter(nett.values()))))
+    column = {b.bus_id: i for i, b in enumerate(data.network.buses)}
+    return harness._operating_points(data, nett, dispatch), column
+
+
+def with_zone_weights(scenario, region, weights):
+    cfg = scenario_from_config(config_path(scenario))
+    return replace(cfg, zone_weights={**cfg.zone_weights, region: ZoneWeights(weights)})
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("scenario", [2, 3, 4, 5])
+    def test_unlisted_unit_goes_to_its_regions_first_generator_bus(self, tmp_path, data_dir,
+                                                                   scenario):
+        """CSP_4B listed on no bus: qld_gen, the first non-slack generator bus
+        of QLD in bus order, takes its output; CSP_4A stays on qld_csp."""
+        data = relisted(tmp_path, data_dir, "QLD,CSP_4A;CSP_4B", "QLD,CSP_4A")
+        output = {"CPS_4": 100.0, "CSP_4A": 30.0, "CSP_4B": 20.0}
+        (_, _, injection), column = operating_points(
+            scenario_from_config(config_path(scenario)), data, output_mw=output)
+        assert np.all(injection[:, column["qld_gen"]] == 120.0)
+        assert np.all(injection[:, column["qld_csp"]] == 30.0)
+        assert injection.sum() == 150.0 * len(injection)
+
+    @pytest.mark.parametrize("sh_row", ["SH,SHPS_1", "SH,"])
+    def test_unit_without_a_generator_bus_off_the_slack_is_not_injected(
+            self, tmp_path, data_dir, sh_row):
+        """SH's only bus is the slack: SHPS_1 listed there, or listed nowhere,
+        is left to the slack balance."""
+        data = relisted(tmp_path, data_dir, "SH,SHPS_1", sh_row)
+        (_, _, injection), column = operating_points(
+            scenario_from_config(config_path(1)), data, output_mw={"SHPS_1": 500.0, "CPS_4": 1.0})
+        assert np.all(injection[:, column["qld_gen"]] == 1.0)
+        assert injection.sum() == len(injection)
+
+    def test_single_zone_at_weight_one_carries_the_regions_nett_demand(self, data_dir):
+        cfg = with_zone_weights(1, "QLD", {"qld_load": 1.0})
+        (load_mw, load_mvar, _), column = operating_points(cfg, data_dir)
+        qld = harness._load_data(cfg, data_dir, 1, {}).demand["QLD"].values
+        assert np.array_equal(load_mw[:, column["qld_load"]], qld)
+        assert np.array_equal(load_mvar[:, column["qld_load"]], qld * LOAD_TAN_PHI)
+
+    def test_half_and_half_split(self, data_dir):
+        cfg = with_zone_weights(1, "NSW", {"nsw_load_n": 0.5, "nsw_load_s": 0.5})
+        nett = {r: TimeSeries(SYNTHETIC_YEAR_START, np.full(24, 10.0), r)
+                for r in cfg.demand_regions}
+        (load_mw, _, _), column = operating_points(cfg, data_dir, nett=nett)
+        assert np.all(load_mw[:, column["nsw_load_n"]] == 5.0)
+        assert np.all(load_mw[:, column["nsw_load_s"]] == 5.0)
+
+    @pytest.mark.parametrize("north",
+                             [0.3, *np.random.default_rng(11).uniform(0.01, 0.99, 3).tolist()])
+    def test_load_columns_sum_to_the_regions_nett_demand_over_the_year(self, data_dir, north):
+        cfg = with_zone_weights(1, "NSW", {"nsw_load_n": north, "nsw_load_s": 1.0 - north})
+        (load_mw, _, _), column = operating_points(cfg, data_dir, days=None)
+        nsw = harness._load_data(cfg, data_dir, None, {}).demand["NSW"].values
+        assert np.array_equal(load_mw[:, column["nsw_load_n"]], north * nsw)
+        total = load_mw[:, column["nsw_load_n"]] + load_mw[:, column["nsw_load_s"]]
+        assert len(total) == 8760 and np.max(np.abs(total - nsw)) < 1e-9

@@ -1,4 +1,4 @@
-"""Time-series ingestion, round trips and regional splitting."""
+"""Time-series ingestion, round trips and zone weights."""
 
 import copy
 import pickle
@@ -14,7 +14,6 @@ from gridstudy.timeseries import (
     TimeSeriesError,
     ZoneWeights,
     load_timeseries_csv,
-    split_regional_demand,
     write_timeseries_csv,
 )
 
@@ -146,32 +145,6 @@ class TestInvariants:
 
 
 class TestZoneSplit:
-    def test_single_zone_identity(self):
-        ts = TimeSeries(datetime(2021, 1, 1), np.arange(24.0), "r")
-        out = split_regional_demand(ts, ZoneWeights({"A": 1.0}))
-        assert np.array_equal(out["A"].values, ts.values)
-
-    def test_half_half(self):
-        ts = TimeSeries(datetime(2021, 1, 1), np.full(24, 10.0))
-        out = split_regional_demand(ts, ZoneWeights({"A": 0.5, "B": 0.5}))
-        assert out["A"].values[7] == 5.0 and out["B"].values[7] == 5.0
-
-    def test_pointwise_sum_on_year_fixture(self, data_dir):
-        ts = load_timeseries_csv(data_dir / "demand_QLD.csv", HOURS_PER_YEAR)
-        out = split_regional_demand(ts, ZoneWeights({"A": 0.3, "B": 0.7}))
-        total = out["A"].values + out["B"].values
-        assert np.max(np.abs(total - ts.values)) < 1e-9
-
-    def test_random_weights_preserve_totals(self):
-        rng = np.random.default_rng(11)
-        ts = TimeSeries(datetime(2021, 1, 1), rng.uniform(0, 5000, 24 * 7))
-        for _ in range(25):
-            raw = rng.uniform(0.01, 1, rng.integers(1, 6))
-            weights = ZoneWeights({f"z{i}": w for i, w in enumerate(raw / raw.sum())})
-            out = split_regional_demand(ts, weights)
-            total = np.sum([z.values for z in out.values()], axis=0)
-            assert np.max(np.abs(total - ts.values)) < 1e-9
-
     def test_invalid_weights_rejected(self):
         with pytest.raises(TimeSeriesError, match="sum to"):
             ZoneWeights({"A": 0.4, "B": 0.5})
